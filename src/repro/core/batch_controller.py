@@ -17,9 +17,9 @@ tensors in one process.  The key structural facts that make this cheap:
   iterates through **one** Cholesky factorization, with per-lane
   vectors as the only per-scenario state.
 * The budget-free reference LP has a closed-form waterfill solution
-  (:func:`repro.core.solve_optimal_allocation_batch`), so all lanes'
-  reference trajectories come from a few vectorized passes instead of
-  ``S`` simplex solves.
+  (:class:`repro.core.reference_opt.Waterfill`), so all lanes'
+  reference powers come from a few vectorized passes over per-IDC
+  totals instead of ``S`` simplex solves.
 
 Lanes whose ADMM iterates fail to converge ("stragglers") fall back to
 the exact scalar :class:`repro.control.ModelPredictiveController`
@@ -61,6 +61,7 @@ from .controller import MPCPolicyConfig
 from .model import CostModelBuilder
 from .peak_shaving import normalize_budgets
 from .reference_opt import (
+    Waterfill,
     solve_optimal_allocation,
     solve_optimal_allocation_batch,
 )
@@ -232,18 +233,10 @@ class BatchCostMPCPolicy:
         self.n_scenarios = int(n_scenarios)
         self.builder = CostModelBuilder(cluster)
         self.name = "mpc_batch"
-        n = cluster.n_idcs
-        self._b1 = np.array([idc.config.power_model.b1
-                             for idc in cluster.idcs])
-        self._b0 = np.array([idc.config.power_model.b0
-                             for idc in cluster.idcs])
-        self._mu = np.array([idc.config.service_rate
-                             for idc in cluster.idcs])
-        self._inv_d = np.array([1.0 / idc.config.latency_bound
-                                for idc in cluster.idcs])
-        self._fleet = np.array([idc.available_servers
-                                for idc in cluster.idcs], dtype=float)
-        self._n, self._c = n, cluster.n_portals
+        wf = self._waterfill = Waterfill(cluster)
+        self._b1, self._b0, self._mu = wf.b1, wf.b0, wf.mu
+        self._inv_d, self._fleet = wf.inv_d, wf.fleet
+        self._n, self._c = cluster.n_idcs, cluster.n_portals
         self.perf = perf if perf is not None \
             else BatchPerfStats(self.n_scenarios)
         self.reset()
@@ -468,9 +461,9 @@ class BatchCostMPCPolicy:
             self.perf.shared.count("ref_cache_misses", len(missing))
             mp = np.array([v[0] for v in missing.values()])
             ml = np.array([v[1] for v in missing.values()])
-            alloc = solve_optimal_allocation_batch(self.cluster, mp, ml)
-            for key, powers in zip(missing,
-                                   alloc.powers_watts_relaxed / 1e6):
+            wf = self._waterfill
+            lam = wf.workloads(mp, ml.sum(axis=1))
+            for key, powers in zip(missing, wf.powers_watts(lam) / 1e6):
                 self._ref_cache[key] = powers
                 if len(self._ref_cache) > self.REF_CACHE_SIZE:
                     self._ref_cache.popitem(last=False)
@@ -767,11 +760,14 @@ class BatchCostMPCPolicy:
                         loads: np.ndarray) -> np.ndarray:
         """Bid-curve demand (MW) each lane would draw at candidate prices.
 
-        The shared-market fleet stepper's simultaneous clearing needs
-        the controllers' price→demand map *without* advancing any
-        lane's closed-loop state, so it iterates against the same
-        budget-free waterfill that anchors the reference trajectory:
-        the demand the controller is steering toward at those prices.
+        Simultaneous market clearing needs the controllers'
+        price→demand map *without* advancing any lane's closed-loop
+        state, so it iterates against the same budget-free waterfill
+        that anchors the reference trajectory: the demand the
+        controller is steering toward at those prices.  (The shared-
+        market fleet computes the same bids from its own
+        :class:`~repro.core.reference_opt.Waterfill`, memoized by cost
+        order.)
         (The committed :meth:`decide_batch` draw then differs only by
         the ΔU smoothing — which is exactly the mitigation knob the
         herding study turns.)  When the market moves under the fleet
@@ -784,12 +780,9 @@ class BatchCostMPCPolicy:
         or per-lane rows ``(S, N)``; ``loads`` is ``(S, C)``.  Returns
         ``(S, N)`` megawatts.
         """
-        loads = np.asarray(loads, dtype=float)
-        prices = np.asarray(prices, dtype=float)
-        if prices.ndim == 1:
-            prices = np.broadcast_to(prices, (loads.shape[0], self._n))
-        alloc = solve_optimal_allocation_batch(self.cluster, prices, loads)
-        return alloc.powers_watts_relaxed * 1e-6
+        wf = self._waterfill
+        lam = wf.workloads(prices, np.asarray(loads, dtype=float).sum(axis=1))
+        return wf.powers_watts(lam) * 1e-6
 
     # ------------------------------------------------------------------
     def decide_batch(self, period: int, prices: np.ndarray,

@@ -27,7 +27,7 @@ from ..exceptions import InfeasibleProblemError, ModelError
 from ..optim import linprog
 from .constraints import capacity_matrix, conservation_matrix
 
-__all__ = ["OptimalAllocation", "BatchOptimalAllocation",
+__all__ = ["OptimalAllocation", "BatchOptimalAllocation", "Waterfill",
            "solve_optimal_allocation", "solve_optimal_allocation_batch"]
 
 
@@ -100,13 +100,8 @@ def solve_optimal_allocation(cluster: IDCCluster, prices: np.ndarray,
     if np.any(loads < 0):
         raise ModelError("portal workloads cannot be negative")
 
-    b1 = np.array([idc.config.power_model.b1 for idc in cluster.idcs])
-    b0 = np.array([idc.config.power_model.b0 for idc in cluster.idcs])
-    mu = np.array([idc.config.service_rate for idc in cluster.idcs])
-    inv_d = np.array([1.0 / idc.config.latency_bound
-                      for idc in cluster.idcs])
-    fleet = np.array([idc.available_servers for idc in cluster.idcs],
-                     dtype=float)
+    wf = Waterfill(cluster)
+    b1, b0, mu, inv_d, fleet = wf.b1, wf.b0, wf.mu, wf.inv_d, wf.fleet
 
     nvar = n * c + n  # [U, m]
     cost = np.zeros(nvar)
@@ -179,6 +174,87 @@ def solve_optimal_allocation(cluster: IDCCluster, prices: np.ndarray,
     )
 
 
+class Waterfill:
+    """The budget-free reference optimum in closed form, per IDC only.
+
+    With the latency constraint active at the optimum (``μ_j m_j = λ_j +
+    1/D_j`` — idle servers cost money), eliminating ``m`` leaves the
+    effective cost rate ``Pr_j (b1_j + b0_j/μ_j)`` per unit workload,
+    and the reference LP reduces to *waterfilling* each scenario's total
+    offered load into the IDCs in increasing effective-cost order, up to
+    each IDC's capacity ``μ_j M_j − 1/D_j``.  This reproduces the
+    simplex solution's per-IDC totals ``λ_j`` (and hence the reference
+    powers) to solver precision.
+
+    The fleet's clearing bids, the batched MPC's reference powers and
+    the LP chasers' draw need only ``λ`` — not the per-portal split —
+    so this computes just that.  :func:`solve_optimal_allocation_batch`
+    builds on it, so the two agree bit for bit.  The coefficients,
+    including the *available* fleet, are read from ``cluster`` once.
+    """
+
+    def __init__(self, cluster: IDCCluster) -> None:
+        idcs = cluster.idcs
+        self.b1 = np.array([idc.config.power_model.b1 for idc in idcs])
+        self.b0 = np.array([idc.config.power_model.b0 for idc in idcs])
+        self.mu = np.array([idc.config.service_rate for idc in idcs])
+        self.inv_d = np.array([1.0 / idc.config.latency_bound
+                               for idc in idcs])
+        self.fleet = np.array([idc.available_servers for idc in idcs],
+                              dtype=float)
+        #: workload capacity per IDC
+        self.caps = np.maximum(self.mu * self.fleet - self.inv_d, 0.0)
+        #: effective cost per unit workload, per unit price
+        self.rate = self.b1 + self.b0 / self.mu
+
+    def order(self, prices: np.ndarray) -> np.ndarray:
+        """IDC indices, cheapest first, along the last axis of ``prices``."""
+        return np.argsort(prices * self.rate, axis=-1, kind="stable")
+
+    def workloads(self, prices: np.ndarray,
+                  totals: np.ndarray) -> np.ndarray:
+        """Per-IDC totals ``λ``, shape ``(S, N)``.
+
+        ``prices`` is per lane ``(S, N)`` or one shared row ``(N,)`` (a
+        cleared market, whose single cost order serves every lane);
+        ``totals`` is each lane's offered load, ``(S,)``.
+
+        Raises
+        ------
+        InfeasibleProblemError
+            When any lane's total load exceeds the fleet capacity.
+        """
+        remaining = np.asarray(totals, dtype=float)
+        order = self.order(np.asarray(prices, dtype=float))
+        lam = np.zeros((remaining.shape[0], self.caps.size))
+        if order.ndim == 1:
+            for j in order:
+                take = np.minimum(remaining, self.caps[j])
+                lam[:, j] = take
+                remaining = remaining - take
+        else:
+            rows = np.arange(lam.shape[0])
+            for j in order.T:
+                take = np.minimum(remaining, self.caps[j])
+                lam[rows, j] = take
+                remaining = remaining - take
+        if np.any(remaining > 1e-6):
+            bad = int(np.argmax(remaining))
+            raise InfeasibleProblemError(
+                f"scenario {bad}: offered workload exceeds the "
+                "latency-bounded capacity by "
+                f"{float(remaining[bad]):.1f} req/s")
+        return lam
+
+    def servers(self, lam: np.ndarray) -> np.ndarray:
+        """Relaxed server counts at the active latency bound."""
+        return (lam + self.inv_d) / self.mu
+
+    def powers_watts(self, lam: np.ndarray) -> np.ndarray:
+        """Per-IDC power (W) at the relaxed server counts."""
+        return self.b1 * lam + self.b0 * self.servers(lam)
+
+
 @dataclass
 class BatchOptimalAllocation:
     """Stacked reference optima for ``S`` scenarios (see the batch solver).
@@ -200,16 +276,11 @@ def solve_optimal_allocation_batch(cluster: IDCCluster, prices: np.ndarray,
                                    ) -> BatchOptimalAllocation:
     """Vectorized reference optimum for ``S`` (prices, loads) scenarios.
 
-    The budget-free reference LP has a closed-form greedy solution: with
-    the latency constraint active at the optimum (``μ_j m_j = λ_j +
-    1/D_j`` — idle servers cost money), eliminating ``m`` gives the
-    effective cost rate ``Pr_j (b1_j + b0_j/μ_j)`` per unit workload,
-    and the LP reduces to *waterfilling* the total offered load into the
-    IDCs in increasing effective-cost order up to each IDC's capacity
-    ``μ_j M_j − 1/D_j``.  This reproduces the simplex solution's per-IDC
-    totals ``λ_j`` (and hence the reference powers) to solver precision,
-    at a few vectorized passes over an ``(S, N)`` tensor instead of
-    ``S`` simplex solves.
+    The per-IDC totals come from the closed-form :class:`Waterfill` — a
+    few vectorized passes over an ``(S, N)`` tensor instead of ``S``
+    simplex solves.  Callers that need only those totals (or the
+    powers) should use :class:`Waterfill` directly; this adds the
+    per-portal split and the integer server counts.
 
     The per-portal split of ``u`` fills portals in index order within
     the cost order.  A vertex LP solution may split differently among
@@ -232,40 +303,15 @@ def solve_optimal_allocation_batch(cluster: IDCCluster, prices: np.ndarray,
     if np.any(loads < 0):
         raise ModelError("portal workloads cannot be negative")
 
-    b1 = np.array([idc.config.power_model.b1 for idc in cluster.idcs])
-    b0 = np.array([idc.config.power_model.b0 for idc in cluster.idcs])
-    mu = np.array([idc.config.service_rate for idc in cluster.idcs])
-    inv_d = np.array([1.0 / idc.config.latency_bound
-                      for idc in cluster.idcs])
-    fleet = np.array([idc.available_servers for idc in cluster.idcs],
-                     dtype=float)
-    caps = np.maximum(mu * fleet - inv_d, 0.0)        # workload capacity
-
-    c_eff = prices * (b1 + b0 / mu)                   # (S, N)
-    order = np.argsort(c_eff, axis=1, kind="stable")  # cheapest first
-
-    # λ waterfill: pour the total load into IDCs in cost order.
-    lam = np.zeros((S, n))
-    remaining = loads.sum(axis=1)
-    rows = np.arange(S)
-    for r in range(n):
-        j = order[:, r]
-        take = np.minimum(remaining, caps[j])
-        lam[rows, j] = take
-        remaining = remaining - take
-    if np.any(remaining > 1e-6):
-        bad = int(np.argmax(remaining))
-        raise InfeasibleProblemError(
-            f"scenario {bad}: offered workload exceeds the "
-            "latency-bounded capacity by "
-            f"{float(remaining[bad]):.1f} req/s")
+    wf = Waterfill(cluster)
+    lam = wf.workloads(prices, loads.sum(axis=1))
 
     # Per-portal split: portals in index order fill the cost order.
     U = np.zeros((S, c, n))                           # λ_ij matrix layout
+    rows = np.arange(S)
     rem_load = loads.copy()
-    cap_left = np.broadcast_to(caps, (S, n)).copy()
-    for r in range(n):
-        j = order[:, r]
+    cap_left = np.broadcast_to(wf.caps, (S, n)).copy()
+    for j in wf.order(prices).T:
         for i in range(c):
             take = np.minimum(rem_load[:, i], cap_left[rows, j])
             U[rows, i, j] = take
@@ -274,10 +320,9 @@ def solve_optimal_allocation_batch(cluster: IDCCluster, prices: np.ndarray,
     # flat IDC-grouped ordering, lane-wise cluster.matrix_to_vector
     u = U.transpose(0, 2, 1).reshape(S, n * c)
 
-    m_cont = (lam + inv_d) / mu
-    m_int = np.minimum(np.ceil(m_cont - 1e-9), fleet).astype(int)
-    powers_relaxed = b1 * lam + b0 * m_cont
+    m_cont = wf.servers(lam)
+    m_int = np.minimum(np.ceil(m_cont - 1e-9), wf.fleet).astype(int)
     return BatchOptimalAllocation(
         u=u, idc_workloads=lam, servers_continuous=m_cont,
-        servers=m_int, powers_watts_relaxed=powers_relaxed,
+        servers=m_int, powers_watts_relaxed=wf.powers_watts(lam),
     )

@@ -223,6 +223,7 @@ class SharedMarketFleet:
                  perf: BatchPerfStats | None = None,
                  grid_monitor=None) -> None:
         from ..core import BatchCostMPCPolicy, MPCPolicyConfig
+        from ..core.reference_opt import Waterfill
 
         self.cluster = cluster
         self.market = market
@@ -262,13 +263,15 @@ class SharedMarketFleet:
 
         n = cluster.n_idcs
         self._n = n
-        self._b1 = np.array([i.config.power_model.b1 for i in cluster.idcs])
-        self._b0 = np.array([i.config.power_model.b0 for i in cluster.idcs])
-        self._mu = np.array([i.config.service_rate for i in cluster.idcs])
-        self._inv_d = np.array([1.0 / i.config.latency_bound
-                                for i in cluster.idcs])
-        self._fleet = np.array([i.available_servers for i in cluster.idcs],
-                               dtype=float)
+        wf = self._waterfill = Waterfill(cluster)
+        self._b1, self._b0, self._mu = wf.b1, wf.b0, wf.mu
+        self._inv_d, self._fleet = wf.inv_d, wf.fleet
+        self._totals = self.loads.sum(axis=1)       # (S,) offered load
+        # Aggregate clearing bid of the lanes refreshing at one stagger
+        # phase, keyed (phase, cost order).  A waterfill bid depends on
+        # the price only through the cost order and the loads are fixed,
+        # so a hit returns exactly what recomputing would.
+        self._bids: dict = {}
 
         self._idx = {kind: np.array([s for s, k in enumerate(self.kinds)
                                      if k == kind], dtype=int)
@@ -362,16 +365,21 @@ class SharedMarketFleet:
     def _powers_mw(self, lam: np.ndarray, servers: np.ndarray) -> np.ndarray:
         return (self._b1 * lam + self._b0 * np.round(servers)) * 1e-6
 
-    def _bid_mw(self, prices: np.ndarray, loads: np.ndarray) -> np.ndarray:
-        """Waterfill bid-curve demand (MW) for a stack of lanes."""
-        if self._mpc is not None:
-            return self._mpc.demand_response(prices, loads)
-        from ..core import solve_optimal_allocation_batch
-        prices = np.asarray(prices, dtype=float)
-        if prices.ndim == 1:
-            prices = np.broadcast_to(prices, (loads.shape[0], self._n))
-        alloc = solve_optimal_allocation_batch(self.cluster, prices, loads)
-        return alloc.powers_watts_relaxed * 1e-6
+    def _bid_mw(self, prices: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        """Waterfill bid-curve demand (MW) of ``lanes`` at ``prices``
+        (one shared row or one row per lane)."""
+        wf = self._waterfill
+        return wf.powers_watts(wf.workloads(prices, self._totals[lanes])) \
+            * 1e-6
+
+    def _live_bid_mw(self, prices: np.ndarray, lanes: np.ndarray,
+                     phase: int) -> np.ndarray:
+        """Summed bid of the lanes refreshing at ``phase``, memoized."""
+        key = (phase, self._waterfill.order(prices).tobytes())
+        bid = self._bids.get(key)
+        if bid is None:
+            bid = self._bids[key] = self._bid_mw(prices, lanes).sum(axis=0)
+        return bid
 
     # ------------------------------------------------------------------
     def step(self) -> dict:
@@ -381,8 +389,6 @@ class SharedMarketFleet:
         ``powers``) so the durable :meth:`run` can digest them into its
         write-ahead log without re-deriving anything.
         """
-        from ..core import solve_optimal_allocation_batch
-
         k = self._k
         t = self.start_time + k * self.dt
         base = self.market.base_prices(t)
@@ -403,14 +409,14 @@ class SharedMarketFleet:
             live = np.flatnonzero(chasing & active)
             if np.any(held):
                 held_idx = np.flatnonzero(held)
-                const_mw += self._bid_mw(
-                    self._seen[held_idx], self.loads[held_idx]).sum(axis=0)
+                const_mw += self._bid_mw(self._seen[held_idx],
+                                         held_idx).sum(axis=0)
 
             if live.size:
-                live_loads = self.loads[live]
+                phase = k % self.stagger
 
                 def demand(p):
-                    return const_mw + self._bid_mw(p, live_loads).sum(axis=0)
+                    return const_mw + self._live_bid_mw(p, live, phase)
             else:
                 def demand(p):
                     return const_mw
@@ -433,9 +439,7 @@ class SharedMarketFleet:
             powers[self._idx["static"]] = self._static_mw[self._idx["static"]]
         if self._idx["lp"].size:
             lp = self._idx["lp"]
-            alloc = solve_optimal_allocation_batch(
-                self.cluster, self._seen[lp], self.loads[lp])
-            lam = alloc.idc_workloads
+            lam = self._waterfill.workloads(self._seen[lp], self._totals[lp])
             powers[lp] = self._powers_mw(lam, self._servers_for(lam))
         if self._mpc is not None:
             mpc = self._idx["mpc"]
