@@ -2,7 +2,9 @@
 # Local mirror of .github/workflows/bench.yml: run the benchmark smoke
 # suite and leave the benchmark JSON at the repo root
 # (BENCH_solvers.json / BENCH_full_day.json / BENCH_scaling.json /
-# BENCH_service.json).  Run from anywhere.
+# BENCH_service.json), then smoke the end-to-end harness
+# (benchmarks/e2e) on the batched workloads and run its self-tests.
+# Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,6 +15,9 @@ python -m pytest benchmarks/test_bench_full_day.py -q \
     --benchmark-json=BENCH_full_day.json
 python -m pytest benchmarks/test_bench_scaling.py -q
 python -m pytest benchmarks/test_bench_service.py -q
+python3 benchmarks/e2e/run.py mc_1000 --smoke
+python3 benchmarks/e2e/run.py fleet_1000 --smoke
+python -m pytest -q benchmarks/e2e/test_harness.py
 
 python - <<'EOF'
 import json

@@ -562,6 +562,7 @@ class BatchCostMPCPolicy:
             self._warm = (res.X.copy(), res.Y.copy())
         self.perf.shared.count("qp_solves")
         self.perf.shared.count("qp_iterations", int(res.iterations.max()))
+        self.perf.shared.count("qp_polished", int(res.polished.sum()))
 
         U_new = np.maximum(self._U_prev + res.X[:, :nu], 0.0)
         # Exact conservation repair: ADMM meets the Σ_j u_ij = L_i rows

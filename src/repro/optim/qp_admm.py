@@ -44,7 +44,9 @@ stays dense below the crossover.
 hot path.  One Cholesky factorization of the Schur complement is shared
 across all scenarios; the iterates are stacked ``(S, n)`` / ``(S, m)``
 tensors advanced by level-3 BLAS, with per-scenario residual checks and
-lane freezing so converged scenarios stop paying for stragglers.
+lane freezing so converged scenarios stop paying for stragglers, and an
+active-set polish that lands lanes near their optimum on the exact
+vertex instead of grinding ADMM to its tolerance.
 """
 
 from __future__ import annotations
@@ -337,7 +339,9 @@ class BatchQPResult:
     dual; ``iterations`` records the iteration at which each lane's
     residuals converged (``max_iter`` for stragglers, whose
     ``converged`` entry is ``False`` — callers re-solve those lanes
-    through an exact scalar backend).
+    through an exact scalar backend).  ``polished`` marks the converged
+    lanes whose solution came from the active-set polish rather than
+    from the ADMM iterate itself.
     """
 
     X: np.ndarray
@@ -345,6 +349,7 @@ class BatchQPResult:
     fun: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
+    polished: np.ndarray
 
     @property
     def n_stragglers(self) -> int:
@@ -420,6 +425,7 @@ class BatchADMMSetup:
         # across solves exactly like the shared scalar ``rho``.
         self.rho_lanes: np.ndarray | None = None
         self._lane_kinv_cache: dict[float, np.ndarray] = {}
+        self._polish_ops = None
         self._set_rho(float(rho))
 
     def _set_rho(self, rho: float) -> None:
@@ -481,6 +487,32 @@ class BatchADMMSetup:
         self._lane_kinv_cache[rho] = kinv
         return kinv
 
+    def polish_operators(self):
+        """``(P_s⁻¹, A_s P_s⁻¹, M = A_s P_s⁻¹ A_sᵀ)`` for the polish.
+
+        The Schur complement ``M`` of the equality-constrained KKT
+        system depends only on the scaled ``(P, A)``, not on ``rho``, so
+        it is built once, on first use.  ``None`` when ``P_s`` is not
+        safely positive definite (or there are no constraints): the
+        polish then stays off and every lane finishes by ADMM.
+        """
+        import scipy.linalg as sla
+        if self._polish_ops is None:
+            self._polish_ops = False
+            try:
+                chol, _ = sla.cho_factor(self.P_s)
+            except np.linalg.LinAlgError:
+                chol = None
+            if chol is not None and self.m:
+                piv = np.diag(chol) ** 2
+                if piv.min() > 1e-10 * piv.max():
+                    pinv = sla.cho_solve((chol, False), np.eye(self.n))
+                    pinv = 0.5 * (pinv + pinv.T)
+                    a_pinv = self.A_s @ pinv
+                    M = a_pinv @ self.A_sT
+                    self._polish_ops = (pinv, a_pinv, 0.5 * (M + M.T))
+        return self._polish_ops or None
+
 
 def prepare_batch_admm(P, A, n_eq: int = 0, rho: float = 0.1,
                        sigma: float = 1e-6,
@@ -531,6 +563,15 @@ def solve_qp_admm_batch(P, Q, A, L, U, rho: float = 0.1,
     stop costing work — so one straggler cannot perturb or slow the
     rest.
 
+    A lane whose residuals first come within ``1e-2·(1 + scale)`` of the
+    stop gets one **active-set polish** per solve (OSQP's "polish"):
+    primal-dual active-set rounds on the active rows guessed from its
+    ``(z, y)``, accepted only if the polished point passes the same
+    unscaled stopping test with correctly signed multipliers.  An
+    accepted lane is an exact vertex (``BatchQPResult.polished``); a
+    refused one carries on by ADMM from its untouched iterate.  The
+    ``lane_isolated`` mode never polishes.
+
     Parameters
     ----------
     P, A:
@@ -577,10 +618,8 @@ def solve_qp_admm_batch(P, Q, A, L, U, rho: float = 0.1,
         setup = BatchADMMSetup(P, A, n_eq=n_eq, rho=rho, sigma=sigma)
 
     A_s = setup.A_s
-    P_s = setup.P_s
     D, E, c = setup.D, setup.E, setup.c
     Einv = 1.0 / E
-    cD = c * D
     sigma = setup.sigma
 
     # scale the per-lane data into equilibrated coordinates
@@ -604,6 +643,9 @@ def solve_qp_admm_batch(P, Q, A, L, U, rho: float = 0.1,
 
     iters = np.full(S, max_iter, dtype=int)
     converged = np.zeros(S, dtype=bool)
+    polished = np.zeros(S, dtype=bool)
+    tried = np.zeros(S, dtype=bool)
+    polish = setup.polish_operators() is not None
     q_norm = np.max(np.abs(Q), axis=1) if n else np.zeros(S)
 
     # Compacted working blocks: frozen lanes are *removed* from the
@@ -649,23 +691,27 @@ def solve_qp_admm_batch(P, Q, A, L, U, rho: float = 0.1,
         np.copyto(z, bm)
 
         if it % 5 == 0 or it == 1:
-            # residuals in the *original* (unscaled) coordinates
-            Ax = (x @ A_s.T) * Einv
-            z_u = z * Einv
-            Px = (x @ P_s) / cD
-            Aty = (y @ A_s) / cD
-            r_prim = np.max(np.abs(Ax - z_u), axis=1) if m else \
-                np.zeros(idx.size)
-            r_dual = np.max(np.abs(Px + q_u + Aty), axis=1)
-            prim_scale = np.maximum(
-                np.max(np.abs(Ax), axis=1) if m else 0.0,
-                np.max(np.abs(z_u), axis=1) if m else 0.0)
-            dual_scale = np.maximum(
-                np.maximum(np.max(np.abs(Px), axis=1),
-                           np.max(np.abs(Aty), axis=1) if m else 0.0),
-                qn)
+            r_prim, r_dual, prim_scale, dual_scale = _unscaled_residuals(
+                setup, x, z, y, q_u, qn)
             done = (r_prim <= eps_abs + eps_rel * prim_scale) & \
                 (r_dual <= eps_abs + eps_rel * dual_scale)
+            if polish:
+                # lanes that first come within a loose distance of the
+                # optimum get one polish attempt per solve
+                near = ~done & ~tried[idx] & \
+                    (r_prim <= _POLISH_TRIGGER * (1.0 + prim_scale)) & \
+                    (r_dual <= _POLISH_TRIGGER * (1.0 + dual_scale))
+                cand = np.flatnonzero(near)
+                tried[idx[cand]] = True
+                for lo in range(0, cand.size, _POLISH_CHUNK):
+                    ch = cand[lo:lo + _POLISH_CHUNK]
+                    ok, xp, zp, yp = _polish_lanes(
+                        setup, x[ch], z[ch], y[ch], qs[ch], q_u[ch], qn[ch],
+                        ls[ch], us[ch], eps_abs, eps_rel)
+                    acc = ch[ok]
+                    x[acc], z[acc], y[acc] = xp[ok], zp[ok], yp[ok]
+                    done[acc] = True
+                    polished[idx[acc]] = True
             live = ~done
             if np.any(done):
                 lanes = idx[done]
@@ -693,7 +739,152 @@ def solve_qp_admm_batch(P, Q, A, L, U, rho: float = 0.1,
     fun = 0.5 * np.einsum("sn,sn->s", X, PX) \
         + np.einsum("sn,sn->s", Q, X)
     return BatchQPResult(X=X, Y=Y, fun=fun, iterations=iters,
-                         converged=converged)
+                         converged=converged, polished=polished)
+
+
+#: Polish trigger: a lane whose unscaled residuals first fall within
+#: this share of ``1 + scale`` is close enough for its ``(z, y)`` to
+#: name the optimal active set.
+_POLISH_TRIGGER = 1e-2
+#: Primal-dual active-set rounds per polish attempt.
+_POLISH_ROUNDS = 6
+#: Slack/multiplier band within which a row keeps its active status.
+_PDAS_TOL = 1e-9
+#: Lanes per polish call (bounds its ``(k, m)`` work arrays).
+_POLISH_CHUNK = 48
+#: Smallest Cholesky pivot, relative to its row's diagonal, of an
+#: active set the polish treats as linearly independent.
+_DEPENDENT_PIVOT = 1e-10
+
+
+def _unscaled_residuals(setup: BatchADMMSetup, x, z, y, q_u, qn):
+    """Per-lane primal/dual residuals and their scales, unscaled.
+
+    ``x, z, y`` are Ruiz-scaled iterates ``(k, ·)``; ``q_u`` the
+    original linear terms and ``qn`` their ∞-norms.  Returns
+    ``(r_prim, r_dual, prim_scale, dual_scale)``, each ``(k,)`` — the
+    quantities of the OSQP stopping test ``r ≤ eps_abs + eps_rel·scale``.
+    """
+    A_s, P_s = setup.A_s, setup.P_s
+    Einv = 1.0 / setup.E
+    cD = setup.c * setup.D
+    m = A_s.shape[0]
+    Ax = (x @ A_s.T) * Einv
+    z_u = z * Einv
+    Px = (x @ P_s) / cD
+    Aty = (y @ A_s) / cD
+    r_prim = np.max(np.abs(Ax - z_u), axis=1) if m else \
+        np.zeros(x.shape[0])
+    r_dual = np.max(np.abs(Px + q_u + Aty), axis=1)
+    prim_scale = np.maximum(
+        np.max(np.abs(Ax), axis=1) if m else 0.0,
+        np.max(np.abs(z_u), axis=1) if m else 0.0)
+    dual_scale = np.maximum(
+        np.maximum(np.max(np.abs(Px), axis=1),
+                   np.max(np.abs(Aty), axis=1) if m else 0.0),
+        qn)
+    return r_prim, r_dual, prim_scale, dual_scale
+
+
+def _polish_lanes(setup: BatchADMMSetup, x, z, y, qs, q_u, qn, ls, us,
+                  eps_abs: float, eps_rel: float):
+    """Active-set polish of ``k`` lanes (OSQP's "polish" step).
+
+    Works in Ruiz-scaled coordinates as a primal-dual active-set
+    (semismooth Newton) iteration started at the lane's ADMM iterate.
+    The first active set is read off the ADMM ``(z, y)``: equality rows
+    always, a one-sided row when its dual outweighs its slack.  Each
+    round takes the Newton step onto the equality-constrained QP of the
+    active rows, solved through the Schur complement
+    ``M_act y = A_act(x + d) − b_act`` with ``d = −P⁻¹(Px + q)``
+    (:func:`_solve_active`), then re-reads the active set from the
+    step's multipliers and violations; a lane whose set stops moving
+    leaves the rounds.  The caller hands lanes over in chunks of
+    ``_POLISH_CHUNK``, which bounds every work array here to
+    ``(chunk, m)``.  A lane is accepted only if the polished
+    ``(x, clip(Ax), y)`` passes the ADMM loop's own unscaled stopping
+    test and its multipliers carry the right sign to the same tolerance.
+    Returns ``(ok, x, z, y)``; rows of rejected lanes are meaningless.
+    """
+    pinv, a_pinv, M = setup.polish_operators()
+    k, m = z.shape
+    eq = ls == us
+    upper = eq | (us - z < y)
+    lower = ~upper & (z - ls < -y)
+    X = x.copy()
+    Yp = np.zeros((k, m))
+    sol_up, sol_dn = upper.copy(), lower.copy()   # sets behind Yp
+    todo = np.arange(k)
+    with np.errstate(all="ignore"):
+        for _ in range(_POLISH_ROUNDS):
+            up, dn = upper[todo], lower[todo]
+            act = up | dn
+            xt = X[todo]
+            d = -((xt @ setup.P_s + qs[todo]) @ pinv)
+            w = (xt + d) @ setup.A_sT
+            rhs = np.where(act, w - np.where(up, us[todo], ls[todo]), 0.0)
+            yk = _solve_active(M, act, rhs)
+            xt = xt + (d - yk @ a_pinv)
+            X[todo], Yp[todo] = xt, yk
+            sol_up[todo], sol_dn[todo] = up, dn
+            ax = xt @ setup.A_sT
+            # PDAS: a row is active when its multiplier or its violation
+            # points outside the bound.  A weakly active row (zero
+            # multiplier on its bound) keeps its status, or rounding
+            # would toggle it every round.
+            tol = _PDAS_TOL * (1.0 + np.abs(ax))
+            s_up = yk + (ax - us[todo])
+            s_dn = yk + (ax - ls[todo])
+            new_up = eq[todo] | np.where(up, s_up > -tol, s_up > tol)
+            new_dn = ~new_up & np.where(dn, s_dn < tol, s_dn < -tol)
+            moved = np.any(new_up != up, axis=1) | \
+                np.any(new_dn != dn, axis=1)
+            upper[todo], lower[todo] = new_up, new_dn
+            todo = todo[moved]
+            if not todo.size:
+                break
+        Z = np.clip(X @ setup.A_sT, ls, us)
+        r_prim, r_dual, prim_scale, dual_scale = _unscaled_residuals(
+            setup, X, Z, Yp, q_u, qn)
+        # multiplier signs (inactive rows are exactly 0): y ≥ 0 on
+        # upper-active one-sided rows, y ≤ 0 on lower-active ones
+        y_u = Yp * (setup.E / setup.c)
+        wrong = np.where(sol_up & ~eq, -y_u, np.where(sol_dn, y_u, 0.0))
+        tol_d = eps_abs + eps_rel * dual_scale
+        ok = (r_prim <= eps_abs + eps_rel * prim_scale) & \
+            (r_dual <= tol_d) & (np.max(wrong, axis=1) <= tol_d)
+    return ok, X, Z, Yp
+
+
+def _solve_active(M, act, rhs):
+    """Solve ``M[a, a] y[a] = rhs[a]`` for each lane's active rows ``a``.
+
+    Lanes of one fleet mostly share their active set, so each distinct
+    set is Cholesky-factored once and back-solved for all of its lanes
+    together.  A set whose rows are (nearly) linearly dependent — a
+    Cholesky pivot below ``_DEPENDENT_PIVOT`` of its row's own diagonal,
+    e.g. a duplicated constraint — has no unique multipliers; its lanes
+    get NaN and are left to ADMM.  Inactive rows get ``y = 0``.
+    """
+    from scipy.linalg.lapack import dpotrf, dpotrs
+    groups: dict = {}
+    for lane, key in enumerate(np.packbits(act, axis=1)):
+        groups.setdefault(key.tobytes(), []).append(lane)
+    y = np.zeros(rhs.shape)
+    for lanes in groups.values():
+        lanes = np.asarray(lanes)
+        rows = np.flatnonzero(act[lanes[0]])
+        if not rows.size:
+            continue
+        block = M[rows[:, None], rows]
+        chol, info = dpotrf(block)
+        if info != 0 or np.min(np.diag(chol) ** 2
+                               / np.diag(block)) <= _DEPENDENT_PIVOT:
+            y[lanes] = np.nan
+            continue
+        sol, _ = dpotrs(chol, rhs[lanes[:, None], rows].T)
+        y[lanes[:, None], rows] = sol.T
+    return y
 
 
 def _solve_batch_isolated(P, setup: BatchADMMSetup, Q, Qs, Ls, Us,
@@ -725,10 +916,8 @@ def _solve_batch_isolated(P, setup: BatchADMMSetup, Q, Qs, Ls, Us,
     per-rho KKT inverses are memoised on the setup, so warm-started
     periods pay no refactorizations.
     """
-    A_s, P_s = setup.A_s, setup.P_s
+    A_s = setup.A_s
     D, E, c = setup.D, setup.E, setup.c
-    Einv = 1.0 / E
-    cD = c * D
     sigma = setup.sigma
     S, n = Qs.shape
     m = A_s.shape[0]
@@ -779,20 +968,8 @@ def _solve_batch_isolated(P, setup: BatchADMMSetup, Q, Qs, Ls, Us,
         np.copyto(z, bm)
 
         if it % 5 == 0 or it == 1:
-            Ax = (x @ A_s.T) * Einv
-            z_u = z * Einv
-            Px = (x @ P_s) / cD
-            Aty = (y @ A_s) / cD
-            r_prim = np.max(np.abs(Ax - z_u), axis=1) if m else \
-                np.zeros(S)
-            r_dual = np.max(np.abs(Px + Q + Aty), axis=1)
-            prim_scale = np.maximum(
-                np.max(np.abs(Ax), axis=1) if m else 0.0,
-                np.max(np.abs(z_u), axis=1) if m else 0.0)
-            dual_scale = np.maximum(
-                np.maximum(np.max(np.abs(Px), axis=1),
-                           np.max(np.abs(Aty), axis=1) if m else 0.0),
-                q_norm)
+            r_prim, r_dual, prim_scale, dual_scale = _unscaled_residuals(
+                setup, x, z, y, Q, q_norm)
             done = (r_prim <= eps_abs + eps_rel * prim_scale) & \
                 (r_dual <= eps_abs + eps_rel * dual_scale)
             newly = done & ~frozen
@@ -826,4 +1003,5 @@ def _solve_batch_isolated(P, setup: BatchADMMSetup, Q, Qs, Ls, Us,
     fun = 0.5 * np.einsum("sn,sn->s", Xo, PX) \
         + np.einsum("sn,sn->s", Q, Xo)
     return BatchQPResult(X=Xo, Y=Yo, fun=fun, iterations=iters,
-                         converged=converged)
+                         converged=converged,
+                         polished=np.zeros(S, dtype=bool))

@@ -141,6 +141,14 @@ class FleetResult:
         * ``clearing_iterations_mean`` / ``clearing_nonconverged`` —
           how hard the simultaneous clearing worked.
         """
+        if self.n_periods == 0:
+            return {"aggregate_ramp_mw_mean": 0.0,
+                    "aggregate_ramp_mw_max": 0.0,
+                    "price_oscillation_mean": 0.0,
+                    "price_swing_max": 0.0,
+                    "regional_peak_concentration": 0.0,
+                    "clearing_iterations_mean": 0.0,
+                    "clearing_nonconverged": 0}
         total = self.agg_demand_mw.sum(axis=1)
         ramps = np.abs(np.diff(total))
         dev = self.prices - self.base_prices
@@ -276,6 +284,13 @@ class SharedMarketFleet:
         self._idx = {kind: np.array([s for s, k in enumerate(self.kinds)
                                      if k == kind], dtype=int)
                      for kind in POLICY_KINDS}
+        # Per stagger phase: which lanes re-read the market, and which
+        # price-chasing lanes bid live (refreshing) or held (stale).
+        phase_of = np.arange(S) % self.stagger
+        chasing = np.isin(self.kinds, ("mpc", "lp"))
+        self._active = [phase_of == ph for ph in range(self.stagger)]
+        self._live = [np.flatnonzero(chasing & a) for a in self._active]
+        self._held = [np.flatnonzero(chasing & ~a) for a in self._active]
         self._mpc = None
         if self._idx["mpc"].size:
             cfg = config if config is not None else MPCPolicyConfig()
@@ -392,8 +407,8 @@ class SharedMarketFleet:
         k = self._k
         t = self.start_time + k * self.dt
         base = self.market.base_prices(t)
-        active = np.array([k % self.stagger == s % self.stagger
-                           for s in range(self.n_lanes)])
+        phase = k % self.stagger
+        active = self._active[phase]
 
         if self.clearing == "lagged":
             prices = self.market.prices_at(t)
@@ -404,17 +419,11 @@ class SharedMarketFleet:
             const_mw = np.zeros(self._n)
             if self._idx["static"].size:
                 const_mw += self._static_mw[self._idx["static"]].sum(axis=0)
-            chasing = np.array([kd in ("mpc", "lp") for kd in self.kinds])
-            held = chasing & ~active
-            live = np.flatnonzero(chasing & active)
-            if np.any(held):
-                held_idx = np.flatnonzero(held)
-                const_mw += self._bid_mw(self._seen[held_idx],
-                                         held_idx).sum(axis=0)
+            held, live = self._held[phase], self._live[phase]
+            if held.size:
+                const_mw += self._bid_mw(self._seen[held], held).sum(axis=0)
 
             if live.size:
-                phase = k % self.stagger
-
                 def demand(p):
                     return const_mw + self._live_bid_mw(p, live, phase)
             else:
@@ -639,9 +648,18 @@ class SharedMarketFleet:
         return self.result()
 
     def result(self) -> FleetResult:
-        """Snapshot of everything recorded so far."""
+        """Snapshot of everything recorded so far.
+
+        ``perf`` is the fleet rollup plus the MPC cohort's solver
+        counters (``qp_solves``, ``qp_iterations``, ``qp_polished``, …),
+        which the cohort's own policy stats keep.
+        """
         T = self._k
         times = self.start_time + np.arange(T) * self.dt
+        perf = self.perf.rollup()
+        if self._mpc is not None:
+            for key, value in self._mpc.perf.shared.counters.items():
+                perf.counters[key] = perf.counters.get(key, 0) + value
         return FleetResult(
             dt=self.dt, times=times,
             prices=np.array(self._rec_prices).reshape(T, self._n),
@@ -652,7 +670,7 @@ class SharedMarketFleet:
             policy_kinds=list(self.kinds),
             cost_usd=self._cost.copy(),
             energy_mwh=self._energy.copy(),
-            perf=self.perf.rollup().as_dict())
+            perf=perf.as_dict())
 
 
 def run_shared_market_fleet(cluster, market: SharedMarket, lane_loads,

@@ -366,3 +366,18 @@ def test_clearing_contraction_and_fixed_point_api():
         == pytest.approx(0.5 * 40.0 / 100.0 * 2.0)
     with pytest.raises(ConfigurationError):
         clear_fixed_point(lambda d: d, lambda p: p, np.ones(2), damping=0.0)
+
+
+def test_herding_metrics_of_zero_period_result():
+    # A fleet stopped before its first period has nothing to diff or
+    # peak over; the metrics fall back to the empty-diff zeros.
+    fleet = SharedMarketFleet(paper_cluster(), _shared_market(0.3, 6),
+                              _lane_loads(6), policy_mix=("mpc", "lp"))
+    res = fleet.run(0)
+    assert res.n_periods == 0
+    metrics = res.herding_metrics()
+    assert metrics == {
+        "aggregate_ramp_mw_mean": 0.0, "aggregate_ramp_mw_max": 0.0,
+        "price_oscillation_mean": 0.0, "price_swing_max": 0.0,
+        "regional_peak_concentration": 0.0,
+        "clearing_iterations_mean": 0.0, "clearing_nonconverged": 0}
