@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -118,14 +119,30 @@ class BatchAllocationDecision:
         Integer server commands, shape ``(S, N)``.
     powers_mw:
         Model power draw of the commanded operating point, ``(S, N)``.
-    diagnostics:
-        Per-lane diagnostics dicts (same keys as the scalar policy's).
+    reference_powers_mw:
+        First-step reference power targets, ``(S, N)``.
+    solver_diagnostics:
+        Per-lane diagnostics of the QP solve (and any lane fallback).
     """
 
     u: np.ndarray
     servers: np.ndarray
     powers_mw: np.ndarray
-    diagnostics: list
+    reference_powers_mw: np.ndarray
+    solver_diagnostics: list
+
+    @cached_property
+    def diagnostics(self) -> list:
+        """Per-lane diagnostics dicts (same keys as the scalar policy's).
+
+        Built on first access: the fleet never reads them, so it does
+        not pay for building ``S`` dicts every period.
+        """
+        refs = self.reference_powers_mw.copy()
+        powers = self.powers_mw.copy()
+        return [{"reference_powers_mw": ref, "powers_mw": pw, **diag}
+                for ref, pw, diag in zip(refs, powers,
+                                         self.solver_diagnostics)]
 
     def lane(self, index: int) -> AllocationDecision:
         """The scalar-engine view of one lane's decision."""
@@ -438,46 +455,55 @@ class BatchCostMPCPolicy:
         scalar policy's LRU; all misses across the whole batch are
         solved in **one** vectorized waterfill call.  ``uniform`` marks
         that every horizon step shares the lane's measured loads (no
-        forecast), collapsing the key loop to one lookup per lane.
+        forecast), collapsing the lookups to one per lane.  The period
+        is served from the memo as it stood plus its own misses, and
+        only then are the misses inserted, so a period with more
+        distinct keys than ``REF_CACHE_SIZE`` cannot evict its own rows.
         """
         S = self.n_scenarios
         beta1 = self.config.horizon_pred
-        rows = 1 if uniform else loads_seq.shape[1]
-        steps = range(1) if uniform else range(beta1)
-        out = np.empty((S, beta1, self._n))
-        keys = np.empty((S, rows if uniform else beta1), dtype=object)
-        missing: OrderedDict = OrderedDict()
-        prices_r = np.round(prices, 6)
-        loads_r = np.round(loads_seq, 3)
-        for s in range(S):
-            pk = prices_r[s].tobytes()
-            for step in steps:
-                row = min(step, rows - 1)
-                key = (pk, loads_r[s, row].tobytes())
-                keys[s, step] = key
-                if key not in self._ref_cache and key not in missing:
-                    missing[key] = (prices[s], loads_seq[s, row])
-        if missing:
-            self.perf.shared.count("ref_cache_misses", len(missing))
-            mp = np.array([v[0] for v in missing.values()])
-            ml = np.array([v[1] for v in missing.values()])
+        n_steps = 1 if uniform else beta1
+        rows = np.minimum(np.arange(n_steps), loads_seq.shape[1] - 1)
+        n = self._n
+        # one (prices, loads) key row per lookup, in lane-major order,
+        # compared bit for bit as the memo's byte keys are
+        key_rows = np.empty((S, n_steps, n + loads_seq.shape[2]))
+        key_rows[:, :, :n] = np.round(prices, 6)[:, None, :]
+        key_rows[:, :, n:] = np.round(loads_seq[:, rows], 3)
+        key_rows = key_rows.reshape(S * n_steps, -1)
+        width = key_rows.shape[1] * 8
+        _, first, inv = np.unique(
+            key_rows.view(np.dtype((np.void, width))).ravel(),
+            return_index=True, return_inverse=True)
+        buf = key_rows[first].tobytes()
+        keys = [(buf[o:o + 8 * n], buf[o + 8 * n:o + width])
+                for o in range(0, len(buf), width)]
+        table = np.empty((len(keys), n))
+        miss = []
+        for g, key in enumerate(keys):
+            row = self._ref_cache.get(key)
+            if row is None:
+                miss.append(g)
+            else:
+                table[g] = row
+        if miss:
+            miss = np.asarray(miss)
+            miss = miss[np.argsort(first[miss])]   # first-lookup order
+            lanes, steps = np.divmod(first[miss], n_steps)
             wf = self._waterfill
-            lam = wf.workloads(mp, ml.sum(axis=1))
-            for key, powers in zip(missing, wf.powers_watts(lam) / 1e6):
-                self._ref_cache[key] = powers
+            lam = wf.workloads(prices[lanes],
+                               loads_seq[lanes, rows[steps]].sum(axis=1))
+            powers = wf.powers_watts(lam) / 1e6
+            table[miss] = powers
+            for g, row in zip(miss, powers):
+                self._ref_cache[keys[g]] = row
                 if len(self._ref_cache) > self.REF_CACHE_SIZE:
                     self._ref_cache.popitem(last=False)
-        hits = 0
-        for s in range(S):
-            for step in steps:
-                row = self._ref_cache[keys[s, step]]
-                if uniform:
-                    out[s, :] = row
-                else:
-                    out[s, step] = row
-                hits += 1
-        self.perf.shared.count("ref_cache_hits",
-                               hits - len(missing) if missing else hits)
+            self.perf.shared.count("ref_cache_misses", len(miss))
+        out = table[inv].reshape(S, n_steps, n)
+        self.perf.shared.count("ref_cache_hits", S * n_steps - len(miss))
+        if uniform:
+            return np.repeat(out, beta1, axis=1)
         return out
 
     def _loads_sequence(self, loads: np.ndarray,
@@ -578,11 +604,13 @@ class BatchCostMPCPolicy:
                           where=sums > 0)
         U_new = (split * scale[:, None, :]).reshape(S, nu)
         diags = [
-            {"qp_status": "optimal" if res.converged[s] else "straggler",
-             "qp_iterations": int(res.iterations[s]),
+            {"qp_status": "optimal" if ok else "straggler",
+             "qp_iterations": iters,
              "softened": False,
-             "mpc_cost": float(res.fun[s] + c0[s])}
-            for s in range(S)
+             "mpc_cost": cost}
+            for ok, iters, cost in zip(res.converged.tolist(),
+                                       res.iterations.tolist(),
+                                       (res.fun + c0).tolist())
         ]
         for lane in np.nonzero(~res.converged)[0]:
             sol = self._fallback_solve(self._ops, int(lane), prices[lane],
@@ -915,12 +943,6 @@ class BatchCostMPCPolicy:
         self._pending = (U_new.copy(), servers.copy())
 
         powers_mw = self._powers_mw(lam_new, servers)
-        diagnostics = []
-        for s in range(S):
-            d = {"reference_powers_mw": power_refs[s, 0].copy(),
-                 "powers_mw": powers_mw[s].copy()}
-            d.update(diags[s])
-            diagnostics.append(d)
-        return BatchAllocationDecision(u=U_new, servers=servers,
-                                       powers_mw=powers_mw,
-                                       diagnostics=diagnostics)
+        return BatchAllocationDecision(
+            u=U_new, servers=servers, powers_mw=powers_mw,
+            reference_powers_mw=power_refs[:, 0], solver_diagnostics=diags)

@@ -563,11 +563,15 @@ def solve_qp_admm_batch(P, Q, A, L, U, rho: float = 0.1,
     stop costing work — so one straggler cannot perturb or slow the
     rest.
 
-    A lane whose residuals first come within ``1e-2·(1 + scale)`` of the
-    stop gets one **active-set polish** per solve (OSQP's "polish"):
-    primal-dual active-set rounds on the active rows guessed from its
-    ``(z, y)``, accepted only if the polished point passes the same
-    unscaled stopping test with correctly signed multipliers.  An
+    Lanes finish by an **active-set polish** (OSQP's "polish"):
+    primal-dual active-set rounds on the active rows guessed from the
+    lane's ``(z, y)``, accepted only if the polished point passes the
+    same unscaled stopping test with correctly signed multipliers.  A
+    lane gets at most two attempts per solve: at the iteration-1 check
+    every lane that has not met the stop tries at once (a warm start
+    from the previous period mostly names the optimal active set
+    already), and a lane refused there tries once more when its
+    residuals first come within ``1e-2·(1 + scale)`` of the stop.  An
     accepted lane is an exact vertex (``BatchQPResult.polished``); a
     refused one carries on by ADMM from its untouched iterate.  The
     ``lane_isolated`` mode never polishes.
@@ -696,13 +700,18 @@ def solve_qp_admm_batch(P, Q, A, L, U, rho: float = 0.1,
             done = (r_prim <= eps_abs + eps_rel * prim_scale) & \
                 (r_dual <= eps_abs + eps_rel * dual_scale)
             if polish:
-                # lanes that first come within a loose distance of the
-                # optimum get one polish attempt per solve
-                near = ~done & ~tried[idx] & \
-                    (r_prim <= _POLISH_TRIGGER * (1.0 + prim_scale)) & \
-                    (r_dual <= _POLISH_TRIGGER * (1.0 + dual_scale))
-                cand = np.flatnonzero(near)
-                tried[idx[cand]] = True
+                if it == 1:
+                    # a warm start mostly names the optimal active set
+                    # already: every unfinished lane tries it at once
+                    cand = np.flatnonzero(~done)
+                else:
+                    # lanes that first come within a loose distance of
+                    # the optimum get one more attempt per solve
+                    near = ~done & ~tried[idx] & \
+                        (r_prim <= _POLISH_TRIGGER * (1.0 + prim_scale)) & \
+                        (r_dual <= _POLISH_TRIGGER * (1.0 + dual_scale))
+                    cand = np.flatnonzero(near)
+                    tried[idx[cand]] = True
                 for lo in range(0, cand.size, _POLISH_CHUNK):
                     ch = cand[lo:lo + _POLISH_CHUNK]
                     ok, xp, zp, yp = _polish_lanes(
@@ -750,8 +759,11 @@ _POLISH_TRIGGER = 1e-2
 _POLISH_ROUNDS = 6
 #: Slack/multiplier band within which a row keeps its active status.
 _PDAS_TOL = 1e-9
-#: Lanes per polish call (bounds its ``(k, m)`` work arrays).
-_POLISH_CHUNK = 48
+#: Lanes per polish call.  The iteration-1 attempt hands over every
+#: unfinished lane of the batch at once; the chunk bounds the polish's
+#: ``(k, m)`` work arrays, and so the solver's peak RSS, whatever the
+#: batch width.
+_POLISH_CHUNK = 128
 #: Smallest Cholesky pivot, relative to its row's diagonal, of an
 #: active set the polish treats as linearly independent.
 _DEPENDENT_PIVOT = 1e-10
@@ -867,12 +879,13 @@ def _solve_active(M, act, rhs):
     get NaN and are left to ADMM.  Inactive rows get ``y = 0``.
     """
     from scipy.linalg.lapack import dpotrf, dpotrs
-    groups: dict = {}
-    for lane, key in enumerate(np.packbits(act, axis=1)):
-        groups.setdefault(key.tobytes(), []).append(lane)
+    keys = np.packbits(act, axis=1)
+    _, inv, counts = np.unique(
+        keys.view(np.dtype((np.void, keys.shape[1]))).ravel(),
+        return_inverse=True, return_counts=True)
+    order = np.argsort(inv, kind="stable")
     y = np.zeros(rhs.shape)
-    for lanes in groups.values():
-        lanes = np.asarray(lanes)
+    for lanes in np.split(order, np.cumsum(counts)[:-1]):
         rows = np.flatnonzero(act[lanes[0]])
         if not rows.size:
             continue

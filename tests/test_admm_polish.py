@@ -7,6 +7,10 @@ stopping test.  Pinned here:
 
 * polished lanes are exact — they pass the KKT certificate at 1e-9 and
   agree with the scalar active-set solver to 1e-8;
+* a warm start that already names the optimal active set is polished
+  at iteration 1, and a lane refused there gets its near-optimum
+  attempt later;
+* the grouped multiplier solve matches per-lane solves;
 * a degenerate active set (duplicated rows) is rejected quietly and the
   lane finishes by ADMM;
 * the lane-isolated mode never polishes, and its outputs do not depend
@@ -17,6 +21,7 @@ stopping test.  Pinned here:
 import numpy as np
 
 from repro.optim import prepare_batch_admm, solve_qp, solve_qp_admm_batch
+from repro.optim import qp_admm
 from repro.verify.certificates import check_kkt_qp
 
 
@@ -55,6 +60,88 @@ def test_polished_lanes_pass_kkt_and_match_active_set():
         assert ref.success
         np.testing.assert_allclose(res.X[s], ref.x, rtol=1e-8, atol=1e-8)
         assert abs(res.fun[s] - ref.fun) <= 1e-8 * (1.0 + abs(ref.fun))
+
+
+def test_warm_resolve_with_same_active_set_polishes_at_iteration_one():
+    P, Q, A, L, U, A_eq, loads, A_in, b_in = _mpc_batch()
+    n_eq = A_eq.shape[0]
+    setup = prepare_batch_admm(P, A, n_eq=n_eq)
+    first = solve_qp_admm_batch(P, Q, A, L, U, setup=setup)
+    assert first.converged.all()
+    # moving q along the equality normals shifts only the equality
+    # multipliers: the optimum and its active set stay put, but the
+    # warm start is far outside the near-optimum trigger
+    rng = np.random.default_rng(9)
+    W = 5.0 * rng.standard_normal((Q.shape[0], n_eq))
+    Q2 = Q + W @ A_eq
+    res = solve_qp_admm_batch(P, Q2, A, L, U, X0=first.X, Y0=first.Y,
+                              setup=setup)
+    assert res.converged.all()
+    assert res.polished.all()
+    np.testing.assert_array_equal(res.iterations, 1)
+    for s in range(Q.shape[0]):
+        cert = check_kkt_qp(P, Q2[s], res.X[s], A_eq, loads[s], A_in, b_in,
+                            dual_eq=res.Y[s, :n_eq],
+                            dual_ineq=res.Y[s, n_eq:], tol=1e-9)
+        assert cert.ok, (s, cert)
+        ref = solve_qp(P, Q2[s], A_eq, loads[s], A_in, b_in)
+        np.testing.assert_allclose(res.X[s], ref.x, rtol=1e-8, atol=1e-8)
+
+
+def test_lane_refused_at_iteration_one_is_polished_near_optimum(monkeypatch):
+    P, Q, A, L, U, A_eq, loads, A_in, b_in = _mpc_batch(S=8)
+    n_eq = A_eq.shape[0]
+    real = qp_admm._polish_lanes
+    attempts = []
+
+    def refuse_first_call(setup, x, *args):
+        ok, xp, zp, yp = real(setup, x, *args)
+        if not attempts:
+            ok = np.zeros_like(ok)
+        attempts.append(x.shape[0])
+        return ok, xp, zp, yp
+
+    monkeypatch.setattr(qp_admm, "_polish_lanes", refuse_first_call)
+    res = solve_qp_admm_batch(P, Q, A, L, U,
+                              setup=prepare_batch_admm(P, A, n_eq=n_eq))
+    assert attempts[0] == Q.shape[0]        # every lane tried at iteration 1
+    assert sum(attempts) <= 2 * Q.shape[0]  # at most two attempts a lane
+    assert res.converged.all()
+    assert res.polished.all()
+    assert (res.iterations > 1).all()
+    for s in range(Q.shape[0]):
+        cert = check_kkt_qp(P, Q[s], res.X[s], A_eq, loads[s], A_in, b_in,
+                            dual_eq=res.Y[s, :n_eq],
+                            dual_ineq=res.Y[s, n_eq:], tol=1e-9)
+        assert cert.ok, (s, cert)
+
+
+def test_grouped_active_solve_matches_per_lane_solves():
+    rng = np.random.default_rng(11)
+    m = 7
+    B = rng.standard_normal((m, m + 3))
+    M = B @ B.T
+    M[6] = M[5]                   # row 6 duplicates row 5 ...
+    M[:, 6] = M[:, 5]             # ... so any set holding both is singular
+    act = np.zeros((9, m), dtype=bool)
+    shared = [0, 2, 3]
+    for lane in (0, 3, 4, 7):     # one set shared by four lanes
+        act[lane, shared] = True
+    act[1, [1, 4]] = True         # distinct sets
+    act[2, [0, 1, 2, 3, 4]] = True
+    act[5, [4, 5]] = True
+    act[6, [2, 5, 6]] = True      # dependent pair: no unique multipliers
+    # lane 8: empty set
+    rhs = rng.standard_normal((9, m))
+    y = qp_admm._solve_active(M, act, rhs)
+    assert np.isnan(y[6]).all()
+    assert not y[8].any()
+    for lane in (0, 1, 2, 3, 4, 5, 7):
+        a = np.flatnonzero(act[lane])
+        expect = np.zeros(m)
+        expect[a] = np.linalg.solve(M[np.ix_(a, a)], rhs[lane, a])
+        np.testing.assert_allclose(y[lane], expect, rtol=1e-10,
+                                   atol=1e-12)
 
 
 def test_duplicated_rows_finish_by_admm():

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core import CostMPCPolicy, MPCPolicyConfig
+from repro.core import BatchCostMPCPolicy, CostMPCPolicy, MPCPolicyConfig
 from repro.datacenter.queueing import simplified_latency_batch
 from repro.exceptions import ConfigurationError, ModelError
 from repro.optim.qp_admm import (
@@ -116,6 +116,10 @@ def test_batch_matches_looped(n_scenarios):
         same = b.servers == l.servers
         np.testing.assert_allclose(b.latencies[same], l.latencies[same],
                                    rtol=1e-3)
+        # per-period diagnostics (built on first read) carry the scalar
+        # policy's keys
+        assert [list(d) for d in b.diagnostics] == \
+            [list(d) for d in l.diagnostics]
 
 
 def test_batch_matches_looped_with_monitors():
@@ -260,6 +264,76 @@ def test_batch_perf_stats_isolates_lanes():
         assert snap["counters"]["batch_admm_iterations"] == 42
         assert snap["batch_n_scenarios"] == 3
     assert perf.rollup().counters["telemetry_hold_fills"] == 5
+
+
+def test_reference_memo_smaller_than_one_period(monkeypatch):
+    # 16 lanes with distinct (price, load) keys against a memo of 8: the
+    # period must be served from its own misses, not from a memo that
+    # already evicted them, and must decide exactly as with a large memo
+    sc = paper_scenario(dt=30.0, duration=600.0)
+    rng = np.random.default_rng(4)
+    S = 16
+    prices = sc.prices_at(sc.start_time) * (1.0 + 0.2 * rng.random((S, 1)))
+    rates = np.array([p.rate for p in sc.cluster.portals.portals])
+    loads = rates * (0.8 + 0.4 * rng.random((S, 1)))
+    cfg = MPCPolicyConfig(dt=30.0)
+
+    def decide():
+        policy = BatchCostMPCPolicy(sc.cluster, cfg, n_scenarios=S,
+                                    warm_start="waterfill")
+        decision = policy.decide_batch(0, prices, loads)
+        return policy, decision
+
+    _, big = decide()
+    monkeypatch.setattr(BatchCostMPCPolicy, "REF_CACHE_SIZE", 8)
+    policy, small = decide()
+    np.testing.assert_array_equal(small.u, big.u)
+    np.testing.assert_array_equal(small.reference_powers_mw,
+                                  big.reference_powers_mw)
+    assert len(policy._ref_cache) == 8
+    counters = policy.perf.rollup().counters
+    assert counters["ref_cache_misses"] == S
+    assert counters.get("ref_cache_hits", 0) == 0
+
+
+def test_reference_memo_matches_per_lookup_loop():
+    # the vectorized key grouping against a plain loop over lookups:
+    # byte keys of the rounded rows, first occurrence solved, the rest
+    # served from the memo
+    sc = paper_scenario(dt=30.0, duration=600.0)
+    rng = np.random.default_rng(8)
+    S = 12
+    cfg = MPCPolicyConfig(dt=30.0)
+    policy = BatchCostMPCPolicy(sc.cluster, cfg, n_scenarios=S)
+    base = sc.prices_at(sc.start_time)
+    prices = base * rng.choice([1.0, 1.1, 1.1 + 1e-9], size=(S, 1))
+    rates = np.array([p.rate for p in sc.cluster.portals.portals])
+    loads_seq = rates * rng.choice([0.9, 1.0, 1.0 + 1e-5],
+                                   size=(S, cfg.horizon_ctrl, 1))
+    wf = policy._waterfill
+    for uniform in (False, True):
+        policy._ref_cache.clear()
+        out = policy._reference_powers_mw(prices, loads_seq, uniform)
+        n_steps = 1 if uniform else cfg.horizon_pred
+        seen = {}
+        for s in range(S):
+            for step in range(n_steps):
+                row = loads_seq[s, min(step, cfg.horizon_ctrl - 1)]
+                key = (np.round(prices[s], 6).tobytes(),
+                       np.round(row, 3).tobytes())
+                if key not in seen:
+                    lam = wf.workloads(prices[s:s + 1], row.sum()[None])
+                    seen[key] = wf.powers_watts(lam)[0] / 1e6
+                np.testing.assert_array_equal(out[s, step], seen[key])
+                if uniform:
+                    assert (out[s] == seen[key]).all()
+        assert list(policy._ref_cache) == list(seen)
+        again = policy._reference_powers_mw(prices, loads_seq, uniform)
+        np.testing.assert_array_equal(again, out)
+    counters = policy.perf.rollup().counters
+    lookups = 2 * S * (cfg.horizon_pred + 1)
+    assert counters["ref_cache_misses"] + counters["ref_cache_hits"] \
+        == lookups
 
 
 def test_simplified_latency_batch_matches_scalar_and_flags_overload():
