@@ -3,7 +3,7 @@
 # suite and leave the benchmark JSON at the repo root
 # (BENCH_solvers.json / BENCH_full_day.json / BENCH_scaling.json /
 # BENCH_service.json), then smoke the end-to-end harness
-# (benchmarks/e2e) on the batched workloads and run its self-tests.
+# (benchmarks/e2e) on all four workloads and run its self-tests.
 # Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -15,8 +15,10 @@ python -m pytest benchmarks/test_bench_full_day.py -q \
     --benchmark-json=BENCH_full_day.json
 python -m pytest benchmarks/test_bench_scaling.py -q
 python -m pytest benchmarks/test_bench_service.py -q
+python3 benchmarks/e2e/run.py paper_day --smoke
 python3 benchmarks/e2e/run.py mc_1000 --smoke
 python3 benchmarks/e2e/run.py fleet_1000 --smoke
+python3 benchmarks/e2e/run.py daemon_day --smoke
 python -m pytest -q benchmarks/e2e/test_harness.py
 
 python - <<'EOF'

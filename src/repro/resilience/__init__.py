@@ -9,22 +9,18 @@ price-feed dropouts and workload-sensor gaps
 NOMINAL → DEGRADED → SAFE_MODE → RECOVERING health state machine
 (:mod:`~repro.resilience.supervisor`).  The durable control plane
 (:mod:`~repro.resilience.durability`) adds checksummed controller
-checkpoints, a write-ahead decision log and verified crash-resume.  The
-fleet layer (:mod:`~repro.resilience.fleet`) scales both to the batched
-engine: per-lane health machines with permanent quarantine and a
-sharded write-ahead log for multi-lane runs.  See the "Degradation
-ladder", "Durable control plane" and "Fleet resilience" sections of
-``docs/architecture.md``.
+checkpoints, a write-ahead decision log (striped across shard files
+for multi-lane runs) and verified crash-resume, all driven by one
+:class:`~repro.resilience.durability.RunJournal` that the scalar,
+batched and fleet period loops share.  The fleet layer
+(:mod:`~repro.resilience.fleet`) scales the supervisor to the batched
+engine: per-lane health machines with permanent quarantine.  See the
+"Degradation ladder", "Durable control plane" and "Fleet resilience"
+sections of ``docs/architecture.md``.
 """
 
 from .deadline import DeadlineBudget
-from .fleet import (
-    FleetHealth,
-    ShardedWriteAheadLog,
-    load_fleet_resume_state,
-    read_sharded_wal,
-    wal_shard_paths,
-)
+from .fleet import FleetHealth
 from .durability import (
     ControllerCheckpoint,
     CrashInjector,
@@ -35,6 +31,7 @@ from .durability import (
     checkpoint_path_for,
     load_resume_state,
     read_wal,
+    wal_shard_paths,
 )
 from .ladder import RUNG_ORDER, FallbackLadder, Rung, RungOutcome, \
     project_allocation
@@ -47,10 +44,6 @@ __all__ = [
     "DeadlineBudget",
     "FallbackLadder",
     "FleetHealth",
-    "ShardedWriteAheadLog",
-    "load_fleet_resume_state",
-    "read_sharded_wal",
-    "wal_shard_paths",
     "HealthState",
     "PolicySupervisor",
     "RUNG_ORDER",
@@ -65,4 +58,5 @@ __all__ = [
     "load_resume_state",
     "project_allocation",
     "read_wal",
+    "wal_shard_paths",
 ]

@@ -13,24 +13,27 @@ This module makes that state durable:
   :class:`~repro.exceptions.CheckpointError` instead of restoring
   garbage.
 * :class:`WriteAheadLog` — a JSONL decision log with a configurable
-  fsync cadence.  The engine appends one record per control period
-  *before* actuating the decision, so after a crash the log tells
-  exactly which decisions reached the plant.  Records carry SHA-256
-  digests of the observation and decision, which is what makes resume
-  *verifiable*: the resumed run re-executes the tail deterministically
-  and every recomputed decision must reproduce the logged digest
-  bit-exact.
-* :func:`load_resume_state` — reads a (possibly torn) WAL plus its
-  sibling checkpoint back into a :class:`ResumeState` for
-  ``run_simulation(..., resume_from=...)``.
+  fsync cadence, optionally striped across shard files.  The engine
+  appends one record per control period *before* actuating the
+  decision, so after a crash the log tells exactly which decisions
+  reached the plant.  Records carry SHA-256 digests of the observation
+  and decision, which is what makes resume *verifiable*: the resumed
+  run re-executes the tail deterministically and every recomputed
+  decision must reproduce the logged digests bit-exact.
+* :func:`load_resume_state` — reads a (possibly torn, possibly
+  sharded) WAL plus its sibling checkpoint back into a
+  :class:`ResumeState`.
+* :class:`RunJournal` — the whole protocol over those pieces (orphan
+  and fingerprint checks, resume, tail check, checkpoint cadence), run
+  by the scalar, batched and fleet period loops alike.
 * :class:`CrashInjector` — a policy wrapper that kills the run at a
   chosen period by raising :class:`SimulatedCrashError`; the chaos
   fuzzer uses it to exercise the checkpoint → kill → resume path on
   every seed.
 
-The engine (not this module) decides *what* goes into a checkpoint; see
-``run_simulation``'s ``checkpoint_every`` parameter.  The format here is
-deliberately component-agnostic: a payload is any picklable dict.
+Each period loop (not this module) decides *what* goes into a
+checkpoint; the format here is deliberately component-agnostic: a
+payload is any picklable dict.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..exceptions import CheckpointError
+from ..exceptions import CheckpointError, ConfigurationError
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -53,12 +56,14 @@ __all__ = [
     "ControllerCheckpoint",
     "CrashInjector",
     "ResumeState",
+    "RunJournal",
     "SimulatedCrashError",
     "WriteAheadLog",
     "array_digest",
     "checkpoint_path_for",
     "load_resume_state",
     "read_wal",
+    "wal_shard_paths",
 ]
 
 #: Version stamp of the checkpoint envelope; bumped on layout changes.
@@ -194,57 +199,90 @@ class ControllerCheckpoint:
 # ---------------------------------------------------------------------------
 # Write-ahead decision log
 # ---------------------------------------------------------------------------
+def wal_shard_paths(path: str, n_shards: int) -> list[str]:
+    """Shard file names of a WAL rooted at ``path``.
+
+    Shard 0 *is* ``path``, so a one-shard log is a single file and
+    :func:`checkpoint_path_for` names the same sibling either way;
+    further shards live at ``<path>.shard<k>``.
+    """
+    if n_shards < 1:
+        raise CheckpointError("n_shards must be >= 1")
+    return [str(path)] + [f"{path}.shard{k}" for k in range(1, n_shards)]
+
+
 class WriteAheadLog:
-    """Append-only JSONL decision log with a configurable fsync cadence.
+    """Append-only JSONL decision log, optionally striped across shards.
 
     Parameters
     ----------
     path:
-        Log file.  Created (truncated) unless ``append=True``, which a
-        resumed run uses to keep the original prefix.
+        Log file (shard 0).  Created (truncated) unless ``append=True``,
+        which a resumed run uses to keep the original prefix.
+    n_shards:
+        Number of shard files (:func:`wal_shard_paths`).  A ``begin``
+        record is replicated into every shard, so each shard is
+        self-describing; any other record goes to shard
+        ``period % n_shards`` (shard 0 when it has no period).  A
+        batched run logs one record per period for the whole batch;
+        striping it bounds the tail one shard's fsync cadence can lose,
+        not the log throughput.
     fsync_every:
-        Call ``fsync`` after every this-many appended records (1 =
-        maximum durability, every decision reaches the disk before the
-        plant; larger values trade the tail of the log for throughput).
+        Call ``fsync`` on a shard after every this-many records written
+        to it (1 = maximum durability, every decision reaches the disk
+        before the plant; larger values trade the tail of the log for
+        throughput).
 
-    Counters (``wal_records``, ``wal_fsyncs``, ``wal_bytes``) are folded
-    into the engine's perf snapshot.
+    Counters (``wal_records``, ``wal_fsyncs``, ``wal_bytes``) sum over
+    the shards and are folded into the engine's perf snapshot.
     """
 
-    def __init__(self, path: str, *, fsync_every: int = 1,
-                 append: bool = False) -> None:
+    def __init__(self, path: str, *, n_shards: int = 1,
+                 fsync_every: int = 1, append: bool = False) -> None:
         if fsync_every < 1:
             raise CheckpointError("fsync_every must be >= 1")
         self.path = str(path)
         self.fsync_every = int(fsync_every)
-        self._fh = open(self.path, "ab" if append else "wb")
-        self._since_sync = 0
+        self._files = [open(p, "ab" if append else "wb")
+                       for p in wal_shard_paths(self.path, n_shards)]
+        self._pending = [0] * len(self._files)
         self.counters = {"wal_records": 0, "wal_fsyncs": 0, "wal_bytes": 0}
 
     def append(self, record: dict) -> None:
         """Write one record; durability follows the fsync cadence."""
         line = json.dumps(record, sort_keys=True,
                           separators=(",", ":")).encode() + b"\n"
-        self._fh.write(line)
-        self.counters["wal_records"] += 1
-        self.counters["wal_bytes"] += len(line)
-        self._since_sync += 1
-        if self._since_sync >= self.fsync_every:
-            self.sync()
+        n_shards = len(self._files)
+        if record.get("type") == "begin":
+            shards = range(n_shards)
+        else:
+            shards = (int(record.get("period", 0)) % n_shards,)
+        for i in shards:
+            self._files[i].write(line)
+            self.counters["wal_records"] += 1
+            self.counters["wal_bytes"] += len(line)
+            self._pending[i] += 1
+            if self._pending[i] >= self.fsync_every:
+                self._sync(i)
+
+    def _sync(self, i: int) -> None:
+        self._files[i].flush()
+        os.fsync(self._files[i].fileno())
+        self.counters["wal_fsyncs"] += 1
+        self._pending[i] = 0
 
     def sync(self) -> None:
-        """Flush buffered records to stable storage now."""
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self.counters["wal_fsyncs"] += 1
-        self._since_sync = 0
+        """Flush every shard holding buffered records to stable storage."""
+        for i, pending in enumerate(self._pending):
+            if pending:
+                self._sync(i)
 
     def close(self) -> None:
         """Final sync and close; safe to call twice."""
-        if not self._fh.closed:
-            if self._since_sync:
-                self.sync()
-            self._fh.close()
+        if not self._files[0].closed:
+            self.sync()
+            for fh in self._files:
+                fh.close()
 
     def __enter__(self) -> "WriteAheadLog":
         return self
@@ -253,15 +291,7 @@ class WriteAheadLog:
         self.close()
 
 
-def read_wal(path: str) -> list[dict]:
-    """Parse a WAL, tolerating a torn final line.
-
-    A crash can interrupt the log mid-record; the trailing partial line
-    is dropped (it never reached the plant — the log is written *before*
-    actuation, so an incomplete record means the decision was not
-    applied).  A torn line anywhere *else* means real corruption and
-    raises :class:`CheckpointError`.
-    """
+def _read_shard(path: str) -> list[dict]:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -282,6 +312,39 @@ def read_wal(path: str) -> list[dict]:
     return records
 
 
+def read_wal(path: str, n_shards: int = 1) -> list[dict]:
+    """Parse a WAL, tolerating a torn final line in each shard.
+
+    A crash can interrupt the log mid-record; the trailing partial line
+    is dropped (it never reached the plant — the log is written *before*
+    actuation, so an incomplete record means the decision was not
+    applied).  A torn line anywhere *else* means real corruption and
+    raises :class:`CheckpointError`.
+
+    One shard reads back in append order.  Several shards merge into
+    one stream: shard 0's ``begin`` header leads (every other shard's
+    header must carry the same fingerprint — a shard from another run
+    is corruption, not noise), then every other record in period order.
+    The sort is stable and a period's records all live in one shard, so
+    "latest append wins" holds as for one shard.
+    """
+    streams = [_read_shard(p) for p in wal_shard_paths(path, n_shards)]
+    if n_shards == 1:
+        return streams[0]
+    headers = [next((r for r in records if r.get("type") == "begin"), None)
+               for records in streams]
+    for k, header in enumerate(headers[1:], start=1):
+        if header is not None and headers[0] is not None \
+                and header.get("fingerprint") \
+                != headers[0].get("fingerprint"):
+            raise CheckpointError(
+                f"{path}: shard {k} belongs to a different run")
+    rest = sorted((r for records in streams for r in records
+                   if r.get("type") != "begin"),
+                  key=lambda r: int(r.get("period", -1)))
+    return headers[:1] + rest if headers[0] is not None else rest
+
+
 # ---------------------------------------------------------------------------
 # Resume loading
 # ---------------------------------------------------------------------------
@@ -300,8 +363,7 @@ class ResumeState:
         return {k: r for k, r in self.decisions.items() if k >= period}
 
 
-def load_resume_state(wal_path: str,
-                      checkpoint_path: str | None = None) -> ResumeState:
+def load_resume_state(wal_path: str, n_shards: int = 1) -> ResumeState:
     """Read a WAL and its sibling checkpoint into a :class:`ResumeState`.
 
     The checkpoint is optional on disk — a run killed before its first
@@ -309,22 +371,217 @@ def load_resume_state(wal_path: str,
     determinism oracle.  A missing *WAL* is an error: ``resume_from``
     names the WAL.
     """
-    records = read_wal(wal_path)
     header = None
     decisions: dict[int, dict] = {}
-    for rec in records:
+    for rec in read_wal(wal_path, n_shards):
         kind = rec.get("type")
         if kind == "begin" and header is None:
             header = rec
         elif kind == "decision":
             decisions[int(rec["period"])] = rec  # latest append wins
-    if checkpoint_path is None:
-        checkpoint_path = checkpoint_path_for(wal_path)
+    checkpoint_path = checkpoint_path_for(wal_path)
     checkpoint = None
     if os.path.exists(checkpoint_path):
         checkpoint = ControllerCheckpoint.load(checkpoint_path)
     return ResumeState(header=header, checkpoint=checkpoint,
                        decisions=decisions)
+
+
+# ---------------------------------------------------------------------------
+# The durable-run protocol
+# ---------------------------------------------------------------------------
+class RunJournal:
+    """The durability protocol of one run, shared by every period loop.
+
+    The scalar engine, a batched group and the shared-market fleet all
+    drive it the same way::
+
+        journal = RunJournal(wal_path, resume_from=..., checkpoint_every=...)
+        checkpoint = journal.recover(fingerprint)   # verified, or None
+        ...restore the loop's own state from checkpoint.state...
+        journal.open()                              # begin / resume record
+        try:
+            for k in range(journal.start_period, n_periods):
+                ...decide...
+                if journal.wal is not None:
+                    journal.log({"type": "decision", "period": k, ...})
+                ...actuate, record, call the step_hook...
+                if journal.end_period(k + 1, n_periods, action, state):
+                    break
+        finally:
+            counters = journal.close()
+
+    A loop keeps only what is its own: the fingerprint, the checkpoint
+    ``state`` dict and restoring from it, and its decision record.  The
+    journal does the rest: the ``checkpoint_every`` / ``wal_path``
+    check, the orphaned-checkpoint refusal, loading and verifying the
+    resume state, the WAL's ``begin`` or ``resume`` record, the tail
+    check of every re-executed period, the checkpoint cadence and the
+    ``step_hook`` actions.  Without a WAL only the hook's stop is live.
+
+    Raises :class:`~repro.exceptions.ConfigurationError` for
+    ``checkpoint_every`` below 1 or without a WAL to sit next to.
+    """
+
+    def __init__(self, wal_path: str | None = None, *,
+                 resume_from: str | None = None,
+                 checkpoint_every: int | None = None,
+                 fsync_every: int = 1, n_shards: int = 1,
+                 strict: bool = True) -> None:
+        if checkpoint_every is not None and checkpoint_every < 1:
+            raise ConfigurationError("checkpoint_every must be >= 1")
+        if checkpoint_every is not None and wal_path is None \
+                and resume_from is None:
+            raise ConfigurationError(
+                "checkpoint_every needs wal_path (the checkpoint lives "
+                "next to the write-ahead log)")
+        # a resumed run keeps appending to the log it resumes from
+        self.wal_path = wal_path if wal_path is not None else resume_from
+        self.resume_from = resume_from
+        self.checkpoint_every = checkpoint_every
+        self.fsync_every = fsync_every
+        self.n_shards = n_shards
+        self.strict = strict
+        self.fingerprint: dict | None = None
+        #: first period to execute (the restored checkpoint's period)
+        self.start_period = 0
+        self.wal: WriteAheadLog | None = None
+        self.counters = {"checkpoints_written": 0, "wal_tail_replayed": 0,
+                         "wal_tail_mismatches": 0}
+        self._tail: dict[int, dict] = {}
+
+    @property
+    def durable(self) -> bool:
+        """Whether the run writes a WAL."""
+        return self.wal_path is not None
+
+    def recover(self, fingerprint: dict, *,
+                force: bool = False) -> ControllerCheckpoint | None:
+        """Check the on-disk state; the checkpoint to restore, or None.
+
+        A checkpoint whose WAL is missing can be neither resumed nor
+        verified (the WAL digests are what prove a resume bit-exact),
+        and starting fresh on top of it would silently discard it, so
+        it is refused — unless ``force``, which deletes it and starts
+        over.  When resuming, the WAL's ``begin`` record and the
+        checkpoint must both carry ``fingerprint``.
+        """
+        self.fingerprint = fingerprint
+        if self.wal_path is None:
+            return None
+        orphan = checkpoint_path_for(self.wal_path)
+        if os.path.exists(orphan) and not os.path.exists(self.wal_path):
+            if not force:
+                raise CheckpointError(
+                    f"{orphan}: checkpoint present but its write-ahead "
+                    f"log {self.wal_path} is missing or was deleted — the "
+                    "run cannot be resumed (nothing to verify the replay "
+                    "against) and starting fresh would silently discard "
+                    "the checkpointed state.  Restore the WAL to resume, "
+                    "or delete the orphaned checkpoint to start over "
+                    "(run_simulation: resume_force=True, CLI: "
+                    "--resume-force).")
+            os.unlink(orphan)
+            self.resume_from = None
+        if self.resume_from is None:
+            return None
+        on_disk = load_resume_state(self.resume_from, self.n_shards)
+        if on_disk.header is None:
+            raise CheckpointError(
+                f"{self.resume_from}: WAL has no begin record — not a log "
+                "this engine wrote")
+        if on_disk.header.get("fingerprint") != fingerprint:
+            raise CheckpointError(
+                f"{self.resume_from}: WAL belongs to a different run "
+                f"(logged {on_disk.header.get('fingerprint')!r}, "
+                f"resuming {fingerprint!r})")
+        checkpoint = on_disk.checkpoint
+        if checkpoint is not None:
+            if checkpoint.state.get("fingerprint") != fingerprint:
+                raise CheckpointError(
+                    "checkpoint belongs to a different run")
+            self.start_period = int(checkpoint.period)
+        self._tail = on_disk.tail_after(self.start_period)
+        self.counters["resumed_from_period"] = self.start_period
+        return checkpoint
+
+    def open(self) -> None:
+        """Open the WAL and write its ``begin`` (or ``resume``) record."""
+        if self.wal_path is None:
+            return
+        self.wal = WriteAheadLog(self.wal_path, n_shards=self.n_shards,
+                                 fsync_every=self.fsync_every,
+                                 append=self.resume_from is not None)
+        if self.resume_from is None:
+            self.wal.append({"type": "begin", "wal_version": WAL_VERSION,
+                             "fingerprint": self.fingerprint})
+        else:
+            self.wal.append({"type": "resume", "period": self.start_period,
+                             "tail_records": len(self._tail)})
+
+    def log(self, record: dict) -> None:
+        """Append one decision record, checked against the old tail.
+
+        A resumed run re-executes the periods after its checkpoint.
+        Each one the old log already holds counts as replayed and must
+        reproduce every ``*_sha256`` digest the record carries; one that
+        does not counts as a mismatch and, when strict, raises
+        :class:`CheckpointError`.
+        """
+        period = record["period"]
+        prior = self._tail.pop(period, None)
+        if prior is not None:
+            self.counters["wal_tail_replayed"] += 1
+            if any(prior.get(key) != value for key, value in record.items()
+                   if key.endswith("_sha256")):
+                self.counters["wal_tail_mismatches"] += 1
+                if self.strict:
+                    raise CheckpointError(
+                        f"resume diverged from the WAL at period {period}: "
+                        "the recomputed decision does not reproduce the "
+                        "logged digests")
+        self.wal.append(record)
+
+    def end_period(self, next_period: int, n_periods: int, action=None,
+                   state=None) -> bool:
+        """Checkpoint when due; whether the run should stop now.
+
+        ``action`` is the ``step_hook``'s return value: falsy continues,
+        ``"checkpoint"`` checkpoints now, anything else checkpoints and
+        stops (a drain, resumable with ``resume_from``).  Otherwise a
+        checkpoint is due every ``checkpoint_every`` periods, never after
+        the last.  ``state()`` builds the loop's checkpoint dict and is
+        called only when one is written.  The WAL is flushed first when
+        it holds buffered records: a checkpoint must never cover a
+        decision the log has not made durable.
+        """
+        if self.wal is not None and (
+                action or self.checkpoint_every is not None
+                and next_period % self.checkpoint_every == 0
+                and next_period < n_periods):
+            self.wal.sync()
+            ControllerCheckpoint(
+                period=next_period,
+                state={"fingerprint": self.fingerprint, **state()},
+            ).save(checkpoint_path_for(self.wal_path))
+            self.counters["checkpoints_written"] += 1
+        if action and action != "checkpoint":
+            self.counters["stopped_at_period"] = next_period
+            return True
+        return False
+
+    def close(self) -> dict:
+        """Close the WAL; the counters the run reports.
+
+        WAL counters plus ``checkpoints_written``, ``wal_tail_*``,
+        ``resumed_from_period`` and ``stopped_at_period`` — empty for a
+        run with neither a WAL nor a stop.
+        """
+        if self.wal is None:
+            return (dict(self.counters)
+                    if "stopped_at_period" in self.counters else {})
+        self.wal.close()
+        return {**self.wal.counters, **self.counters}
 
 
 # ---------------------------------------------------------------------------

@@ -1,58 +1,31 @@
-"""Fleet-axis resilience: per-lane health machines and a sharded WAL.
+"""Fleet-axis resilience: per-lane health machines.
 
-PRs 4–5 gave the *scalar* control loop a degradation ladder, a policy
-supervisor and a durable checkpoint/WAL plane.  The batched fleet engine
-(:func:`repro.sim.run_batch`, :class:`repro.sim.SharedMarketFleet`)
-advances hundreds of lanes through shared tensors, so the same concerns
-return at a different granularity:
+The *scalar* control loop has a degradation ladder and a policy
+supervisor.  The batched fleet engine (:func:`repro.sim.
+run_batch`, :class:`repro.sim.SharedMarketFleet`) advances hundreds of
+lanes through shared tensors, so the same concerns return at a
+different granularity.  :class:`FleetHealth` keeps one
+supervisor-style health machine *per lane* (reusing
+:class:`~repro.resilience.supervisor.HealthState` and its transition
+semantics), plus the fleet-only notion of **quarantine**: a lane that
+keeps failing is permanently demoted to the exact scalar solve path so
+it can never again destabilize the shared step.  Lane counters use the
+scalar supervisor's ``supervisor_*`` names so fleet perf rollups
+aggregate uniformly with scalar runs.
 
-* :class:`FleetHealth` — one supervisor-style health machine *per lane*
-  (reusing :class:`~repro.resilience.supervisor.HealthState` and its
-  transition semantics), plus the fleet-only notion of **quarantine**: a
-  lane that keeps failing is permanently demoted to the exact scalar
-  solve path so it can never again destabilize the shared step.  Lane
-  counters use the scalar supervisor's ``supervisor_*`` names so fleet
-  perf rollups aggregate uniformly with scalar runs.
-* :class:`ShardedWriteAheadLog` — the fleet WAL.  One process writes one
-  decision record per period for the *whole* batch (the lanes march in
-  lockstep, so per-lane logs would fsync S times per period for no
-  benefit); with ``n_shards > 1`` the records are interleaved
-  round-robin across shard files (``period % n_shards``) so the fsync
-  cadence of one shard bounds the *tail* loss, not the log throughput.
-  Every shard carries the run's ``begin`` header and is therefore
-  self-describing; :func:`read_sharded_wal` merges the shards back into
-  one record stream and :func:`load_fleet_resume_state` pairs it with
-  the sibling checkpoint exactly like the scalar
-  :func:`~repro.resilience.durability.load_resume_state`.
-
-The checkpoint envelope itself is unchanged —
-:class:`~repro.resilience.durability.ControllerCheckpoint` is
-component-agnostic and the fleet engines simply store bigger state
-dicts (stacked policy state, lane-market demand history, record
-arrays) in it.
+Durability is not fleet-specific: every period loop — scalar, batched
+and fleet — runs the one protocol in :class:`~repro.resilience.
+durability.RunJournal`, over one :class:`~repro.resilience.durability.
+WriteAheadLog` that stripes records across ``n_shards`` files.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..exceptions import CheckpointError
-from .durability import (
-    ControllerCheckpoint,
-    ResumeState,
-    WriteAheadLog,
-    checkpoint_path_for,
-    read_wal,
-)
 from .supervisor import HealthState
 
-__all__ = [
-    "FleetHealth",
-    "ShardedWriteAheadLog",
-    "load_fleet_resume_state",
-    "read_sharded_wal",
-    "wal_shard_paths",
-]
+__all__ = ["FleetHealth"]
 
 #: Health label of a permanently demoted lane (not a :class:`HealthState`
 #: — quarantine is a terminal routing decision, not a recoverable state).
@@ -193,136 +166,3 @@ class FleetHealth:
         self._clean = np.asarray(state["clean"], dtype=int).copy()
         self._fail = np.asarray(state["fail"], dtype=int).copy()
         self.counters = [dict(c) for c in state["counters"]]
-
-
-# ---------------------------------------------------------------------------
-# Sharded / interleaved fleet WAL
-# ---------------------------------------------------------------------------
-def wal_shard_paths(path: str, n_shards: int) -> list[str]:
-    """Shard file names of a fleet WAL rooted at ``path``.
-
-    Shard 0 *is* ``path`` (so ``n_shards=1`` degenerates to the scalar
-    single-file layout and :func:`~repro.resilience.durability.
-    checkpoint_path_for` keeps working unchanged); further shards live
-    at ``<path>.shard<k>``.
-    """
-    if n_shards < 1:
-        raise CheckpointError("n_shards must be >= 1")
-    return [str(path)] + [f"{path}.shard{k}" for k in range(1, n_shards)]
-
-
-class ShardedWriteAheadLog:
-    """A fleet WAL interleaved round-robin across shard files.
-
-    Decision records are routed by ``record["period"] % n_shards``;
-    control records (``begin``) are replicated into every shard so each
-    shard is independently verifiable, and ``resume`` markers go to
-    shard 0.  Each shard is an ordinary
-    :class:`~repro.resilience.durability.WriteAheadLog`, so torn-tail
-    tolerance, fsync cadence and the JSONL record schema are inherited
-    unchanged — a one-shard fleet WAL is byte-compatible with the
-    scalar engine's log format.
-    """
-
-    def __init__(self, path: str, *, n_shards: int = 1,
-                 fsync_every: int = 1, append: bool = False) -> None:
-        self.path = str(path)
-        self.n_shards = int(n_shards)
-        self._shards = [WriteAheadLog(p, fsync_every=fsync_every,
-                                      append=append)
-                        for p in wal_shard_paths(path, n_shards)]
-
-    def begin(self, record: dict) -> None:
-        """Replicate a ``begin`` header into every shard."""
-        for shard in self._shards:
-            shard.append(dict(record))
-
-    def append(self, record: dict) -> None:
-        """Route one record to its shard (period-keyed round-robin)."""
-        period = record.get("period")
-        index = 0 if period is None else int(period) % self.n_shards
-        self._shards[index].append(record)
-
-    def sync(self) -> None:
-        """Flush every shard to stable storage now."""
-        for shard in self._shards:
-            shard.sync()
-
-    def close(self) -> None:
-        """Final sync and close of every shard; safe to call twice."""
-        for shard in self._shards:
-            shard.close()
-
-    @property
-    def counters(self) -> dict[str, int]:
-        """Summed ``wal_*`` counters across shards."""
-        out: dict[str, int] = {}
-        for shard in self._shards:
-            for k, v in shard.counters.items():
-                out[k] = out.get(k, 0) + int(v)
-        return out
-
-    def __enter__(self) -> "ShardedWriteAheadLog":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def read_sharded_wal(path: str, n_shards: int = 1) -> list[dict]:
-    """Merge a sharded fleet WAL back into one record stream.
-
-    Shard 0's header leads; every other shard's header must agree
-    (a shard from a different run is corruption, not noise).  Decision
-    records are merged in period order; within one period the append
-    order of that period's shard is preserved, so "latest append wins"
-    dedup semantics carry over from the scalar reader.
-    """
-    streams = [read_wal(p) for p in wal_shard_paths(path, n_shards)]
-    headers = []
-    for records in streams:
-        headers.append(next((r for r in records
-                             if r.get("type") == "begin"), None))
-    for k, header in enumerate(headers[1:], start=1):
-        if header is not None and headers[0] is not None \
-                and header.get("fingerprint") \
-                != headers[0].get("fingerprint"):
-            raise CheckpointError(
-                f"{path}: shard {k} belongs to a different run")
-    merged: list[dict] = []
-    if headers[0] is not None:
-        merged.append(headers[0])
-    decisions: list[dict] = []
-    for records in streams:
-        for rec in records:
-            if rec.get("type") == "begin":
-                continue
-            decisions.append(rec)
-    decisions.sort(key=lambda r: int(r.get("period", -1)))
-    merged.extend(decisions)
-    return merged
-
-
-def load_fleet_resume_state(wal_path: str, *, n_shards: int = 1,
-                            checkpoint_path: str | None = None
-                            ) -> ResumeState:
-    """Sharded counterpart of :func:`~repro.resilience.durability.
-    load_resume_state`: merge the shards, load the sibling checkpoint."""
-    import os
-
-    records = read_sharded_wal(wal_path, n_shards)
-    header = None
-    decisions: dict[int, dict] = {}
-    for rec in records:
-        kind = rec.get("type")
-        if kind == "begin" and header is None:
-            header = rec
-        elif kind == "decision":
-            decisions[int(rec["period"])] = rec  # latest append wins
-    if checkpoint_path is None:
-        checkpoint_path = checkpoint_path_for(wal_path)
-    checkpoint = None
-    if os.path.exists(checkpoint_path):
-        checkpoint = ControllerCheckpoint.load(checkpoint_path)
-    return ResumeState(header=header, checkpoint=checkpoint,
-                       decisions=decisions)

@@ -164,7 +164,6 @@ class ManagedRun:
         self.last_rung: str | None = None
         self.resumed_from: int | None = None
         self.resume_from: str | None = None   # WAL path to resume from
-        self.resume_force = False
         self.submitted_at = time.time()
         self.finished_at: float | None = None
         self.supervisor = None      # scalar runs: the health machine
@@ -337,11 +336,12 @@ class ServiceRuntime:
     def _admit_durable_state(self, run: ManagedRun) -> None:
         """Reconcile the spec's resume mode with what is on disk.
 
-        Sets ``run.resume_from`` / ``run.resume_force`` for the control
-        thread.  The orphaned-checkpoint case (checkpoint present, WAL
-        missing) is refused here with the same actionable message the
-        engine would raise, so the client sees a 409 instead of a
-        failed run.
+        Sets ``run.resume_from`` for the control thread.  The
+        orphaned-checkpoint case (checkpoint present, WAL missing) is
+        refused here with the same actionable message the engine would
+        raise, so the client sees a 409 instead of a failed run;
+        ``resume="force"`` deletes the checkpoint instead, for either run
+        kind, so the engine starts over on a clean directory.
         """
         from ..resilience.durability import checkpoint_path_for
         wal = run.wal_path
@@ -349,7 +349,6 @@ class ServiceRuntime:
         wal_exists = os.path.exists(wal)
         ckpt_exists = os.path.exists(ckpt)
         mode = run.spec.resume
-        run.resume_force = False
         run.resume_from = None
         if mode == "never":
             if wal_exists or ckpt_exists:
@@ -366,8 +365,8 @@ class ServiceRuntime:
                     "resume='force' to discard the orphaned checkpoint")
             if wal_exists:
                 run.resume_from = wal
-        else:  # force
-            run.resume_force = True
+        elif ckpt_exists:  # force
+            os.unlink(ckpt)
 
     # -- the control thread --------------------------------------------
     def _execute(self, run: ManagedRun) -> None:
@@ -429,7 +428,6 @@ class ServiceRuntime:
             wal_path=run.wal_path,
             wal_fsync_every=run.spec.wal_fsync_every,
             resume_from=run.resume_from,
-            resume_force=run.resume_force,
             step_hook=hook)
         counters = dict(result.perf.get("counters", {}))
         run.resumed_from = counters.get("resumed_from_period")
@@ -538,18 +536,13 @@ class ServiceRuntime:
         verified tail), so the stream a client reads after any number
         of crash/restart cycles contains every period exactly once.
         """
+        from ..resilience.durability import read_wal
         run = self.get(run_id)
         if not os.path.exists(run.wal_path):  # shard 0 is the base path
             return []
-        if run.spec.kind == "scalar":
-            from ..resilience.durability import read_wal
-            records = read_wal(run.wal_path)
-        else:
-            from ..resilience.fleet import read_sharded_wal
-            records = read_sharded_wal(run.wal_path,
-                                       n_shards=run.spec.wal_shards)
+        n_shards = run.spec.wal_shards if run.spec.kind == "fleet" else 1
         by_period: dict[int, dict] = {}
-        for rec in records:
+        for rec in read_wal(run.wal_path, n_shards):
             if rec.get("type") == "decision":
                 by_period[int(rec["period"])] = rec
         return [by_period[k] for k in sorted(by_period) if k >= start]

@@ -40,7 +40,8 @@ from dataclasses import replace
 import numpy as np
 
 from ..datacenter.queueing import simplified_latency_batch
-from ..exceptions import CheckpointError, ConfigurationError
+from ..exceptions import ConfigurationError
+from ..resilience.durability import RunJournal, array_digest
 from .engine import run_simulation
 from .faults import split_faults, telemetry_visibility
 from .profiling import BatchPerfStats
@@ -164,9 +165,9 @@ def run_batch(scenarios, config=None, *,
     resume_from, resume_strict:
         The durable fleet control plane, mirroring
         :func:`repro.sim.engine.run_simulation`'s scalar contract: one
-        decision record per period in a (optionally sharded —
-        :class:`repro.resilience.fleet.ShardedWriteAheadLog`)
-        write-ahead log, a fleet checkpoint every ``checkpoint_every``
+        decision record per period in a write-ahead log (striped
+        across ``wal_shards`` files — :class:`repro.resilience.
+        WriteAheadLog`), a fleet checkpoint every ``checkpoint_every``
         periods beside it, and digest-verified resume via
         ``resume_from`` (periods after the checkpoint are re-executed
         and must reproduce the logged digests bit-exact;
@@ -213,23 +214,15 @@ def run_batch(scenarios, config=None, *,
                 scalar_lanes.append(
                     (i, f"batch group smaller than {min_batch}"))
 
-    durable = wal_path is not None or resume_from is not None
-    if checkpoint_every is not None and not durable:
-        raise ConfigurationError(
-            "checkpoint_every needs wal_path (the fleet checkpoint lives "
-            "next to the write-ahead log)")
-    if durable and len(groups) != 1:
+    journal = RunJournal(wal_path, resume_from=resume_from,
+                         checkpoint_every=checkpoint_every,
+                         fsync_every=wal_fsync_every, n_shards=wal_shards,
+                         strict=resume_strict)
+    if journal.durable and len(groups) != 1:
         raise ConfigurationError(
             f"durable fleet runs need exactly one batched group, got "
             f"{len(groups)} (scalar-fallback lanes are fine — they re-run "
             "deterministically on resume)")
-    durability = None
-    if durable:
-        durability = {
-            "checkpoint_every": checkpoint_every, "wal_path": wal_path,
-            "fsync_every": wal_fsync_every, "n_shards": wal_shards,
-            "resume_from": resume_from, "resume_strict": resume_strict,
-        }
 
     for i, reason in scalar_lanes:
         sc = scenarios[i]
@@ -256,7 +249,7 @@ def run_batch(scenarios, config=None, *,
             deadline_seconds=deadline_seconds,
             quarantine_after=quarantine_after,
             solver_fault_hook=solver_fault_hook,
-            durability=durability)
+            journal=journal)
         for i, res in zip(lanes, group):
             results[i] = res
     if perf is not None:
@@ -277,7 +270,7 @@ def _run_batch_group(scens: list[Scenario], base_cfg, *,
                      deadline_seconds: float | None = None,
                      quarantine_after: int = 3,
                      solver_fault_hook=None,
-                     durability: dict | None = None
+                     journal: RunJournal
                      ) -> list[SimulationResult]:
     """Advance one signature-sharing group in lockstep."""
     from ..core import BatchCostMPCPolicy
@@ -376,89 +369,38 @@ def _run_batch_group(scens: list[Scenario], base_cfg, *,
         "isolated": bool(solver_fault_hook is not None
                          or deadline_seconds is not None),
     }
-    start_k = 0
-    wal = None
-    ckpt_path = None
-    wal_tail: dict[int, dict] = {}
-    checkpoint_every = None
-    resume_strict = True
-    if durability is not None:
-        from ..resilience.durability import (
-            WAL_VERSION,
-            ControllerCheckpoint,
-            array_digest,
-            checkpoint_path_for,
-        )
-        from ..resilience.fleet import (
-            ShardedWriteAheadLog,
-            load_fleet_resume_state,
-        )
-        checkpoint_every = durability.get("checkpoint_every")
-        resume_strict = bool(durability.get("resume_strict", True))
-        n_shards = int(durability.get("n_shards") or 1)
-        wal_path = durability.get("wal_path")
-        resume_from = durability.get("resume_from")
-        if wal_path is None and resume_from is not None:
-            wal_path = resume_from      # keep appending to the same log
-        if resume_from is not None:
-            on_disk = load_fleet_resume_state(resume_from,
-                                              n_shards=n_shards)
-            if on_disk.header is None:
-                raise CheckpointError(
-                    f"{resume_from}: fleet WAL has no begin record")
-            if on_disk.header.get("fingerprint") != fingerprint:
-                raise CheckpointError(
-                    f"{resume_from}: WAL belongs to a different fleet "
-                    f"run (logged {on_disk.header.get('fingerprint')!r},"
-                    f" resuming {fingerprint!r})")
-            if on_disk.checkpoint is not None:
-                state = on_disk.checkpoint.state
-                if state.get("fingerprint") != fingerprint:
-                    raise CheckpointError(
-                        "fleet checkpoint belongs to a different run")
-                start_k = int(on_disk.checkpoint.period)
-                policy.restore(state["policy"])
-                lane_markets.restore(state["lane_markets"])
-                for s, guard in guards.items():
-                    guard.restore(state["guards"][s])
-                if predictor is not None \
-                        and state.get("predictor") is not None:
-                    predictor.restore(state["predictor"])
-                if monitors is not None and state.get("monitors"):
-                    for s, mon in enumerate(monitors):
-                        snap = state["monitors"][s]
-                        if mon is not None and snap is not None \
-                                and hasattr(mon, "restore"):
-                            mon.restore(snap)
-                rec = state["records"]
-                powers_rec[:, :start_k] = rec["powers"]
-                servers_rec[:, :start_k] = rec["servers"]
-                lam_rec[:, :start_k] = rec["workloads"]
-                lat_rec[:, :start_k] = rec["latencies"]
-                prices_rec[:, :start_k] = rec["prices"]
-                loads_rec[:, :start_k] = rec["loads"]
-                alloc_rec[:, :start_k] = rec["allocations"]
-                energy_j[:] = rec["energy_j"]
-                cost_usd[:] = rec["cost_usd"]
-                paper_cost[:] = rec["paper_cost"]
-                diags = [list(d) for d in state["diags"]]
-            wal_tail = on_disk.tail_after(start_k)
-            perf.shared.set_counter("resumed_from_period", start_k)
-        ckpt_path = checkpoint_path_for(wal_path)
-        wal = ShardedWriteAheadLog(
-            wal_path, n_shards=n_shards,
-            fsync_every=int(durability.get("fsync_every") or 1),
-            append=resume_from is not None)
-        if resume_from is None:
-            wal.begin({"type": "begin", "wal_version": WAL_VERSION,
-                       "fingerprint": fingerprint})
-        else:
-            wal.append({"type": "resume", "period": start_k,
-                        "tail_records": len(wal_tail)})
+    checkpoint = journal.recover(fingerprint)
+    if checkpoint is not None:
+        start_k = checkpoint.period
+        state = checkpoint.state
+        policy.restore(state["policy"])
+        lane_markets.restore(state["lane_markets"])
+        for s, guard in guards.items():
+            guard.restore(state["guards"][s])
+        if predictor is not None and state.get("predictor") is not None:
+            predictor.restore(state["predictor"])
+        if monitors is not None and state.get("monitors"):
+            for s, mon in enumerate(monitors):
+                snap = state["monitors"][s]
+                if mon is not None and snap is not None \
+                        and hasattr(mon, "restore"):
+                    mon.restore(snap)
+        rec = state["records"]
+        powers_rec[:, :start_k] = rec["powers"]
+        servers_rec[:, :start_k] = rec["servers"]
+        lam_rec[:, :start_k] = rec["workloads"]
+        lat_rec[:, :start_k] = rec["latencies"]
+        prices_rec[:, :start_k] = rec["prices"]
+        loads_rec[:, :start_k] = rec["loads"]
+        alloc_rec[:, :start_k] = rec["allocations"]
+        energy_j[:] = rec["energy_j"]
+        cost_usd[:] = rec["cost_usd"]
+        paper_cost[:] = rec["paper_cost"]
+        diags = [list(d) for d in state["diags"]]
+    journal.open()
 
-    def write_checkpoint(next_period: int) -> None:
-        state = {
-            "fingerprint": fingerprint,
+    def checkpoint_state(next_period: int) -> dict:
+        return {
             "policy": policy.snapshot(),
             "lane_markets": lane_markets.snapshot(),
             "guards": {s: g.snapshot() for s, g in guards.items()},
@@ -482,12 +424,9 @@ def _run_batch_group(scens: list[Scenario], base_cfg, *,
             },
             "diags": [list(d) for d in diags],
         }
-        ControllerCheckpoint(period=next_period, state=state) \
-            .save(ckpt_path)
-        perf.shared.count("checkpoints_written")
 
     try:
-        for k in range(start_k, T):
+        for k in range(journal.start_period, T):
             t = start_times + k * dt
             # γ > 0 lanes clear against their own lagged demand, exactly
             # as S scalar RealTimeMarkets would; γ = 0 lanes pass the
@@ -527,7 +466,7 @@ def _run_batch_group(scens: list[Scenario], base_cfg, *,
             # Write-ahead: the fleet's decision reaches stable storage
             # before it is folded into the records, so a crash leaves
             # the log as an exact upper bound on what was committed.
-            if wal is not None:
+            if journal.wal is not None:
                 record = {
                     "type": "decision", "period": k,
                     "time_seconds": float(t[0]),
@@ -542,19 +481,7 @@ def _run_batch_group(scens: list[Scenario], base_cfg, *,
                     record["lane_sha256"] = [
                         array_digest(decision.u[s], decision.servers[s])
                         for s in range(S)]
-                tail = wal_tail.pop(k, None)
-                if tail is not None:
-                    perf.shared.count("wal_tail_replayed")
-                    if (tail.get("obs_sha256") != record["obs_sha256"]
-                            or tail.get("decision_sha256")
-                            != record["decision_sha256"]):
-                        perf.shared.count("wal_tail_mismatches")
-                        if resume_strict:
-                            raise CheckpointError(
-                                f"fleet resume diverged from the WAL at "
-                                f"period {k}: recomputed decisions do "
-                                "not reproduce the logged digests")
-                wal.append(record)
+                journal.log(record)
 
             if monitors is not None:
                 for s, mon in enumerate(monitors):
@@ -590,13 +517,10 @@ def _run_batch_group(scens: list[Scenario], base_cfg, *,
             # but their demand_history must still match a looped run's.
             lane_markets.record_demand(powers / 1e6)
 
-            if ckpt_path is not None and checkpoint_every is not None \
-                    and (k + 1) % checkpoint_every == 0 and k + 1 < T:
-                write_checkpoint(k + 1)
+            journal.end_period(k + 1, T,
+                               state=lambda: checkpoint_state(k + 1))
     finally:
-        if wal is not None:
-            wal.close()
-            perf.shared.update_counters(wal.counters)
+        perf.shared.update_counters(journal.close())
 
     lane_markets.flush()
     times = start_times[:, None] + period_times[None, :]

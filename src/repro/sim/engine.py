@@ -25,12 +25,11 @@ write-ahead log.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from ..datacenter.queueing import simplified_latency_batch
-from ..exceptions import CheckpointError, ConfigurationError, ModelError
+from ..exceptions import CheckpointError, ModelError
+from ..resilience.durability import RunJournal, array_digest
 from ..workload.predictor import ARWorkloadPredictor
 from .faults import (
     ActuationChannel,
@@ -149,9 +148,9 @@ def run_simulation(scenario: Scenario, policy: Policy,
         ``allocation``, ``latencies``, ``cost_usd_total``,
         ``diagnostics``).  Its return value steers the engine: falsy →
         continue; the string ``"checkpoint"`` → write a checkpoint now
-        (requires ``checkpoint_every``/``wal_path``) and continue; any
-        other truthy value → write a final checkpoint and *stop*,
-        returning the partial result with
+        (requires ``wal_path``) and continue; any other truthy value →
+        write a final checkpoint and *stop*, returning the partial
+        result with
         ``perf["counters"]["stopped_at_period"]`` set.  This is the seam
         external drivers (the control-plane service) use to stream
         decisions, trigger on-demand checkpoints and drain gracefully.
@@ -167,16 +166,9 @@ def run_simulation(scenario: Scenario, policy: Policy,
         layer (corrupt checkpoint, foreign WAL, non-deterministic
         resume).
     """
-    if checkpoint_every is not None and checkpoint_every < 1:
-        raise ConfigurationError("checkpoint_every must be >= 1")
-    if checkpoint_every is not None and wal_path is None \
-            and resume_from is None:
-        raise ConfigurationError(
-            "checkpoint_every needs wal_path (the checkpoint lives next "
-            "to the write-ahead log)")
-    if wal_path is None and resume_from is not None:
-        wal_path = resume_from  # keep appending to the same log
-
+    journal = RunJournal(wal_path, resume_from=resume_from,
+                         checkpoint_every=checkpoint_every,
+                         fsync_every=wal_fsync_every, strict=resume_strict)
     cluster = scenario.cluster
     scenario.market.reset()
     for idc in cluster.idcs:
@@ -215,102 +207,43 @@ def run_simulation(scenario: Scenario, policy: Policy,
         actuation.reset(servers_prev)
 
     # -- durability: resume, then (re)open the WAL ----------------------
-    fingerprint = _run_fingerprint(scenario, policy)
-    start_period = 0
-    wal_tail: dict[int, dict] = {}
-    durability = {"checkpoints_written": 0, "wal_tail_replayed": 0,
-                  "wal_tail_mismatches": 0}
-    wal = None
-    ckpt_path = None
-    if wal_path is not None:
-        # A checkpoint without its write-ahead log is unresumable *and*
-        # unverifiable (the WAL digests are what prove a resume
-        # bit-exact).  Refuse to silently start fresh on top of one.
-        from ..resilience.durability import checkpoint_path_for
-        orphan = checkpoint_path_for(wal_path)
-        if os.path.exists(orphan) and not os.path.exists(wal_path):
-            if resume_force:
-                os.unlink(orphan)
-                resume_from = None
-            else:
+    checkpoint = journal.recover(_run_fingerprint(scenario, policy),
+                                 force=resume_force)
+    if checkpoint is not None:
+        state = checkpoint.state
+        u_prev = np.asarray(state["u_prev"], dtype=float).copy()
+        servers_prev = np.asarray(state["servers_prev"]).astype(int)
+        avail_prev = (None if state["avail_prev"] is None
+                      else tuple(state["avail_prev"]))
+        recorder = state["recorder"]
+        scenario.market = state["market"]
+        if state["policy"] is not None:
+            restore = getattr(policy, "restore", None)
+            if restore is None:
                 raise CheckpointError(
-                    f"{orphan}: checkpoint present but its write-ahead "
-                    f"log {wal_path} is missing or was deleted — the run "
-                    "cannot be resumed (nothing to verify the replay "
-                    "against) and starting fresh would silently discard "
-                    "the checkpointed state.  Restore the WAL to resume, "
-                    "or pass resume_force=True (CLI: --resume-force) to "
-                    "discard the orphaned checkpoint and start over.")
-    if resume_from is not None:
-        from ..resilience.durability import load_resume_state
-        on_disk = load_resume_state(resume_from)
-        if on_disk.header is None:
+                    f"checkpoint carries policy state but policy "
+                    f"{policy.name!r} has no restore()")
+            restore(state["policy"])
+        elif hasattr(policy, "snapshot"):
             raise CheckpointError(
-                f"{resume_from}: WAL has no begin record — not a log "
-                "this engine wrote")
-        if on_disk.header.get("fingerprint") != fingerprint:
-            raise CheckpointError(
-                f"{resume_from}: WAL belongs to a different run "
-                f"(logged {on_disk.header.get('fingerprint')!r}, "
-                f"resuming {fingerprint!r})")
-        if on_disk.checkpoint is not None:
-            state = on_disk.checkpoint.state
-            if state.get("fingerprint") != fingerprint:
-                raise CheckpointError(
-                    "checkpoint belongs to a different run")
-            start_period = int(on_disk.checkpoint.period)
-            u_prev = np.asarray(state["u_prev"], dtype=float).copy()
-            servers_prev = np.asarray(state["servers_prev"]).astype(int)
-            avail_prev = (None if state["avail_prev"] is None
-                          else tuple(state["avail_prev"]))
-            recorder = state["recorder"]
-            scenario.market = state["market"]
-            if state["policy"] is not None:
-                restore = getattr(policy, "restore", None)
-                if restore is None:
-                    raise CheckpointError(
-                        f"checkpoint carries policy state but policy "
-                        f"{policy.name!r} has no restore()")
-                restore(state["policy"])
-            elif hasattr(policy, "snapshot"):
-                raise CheckpointError(
-                    f"policy {policy.name!r} is stateful but the "
-                    "checkpoint carries no policy state")
-            if predictors is not None and state.get("predictors"):
-                for p, snap in zip(predictors, state["predictors"]):
-                    p.restore(snap)
-            if telemetry_guard is not None and state.get("telemetry_guard"):
-                telemetry_guard.restore(state["telemetry_guard"])
-            if state.get("price_forecaster") is not None:
-                price_forecaster = state["price_forecaster"]
-            if monitor is not None and state.get("monitor") is not None \
-                    and hasattr(monitor, "restore"):
-                monitor.restore(state["monitor"])
-            if actuation is not None and state.get("actuation") is not None:
-                actuation.restore(state["actuation"])
-        wal_tail = on_disk.tail_after(start_period)
-        durability["resumed_from_period"] = start_period
-    if wal_path is not None:
-        from ..resilience.durability import (
-            WAL_VERSION,
-            WriteAheadLog,
-            array_digest,
-            checkpoint_path_for,
-        )
-        ckpt_path = checkpoint_path_for(wal_path)
-        wal = WriteAheadLog(wal_path, fsync_every=wal_fsync_every,
-                            append=resume_from is not None)
-        if resume_from is None:
-            wal.append({"type": "begin", "wal_version": WAL_VERSION,
-                        "fingerprint": fingerprint})
-        else:
-            wal.append({"type": "resume", "period": start_period,
-                        "tail_records": len(wal_tail)})
+                f"policy {policy.name!r} is stateful but the "
+                "checkpoint carries no policy state")
+        if predictors is not None and state.get("predictors"):
+            for p, snap in zip(predictors, state["predictors"]):
+                p.restore(snap)
+        if telemetry_guard is not None and state.get("telemetry_guard"):
+            telemetry_guard.restore(state["telemetry_guard"])
+        if state.get("price_forecaster") is not None:
+            price_forecaster = state["price_forecaster"]
+        if monitor is not None and state.get("monitor") is not None \
+                and hasattr(monitor, "restore"):
+            monitor.restore(state["monitor"])
+        if actuation is not None and state.get("actuation") is not None:
+            actuation.restore(state["actuation"])
+    journal.open()
 
-    def write_checkpoint(next_period: int) -> None:
-        from ..resilience.durability import ControllerCheckpoint
-        state = {
-            "fingerprint": fingerprint,
+    def checkpoint_state() -> dict:
+        return {
             "u_prev": u_prev.copy(),
             "servers_prev": np.asarray(servers_prev).astype(int).copy(),
             "avail_prev": (None if avail_prev is None
@@ -330,11 +263,9 @@ def run_simulation(scenario: Scenario, policy: Policy,
             "actuation": (None if actuation is None
                           else actuation.snapshot()),
         }
-        ControllerCheckpoint(period=next_period, state=state).save(ckpt_path)
-        durability["checkpoints_written"] += 1
 
     try:
-        for k in range(start_period, scenario.n_periods):
+        for k in range(journal.start_period, scenario.n_periods):
             t = scenario.start_time + k * scenario.dt
             if scenario.faults:
                 apply_faults(cluster, scenario.faults, t)
@@ -400,7 +331,7 @@ def run_simulation(scenario: Scenario, policy: Policy,
             # reaches the plant, so after a crash the log is an upper
             # bound on what was actuated (the torn last record, if any,
             # never actuated).
-            if wal is not None:
+            if journal.wal is not None:
                 diag = (decision.diagnostics
                         if isinstance(decision.diagnostics, dict) else {})
                 record = {
@@ -418,19 +349,7 @@ def run_simulation(scenario: Scenario, policy: Policy,
                 for key in ("qp_status", "rung", "health_state"):
                     if key in diag:
                         record[key] = str(diag[key])
-                tail = wal_tail.pop(k, None)
-                if tail is not None:
-                    durability["wal_tail_replayed"] += 1
-                    if (tail.get("obs_sha256") != record["obs_sha256"]
-                            or tail.get("decision_sha256")
-                            != record["decision_sha256"]):
-                        durability["wal_tail_mismatches"] += 1
-                        if resume_strict:
-                            raise CheckpointError(
-                                f"resume diverged from the WAL at period "
-                                f"{k}: recomputed decision does not "
-                                "reproduce the logged digests")
-                wal.append(record)
+                journal.log(record)
 
             for idc, m in zip(cluster.idcs, applied):
                 idc.set_servers(int(m))
@@ -465,7 +384,7 @@ def run_simulation(scenario: Scenario, policy: Policy,
             u_prev = np.asarray(decision.u, dtype=float)
             servers_prev = applied
 
-            checkpointed = False
+            action = None
             if step_hook is not None:
                 action = step_hook({
                     "period": k, "time_seconds": t,
@@ -480,25 +399,11 @@ def run_simulation(scenario: Scenario, policy: Policy,
                                     if isinstance(decision.diagnostics,
                                                   dict) else {}),
                 })
-                if action:
-                    if ckpt_path is not None \
-                            and checkpoint_every is not None:
-                        write_checkpoint(k + 1)
-                        checkpointed = True
-                    if action != "checkpoint":
-                        # Graceful drain: the final checkpoint above
-                        # makes the stop resumable via resume_from.
-                        durability["stopped_at_period"] = k + 1
-                        break
-
-            if not checkpointed and ckpt_path is not None \
-                    and checkpoint_every is not None \
-                    and (k + 1) % checkpoint_every == 0 \
-                    and k + 1 < scenario.n_periods:
-                write_checkpoint(k + 1)
+            if journal.end_period(k + 1, scenario.n_periods, action,
+                                  checkpoint_state):
+                break
     finally:
-        if wal is not None:
-            wal.close()
+        durable_counters = journal.close()
 
     arrays = recorder.as_arrays()
     perf = policy.perf_snapshot() if hasattr(policy, "perf_snapshot") else {}
@@ -509,11 +414,8 @@ def run_simulation(scenario: Scenario, policy: Policy,
         perf = fold_counters(perf, monitor.counters())
     if actuation is not None:
         perf = fold_counters(perf, actuation.counters)
-    if wal is not None or resume_from is not None \
-            or "stopped_at_period" in durability:
-        if wal is not None:
-            perf = fold_counters(perf, wal.counters)
-        perf = fold_counters(perf, durability)
+    if durable_counters:
+        perf = fold_counters(perf, durable_counters)
     return SimulationResult(
         policy_name=policy.name,
         dt=scenario.dt,

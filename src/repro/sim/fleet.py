@@ -42,7 +42,7 @@ With ``wal_path`` / ``checkpoint_every`` the run is additionally
 sharded) write-ahead log and the fleet state — market demand history
 and clearing warm start included — is checkpointed so a killed day can
 be resumed bit-exact with ``resume_from`` (see
-:mod:`repro.resilience.fleet`).
+:class:`repro.resilience.durability.RunJournal`).
 :meth:`FleetResult.herding_metrics` reports the grid-level quantities
 the mitigation study compares: aggregate ramp rate, price oscillation
 amplitude, regional peak concentration.
@@ -54,8 +54,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..exceptions import ConfigurationError
+from ..exceptions import CheckpointError, ConfigurationError
 from ..pricing import SharedMarket, clear_fixed_point
+from ..resilience.durability import RunJournal, array_digest
 from .profiling import BatchPerfStats
 
 __all__ = ["SharedMarketFleet", "FleetResult", "run_shared_market_fleet",
@@ -487,7 +488,7 @@ class SharedMarketFleet:
             resume_from: str | None = None,
             resume_strict: bool = True,
             step_hook=None) -> "FleetResult":
-        """Advance to ``n_periods`` and return the cumulative result.
+        """Advance ``n_periods`` more periods; the cumulative result.
 
         Resumable: two calls of ``T/2`` periods leave the fleet in the
         same state — and record the same trajectory — as one call of
@@ -517,134 +518,51 @@ class SharedMarketFleet:
         checkpoint and stops the run early (resumable later with
         ``resume_from``).
         """
-        T = int(n_periods)
-        durable = wal_path is not None or resume_from is not None
-        if not durable:
-            if checkpoint_every is not None:
-                raise ConfigurationError(
-                    "checkpoint_every requires wal_path (a checkpoint is "
-                    "only trustworthy next to its write-ahead log)")
-            for _ in range(T):
-                rec = self.step()
-                if step_hook is not None:
-                    action = step_hook(rec)
-                    if action and action != "checkpoint":
-                        break
-            return self.result()
-
-        from ..exceptions import CheckpointError
-        from ..resilience.durability import (
-            WAL_VERSION,
-            ControllerCheckpoint,
-            array_digest,
-            checkpoint_path_for,
-        )
-        from ..resilience.fleet import (
-            ShardedWriteAheadLog,
-            load_fleet_resume_state,
-        )
-
-        if self._k != 0 and resume_from is None:
+        journal = RunJournal(wal_path, resume_from=resume_from,
+                             checkpoint_every=checkpoint_every,
+                             fsync_every=wal_fsync_every,
+                             n_shards=wal_shards, strict=resume_strict)
+        if journal.durable and self._k != 0 and resume_from is None:
             raise ConfigurationError(
                 f"durable fleet runs must start from a fresh fleet "
                 f"(already at period {self._k}); pass resume_from to "
                 f"continue a killed durable run")
-        if wal_path is None:
-            wal_path = resume_from
-        fingerprint = {
+        T = self._k + int(n_periods)
+        checkpoint = journal.recover({
             "kind": "fleet", "n_lanes": int(self.n_lanes),
             "dt": float(self.dt), "n_periods": T,
             "n_idcs": int(self._n), "clearing": self.clearing,
             "stagger": int(self.stagger),
             "policy_kinds": list(self.kinds),
-        }
-        wal_tail: dict[int, dict] = {}
-        if resume_from is not None:
-            on_disk = load_fleet_resume_state(resume_from,
-                                              n_shards=wal_shards)
-            if on_disk.header is not None \
-                    and on_disk.header.get("fingerprint") != fingerprint:
+        })
+        if checkpoint is not None:
+            self.restore(checkpoint.state["fleet"])
+            if self._k != checkpoint.period:
                 raise CheckpointError(
-                    f"{resume_from}: WAL belongs to a different fleet "
-                    f"run (fingerprint mismatch)")
-            if on_disk.checkpoint is not None:
-                ck = on_disk.checkpoint.state
-                if ck.get("fingerprint") != fingerprint:
-                    raise CheckpointError(
-                        f"{resume_from}: checkpoint belongs to a "
-                        f"different fleet run (fingerprint mismatch)")
-                self.restore(ck["fleet"])
-                if self._k != int(on_disk.checkpoint.period):
-                    raise CheckpointError(
-                        f"{resume_from}: checkpoint period "
-                        f"{on_disk.checkpoint.period} disagrees with the "
-                        f"restored fleet state (period {self._k})")
-            wal_tail = dict(on_disk.tail_after(self._k))
-            self.perf.shared.set_counter("resumed_from_period", self._k)
-
-        wal = ShardedWriteAheadLog(wal_path, n_shards=wal_shards,
-                                   fsync_every=wal_fsync_every,
-                                   append=resume_from is not None)
+                    f"{resume_from}: checkpoint period {checkpoint.period} "
+                    f"disagrees with the restored fleet state (period "
+                    f"{self._k})")
+        journal.open()
         try:
-            if resume_from is None:
-                wal.begin({"type": "begin", "wal_version": WAL_VERSION,
-                           "fingerprint": fingerprint})
-            else:
-                wal.append({"type": "resume", "period": int(self._k),
-                            "tail_records": len(wal_tail)})
             while self._k < T:
                 k = self._k
                 rec = self.step()
-                record = {
-                    "type": "decision", "period": k,
-                    "time_seconds": float(rec["time_seconds"]),
-                    "obs_sha256": array_digest(rec["base"]),
-                    "decision_sha256": array_digest(rec["prices"],
-                                                    rec["agg"]),
-                    "powers_sha256": array_digest(rec["powers"]),
-                }
-                prior = wal_tail.pop(k, None)
-                if prior is not None:
-                    same = all(prior.get(key) == record[key]
-                               for key in ("obs_sha256", "decision_sha256",
-                                           "powers_sha256"))
-                    if same:
-                        self.perf.shared.count("wal_tail_replayed")
-                    else:
-                        self.perf.shared.count("wal_tail_mismatches")
-                        if resume_strict:
-                            raise CheckpointError(
-                                f"fleet replay diverged from the WAL at "
-                                f"period {k}; the run is not "
-                                f"deterministic or the log is foreign")
-                wal.append(record)
-
-                def save_checkpoint() -> None:
-                    wal.sync()
-                    ControllerCheckpoint(
-                        period=int(self._k),
-                        state={"fingerprint": fingerprint,
-                               "fleet": self.snapshot()},
-                    ).save(checkpoint_path_for(wal_path))
-                    self.perf.shared.count("checkpoints_written")
-
-                checkpointed = False
-                if step_hook is not None:
-                    action = step_hook(rec)
-                    if action:
-                        save_checkpoint()
-                        checkpointed = True
-                        if action != "checkpoint":
-                            self.perf.shared.set_counter(
-                                "stopped_at_period", self._k)
-                            break
-                if not checkpointed and checkpoint_every is not None \
-                        and self._k % int(checkpoint_every) == 0 \
-                        and self._k < T:
-                    save_checkpoint()
+                if journal.wal is not None:
+                    journal.log({
+                        "type": "decision", "period": k,
+                        "time_seconds": float(rec["time_seconds"]),
+                        "obs_sha256": array_digest(rec["base"]),
+                        "decision_sha256": array_digest(rec["prices"],
+                                                        rec["agg"]),
+                        "powers_sha256": array_digest(rec["powers"]),
+                    })
+                action = step_hook(rec) if step_hook is not None else None
+                if journal.end_period(
+                        self._k, T, action,
+                        lambda: {"fleet": self.snapshot()}):
+                    break
         finally:
-            wal.close()
-            self.perf.shared.update_counters(wal.counters)
+            self.perf.shared.update_counters(journal.close())
         return self.result()
 
     def result(self) -> FleetResult:

@@ -497,6 +497,29 @@ class TestCrashResume:
         assert os.path.exists(checkpoint_path_for(wal))
 
 
+    def test_checkpoint_never_covers_unlogged_decisions(self, tmp_path,
+                                                        monkeypatch):
+        """With a lazy fsync cadence the WAL still reaches the disk
+        before each checkpoint: a kill right after the checkpoint must
+        not lose the periods it covers from the log."""
+        wal = str(tmp_path / "lazy.wal")
+        seen = []
+        save = ControllerCheckpoint.save
+
+        def checked_save(self, path):
+            logged = {r["period"] for r in read_wal(wal)
+                      if r["type"] == "decision"}
+            assert logged >= set(range(self.period)), self.period
+            seen.append(self.period)
+            return save(self, path)
+
+        monkeypatch.setattr(ControllerCheckpoint, "save", checked_save)
+        sc = _short_scenario()
+        run_simulation(sc, _mpc(sc), wal_path=wal, wal_fsync_every=4,
+                       checkpoint_every=2)
+        assert seen == [2, 4, 6, 8]
+
+
 # ---------------------------------------------------------------------------
 # Orphaned checkpoints (checkpoint present, WAL missing) fail fast
 # ---------------------------------------------------------------------------

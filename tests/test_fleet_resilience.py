@@ -13,6 +13,7 @@ Three contracts stacked on the batched engine:
    lane NOMINAL or cleanly quarantined and healthy lanes untouched.
 """
 
+import json
 import os
 
 import numpy as np
@@ -34,10 +35,10 @@ from repro.pricing import (
 )
 from repro.resilience import (
     FleetHealth,
-    ShardedWriteAheadLog,
     SimulatedCrashError,
-    load_fleet_resume_state,
-    read_sharded_wal,
+    WriteAheadLog,
+    load_resume_state,
+    read_wal,
     wal_shard_paths,
 )
 from repro.sim import (
@@ -200,22 +201,22 @@ class TestFleetHealth:
 class TestShardedWal:
     def test_records_route_by_period_and_merge_sorted(self, tmp_path):
         path = str(tmp_path / "fleet.wal")
-        wal = ShardedWriteAheadLog(path, n_shards=3)
-        wal.begin({"type": "begin", "fingerprint": {"k": 1}})
+        wal = WriteAheadLog(path, n_shards=3)
+        wal.append({"type": "begin", "fingerprint": {"k": 1}})
         for k in range(7):
             wal.append({"type": "decision", "period": k})
         wal.close()
         shards = wal_shard_paths(path, 3)
         assert shards[0] == path
         assert all(os.path.exists(p) for p in shards)
-        merged = read_sharded_wal(path, n_shards=3)
+        merged = read_wal(path, n_shards=3)
         periods = [r["period"] for r in merged if r["type"] == "decision"]
         assert periods == list(range(7))
 
     def test_torn_shard_tail_is_tolerated(self, tmp_path):
         path = str(tmp_path / "fleet.wal")
-        wal = ShardedWriteAheadLog(path, n_shards=2)
-        wal.begin({"type": "begin", "fingerprint": {"k": 1}})
+        wal = WriteAheadLog(path, n_shards=2)
+        wal.append({"type": "begin", "fingerprint": {"k": 1}})
         for k in range(6):
             wal.append({"type": "decision", "period": k})
         wal.close()
@@ -224,22 +225,46 @@ class TestShardedWal:
         data = open(shard1, "rb").read()
         with open(shard1, "wb") as f:
             f.write(data[:-7])
-        merged = read_sharded_wal(path, n_shards=2)
+        merged = read_wal(path, n_shards=2)
         periods = [r["period"] for r in merged if r["type"] == "decision"]
         # shard 1 held the odd periods; its last record was torn off
         assert periods == [0, 1, 2, 3, 4]
 
     def test_resume_state_uses_newest_complete_period(self, tmp_path):
         path = str(tmp_path / "fleet.wal")
-        wal = ShardedWriteAheadLog(path, n_shards=2)
-        wal.begin({"type": "begin", "fingerprint": {"k": 1}})
+        wal = WriteAheadLog(path, n_shards=2)
+        wal.append({"type": "begin", "fingerprint": {"k": 1}})
         for k in range(4):
             wal.append({"type": "decision", "period": k})
         wal.close()
-        state = load_fleet_resume_state(path, n_shards=2)
+        state = load_resume_state(path, n_shards=2)
         assert state.header["fingerprint"] == {"k": 1}
         tail = dict(state.tail_after(2))
         assert sorted(tail) == [2, 3]
+
+    def test_byte_layout_is_pinned(self, tmp_path):
+        # One compact, key-sorted JSON line per record; the begin record
+        # in every shard; shard 0 at the base path, shard k beside it.
+        path = str(tmp_path / "fleet.wal")
+        wal = WriteAheadLog(path, n_shards=2)
+        wal.append({"type": "begin", "wal_version": 1,
+                    "fingerprint": {"n": 2, "k": "x"}})
+        for k in range(3):
+            wal.append({"type": "decision", "period": k, "b": [1, 2]})
+        wal.append({"type": "resume", "period": 1, "tail_records": 2})
+        wal.close()
+        begin = (b'{"fingerprint":{"k":"x","n":2},"type":"begin",'
+                 b'"wal_version":1}\n')
+        assert wal_shard_paths(path, 2) == [path, path + ".shard1"]
+        assert open(path, "rb").read() == (
+            begin
+            + b'{"b":[1,2],"period":0,"type":"decision"}\n'
+            + b'{"b":[1,2],"period":2,"type":"decision"}\n')
+        assert open(path + ".shard1", "rb").read() == (
+            begin
+            + b'{"b":[1,2],"period":1,"type":"decision"}\n'
+            + b'{"period":1,"tail_records":2,"type":"resume"}\n')
+        assert wal.counters["wal_records"] == 6  # begin counted twice
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +411,16 @@ class TestDurableBatchResume:
             run_batch(monte_carlo_scenarios(2, seed=3, duration=300.0),
                       cfg, checkpoint_every=2)
 
+    def test_orphaned_checkpoint_is_refused(self, tmp_path):
+        cfg = MPCPolicyConfig(dt=30.0)
+        wal = str(tmp_path / "fleet.wal")
+        run_batch(monte_carlo_scenarios(2, seed=3, duration=300.0), cfg,
+                  checkpoint_every=2, wal_path=wal, wal_shards=2)
+        os.unlink(wal)  # shard 0 gone, its checkpoint left behind
+        with pytest.raises(CheckpointError, match="missing or was"):
+            run_batch(monte_carlo_scenarios(2, seed=3, duration=300.0),
+                      cfg, checkpoint_every=2, wal_path=wal, wal_shards=2)
+
 
 class TestDurableFleetMarketResume:
     @staticmethod
@@ -435,6 +470,58 @@ class TestDurableFleetMarketResume:
             np.testing.assert_array_equal(res.cost_usd, base.cost_usd)
             counters = res.perf["counters"]
             assert counters.get("wal_tail_mismatches", 0) == 0
+
+    def _crash(self, S, T, kill_at, wal, **kw):
+        fleet = self._make(S)
+        orig_step = fleet.step
+
+        def step():
+            if fleet._k >= kill_at:
+                raise SimulatedCrashError(f"kill@{kill_at}")
+            return orig_step()
+
+        fleet.step = step
+        with pytest.raises(SimulatedCrashError):
+            fleet.run(T, wal_path=wal, **kw)
+
+    def test_wal_without_begin_record_is_refused(self, tmp_path):
+        wal = str(tmp_path / "fleet.wal")
+        self._crash(4, 8, 5, wal, checkpoint_every=3)
+        lines = open(wal, "rb").read().splitlines(keepends=True)
+        with open(wal, "wb") as fh:
+            fh.writelines(line for line in lines
+                          if b'"type":"begin"' not in line)
+        with pytest.raises(CheckpointError, match="no begin record"):
+            self._make(4).run(8, checkpoint_every=3, wal_path=wal,
+                              resume_from=wal)
+
+    def test_tail_replay_counts_every_reverified_period(self, tmp_path):
+        # Checkpoint at 3, killed at 5: periods 3 and 4 are re-executed
+        # and both count as replayed, the tampered one also as a
+        # mismatch (the scalar engine's counting).
+        wal = str(tmp_path / "fleet.wal")
+        self._crash(4, 8, 5, wal, checkpoint_every=3)
+        records = [json.loads(line) for line in open(wal, "rb")]
+        for rec in records:
+            if rec.get("period") == 4:
+                rec["powers_sha256"] = "0" * 64
+        with open(wal, "w") as fh:
+            fh.writelines(json.dumps(r, sort_keys=True,
+                                     separators=(",", ":")) + "\n"
+                          for r in records)
+        res = self._make(4).run(8, checkpoint_every=3, wal_path=wal,
+                                resume_from=wal, resume_strict=False)
+        counters = res.perf["counters"]
+        assert counters["resumed_from_period"] == 3
+        assert counters["wal_tail_replayed"] == 2
+        assert counters["wal_tail_mismatches"] == 1
+
+    def test_orphaned_checkpoint_is_refused(self, tmp_path):
+        wal = str(tmp_path / "fleet.wal")
+        self._make(4).run(8, checkpoint_every=3, wal_path=wal)
+        os.unlink(wal)
+        with pytest.raises(CheckpointError, match="missing or was"):
+            self._make(4).run(8, checkpoint_every=3, wal_path=wal)
 
     def test_uninterrupted_durable_run_matches_plain(self, tmp_path):
         S, T = 4, 8

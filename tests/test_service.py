@@ -34,6 +34,8 @@ _SHORT = {"kind": "scalar",
 _DAY = {"kind": "scalar",
         "scenario": {"name": "paper", "dt": 300.0, "duration": 86400.0},
         "policy": {"name": "mpc"}}
+_FLEET = {"kind": "fleet", "fleet": {"n_lanes": 4, "n_periods": 6},
+          "wal_shards": 2}
 
 
 @pytest.fixture()
@@ -198,6 +200,19 @@ class TestDrain:
         # force discards the orphan and starts over
         client.submit(_spec(_SHORT, "orphan", resume="force"))
         assert client.result("orphan", timeout=120)["state"] == "completed"
+
+    def test_forced_fleet_over_orphan_completes(self, service):
+        daemon, client = service
+        client.submit(_spec(_FLEET, "forphan"))
+        client.result("forphan", timeout=120)
+        run_dir = os.path.join(daemon.data_dir, "runs", "forphan")
+        os.unlink(os.path.join(run_dir, "fleet_wal.jsonl"))
+        with pytest.raises(ServiceError) as exc:
+            client.submit(_spec(_FLEET, "forphan", resume="auto"))
+        assert exc.value.status == 409
+        client.submit(_spec(_FLEET, "forphan", resume="force"))
+        assert client.result("forphan", timeout=120)["state"] == "completed"
+        assert len(client.decisions("forphan")) == 6
 
 
 # ---------------------------------------------------------------------------
