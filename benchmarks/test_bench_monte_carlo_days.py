@@ -5,10 +5,8 @@ across days.  This bench samples stochastic price days from bid-stack
 models calibrated on the embedded traces, runs the optimal policy and
 the MPC on each, and aggregates cost / peak / worst-ramp statistics.
 
-The days are independent, so they fan out over the process-pool runner
-(:func:`repro.sim.run_many`) — one worker per (day, policy) run.  The
-policy factories below are module-level precisely so they pickle into
-the workers.
+The days are independent; each (day, policy) pair is one plain
+:func:`repro.sim.run_simulation` run on its own freshly sampled day.
 """
 
 import numpy as np
@@ -22,7 +20,7 @@ from repro.pricing import (
     RegionMarketConfig,
     paper_price_traces,
 )
-from repro.sim import Scenario, paper_cluster, run_many
+from repro.sim import Scenario, paper_cluster, run_simulation
 
 N_DAYS = 5
 
@@ -48,11 +46,18 @@ def _mpc_factory(cluster):
     return CostMPCPolicy(cluster, MPCPolicyConfig(dt=120.0))
 
 
+def _run_days(policy_factory):
+    results = []
+    for seed in range(N_DAYS):
+        scenario = _random_day_scenario(seed)
+        results.append(run_simulation(scenario,
+                                      policy_factory(scenario.cluster)))
+    return results
+
+
 def _study():
-    scenarios = [_random_day_scenario(seed) for seed in range(N_DAYS)]
-    opts = run_many(scenarios, _optimal_factory)
-    mpcs = run_many([_random_day_scenario(seed) for seed in range(N_DAYS)],
-                    _mpc_factory)
+    opts = _run_days(_optimal_factory)
+    mpcs = _run_days(_mpc_factory)
     rows = []
     for seed, (opt, mpc) in enumerate(zip(opts, mpcs)):
         rows.append({

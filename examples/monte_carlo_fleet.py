@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.analysis import ascii_chart, render_table
 from repro.core import MPCPolicyConfig
-from repro.sim import monte_carlo_scenarios, run_monte_carlo
+from repro.sim import monte_carlo_scenarios, run_batch
 
 
 def main() -> None:
@@ -29,8 +29,8 @@ def main() -> None:
     # "waterfill" warm start: the vectorized period-0 reference solve,
     # the right mode at Monte-Carlo widths (the default "exact" mode
     # solves one scalar LP per lane to match looped runs exactly)
-    results = run_monte_carlo(scenarios, MPCPolicyConfig(dt=30.0),
-                              warm_start="waterfill")
+    results = run_batch(scenarios, MPCPolicyConfig(dt=30.0),
+                        warm_start="waterfill")
     elapsed = time.perf_counter() - t0
 
     costs = np.array([r.total_cost_usd for r in results])

@@ -82,7 +82,13 @@ class IDC:
             initial_servers = config.max_servers
         self._servers_on = 0
         self.set_servers(initial_servers)
+        self._initial_servers = self._servers_on
         self._workload = 0.0
+
+    def reset(self) -> None:
+        """Back to the IDC as built: whole fleet usable, initial servers on."""
+        self._available = self.config.max_servers
+        self._servers_on = self._initial_servers
 
     # -- availability (failure injection) --------------------------------
     @property
@@ -110,11 +116,12 @@ class IDC:
         if self._servers_on > count:
             self._servers_on = count
 
-    def restore_availability(self) -> None:
-        """End all outages: the whole fleet becomes usable again."""
-        self._available = self.config.max_servers
-
     # -- server (slow-loop) state --------------------------------------
+    @property
+    def initial_servers(self) -> int:
+        """Active servers the IDC was built with (what :meth:`reset` restores)."""
+        return self._initial_servers
+
     @property
     def servers_on(self) -> int:
         """``m_j`` — currently active servers."""

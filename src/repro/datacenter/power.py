@@ -73,13 +73,31 @@ class EnergyMeter:
         self.cost_usd = np.zeros(self.n_idcs)
         self.paper_cost = np.zeros(self.n_idcs)
 
+    @classmethod
+    def stacked(cls, n_lanes: int, n_idcs: int) -> "EnergyMeter":
+        """A meter over ``(n_lanes, n_idcs)``: one row per independent run.
+
+        Its :meth:`record` takes ``(n_lanes, n_idcs)`` powers and prices;
+        each row accumulates exactly as a one-run meter would.
+        """
+        if n_lanes < 1:
+            raise ModelError("need at least one lane")
+        meter = cls(n_idcs)
+        for name in ("energy_joules", "cost_usd", "paper_cost"):
+            setattr(meter, name, np.zeros((n_lanes, n_idcs)))
+        return meter
+
     def record(self, powers_watts: np.ndarray, prices_usd_mwh: np.ndarray,
                dt_seconds: float) -> None:
         """Accumulate one control period."""
-        p = np.asarray(powers_watts, dtype=float).ravel()
-        pr = np.asarray(prices_usd_mwh, dtype=float).ravel()
-        if p.size != self.n_idcs or pr.size != self.n_idcs:
-            raise ModelError("powers/prices must have one entry per IDC")
+        shape = self.energy_joules.shape
+        p = np.asarray(powers_watts, dtype=float)
+        pr = np.asarray(prices_usd_mwh, dtype=float)
+        if len(shape) == 1:
+            p, pr = p.ravel(), pr.ravel()
+        if p.shape != shape or pr.shape != shape:
+            raise ModelError("powers/prices must have one entry per IDC "
+                             "(per lane and IDC for a stacked meter)")
         if dt_seconds <= 0:
             raise ModelError("dt must be positive")
         if np.any(p < 0):

@@ -67,7 +67,10 @@ __all__ = [
 ]
 
 #: Version stamp of the checkpoint envelope; bumped on layout changes.
-CHECKPOINT_VERSION = 1
+#: Version 2: every period loop checkpoints one lane-axis record
+#: (:class:`repro.sim.recorder.LaneRecord`) instead of the scalar
+#: engine's per-period recorder.
+CHECKPOINT_VERSION = 2
 
 #: Version stamp of the WAL record schema.
 WAL_VERSION = 1

@@ -22,9 +22,7 @@ from .faults import (
 )
 from .policy import AllocationDecision, Policy, PolicyObservation
 from .profiling import BatchPerfStats, PerfStats
-from .recorder import SimulationRecorder
 from .results import ComparisonResult, SimulationResult
-from .runner import run_many, run_monte_carlo, run_parallel
 from .scenario import (
     PAPER_BUDGETS_WATTS,
     PAPER_IDC_SPECS,
@@ -44,9 +42,6 @@ __all__ = [
     "SharedMarketFleet",
     "FleetResult",
     "POLICY_KINDS",
-    "run_many",
-    "run_monte_carlo",
-    "run_parallel",
     "batch_signature",
     "scenario_incompatibility",
     "PerfStats",
@@ -64,7 +59,6 @@ __all__ = [
     "Policy",
     "PolicyObservation",
     "AllocationDecision",
-    "SimulationRecorder",
     "SimulationResult",
     "ComparisonResult",
     "Scenario",

@@ -16,9 +16,8 @@ per closed-loop run:
   :mod:`repro.optim.linalg`),
 
 so benchmarks can assert *cache effectiveness*, not just speed.  The
-object is a plain-data container (picklable — results cross process
-boundaries in the parallel runner) and cheap enough to leave permanently
-enabled: one ``perf_counter`` pair per stage per period.
+object is a plain-data container (picklable) and cheap enough to leave
+permanently enabled: one ``perf_counter`` pair per stage per period.
 """
 
 from __future__ import annotations
@@ -27,24 +26,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-__all__ = ["PerfStats", "BatchPerfStats", "fold_counters"]
-
-
-def fold_counters(perf: dict, extra: dict) -> dict:
-    """Merge plain-int counters into a ``perf_snapshot()``-style dict.
-
-    ``perf`` is whatever the policy reported (possibly ``{}`` — simple
-    policies have no :class:`PerfStats`); ``extra`` is a flat
-    ``name -> int`` mapping such as
-    :meth:`repro.verify.InvariantMonitor.counters`.  Returns the same
-    dict with ``perf["counters"]`` updated, so engine-level layers can
-    surface their counts through ``SimulationResult.perf`` without
-    caring which policy produced it.
-    """
-    counters = perf.setdefault("counters", {})
-    for name, value in extra.items():
-        counters[name] = int(value)
-    return perf
+__all__ = ["PerfStats", "BatchPerfStats"]
 
 
 @dataclass
@@ -124,9 +106,9 @@ class BatchPerfStats:
     telemetry dropouts, invariant violations, ``ladder_rung_*`` /
     ``invariant_*`` counters, straggler fallbacks — belong to exactly
     one scenario's :attr:`SimulationResult.perf`.  Folding them through
-    a single shared :class:`PerfStats` (or a shared dict via
-    :func:`fold_counters`, whose semantics are *overwrite*) would bleed
-    one lane's counts into every other lane's result.
+    a single shared :class:`PerfStats` (or one shared counter dict,
+    whose semantics are *overwrite*) would bleed one lane's counts into
+    every other lane's result.
 
     ``BatchPerfStats`` therefore keeps one shared :class:`PerfStats`
     for batch-level stage timings plus an isolated :class:`PerfStats`

@@ -1,86 +1,75 @@
-"""Per-period metric recording for simulation runs.
+"""Per-period metric recording for the lane-axis period loop.
 
-The recorder accumulates everything the analysis layer and the figure
-benchmarks need: per-IDC power, server counts, workloads, latencies,
-prices, energy/cost integrals, and per-step policy diagnostics.
+:class:`LaneRecord` holds everything the analysis layer and the figure
+benchmarks need, for ``S`` lanes at once: per-IDC power, server counts,
+workloads, latencies, prices, portal loads, allocations, per-period
+policy diagnostics and the :class:`~repro.datacenter.EnergyMeter`
+integrals.  A scalar run is one lane.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..datacenter.power import EnergyMeter
 from ..exceptions import ModelError
+from .results import SimulationResult
 
-__all__ = ["SimulationRecorder"]
+__all__ = ["LaneRecord"]
 
 
-@dataclass
-class SimulationRecorder:
-    """Columnar storage of one simulation run.
+class LaneRecord:
+    """Columnar ``(S, T, ·)`` storage of ``S`` runs stepped in lockstep."""
 
-    All arrays are laid out ``(n_periods, n_idcs)`` (or ``(n_periods,
-    n_portals)`` for loads) after :meth:`finalize`.
-    """
-
-    n_idcs: int
-    n_portals: int
-    dt: float
-
-    def __post_init__(self) -> None:
-        if self.n_idcs < 1 or self.n_portals < 1:
+    def __init__(self, n_lanes: int, n_periods: int, n_idcs: int,
+                 n_portals: int, dt: float) -> None:
+        if n_idcs < 1 or n_portals < 1:
             raise ModelError("need at least one IDC and one portal")
-        if self.dt <= 0:
+        if dt <= 0:
             raise ModelError("dt must be positive")
-        self._times: list[float] = []
-        self._powers: list[np.ndarray] = []
-        self._servers: list[np.ndarray] = []
-        self._workloads: list[np.ndarray] = []
-        self._latencies: list[np.ndarray] = []
-        self._prices: list[np.ndarray] = []
-        self._loads: list[np.ndarray] = []
-        self._allocations: list[np.ndarray] = []
-        self._diagnostics: list[dict] = []
-        self.meter = EnergyMeter(self.n_idcs)
+        n, c = (n_idcs,), (n_portals,)
+        widths = {"times": (), "powers_watts": n, "servers": n,
+                  "workloads": n, "latencies": n, "prices": n, "loads": c,
+                  "allocations": (n_idcs * n_portals,)}
+        # zeros, not empty: the record is pickled whole into checkpoints
+        self.series = {name: np.zeros((n_lanes, n_periods) + width)
+                       for name, width in widths.items()}
+        self.diagnostics: list[list[dict]] = [[] for _ in range(n_lanes)]
+        self.meter = EnergyMeter.stacked(n_lanes, n_idcs)
+        self.dt = dt
+        #: periods recorded so far
+        self.n_periods = 0
 
-    def record(self, time_seconds: float, powers_watts: np.ndarray,
-               servers: np.ndarray, workloads: np.ndarray,
-               latencies: np.ndarray, prices: np.ndarray,
-               loads: np.ndarray, allocation: np.ndarray,
-               diagnostics: dict | None = None) -> None:
-        """Append one control period."""
-        self._times.append(float(time_seconds))
-        self._powers.append(np.asarray(powers_watts, dtype=float).copy())
-        self._servers.append(np.asarray(servers, dtype=float).copy())
-        self._workloads.append(np.asarray(workloads, dtype=float).copy())
-        self._latencies.append(np.asarray(latencies, dtype=float).copy())
-        self._prices.append(np.asarray(prices, dtype=float).copy())
-        self._loads.append(np.asarray(loads, dtype=float).copy())
-        self._allocations.append(np.asarray(allocation, dtype=float).copy())
-        self._diagnostics.append(dict(diagnostics or {}))
-        self.meter.record(powers_watts, prices, self.dt)
+    def record(self, k: int, diagnostics, **series) -> None:
+        """Store period ``k`` for every lane and meter its cost.
 
-    @property
-    def n_periods(self) -> int:
-        return len(self._times)
+        ``series`` holds one ``(S, ·)`` array per series (``times`` is
+        ``(S,)``); ``diagnostics`` one dict per lane.
+        """
+        for name, value in series.items():
+            self.series[name][:, k] = value
+        for lane, diag in zip(self.diagnostics, diagnostics):
+            lane.append(diag)
+        self.meter.record(series["powers_watts"], series["prices"], self.dt)
+        self.n_periods = k + 1
 
-    def as_arrays(self) -> dict[str, np.ndarray]:
-        """Materialize all recorded series as stacked arrays."""
-        if not self._times:
+    def results(self, policy_name: str, scenarios,
+                perfs) -> list[SimulationResult]:
+        """Every lane's periods so far, one :class:`SimulationResult` each.
+
+        Lane ``s`` takes its ``dt`` and IDC names from ``scenarios[s]``
+        and its counters from ``perfs[s]``.
+        """
+        if self.n_periods == 0:
             raise ModelError("nothing recorded")
-        return {
-            "times": np.array(self._times),
-            "powers_watts": np.vstack(self._powers),
-            "servers": np.vstack(self._servers),
-            "workloads": np.vstack(self._workloads),
-            "latencies": np.vstack(self._latencies),
-            "prices": np.vstack(self._prices),
-            "loads": np.vstack(self._loads),
-            "allocations": np.vstack(self._allocations),
-        }
-
-    @property
-    def diagnostics(self) -> list[dict]:
-        return list(self._diagnostics)
+        m = self.meter
+        # rows are copied: a view would keep the whole (S, N) array alive
+        # once per lane
+        energy_mwh = m.energy_mwh
+        return [SimulationResult(
+            policy_name=policy_name, dt=sc.dt,
+            **{k: v[s, :self.n_periods] for k, v in self.series.items()},
+            energy_mwh=energy_mwh[s].copy(), cost_usd=m.cost_usd[s].copy(),
+            paper_cost=m.paper_cost[s].copy(),
+            idc_names=sc.cluster.idc_names, diagnostics=self.diagnostics[s],
+            perf=perf) for s, (sc, perf) in enumerate(zip(scenarios, perfs))]

@@ -28,7 +28,6 @@ from repro.sim import (
     monte_carlo_scenarios,
     paper_scenario,
     run_batch,
-    run_monte_carlo,
     run_simulation,
     scenario_incompatibility,
 )
@@ -230,18 +229,6 @@ def test_run_batch_rejects_empty_and_misaligned_monitors():
     scens = monte_carlo_scenarios(2, seed=0, duration=300.0)
     with pytest.raises(ConfigurationError):
         run_batch(scens, monitors=[None])
-
-
-def test_run_monte_carlo_dispatch():
-    cfg = MPCPolicyConfig(dt=30.0)
-    batched = run_monte_carlo(
-        monte_carlo_scenarios(3, seed=9, duration=300.0), cfg)
-    pooled = run_monte_carlo(
-        monte_carlo_scenarios(3, seed=9, duration=300.0), cfg,
-        batched=False, n_workers=1)
-    assert [r.policy_name for r in batched] == ["mpc_batch"] * 3
-    for b, p in zip(batched, pooled):
-        assert b.total_cost_usd == pytest.approx(p.total_cost_usd, rel=1e-4)
 
 
 # ---------------------------------------------------------------------------

@@ -427,6 +427,26 @@ class TestCrashResume:
             np.testing.assert_array_equal(resumed.cost_usd,
                                           baseline.cost_usd)
 
+    def test_version_1_checkpoint_refused_by_version(self, tmp_path):
+        """A checkpoint of the previous layout fails on its version stamp.
+
+        Version 1 checkpoints carried the scalar engine's per-period
+        recorder; resuming one must stop at the envelope with the version
+        named, not fail halfway through restoring the state.
+        """
+        wal = str(tmp_path / "old.wal")
+        sc = _short_scenario()
+        with pytest.raises(SimulatedCrashError):
+            run_simulation(sc, CrashInjector(_mpc(sc), 5), wal_path=wal,
+                           checkpoint_every=2)
+        ckpt = checkpoint_path_for(wal)
+        current = ControllerCheckpoint.load(ckpt)
+        ControllerCheckpoint(period=current.period, state=current.state,
+                             version=1).save(ckpt)
+        sc2 = _short_scenario()
+        with pytest.raises(CheckpointError, match="version 1 not supported"):
+            run_simulation(sc2, _mpc(sc2), resume_from=wal)
+
     def test_resume_with_faults_and_monitor(self, tmp_path):
         """Outage + actuation fault + monitor all survive the restart."""
         def faults(t0):

@@ -1,10 +1,11 @@
-"""Process-pool simulation runner: parallel results must equal sequential.
+"""Several policies on one scenario: each run starts from the same plant.
 
-The runner fans independent (scenario, policy) runs over a process pool;
-the simulations themselves are deterministic, so parallel execution is
-purely a wall-clock device and every array it returns must be
-bit-identical to the in-process path.  Factories live at module level
-because worker processes import them by qualified name (pickle).
+``simulate_policies`` runs its policies one after another on a single
+scenario object.  Every run must start from the scenario's initial
+plant — market history cleared, every server available, the initial
+server counts on — so each policy's result equals a run on its own
+fresh copy of the scenario, bit for bit.  A run whose actuation faults
+leave the plant in an unusual final state is the sharpest check.
 """
 
 import numpy as np
@@ -16,98 +17,56 @@ from repro.baselines import GreedyPricePolicy, OptimalInstantaneousPolicy, \
     UniformPolicy
 from repro.core import CostMPCPolicy, MPCPolicyConfig
 from repro.sim import (
+    CommandDrop,
+    batch_signature,
     paper_scenario,
-    price_step_scenario,
-    run_many,
-    run_parallel,
     run_simulation,
     simulate_policies,
 )
-from repro.sim.runner import _pool_size
 
 
-def _optimal_factory(cluster):
-    return OptimalInstantaneousPolicy(cluster)
+def _command_drop_scenario():
+    sc = paper_scenario(dt=300.0, duration=7200.0, start_hour=0.0)
+    sc.faults = [CommandDrop("minnesota", 0.0, 600.0)]
+    return sc
 
 
-def _mpc_factory(cluster):
-    return CostMPCPolicy(cluster, MPCPolicyConfig(dt=60.0))
-
-
-def _scenarios():
-    return [
-        paper_scenario(dt=60.0, duration=600.0),
-        price_step_scenario(dt=60.0, duration=600.0),
-        paper_scenario(dt=60.0, duration=600.0, start_hour=12.0),
-    ]
+_POLICIES = {
+    "mpc": lambda cluster: CostMPCPolicy(cluster, MPCPolicyConfig(dt=300.0)),
+    "optimal": OptimalInstantaneousPolicy,
+    "greedy": GreedyPricePolicy,
+    "uniform": UniformPolicy,
+}
 
 
 def _assert_same_run(a, b):
     assert a.policy_name == b.policy_name
     np.testing.assert_array_equal(a.allocations, b.allocations)
+    np.testing.assert_array_equal(a.servers, b.servers)
     np.testing.assert_array_equal(a.powers_watts, b.powers_watts)
     np.testing.assert_array_equal(a.cost_usd, b.cost_usd)
     assert a.total_cost_usd == b.total_cost_usd
 
 
-class TestRunMany:
-    def test_matches_sequential_exactly(self):
-        scenarios = _scenarios()
-        parallel = run_many(scenarios, _optimal_factory, n_workers=3)
-        for sc, res in zip(scenarios, parallel):
-            _assert_same_run(res, run_simulation(sc, _optimal_factory(
-                sc.cluster)))
-
-    def test_preserves_order(self):
-        scenarios = _scenarios()
-        results = run_many(scenarios, _optimal_factory, n_workers=2)
-        # results come back in submission order: each run's clock starts
-        # at its own scenario's start time
-        assert [r.times[0] for r in results] == \
-            [sc.start_time for sc in scenarios]
-
-    def test_mpc_policy_survives_pickling(self):
-        sc = price_step_scenario(dt=60.0, duration=300.0)
-        par, = run_many([sc], _mpc_factory, n_workers=2)
-        seq = run_simulation(sc, _mpc_factory(sc.cluster))
-        _assert_same_run(par, seq)
-        # the perf counter snapshot must travel back from the worker
-        assert par.perf["counters"]["qp_solves"] == \
-            seq.perf["counters"]["qp_solves"]
-
-    def test_single_worker_runs_inline(self):
-        sc = paper_scenario(dt=60.0, duration=300.0)
-        res, = run_many([sc], _optimal_factory, n_workers=1)
-        _assert_same_run(res, run_simulation(sc, _optimal_factory(
-            sc.cluster)))
-
-
-class TestRunParallel:
-    def test_pairs_fan_out(self):
-        scenarios = _scenarios()
-        pairs = [(sc, _optimal_factory(sc.cluster)) for sc in scenarios]
-        results = run_parallel(pairs, n_workers=3)
-        for (sc, _), res in zip(pairs, results):
-            _assert_same_run(res, run_simulation(sc, _optimal_factory(
-                sc.cluster)))
-
-
 class TestSimulatePoliciesParallel:
     def test_parallel_equals_sequential(self):
-        sc = paper_scenario(dt=60.0, duration=600.0)
-        seq = simulate_policies(sc, [
-            OptimalInstantaneousPolicy(sc.cluster),
-            GreedyPricePolicy(sc.cluster),
-            UniformPolicy(sc.cluster),
-        ])
-        par = simulate_policies(sc, [
-            OptimalInstantaneousPolicy(sc.cluster),
-            GreedyPricePolicy(sc.cluster),
-            UniformPolicy(sc.cluster),
-        ], parallel=True, n_workers=3)
-        assert list(seq.runs) == list(par.runs)  # same names, same order
-        for name in seq.runs:
-            _assert_same_run(par[name], seq[name])
+        """Sequential runs on one scenario equal runs on fresh copies."""
+        sc = _command_drop_scenario()
+        signature = batch_signature(sc)
+        seq = simulate_policies(sc, [make(sc.cluster)
+                                     for make in _POLICIES.values()])
+        assert list(seq.runs) == list(_POLICIES)
+        for make in _POLICIES.values():
+            fresh = _command_drop_scenario()
+            alone = run_simulation(fresh, make(fresh.cluster))
+            _assert_same_run(seq[alone.policy_name], alone)
+        # a second run of the first policy still starts from the
+        # initial plant, not from the last run's final server counts
+        again = run_simulation(sc, _POLICIES["mpc"](sc.cluster))
+        _assert_same_run(again, seq["mpc"])
+        np.testing.assert_array_equal(again.servers[0],
+                                      [30000, 40000, 20000])
+        assert batch_signature(sc) == signature
 
     def test_duplicate_names_rejected_before_fan_out(self):
         sc = paper_scenario(dt=60.0, duration=300.0)
@@ -115,11 +74,4 @@ class TestSimulatePoliciesParallel:
             simulate_policies(sc, [
                 UniformPolicy(sc.cluster),
                 UniformPolicy(sc.cluster),
-            ], parallel=True)
-
-
-def test_pool_size_clamps_to_job_count():
-    assert _pool_size(3, None) <= 3
-    assert _pool_size(3, 8) == 3
-    assert _pool_size(100, 2) == 2
-    assert _pool_size(1, None) == 1
+            ])

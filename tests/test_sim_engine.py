@@ -8,13 +8,13 @@ from repro.exceptions import ConfigurationError, ModelError
 from repro.pricing import TABLE_III_PRICES
 from repro.sim import (
     PAPER_BUDGETS_WATTS,
-    SimulationRecorder,
     paper_cluster,
     paper_scenario,
     price_step_scenario,
     run_simulation,
     simulate_policies,
 )
+from repro.sim.recorder import LaneRecord
 
 
 class TestScenario:
@@ -167,9 +167,85 @@ class TestResultAccessors:
 
     def test_recorder_validation(self):
         with pytest.raises(ModelError):
-            SimulationRecorder(0, 1, 1.0)
+            LaneRecord(1, 5, 0, 1, 1.0)
         with pytest.raises(ModelError):
-            SimulationRecorder(1, 1, 0.0)
-        rec = SimulationRecorder(1, 1, 1.0)
+            LaneRecord(1, 5, 1, 1, 0.0)
+        rec = LaneRecord(1, 5, 1, 1, 1.0)
         with pytest.raises(ModelError):
-            rec.as_arrays()
+            rec.results("p", [paper_scenario(dt=60.0, duration=300.0)], [{}])
+
+
+def _record_periods(rec, powers, prices, start=0):
+    S, T, n = powers.shape
+    for k in range(start, T):
+        rec.record(k, times=np.full(S, 60.0 * k), powers_watts=powers[:, k],
+                   servers=np.ones((S, n)), workloads=np.zeros((S, n)),
+                   latencies=np.zeros((S, n)), prices=prices[:, k],
+                   loads=np.ones((S, 2)), allocations=np.zeros((S, 2 * n)),
+                   diagnostics=[{"k": k}] * S)
+
+
+class TestLaneRecord:
+    """The record's stacked meter bills every lane like a one-run meter."""
+
+    def _record(self):
+        rng = np.random.default_rng(0)
+        powers = rng.uniform(1e5, 1e6, size=(3, 4, 2))
+        prices = rng.uniform(10.0, 90.0, size=(3, 4, 2))
+        rec = LaneRecord(3, 4, 2, 2, 60.0)
+        _record_periods(rec, powers, prices)
+        return rec, powers, prices
+
+    def test_meter_energy_and_cost_per_lane(self):
+        rec, powers, prices = self._record()
+        np.testing.assert_allclose(rec.meter.energy_mwh,
+                                   powers.sum(axis=1) * 60.0 / 3.6e9,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(
+            rec.meter.cost_usd,
+            np.sum(prices * powers * 60.0 / 3.6e9, axis=1), rtol=1e-12)
+
+    def test_each_lane_bills_like_a_one_run_meter(self):
+        from repro.datacenter import EnergyMeter
+        rec, powers, prices = self._record()
+        for s in range(3):
+            meter = EnergyMeter(2)
+            for k in range(4):
+                meter.record(powers[s, k], prices[s, k], 60.0)
+            np.testing.assert_array_equal(rec.meter.cost_usd[s],
+                                          meter.cost_usd)
+            np.testing.assert_array_equal(rec.meter.paper_cost[s],
+                                          meter.paper_cost)
+
+    def test_results_slice_each_lane(self):
+        rec, powers, _ = self._record()
+        sc = paper_scenario(dt=60.0, duration=300.0)
+        res = rec.results("p", [sc] * 3, [{}] * 3)[1]
+        np.testing.assert_array_equal(res.powers_watts, powers[1])
+        assert res.diagnostics == [{"k": k} for k in range(4)]
+        assert res.total_cost_usd == float(rec.meter.cost_usd[1].sum())
+
+    def test_pickle_round_trip_continues_bit_exact(self):
+        """Checkpoints carry the record whole; a resumed one carries on."""
+        import pickle
+        rec, powers, prices = self._record()
+        partial = LaneRecord(3, 4, 2, 2, 60.0)
+        _record_periods(partial, powers[:, :2], prices[:, :2])
+        resumed = pickle.loads(pickle.dumps(partial))
+        _record_periods(resumed, powers, prices, start=2)
+        np.testing.assert_array_equal(resumed.meter.cost_usd,
+                                      rec.meter.cost_usd)
+        np.testing.assert_array_equal(resumed.meter.paper_cost,
+                                      rec.meter.paper_cost)
+        np.testing.assert_array_equal(resumed.series["powers_watts"],
+                                      rec.series["powers_watts"])
+        assert resumed.diagnostics == rec.diagnostics
+
+    def test_meter_rejects_misshaped_and_negative_input(self):
+        rec, _, _ = self._record()
+        with pytest.raises(ModelError):
+            rec.meter.record(np.ones((2, 3)), np.ones((2, 3)), 60.0)
+        with pytest.raises(ModelError):
+            rec.meter.record(-np.ones((3, 2)), np.ones((3, 2)), 60.0)
+        with pytest.raises(ModelError):
+            rec.meter.record(np.ones((3, 2)), np.ones((3, 2)), 0.0)

@@ -49,11 +49,12 @@ class TestAvailability:
             idc.servers_for(10000.0)
 
     def test_restore(self):
-        cluster = paper_cluster()
+        cluster = paper_cluster(initial_servers=[20000, 30000, 10000])
         idc = cluster.idcs[0]
         idc.set_availability(10)
-        idc.restore_availability()
+        idc.reset()
         assert idc.available_servers == idc.config.max_servers
+        assert idc.servers_on == idc.initial_servers == 20000
 
     def test_validation(self):
         cluster = paper_cluster()
