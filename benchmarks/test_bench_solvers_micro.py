@@ -37,8 +37,7 @@ def test_bench_generic_lp(benchmark):
 def _mpc_qp_problem():
     cluster = paper_cluster()
     builder = CostModelBuilder(cluster)
-    model = builder.discrete(PRICES, np.zeros(3), dt=30.0,
-                             output="energy", mode="sleep_substituted")
+    model = builder.discrete(PRICES, dt=30.0)
     constraints = build_constraints(cluster, LOADS)
     mpc = ModelPredictiveController(model, 8, 3, q_weight=1.0,
                                     r_weight=0.01, constraints=constraints)

@@ -4,10 +4,10 @@ Smoothing and Peak Shaving for Distributed Internet Data Centers"
 
 The package is organized as one subpackage per subsystem:
 
-- :mod:`repro.optim` — LP/QP/least-squares solvers (from scratch).
+- :mod:`repro.optim` — LP and QP solvers (from scratch).
 - :mod:`repro.control` — state-space models, discretization, generic MPC, RLS.
 - :mod:`repro.pricing` — real-time electricity price traces and market models.
-- :mod:`repro.workload` — arrival-process models, traces and online prediction.
+- :mod:`repro.workload` — AR processes, traces and online prediction.
 - :mod:`repro.datacenter` — server power model, M/M/n queueing, IDC cluster.
 - :mod:`repro.core` — the paper's contribution: the two-time-scale cost MPC.
 - :mod:`repro.baselines` — the optimal instantaneous policy and other baselines.

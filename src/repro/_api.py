@@ -61,7 +61,6 @@ from .sim import (
 )
 from .workload import (
     ARWorkloadPredictor,
-    KalmanWorkloadPredictor,
     PortalSet,
     epa_like_trace,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "SolarProfile",
     "WindModel",
     "MultiRegionForecaster",
-    "KalmanWorkloadPredictor",
     "CostModelBuilder",
     "solve_optimal_allocation",
     "clamp_powers",

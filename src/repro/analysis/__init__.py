@@ -1,7 +1,6 @@
 """Analysis layer: volatility/peak/cost metrics, comparisons, rendering."""
 
 from .compare import comparison_rows, comparison_table, volatility_reduction
-from .distributions import SeriesDistribution, ascii_histogram, describe_series
 from .metrics import (
     BudgetStats,
     RunSummary,
@@ -32,7 +31,4 @@ __all__ = [
     "sparkline",
     "ascii_chart",
     "series_csv",
-    "describe_series",
-    "SeriesDistribution",
-    "ascii_histogram",
 ]

@@ -2,8 +2,9 @@
 
 Implements the control theory the paper relies on — ZOH digitization
 (eqs. 21–25), the condensed constrained MPC of Sec. IV-C, the Kalman
-controllability test of the "workload loop controllability condition",
-and the RLS estimator behind the workload predictor.
+rank test of the "workload loop controllability condition", the
+stability checks of Sec. IV-E, and the RLS estimator behind the
+workload predictor.
 """
 
 from .controllability import (
@@ -18,9 +19,7 @@ from .horizon import (
     HorizonMatrices,
     build_horizon,
     move_selector,
-    refresh_offset,
 )
-from .kalman import KalmanFilter, local_linear_trend_model
 from .matexp import expm, expm_pade
 from .mpc import InputConstraintSet, ModelPredictiveController, MPCSolution
 from .reference import (
@@ -58,14 +57,11 @@ __all__ = [
     "HorizonMatrices",
     "build_horizon",
     "move_selector",
-    "refresh_offset",
     "ModelPredictiveController",
     "MPCSolution",
     "InputConstraintSet",
     "RecursiveLeastSquares",
     "BatchRecursiveLeastSquares",
-    "KalmanFilter",
-    "local_linear_trend_model",
     "constant_reference",
     "ramp_reference",
     "clamp_reference",

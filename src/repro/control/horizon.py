@@ -30,8 +30,7 @@ import numpy as np
 from ..exceptions import ModelError
 from .statespace import DiscreteStateSpace
 
-__all__ = ["HorizonMatrices", "build_horizon", "move_selector",
-           "refresh_offset"]
+__all__ = ["HorizonMatrices", "build_horizon", "move_selector"]
 
 
 @dataclass
@@ -47,12 +46,6 @@ class HorizonMatrices:
     n_outputs, n_inputs:
         Per-step dimensions (the stacked dimensions are these times the
         respective horizons).
-    offset_map:
-        The linear map ``f_w = offset_map @ w`` (``w`` the model's affine
-        offset).  It depends only on ``(Φ, C)``, so when a model update
-        changes *only* ``w`` — the slow server loop in ``fixed_servers``
-        mode — :func:`refresh_offset` rebuilds ``f_w`` in O(β₁·ny·n)
-        instead of redoing the whole stacking.
     theta_blocks:
         The β₁ distinct impulse-response blocks ``J_1 … J_{β₁}`` of the
         block-lower-Toeplitz Θ, shape ``(β₁, ny, nu)``.  Backs the
@@ -68,7 +61,6 @@ class HorizonMatrices:
     horizon_ctrl: int
     n_outputs: int
     n_inputs: int
-    offset_map: np.ndarray | None = None
     theta_blocks: np.ndarray | None = None
 
     def apply_theta(self, dU) -> np.ndarray:
@@ -207,26 +199,7 @@ def build_horizon(model: DiscreteStateSpace, horizon_pred: int,
     return HorizonMatrices(
         F_x=F_x, F_u=F_u, f_w=f_w, Theta=Theta,
         horizon_pred=horizon_pred, horizon_ctrl=horizon_ctrl,
-        n_outputs=ny, n_inputs=nu, offset_map=offset_map,
+        n_outputs=ny, n_inputs=nu,
         theta_blocks=theta_blocks,
     )
 
-
-def refresh_offset(horizon: HorizonMatrices, w) -> HorizonMatrices:
-    """Update ``f_w`` in place for a new affine offset ``w``.
-
-    Valid only when the model's ``Φ, G, C`` are unchanged — the structural
-    operators (``F_x``, ``F_u``, ``Θ``) and the cached ``offset_map`` all
-    stay valid, so this is the whole horizon refresh for a slow-loop
-    server update in ``fixed_servers`` mode.
-    """
-    if horizon.offset_map is None:
-        raise ModelError(
-            "horizon was built without an offset_map; rebuild it")
-    w = np.asarray(w, dtype=float).ravel()
-    if w.size != horizon.offset_map.shape[1]:
-        raise ModelError(
-            f"offset must have {horizon.offset_map.shape[1]} entries, "
-            f"got {w.size}")
-    horizon.f_w = horizon.offset_map @ w
-    return horizon

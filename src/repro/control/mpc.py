@@ -36,8 +36,7 @@ from ..optim import (
     solve_qp_admm,
 )
 from ..optim.linalg import KKTFactorCache, MPCConstraintOperator
-from .horizon import HorizonMatrices, build_horizon, move_selector, \
-    refresh_offset
+from .horizon import HorizonMatrices, build_horizon, move_selector
 from .statespace import DiscreteStateSpace
 
 __all__ = ["InputConstraintSet", "MPCSolution", "ModelPredictiveController"]
@@ -214,8 +213,7 @@ class ModelPredictiveController:
             "qp_solves": 0, "qp_iterations": 0,
             "warm_start_hits": 0, "warm_start_misses": 0,
             "warm_start_rejections": 0,
-            "horizon_rebuilds": 1, "horizon_offset_refreshes": 0,
-            "horizon_reuses": 0,
+            "horizon_rebuilds": 1, "horizon_reuses": 0,
             "constraint_cache_hits": 0, "constraint_cache_misses": 0,
             "softened_solves": 0,
             # linear-algebra kernel counters (see repro.optim.linalg):
@@ -255,15 +253,12 @@ class ModelPredictiveController:
         return 0.5 * (w + w.T)
 
     def update_model(self, model: DiscreteStateSpace) -> None:
-        """Swap the prediction model (e.g. new server counts ⇒ new offset).
+        """Swap the prediction model (e.g. new prices).
 
         Exploits temporal coherence: a receding-horizon caller passes a
         model every period, but consecutive models are usually identical
-        (piecewise-constant prices) or differ only in the affine offset
-        ``w`` (slow-loop server update).  The horizon stacking is rebuilt
-        only when the structural matrices ``Φ, G, C`` actually changed;
-        an offset-only change refreshes ``f_w`` through the cached
-        offset map.
+        (piecewise-constant prices).  The horizon stacking is rebuilt
+        only when the model matrices ``Φ, G, C, w`` actually changed.
         """
         if (model.n_inputs != self.model.n_inputs
                 or model.n_outputs != self.model.n_outputs
@@ -276,12 +271,9 @@ class ModelPredictiveController:
             return
         if (np.array_equal(model.Phi, old.Phi)
                 and np.array_equal(model.G, old.G)
-                and np.array_equal(model.C, old.C)):
-            if np.array_equal(model.w, old.w):
-                self.stats["horizon_reuses"] += 1
-            else:
-                refresh_offset(self._horizon, model.w)
-                self.stats["horizon_offset_refreshes"] += 1
+                and np.array_equal(model.C, old.C)
+                and np.array_equal(model.w, old.w)):
+            self.stats["horizon_reuses"] += 1
             return
         self._horizon = build_horizon(model, self.horizon_pred,
                                       self.horizon_ctrl)

@@ -20,7 +20,7 @@ from .batch_controller import (
 from .controller import CostMPCPolicy, MPCPolicyConfig
 from .deferral import BatchQueue, DeferralConfig, DeferralPolicy
 from .green import GreenAllocation, GreenOptimalPolicy, solve_green_allocation
-from .model import POWER_SCALE, CostModelBuilder, OutputMode
+from .model import POWER_SCALE, CostModelBuilder
 from .peak_shaving import (
     BudgetViolation,
     budget_violations,
@@ -36,7 +36,6 @@ from .reference_opt import (
 
 __all__ = [
     "CostModelBuilder",
-    "OutputMode",
     "POWER_SCALE",
     "conservation_matrix",
     "capacity_matrix",

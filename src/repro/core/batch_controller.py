@@ -4,9 +4,8 @@
 the paper's controller (:class:`repro.core.CostMPCPolicy`) as stacked
 tensors in one process.  The key structural facts that make this cheap:
 
-* In the default configuration (``output="energy"``,
-  ``model_mode="sleep_substituted"``) the C-projected horizon operators
-  ``Θ, F_x, F_u, f_w`` from :func:`repro.control.build_horizon` are
+* The C-projected horizon operators ``Θ, F_x, F_u, f_w`` of the eq. 36
+  cumulative-energy model (:func:`repro.control.build_horizon`) are
   *price-invariant* — the state matrix has only its cost row nonzero, so
   ``A² = 0`` and the energy-output projections collapse to constants.
   One structural build therefore serves every scenario; only the linear
@@ -27,9 +26,9 @@ the exact scalar :class:`repro.control.ModelPredictiveController`
 the batched path converging.
 
 Configurations outside the shared-structure regime (finite budgets,
-power schedules, fallback ladder, certification, ``fixed_servers``
-mode …) are rejected by :func:`batch_incompatibility`; the batch engine
-routes such scenarios through the scalar engine instead.
+power schedules, fallback ladder, certification …) are rejected by
+:func:`batch_incompatibility`; the batch engine routes such scenarios
+through the scalar engine instead.
 """
 
 from __future__ import annotations
@@ -75,16 +74,13 @@ def batch_incompatibility(config: MPCPolicyConfig) -> str | None:
     """Why ``config`` cannot run on the batched hot path (None = it can).
 
     The batched controller shares the horizon operators, Hessian and
-    constraint matrices across scenarios; every config feature that
-    breaks that sharing (or needs the scalar solver's machinery every
-    period) is rejected here, and the batch engine falls back to the
-    scalar engine for such lanes.
+    constraint matrices across scenarios.  What it cannot run yet is
+    rejected here: finite budgets, hard budget rows, power schedules,
+    the fallback ladder, KKT certification, QP capture and per-step
+    deadlines, all of which need the scalar solver's machinery every
+    period.  The batch engine falls back to the scalar engine for such
+    lanes.
     """
-    if config.output != "energy":
-        return f"output mode {config.output!r} (batched path needs 'energy')"
-    if config.model_mode != "sleep_substituted":
-        return (f"model mode {config.model_mode!r} (batched path needs "
-                "'sleep_substituted')")
     if config.budgets_watts is not None:
         raw = ([config.budgets_watts] if np.isscalar(config.budgets_watts)
                else list(config.budgets_watts))
@@ -396,15 +392,14 @@ class BatchCostMPCPolicy:
     def _shared_operators(self, prices_row: np.ndarray) -> dict:
         """Horizon/Hessian/constraint stacks shared by every lane.
 
-        Valid because the energy-output, sleep-substituted horizon
-        projections are price-invariant (see the module docstring); the
+        Valid because the eq. 36 cumulative-energy horizon projections
+        are price-invariant (see the module docstring); the
         representative lane's prices only seed the builder's cache key.
         """
         if self._ops is not None:
             return self._ops
         cfg = self.config
-        model = self.builder.discrete(prices_row, self._servers[0], cfg.dt,
-                                      output=cfg.output, mode=cfg.model_mode)
+        model = self.builder.discrete(prices_row, cfg.dt)
         H = build_horizon(model, cfg.horizon_pred, cfg.horizon_ctrl)
         ny, nu = H.n_outputs, H.n_inputs
         ndu = nu * cfg.horizon_ctrl
@@ -414,7 +409,7 @@ class BatchCostMPCPolicy:
         P = 0.5 * (P + P.T)
         Hc = conservation_matrix(self.cluster)
         Psi = capacity_matrix(self.cluster)
-        phi = capacity_rhs(self.cluster, None)
+        phi = capacity_rhs(self.cluster)
         eq_blocks, in_blocks = [], []
         for i in range(cfg.horizon_ctrl):
             T = move_selector(nu, cfg.horizon_ctrl, i)
@@ -529,9 +524,7 @@ class BatchCostMPCPolicy:
                         loads_seq_lane: np.ndarray, ref_lane: np.ndarray):
         """Exact scalar active-set solve for one straggler lane."""
         cfg = self.config
-        model = self.builder.discrete(prices_lane, self._servers[lane],
-                                      cfg.dt, output=cfg.output,
-                                      mode=cfg.model_mode)
+        model = self.builder.discrete(prices_lane, cfg.dt)
         cs = InputConstraintSet(A_eq=ops["Hc"], b_eq=loads_seq_lane,
                                 A_ineq=ops["Psi"], b_ineq=ops["phi"],
                                 lower=0.0)
@@ -847,9 +840,7 @@ class BatchCostMPCPolicy:
         self._integrate_pending(prices)
 
         if self._U_prev is None:
-            if not cfg.warm_start_optimal:
-                self._U_prev = np.zeros((S, self.cluster.n_allocations))
-            elif self.warm_start == "exact":
+            if self.warm_start == "exact":
                 # Per-lane *scalar* LP, not the batched waterfill: the
                 # LP optimum is split-degenerate (any per-portal split
                 # with the same per-IDC totals is optimal) and the

@@ -49,31 +49,21 @@ def capacity_matrix(cluster: IDCCluster) -> np.ndarray:
     return Psi
 
 
-def capacity_rhs(cluster: IDCCluster,
-                 servers_on: np.ndarray | None = None) -> np.ndarray:
-    """``φ_j = m_j μ_j − 1/D_j`` (eq. 33), clipped at zero.
+def capacity_rhs(cluster: IDCCluster) -> np.ndarray:
+    """``φ_j = m_j μ_j − 1/D_j`` (eq. 33) at ``m_j = M_j``, clipped at zero.
 
-    ``servers_on = None`` uses each IDC's **fleet size** ``M_j`` — the
-    right bound in ``sleep_substituted`` mode, where the slow loop will
-    provision whatever the allocation needs up to the fleet.
+    ``M_j`` is each IDC's available **fleet size**: under eq. 36 the slow
+    loop provisions whatever the allocation needs up to the fleet.
     """
-    if servers_on is None:
-        m = [idc.available_servers for idc in cluster.idcs]
-    else:
-        m = np.asarray(servers_on, dtype=float).ravel()
-        if m.size != cluster.n_idcs:
-            raise ModelError(
-                f"need {cluster.n_idcs} server counts, got {m.size}")
     return np.array([
-        latency_capacity(int(round(mj)), idc.config.service_rate,
+        latency_capacity(idc.available_servers, idc.config.service_rate,
                          idc.config.latency_bound)
-        for idc, mj in zip(cluster.idcs, m)
+        for idc in cluster.idcs
     ])
 
 
-def build_constraints(cluster: IDCCluster, loads: np.ndarray,
-                      servers_on: np.ndarray | None = None
-                      ) -> InputConstraintSet:
+def build_constraints(cluster: IDCCluster,
+                      loads: np.ndarray) -> InputConstraintSet:
     """Assemble the full constraint set for the MPC.
 
     Parameters
@@ -82,9 +72,8 @@ def build_constraints(cluster: IDCCluster, loads: np.ndarray,
         Portal workloads — either one vector of length ``C`` (held
         constant over the horizon) or a ``(β₂, C)`` array of predicted
         workloads for known time-varying right-hand sides.
-    servers_on:
-        Per-IDC active servers for the capacity bound; ``None`` bounds
-        by the fleet size (see :func:`capacity_rhs`).
+
+    The capacity bound is the fleet size (see :func:`capacity_rhs`).
     """
     loads = np.asarray(loads, dtype=float)
     c = cluster.n_portals
@@ -104,6 +93,6 @@ def build_constraints(cluster: IDCCluster, loads: np.ndarray,
         A_eq=conservation_matrix(cluster),
         b_eq=loads,
         A_ineq=capacity_matrix(cluster),
-        b_ineq=capacity_rhs(cluster, servers_on),
+        b_ineq=capacity_rhs(cluster),
         lower=0.0,
     )

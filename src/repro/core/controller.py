@@ -3,8 +3,8 @@
 :class:`CostMPCPolicy` wires together everything Sec. IV describes:
 
 * the state-space cost model of Sec. IV-A (:mod:`repro.core.model`),
-* the slow server-sleep loop of Sec. IV-B (eq. 35, optionally folded
-  into the prediction model per eq. 36 — ``sleep_substituted`` mode),
+* the slow server-sleep loop of Sec. IV-B (eq. 35, folded into the
+  prediction model per eq. 36),
 * the constrained MPC of Sec. IV-C (generic engine in
   :mod:`repro.control.mpc`, constraints from
   :mod:`repro.core.constraints`),
@@ -40,13 +40,11 @@ from ..resilience import DeadlineBudget, FallbackLadder, Rung, \
 from ..sim.policy import AllocationDecision, PolicyObservation
 from ..sim.profiling import PerfStats
 from .constraints import build_constraints
-from .model import CostModelBuilder, OutputMode
+from .model import CostModelBuilder
 from .peak_shaving import clamp_powers, normalize_budgets
 from .reference_opt import solve_optimal_allocation
 
 __all__ = ["MPCPolicyConfig", "CostMPCPolicy"]
-
-ModelMode = Literal["fixed_servers", "sleep_substituted"]
 
 
 @dataclass
@@ -82,22 +80,13 @@ class MPCPolicyConfig:
         Reference tracking alone approaches the budget asymptotically
         from above after a disturbance; the hard rows pin it immediately
         (softened automatically when momentarily infeasible).
-    output:
-        Which states the MPC tracks; ``"energy"`` reproduces the figures,
-        ``"cost_and_energy"`` additionally tracks the paper's cost state
-        with weight ``cost_weight``.
-    cost_weight:
-        Weight on the cost state when tracked.
-    model_mode:
-        ``"sleep_substituted"`` (eq. 36, default) or ``"fixed_servers"``.
     backend:
         QP backend (``"active_set"`` or ``"admm"``).
     slow_period:
         Slow-loop decimation: server counts are recomputed every this
-        many control periods (1 = every period).
-    warm_start_optimal:
-        Start from the LP optimum at the first period (the figures begin
-        at the 6H optimal operating point).
+        many control periods (1 = every period).  The commanded counts
+        are also recomputed from every new allocation (eq. 36), so the
+        slow tick changes no decision.
     warm_start_solver:
         Thread each period's QP solution (and active set / ADMM dual)
         into the next period's solve.  Consecutive MPC optima are close
@@ -145,12 +134,8 @@ class MPCPolicyConfig:
     budgets_watts: np.ndarray | list | None = None
     budget_mode: Literal["lp", "clamp"] = "lp"
     hard_budget_constraints: bool = False
-    output: OutputMode = "energy"
-    cost_weight: float = 1e-6
-    model_mode: ModelMode = "sleep_substituted"
     backend: str = "active_set"
     slow_period: int = 1
-    warm_start_optimal: bool = True
     warm_start_solver: bool = True
     power_schedule_watts: np.ndarray | None = None
     certify: bool = False
@@ -173,10 +158,6 @@ class MPCPolicyConfig:
             raise ConfigurationError("slow_period must be >= 1")
         if self.budget_mode not in ("lp", "clamp"):
             raise ConfigurationError("budget_mode must be 'lp' or 'clamp'")
-        if self.output == "cost":
-            raise ConfigurationError(
-                "tracking the scalar cost state alone leaves the per-IDC "
-                "energies unobservable; use 'energy' or 'cost_and_energy'")
 
 
 class CostMPCPolicy:
@@ -206,7 +187,7 @@ class CostMPCPolicy:
         """Return to the pre-simulation state.
 
         The builder's discretization cache deliberately survives — its
-        entries are pure functions of (prices, dt, mode) and stay valid
+        entries are pure functions of (prices, dt) and stay valid
         across runs.
         """
         n = self.cluster.n_idcs
@@ -447,24 +428,11 @@ class CostMPCPolicy:
                          loads_seq: np.ndarray,
                          period: int = 0,
                          prices_seq: np.ndarray | None = None) -> np.ndarray:
-        """Stacked output reference for the configured output mode."""
+        """Cumulative-energy references the MPC tracks, shape (β₁, N)."""
         power_refs = self._reference_powers_mw(prices, loads_seq,
                                                period=period,
                                                prices_seq=prices_seq)
-        energy_refs = integrate_rates(self._x[1:], power_refs,
-                                      self.config.dt)
-        if self.config.output == "energy":
-            return energy_refs
-        # cost_and_energy / full: prepend the cost-state reference, built
-        # by integrating dC = Σ Pr_j E_ref_j/3600 dt along the horizon.
-        cost_ref = np.empty((energy_refs.shape[0], 1))
-        c = self._x[0]
-        e_prev = self._x[1:]
-        for s in range(energy_refs.shape[0]):
-            c += float(np.sum(prices * (e_prev / 3600.0))) * self.config.dt
-            cost_ref[s, 0] = c
-            e_prev = energy_refs[s]
-        return np.hstack([cost_ref, energy_refs])
+        return integrate_rates(self._x[1:], power_refs, self.config.dt)
 
     # ------------------------------------------------------------------
     def _loads_sequence(self, obs: PolicyObservation) -> np.ndarray:
@@ -476,13 +444,6 @@ class CostMPCPolicy:
                 rows.append(seq[min(s - 1, seq.shape[0] - 1)])
             return np.vstack(rows)
         return np.tile(obs.loads, (self.config.horizon_ctrl, 1))
-
-    def _q_weight_vector(self) -> np.ndarray:
-        n = self.cluster.n_idcs
-        if self.config.output == "energy":
-            return np.full(n, self.config.q_weight)
-        return np.concatenate([[self.config.cost_weight],
-                               np.full(n, self.config.q_weight)])
 
     # ------------------------------------------------------------------
     def decide(self, obs: PolicyObservation) -> AllocationDecision:
@@ -499,15 +460,13 @@ class CostMPCPolicy:
         self._reconcile_actuation(obs)
         self._integrate_pending(prices)
 
-        # 1. warm start at the optimal operating point (first period)
+        # 1. warm start at the optimal operating point (first period;
+        #    the figures begin at the 6H optimal operating point)
         if self._u_prev is None:
-            if cfg.warm_start_optimal:
-                alloc = solve_optimal_allocation(self.cluster, prices,
-                                                 obs.loads)
-                self._u_prev = alloc.u
-                self._servers = alloc.servers.astype(int)
-            else:
-                self._u_prev = np.zeros(self.cluster.n_allocations)
+            alloc = solve_optimal_allocation(self.cluster, prices,
+                                             obs.loads)
+            self._u_prev = alloc.u
+            self._servers = alloc.servers.astype(int)
 
         # 2. slow loop: recompute integer server counts from the workload
         #    currently routed to each IDC (eq. 35)
@@ -515,19 +474,16 @@ class CostMPCPolicy:
             lam = self.cluster.idc_workloads(self._u_prev)
             self._servers = self._servers_for_loads(lam)
 
-        # 3. rebuild the prediction model when prices (or servers, in
-        #    fixed mode) changed — the builder memoizes, so an unchanged
-        #    period returns the identical object and the MPC skips its
-        #    horizon restacking
+        # 3. rebuild the prediction model when prices changed — the
+        #    builder memoizes, so an unchanged period returns the
+        #    identical object and the MPC skips its horizon restacking
         with self.perf.stage("model"):
-            model = self.builder.discrete(
-                prices, self._servers, cfg.dt,
-                output=cfg.output, mode=cfg.model_mode)
+            model = self.builder.discrete(prices, cfg.dt)
             constraints = self._make_constraints(obs)
             if self._mpc is None:
                 self._mpc = ModelPredictiveController(
                     model, cfg.horizon_pred, cfg.horizon_ctrl,
-                    q_weight=self._q_weight_vector(), r_weight=cfg.r_weight,
+                    q_weight=cfg.q_weight, r_weight=cfg.r_weight,
                     constraints=constraints, backend=cfg.backend,
                     warm_start=cfg.warm_start_solver,
                     certify=cfg.certify,
@@ -568,11 +524,7 @@ class CostMPCPolicy:
         u = step["u"]
 
         # 6. integer server counts for the commanded allocation
-        lam_new = self.cluster.idc_workloads(u)
-        if cfg.model_mode == "sleep_substituted":
-            servers = self._servers_for_loads(lam_new)
-        else:
-            servers = self._servers.copy()
+        servers = self._servers_for_loads(self.cluster.idc_workloads(u))
 
         self._u_prev = u
         self._servers = servers
@@ -682,10 +634,7 @@ class CostMPCPolicy:
         return out
 
     def _make_constraints(self, obs: PolicyObservation) -> InputConstraintSet:
-        servers = (None if self.config.model_mode == "sleep_substituted"
-                   else self._servers)
-        cs = build_constraints(self.cluster, self._loads_sequence(obs),
-                               servers_on=servers)
+        cs = build_constraints(self.cluster, self._loads_sequence(obs))
         if self.config.hard_budget_constraints and \
                 np.any(np.isfinite(self._budgets)):
             # Power is affine in the per-IDC workload, so a power budget
@@ -699,11 +648,10 @@ class CostMPCPolicy:
     def _budget_workload_caps(self) -> np.ndarray:
         """Per-IDC workload ceilings equivalent to the power budgets.
 
-        In ``sleep_substituted`` mode the relaxed server count makes the
-        power ``(b1_j + b0_j/μ_j) λ_j + b0_j/(μ_j D_j) (+ b0_j margin
-        for the integer ceiling the plant applies)``; in
-        ``fixed_servers`` mode it is ``b1_j λ_j + b0_j m_j``.  Both are
-        affine in ``λ_j``, so ``P_j ≤ P^b_j`` becomes ``λ_j ≤ cap_j``.
+        The relaxed eq. 36 server count makes the power
+        ``(b1_j + b0_j/μ_j) λ_j + b0_j/(μ_j D_j) (+ b0_j margin for the
+        integer ceiling the plant applies)``, affine in ``λ_j``, so
+        ``P_j ≤ P^b_j`` becomes ``λ_j ≤ cap_j``.
         """
         caps = np.full(self.cluster.n_idcs, np.inf)
         for j, idc in enumerate(self.cluster.idcs):
@@ -712,12 +660,8 @@ class CostMPCPolicy:
                 continue
             pm = idc.config.power_model
             mu = idc.config.service_rate
-            if self.config.model_mode == "sleep_substituted":
-                slope = pm.b1 + pm.b0 / mu
-                offset = pm.b0 / (mu * idc.config.latency_bound) + pm.b0
-            else:
-                slope = pm.b1
-                offset = pm.b0 * float(self._servers[j])
+            slope = pm.b1 + pm.b0 / mu
+            offset = pm.b0 / (mu * idc.config.latency_bound) + pm.b0
             if slope <= 0:
                 continue  # budget cannot bind through the workload
             caps[j] = max((budget - offset) / slope, 0.0)

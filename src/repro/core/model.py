@@ -20,24 +20,21 @@ Internal units
 * ``B`` rows carry ``b1_j / 1e6`` (watts → MW) and ``F`` rows
   ``b0_j / 1e6``.
 
-Two operating modes
--------------------
-``fixed_servers``
-    ``V`` is held by the slow loop; it enters the model as the constant
-    offset ``w = F V`` (the paper's eqs. 19–25).
-``sleep_substituted``
-    The slow loop's rule (eq. 35, relaxed to the continuous
-    ``m_j = λ_j/μ_j + 1/(μ_j D_j)``) is substituted into the model,
-    giving the paper's eq. 36: ``G = Ḡ + Γ μ̄⁻¹ Ψ_λ`` plus the constant
-    disturbance ``Ω = Γ [1/(μ_j D_j)]``.  The MPC then *predicts* the
-    power effect of server scaling instead of treating it as noise.
+The sleep-substituted model
+---------------------------
+The slow loop's rule (eq. 35, relaxed to the continuous
+``m_j = λ_j/μ_j + 1/(μ_j D_j)``) is substituted into the model, giving
+the paper's eq. 36: ``G = Ḡ + Γ μ̄⁻¹ Ψ_λ`` plus the constant disturbance
+``Ω = Γ [1/(μ_j D_j)]``.  The MPC therefore *predicts* the power effect
+of server scaling instead of treating it as noise, and the model does
+not depend on the server counts.  The output ``Y`` is the per-IDC
+cumulative energies, which the MPC tracks.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Literal
 
 import numpy as np
 
@@ -45,9 +42,7 @@ from ..control import ContinuousStateSpace, DiscreteStateSpace, c2d
 from ..datacenter.cluster import IDCCluster
 from ..exceptions import ModelError
 
-__all__ = ["CostModelBuilder", "OutputMode", "POWER_SCALE"]
-
-OutputMode = Literal["cost", "energy", "cost_and_energy", "full"]
+__all__ = ["CostModelBuilder", "POWER_SCALE"]
 
 #: watts → MW, the scale applied to b0/b1 inside the model matrices.
 POWER_SCALE = 1e-6
@@ -60,19 +55,18 @@ _COST_SCALE = 1.0 / 3600.0
 class CostModelBuilder:
     """Constructs the Sec. IV-A matrices for a given cluster.
 
-    The builder is stateless with respect to prices and server counts —
-    those arrive per call because they change at run time (hourly price
-    adjustments, slow-loop server updates) while the structure (N, C,
-    b-coefficients, μ, D) is fixed by the cluster.
+    The builder is stateless with respect to prices — they arrive per
+    call because they change at run time (hourly price adjustments)
+    while the structure (N, C, b-coefficients, μ, D) is fixed by the
+    cluster.
 
     :meth:`discrete` memoizes its ZOH discretizations: the paper's price
     traces are piecewise-constant over many consecutive control periods,
     so the closed loop asks for the same model over and over.  The cache
     is a bounded LRU keyed on exactly the inputs the matrices depend on
-    — ``(prices, dt, output, mode)`` plus the server counts in
-    ``fixed_servers`` mode (in ``sleep_substituted`` mode eq. 36 removes
-    the explicit server dependence, so server changes *correctly* hit
-    the same entry).  Hit/miss totals are kept in ``cache_stats``.
+    — ``(prices, dt)``; eq. 36 removes the server dependence, so server
+    changes *correctly* hit the same entry.  Hit/miss totals are kept in
+    ``cache_stats``.
     """
 
     cluster: IDCCluster
@@ -115,58 +109,27 @@ class CostModelBuilder:
             S[j, j * c:(j + 1) * c] = 1.0
         return S
 
-    def w_matrix(self, output: OutputMode = "energy") -> np.ndarray:
-        """Output matrix ``W`` for the chosen tracking mode.
-
-        * ``"cost"`` — the paper's verbatim ``Y = C̄`` (1 output);
-        * ``"energy"`` — per-IDC cumulative energies (N outputs, the mode
-          used to reproduce the power figures);
-        * ``"cost_and_energy"`` — both stacked (N+1 outputs);
-        * ``"full"`` — identity.
-        """
+    def w_matrix(self) -> np.ndarray:
+        """Output matrix ``W``: the per-IDC cumulative energies."""
         n = self.cluster.n_idcs
-        if output == "cost":
-            W = np.zeros((1, n + 1))
-            W[0, 0] = 1.0
-            return W
-        if output == "energy":
-            return np.hstack([np.zeros((n, 1)), np.eye(n)])
-        if output in ("cost_and_energy", "full"):
-            # The state is exactly [C̄, E₁..E_N], so both modes are the
-            # identity; they are kept as distinct names for call-site intent.
-            return np.eye(n + 1)
-        raise ModelError(f"unknown output mode {output!r}")
+        return np.hstack([np.zeros((n, 1)), np.eye(n)])
 
     # -- assembled models ------------------------------------------------
-    def continuous(self, prices: np.ndarray, servers_on: np.ndarray,
-                   output: OutputMode = "energy",
-                   mode: Literal["fixed_servers", "sleep_substituted"]
-                   = "fixed_servers") -> ContinuousStateSpace:
-        """The continuous model at the current prices / server counts."""
+    def continuous(self, prices: np.ndarray) -> ContinuousStateSpace:
+        """The continuous eq. 36 model at the current prices."""
         A = self.a_matrix(prices)
-        B = self.b_matrix()
         F = self.f_matrix()
-        C = self.w_matrix(output)
-        if mode == "fixed_servers":
-            m = self._check_servers(servers_on)
-            w = F @ m
-            return ContinuousStateSpace(A=A, B=B, C=C, w=w)
-        if mode == "sleep_substituted":
-            # eq. 36: substitute m_j = λ_j/μ_j + 1/(μ_j D_j)
-            mu_inv = np.diag([1.0 / idc.config.service_rate
-                              for idc in self.cluster.idcs])
-            G = B + F @ mu_inv @ self.lambda_selector()
-            omega = F @ np.array([
-                1.0 / (idc.config.service_rate * idc.config.latency_bound)
-                for idc in self.cluster.idcs
-            ])
-            return ContinuousStateSpace(A=A, B=G, C=C, w=omega)
-        raise ModelError(f"unknown model mode {mode!r}")
+        # eq. 36: substitute m_j = λ_j/μ_j + 1/(μ_j D_j)
+        mu_inv = np.diag([1.0 / idc.config.service_rate
+                          for idc in self.cluster.idcs])
+        G = self.b_matrix() + F @ mu_inv @ self.lambda_selector()
+        omega = F @ np.array([
+            1.0 / (idc.config.service_rate * idc.config.latency_bound)
+            for idc in self.cluster.idcs
+        ])
+        return ContinuousStateSpace(A=A, B=G, C=self.w_matrix(), w=omega)
 
-    def discrete(self, prices: np.ndarray, servers_on: np.ndarray,
-                 dt: float, output: OutputMode = "energy",
-                 mode: Literal["fixed_servers", "sleep_substituted"]
-                 = "fixed_servers") -> DiscreteStateSpace:
+    def discrete(self, prices: np.ndarray, dt: float) -> DiscreteStateSpace:
         """ZOH discretization (eqs. 21–25) of :meth:`continuous`, memoized.
 
         Repeated calls with unchanged inputs return the *same* model
@@ -175,17 +138,14 @@ class CostModelBuilder:
         returned model as immutable.
         """
         prices = self._check_prices(prices)
-        key = [float(dt), str(output), str(mode), prices.tobytes()]
-        if mode == "fixed_servers":
-            key.append(self._check_servers(servers_on).tobytes())
-        key = tuple(key)
+        key = (float(dt), prices.tobytes())
         cached = self._discrete_cache.get(key)
         if cached is not None:
             self._discrete_cache.move_to_end(key)
             self.cache_stats["hits"] += 1
             return cached
         self.cache_stats["misses"] += 1
-        model = c2d(self.continuous(prices, servers_on, output, mode), dt)
+        model = c2d(self.continuous(prices), dt)
         self._discrete_cache[key] = model
         if len(self._discrete_cache) > self.cache_size:
             self._discrete_cache.popitem(last=False)

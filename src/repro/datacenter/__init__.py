@@ -1,4 +1,4 @@
-"""Data-center substrate: servers, queueing, IDCs, sleep control, metering.
+"""Data-center substrate: servers, queueing, IDCs, metering.
 
 Implements the models of Sec. III of the paper: the affine server power
 model (eqs. 5–7), the M/M/n latency model with the paper's P_Q = 1
@@ -13,7 +13,6 @@ from .battery import (
     shave_with_battery,
 )
 from .cluster import IDCCluster
-from .cooling import ConstantPUE, LoadDependentPUE, facility_power
 from .idc import IDC, IDCConfig
 from .power import (
     EnergyMeter,
@@ -35,16 +34,12 @@ from .queueing import (
     simplified_latency,
 )
 from .server import FrequencyPowerModel, LinearPowerModel, fit_frequency_model
-from .sleep import SleepController, SleepControllerConfig
 
 __all__ = [
     "Battery",
     "BatteryConfig",
     "BatteryShaveResult",
     "shave_with_battery",
-    "ConstantPUE",
-    "LoadDependentPUE",
-    "facility_power",
     "LinearPowerModel",
     "FrequencyPowerModel",
     "fit_frequency_model",
@@ -62,8 +57,6 @@ __all__ = [
     "IDC",
     "IDCConfig",
     "IDCCluster",
-    "SleepController",
-    "SleepControllerConfig",
     "EnergyMeter",
     "watts_to_mw",
     "mw_to_watts",

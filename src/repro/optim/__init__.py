@@ -1,4 +1,4 @@
-"""Optimization substrate: LP, QP and constrained least-squares solvers.
+"""Optimization substrate: LP and QP solvers, projections.
 
 Everything here is implemented from scratch on numpy (scipy supplies only
 the triangular/Cholesky solves inside the linear-algebra kernels and the
@@ -15,7 +15,6 @@ from .linalg import (
     UpdatableCholesky,
 )
 from .linprog_simplex import linprog, to_standard_form
-from .lsq import solve_constrained_lsq, weighted_lsq_to_qp
 from .projections import (
     project_box,
     project_capped_simplex,
@@ -54,8 +53,6 @@ __all__ = [
     "IncrementalKKT",
     "KKTFactorCache",
     "MPCConstraintOperator",
-    "solve_constrained_lsq",
-    "weighted_lsq_to_qp",
     "project_box",
     "project_simplex",
     "project_capped_simplex",

@@ -1,7 +1,7 @@
 """Common result container for the optimization substrate.
 
 Every solver in :mod:`repro.optim` returns an :class:`OptimizeResult` so the
-rest of the library can treat LP, QP and least-squares solvers uniformly.
+rest of the library can treat LP and QP solvers uniformly.
 """
 
 from __future__ import annotations

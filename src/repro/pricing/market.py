@@ -288,6 +288,21 @@ def clearing_contraction(gamma, base_price, nominal_mw, demand_slope) -> float:
     return float(np.max(modulus))
 
 
+def check_clearing_controls(damping: float, tol: float,
+                            max_iter: int) -> None:
+    """Reject :func:`clear_fixed_point` controls that cannot clear.
+
+    A nonpositive ``tol`` never declares convergence and ``max_iter < 1``
+    never iterates, so both would report every period non-converged.
+    """
+    if not 0.0 < damping <= 1.0:
+        raise ConfigurationError("damping must be in (0, 1]")
+    if not 0.0 < tol < np.inf:
+        raise ConfigurationError("tol must be positive and finite")
+    if max_iter < 1:
+        raise ConfigurationError("max_iter must be >= 1")
+
+
 def clear_fixed_point(clear, demand_response, p0: np.ndarray, *,
                       damping: float = 0.5, tol: float = 1e-8,
                       max_iter: int = 60) -> tuple[np.ndarray, int, bool]:
@@ -321,8 +336,7 @@ def clear_fixed_point(clear, demand_response, p0: np.ndarray, *,
     -------
     (prices, iterations, converged)
     """
-    if not 0.0 < damping <= 1.0:
-        raise ConfigurationError("damping must be in (0, 1]")
+    check_clearing_controls(damping, tol, max_iter)
     p = np.asarray(p0, dtype=float).copy()
     for it in range(1, max_iter + 1):
         p_next = (1.0 - damping) * p + damping * np.asarray(

@@ -56,6 +56,7 @@ import numpy as np
 
 from ..exceptions import CheckpointError, ConfigurationError
 from ..pricing import SharedMarket, clear_fixed_point
+from ..pricing.market import check_clearing_controls
 from ..resilience.durability import RunJournal, array_digest
 from .profiling import BatchPerfStats
 
@@ -246,6 +247,9 @@ class SharedMarketFleet:
                 f"got {clearing!r}")
         if stagger < 1:
             raise ConfigurationError("stagger must be >= 1")
+        check_clearing_controls(damping, tol, max_iter)
+        if not policy_mix:
+            raise ConfigurationError("policy_mix needs at least one kind")
         for kind in policy_mix:
             if kind not in POLICY_KINDS:
                 raise ConfigurationError(

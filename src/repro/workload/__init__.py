@@ -1,14 +1,10 @@
 """Workload substrate: arrival models, traces and online prediction.
 
 Implements Sec. III-D of the paper (AR(p) + RLS workload prediction)
-plus the MMPP/MAP processes it cites and the synthetic EPA-like trace
-behind the Fig. 3 reproduction.
+and the synthetic EPA-like trace behind the Fig. 3 reproduction.
 """
 
 from .arprocess import ARProcess, fit_yule_walker, is_stationary
-from .ita import counts_per_interval, load_ita_trace, parse_log_timestamps
-from .map_process import MAP
-from .mmpp import MMPP
 from .portal import PortalSet, PortalWorkload
 from .predictor import (
     ARWorkloadPredictor,
@@ -17,7 +13,6 @@ from .predictor import (
     PerfectPredictor,
     evaluate_predictor,
 )
-from .predictor_kalman import KalmanWorkloadPredictor
 from .traces import (
     DiurnalTraceConfig,
     epa_like_trace,
@@ -29,11 +24,8 @@ __all__ = [
     "ARProcess",
     "fit_yule_walker",
     "is_stationary",
-    "MMPP",
-    "MAP",
     "ARWorkloadPredictor",
     "BatchARWorkloadPredictor",
-    "KalmanWorkloadPredictor",
     "LastValuePredictor",
     "PerfectPredictor",
     "evaluate_predictor",
@@ -43,7 +35,4 @@ __all__ = [
     "step_change_trace",
     "PortalWorkload",
     "PortalSet",
-    "parse_log_timestamps",
-    "counts_per_interval",
-    "load_ita_trace",
 ]

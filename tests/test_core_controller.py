@@ -167,15 +167,6 @@ class TestHardBudgetConstraints:
         np.testing.assert_allclose(run.workloads.sum(axis=1),
                                    run.loads.sum(axis=1), rtol=1e-6)
 
-    def test_fixed_servers_mode_budget_rows(self):
-        scenario = price_step_scenario(dt=60.0, duration=300.0,
-                                       with_budgets=True)
-        policy = CostMPCPolicy(scenario.cluster, MPCPolicyConfig(
-            dt=60.0, budgets_watts=PAPER_BUDGETS_WATTS,
-            hard_budget_constraints=True, model_mode="fixed_servers"))
-        run = run_simulation(scenario, policy)
-        assert run.n_periods == 5  # runs to completion
-
 
 class TestPowerScheduleTracking:
     def test_tracks_committed_schedule(self):
@@ -223,8 +214,6 @@ class TestControllerMechanics:
         with pytest.raises(ConfigurationError):
             MPCPolicyConfig(slow_period=0)
         with pytest.raises(ConfigurationError):
-            MPCPolicyConfig(output="cost")
-        with pytest.raises(ConfigurationError):
             MPCPolicyConfig(budget_mode="never")
 
     def test_reset_reproducibility(self):
@@ -234,21 +223,6 @@ class TestControllerMechanics:
         r1 = run_simulation(scenario, policy)
         r2 = run_simulation(scenario, policy)
         np.testing.assert_allclose(r1.powers_watts, r2.powers_watts)
-
-    def test_fixed_servers_mode_runs(self):
-        scenario = price_step_scenario(dt=60.0, duration=300.0)
-        policy = CostMPCPolicy(scenario.cluster, MPCPolicyConfig(
-            dt=60.0, model_mode="fixed_servers"))
-        run = run_simulation(scenario, policy)
-        served = run.workloads.sum(axis=1)
-        np.testing.assert_allclose(served, run.loads.sum(axis=1), rtol=1e-6)
-
-    def test_cost_and_energy_output_runs(self):
-        scenario = price_step_scenario(dt=60.0, duration=300.0)
-        policy = CostMPCPolicy(scenario.cluster, MPCPolicyConfig(
-            dt=60.0, output="cost_and_energy"))
-        run = run_simulation(scenario, policy)
-        assert run.n_periods == 5
 
     def test_admm_backend_close_to_active_set(self):
         scenario = price_step_scenario(dt=60.0, duration=300.0)

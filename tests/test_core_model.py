@@ -49,12 +49,11 @@ class TestMatrices:
         np.testing.assert_allclose(
             lam, builder.cluster.idc_workloads(u))
 
-    def test_w_matrix_modes(self, builder):
-        assert builder.w_matrix("cost").shape == (1, 4)
-        assert builder.w_matrix("energy").shape == (3, 4)
-        np.testing.assert_allclose(builder.w_matrix("full"), np.eye(4))
-        with pytest.raises(ModelError):
-            builder.w_matrix("bogus")
+    def test_w_matrix_selects_energies(self, builder):
+        W = builder.w_matrix()
+        assert W.shape == (3, 4)
+        np.testing.assert_array_equal(W[:, 0], 0.0)
+        np.testing.assert_array_equal(W[:, 1:], np.eye(3))
 
 
 class TestControllability:
@@ -72,29 +71,14 @@ class TestControllability:
 
 
 class TestAssembledModels:
-    def test_energy_rate_is_power(self, builder):
-        """dE_j/dt must equal the IDC power in MW."""
-        m = np.array([10000, 20000, 5000])
-        sys = builder.continuous(PRICES_6H, m, output="full",
-                                 mode="fixed_servers")
-        u = np.zeros(15)
-        u[0] = 1000.0  # portal 1 -> IDC 1: 1000 req/s
-        dx = sys.derivative(np.zeros(4), u)
-        expected_p1 = (67.5 * 1000.0 + 150.0 * 10000) / 1e6
-        assert dx[1] == pytest.approx(expected_p1)
-        # IDC 2 and 3 only have idle power
-        assert dx[2] == pytest.approx(150.0 * 20000 / 1e6)
-        assert dx[3] == pytest.approx(150.0 * 5000 / 1e6)
-
     def test_cost_rate_uses_accumulated_energy(self, builder):
-        sys = builder.continuous(PRICES_6H, np.zeros(3), output="full")
+        sys = builder.continuous(PRICES_6H)
         x = np.array([0.0, 3600.0, 0.0, 0.0])  # E1 = 1 MWh
         dx = sys.derivative(x, np.zeros(15))
         assert dx[0] == pytest.approx(43.26)  # $/MWh * 1 MWh per... eq 17
 
     def test_sleep_substituted_mode_includes_idle_power(self, builder):
-        sys = builder.continuous(PRICES_6H, np.zeros(3),
-                                 mode="sleep_substituted", output="energy")
+        sys = builder.continuous(PRICES_6H)
         u = np.zeros(15)
         u[0] = 1000.0
         dx = sys.derivative(np.zeros(4), u)
@@ -103,8 +87,7 @@ class TestAssembledModels:
         assert dx[1] == pytest.approx(expected)
 
     def test_sleep_substituted_offset(self, builder):
-        sys = builder.continuous(PRICES_6H, np.zeros(3),
-                                 mode="sleep_substituted", output="energy")
+        sys = builder.continuous(PRICES_6H)
         # with zero workload each IDC still burns 1/(mu D) idle servers
         dx = sys.derivative(np.zeros(4), np.zeros(15))
         mins = [1.0 / (idc.config.service_rate * idc.config.latency_bound)
@@ -113,13 +96,15 @@ class TestAssembledModels:
         assert dx[0] == 0.0  # no accumulated energy yet -> no cost rate
 
     def test_discretization_consistency(self, builder):
-        m = np.array([1000, 1000, 1000])
-        dsys = builder.discrete(PRICES_6H, m, dt=30.0, output="energy")
+        dsys = builder.discrete(PRICES_6H, dt=30.0)
         u = np.zeros(15)
         u[5] = 2000.0  # portal 1 -> IDC 2
         x1 = dsys.step(np.zeros(4), u)
-        # energy increment = power * dt
-        p2 = (108.0 * 2000 + 150.0 * 1000) / 1e6
+        # energy increment = power * dt, with the relaxed eq. 36 servers
+        idc = builder.cluster.idcs[1].config
+        m = 2000.0 / idc.service_rate \
+            + 1.0 / (idc.service_rate * idc.latency_bound)
+        p2 = (108.0 * 2000 + 150.0 * m) / 1e6
         assert x1[2] == pytest.approx(p2 * 30.0, rel=1e-9)
 
     def test_powers_mw_helper(self, builder):
@@ -133,11 +118,11 @@ class TestAssembledModels:
         with pytest.raises(ModelError):
             builder.a_matrix([1.0])
         with pytest.raises(ModelError):
-            builder.continuous(PRICES_6H, [1.0], output="energy")
+            builder.continuous([1.0, 2.0])
         with pytest.raises(ModelError):
-            builder.continuous(PRICES_6H, [-1.0, 0, 0])
+            builder.discrete([1.0], dt=30.0)
         with pytest.raises(ModelError):
-            builder.continuous(PRICES_6H, np.zeros(3), mode="nope")
+            builder.powers_mw(np.zeros(15), [-1.0, 0, 0])
         with pytest.raises(ModelError):
             builder.initial_state(energies_mws=[1.0])
 

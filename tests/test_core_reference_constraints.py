@@ -42,11 +42,6 @@ class TestConstraintBuilders:
         phi = capacity_rhs(cluster)
         np.testing.assert_allclose(phi, [59000.0, 49000.0, 34000.0])
 
-    def test_capacity_rhs_with_servers(self):
-        cluster = paper_cluster()
-        phi = capacity_rhs(cluster, [1000, 1000, 1000])
-        np.testing.assert_allclose(phi, [1000.0, 250.0, 750.0])
-
     def test_build_constraints_shapes(self):
         cluster = paper_cluster()
         cs = build_constraints(cluster, LOADS)
@@ -62,8 +57,6 @@ class TestConstraintBuilders:
             build_constraints(cluster, -np.ones(5))
         with pytest.raises(ModelError):
             build_constraints(cluster, np.ones((2, 3)))
-        with pytest.raises(ModelError):
-            capacity_rhs(cluster, [1.0])
 
 
 class TestReferenceLP:

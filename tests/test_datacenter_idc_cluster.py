@@ -1,4 +1,4 @@
-"""Tests for IDC, sleep controller, cluster, and energy metering."""
+"""Tests for IDC, cluster, and energy metering."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,6 @@ from repro.datacenter import (
     IDCCluster,
     IDCConfig,
     LinearPowerModel,
-    SleepController,
-    SleepControllerConfig,
     joules_to_mwh,
     mw_to_watts,
     mwh_to_joules,
@@ -84,54 +82,6 @@ class TestIDC:
     def test_max_power(self):
         cfg = _config(max_servers=10)
         assert cfg.max_power_watts == pytest.approx(10 * 285.0)
-
-
-class TestSleepController:
-    def test_follows_eq35_without_options(self):
-        idc = IDC(_config(), initial_servers=100)
-        ctl = SleepController(idc)
-        applied = ctl.decide(100.0)
-        assert applied == 550
-        assert idc.servers_on == 550
-
-    def test_ramp_limit_downward(self):
-        idc = IDC(_config(), initial_servers=10000)
-        ctl = SleepController(idc, SleepControllerConfig(max_ramp=100))
-        applied = ctl.decide(100.0)  # target 550, far below
-        assert applied == 9900
-
-    def test_upward_ignores_ramp_with_qos_priority(self):
-        idc = IDC(_config(), initial_servers=600)
-        ctl = SleepController(idc, SleepControllerConfig(max_ramp=10))
-        applied = ctl.decide(10000.0)
-        assert applied == idc.servers_for(10000.0)
-
-    def test_upward_ramp_limited_without_qos_priority(self):
-        idc = IDC(_config(), initial_servers=600)
-        cfg = SleepControllerConfig(max_ramp=10, qos_priority=False)
-        applied = SleepController(idc, cfg).decide(10000.0)
-        assert applied == 610
-
-    def test_scale_down_patience(self):
-        idc = IDC(_config(), initial_servers=2000)
-        ctl = SleepController(idc,
-                              SleepControllerConfig(scale_down_patience=2))
-        assert ctl.decide(100.0) == 2000  # patience 1
-        assert ctl.decide(100.0) == 2000  # patience 2
-        assert ctl.decide(100.0) == 550   # now scales down
-
-    def test_headroom(self):
-        idc = IDC(_config(), initial_servers=100)
-        ctl = SleepController(idc, SleepControllerConfig(headroom=1.1))
-        assert ctl.decide(100.0) == 605  # ceil(550 * 1.1)
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            SleepControllerConfig(max_ramp=0)
-        with pytest.raises(ConfigurationError):
-            SleepControllerConfig(scale_down_patience=-1)
-        with pytest.raises(ConfigurationError):
-            SleepControllerConfig(headroom=0.9)
 
 
 class TestCluster:

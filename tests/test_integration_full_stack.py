@@ -124,18 +124,3 @@ class TestEverythingAtOnce:
         back = load_result(path)
         np.testing.assert_allclose(back.powers_watts, run.powers_watts)
         assert back.diagnostics[0]["qp_status"] == "optimal"
-
-    def test_two_time_scale_decimation(self):
-        """slow_period > 1 holds server counts between slow-loop ticks."""
-        sc = paper_scenario(dt=30.0, duration=600.0, start_hour=12.0)
-        policy = CostMPCPolicy(sc.cluster, MPCPolicyConfig(
-            dt=30.0, slow_period=4, model_mode="fixed_servers"))
-        run = run_simulation(sc, policy)
-        servers = run.servers
-        # between slow ticks the counts are constant
-        for k in range(run.n_periods - 1):
-            if (k + 1) % 4 != 0:
-                np.testing.assert_array_equal(servers[k + 1], servers[k])
-        # and the run still serves everything
-        np.testing.assert_allclose(run.workloads.sum(axis=1),
-                                   run.loads.sum(axis=1), rtol=1e-6)

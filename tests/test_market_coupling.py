@@ -330,6 +330,26 @@ def test_fleet_validates_inputs():
         SharedMarketFleet(cluster, market, loads[:, :2])
 
 
+BAD_CLEARING = [{"damping": 0.0}, {"damping": 1.5}, {"tol": -1.0},
+                {"tol": 0.0}, {"tol": float("nan")}, {"max_iter": 0}]
+
+
+@pytest.mark.parametrize("bad", BAD_CLEARING + [{"policy_mix": ()}])
+def test_fleet_rejects_bad_clearing_inputs_at_construction(bad):
+    # Each of these used to be accepted: an empty mix divided by zero,
+    # tol <= 0 and max_iter = 0 reported every period non-converged, and
+    # a bad damping surfaced only at the first step().
+    with pytest.raises(ConfigurationError):
+        SharedMarketFleet(paper_cluster(), _shared_market(0.1, 4),
+                          _lane_loads(4), **bad)
+
+
+@pytest.mark.parametrize("bad", BAD_CLEARING)
+def test_clear_fixed_point_rejects_bad_controls(bad):
+    with pytest.raises(ConfigurationError):
+        clear_fixed_point(lambda d: d, lambda p: p, np.ones(2), **bad)
+
+
 def test_shared_market_stability_guard():
     market = _shared_market(0.5, 10)
     base = market.base_prices(6 * 3600.0)

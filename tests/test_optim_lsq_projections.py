@@ -1,4 +1,4 @@
-"""Tests for constrained least squares and projection operators."""
+"""Tests for the projection operators."""
 
 import numpy as np
 import pytest
@@ -11,78 +11,7 @@ from repro.optim import (
     project_capped_simplex,
     project_nonnegative,
     project_simplex,
-    solve_constrained_lsq,
-    weighted_lsq_to_qp,
 )
-
-
-class TestWeightedLsqToQP:
-    def test_plain_least_squares(self):
-        rng = np.random.default_rng(0)
-        A = rng.normal(size=(8, 3))
-        b = rng.normal(size=8)
-        P, q, c0 = weighted_lsq_to_qp(A, b)
-        x = rng.normal(size=3)
-        direct = np.sum((A @ x - b) ** 2)
-        via_qp = 0.5 * x @ P @ x + q @ x + c0
-        assert via_qp == pytest.approx(direct, rel=1e-12)
-
-    def test_diagonal_weights_and_reg(self):
-        rng = np.random.default_rng(1)
-        A = rng.normal(size=(5, 4))
-        b = rng.normal(size=5)
-        w = rng.uniform(0.5, 2.0, 5)
-        r = rng.uniform(0.1, 1.0, 4)
-        P, q, c0 = weighted_lsq_to_qp(A, b, Q=w, reg=r)
-        x = rng.normal(size=4)
-        direct = np.sum(w * (A @ x - b) ** 2) + np.sum(r * x**2)
-        assert 0.5 * x @ P @ x + q @ x + c0 == pytest.approx(direct, rel=1e-12)
-
-    def test_scalar_weight(self):
-        A = np.eye(2)
-        b = np.ones(2)
-        P, q, c0 = weighted_lsq_to_qp(A, b, Q=3.0)
-        x = np.array([0.5, -1.0])
-        assert 0.5 * x @ P @ x + q @ x + c0 == pytest.approx(
-            3.0 * np.sum((x - b) ** 2))
-
-    def test_shape_errors(self):
-        with pytest.raises(ValueError):
-            weighted_lsq_to_qp(np.eye(2), np.ones(3))
-        with pytest.raises(ValueError):
-            weighted_lsq_to_qp(np.eye(2), np.ones(2), Q=np.ones(5))
-
-
-class TestConstrainedLsq:
-    def test_unconstrained_matches_lstsq(self):
-        rng = np.random.default_rng(2)
-        A = rng.normal(size=(10, 4))
-        b = rng.normal(size=10)
-        res = solve_constrained_lsq(A, b)
-        ref, *_ = np.linalg.lstsq(A, b, rcond=None)
-        np.testing.assert_allclose(res.x, ref, atol=1e-8)
-
-    def test_equality_constrained(self):
-        # min ||x - [3, 3]||^2 s.t. x1 + x2 = 2 -> (1, 1)
-        res = solve_constrained_lsq(np.eye(2), [3.0, 3.0],
-                                    A_eq=[[1, 1]], b_eq=[2])
-        assert res.success
-        np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-9)
-        assert res.fun == pytest.approx(8.0, abs=1e-8)
-
-    def test_backends_agree(self):
-        rng = np.random.default_rng(3)
-        A = rng.normal(size=(6, 4))
-        b = rng.normal(size=6)
-        kw = dict(A_ineq=np.vstack([-np.eye(4)]), b_ineq=np.zeros(4),
-                  reg=0.1)
-        r1 = solve_constrained_lsq(A, b, backend="active_set", **kw)
-        r2 = solve_constrained_lsq(A, b, backend="admm", **kw)
-        assert r1.fun == pytest.approx(r2.fun, rel=1e-4, abs=1e-5)
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            solve_constrained_lsq(np.eye(2), np.ones(2), backend="nope")
 
 
 class TestProjections:

@@ -1,7 +1,7 @@
 """Cache layers of the fast closed loop: correctness and invalidation.
 
 Covers the discretization memo in :class:`CostModelBuilder`, the
-structural/offset split of the horizon operators, the constraint-stack
+horizon reuse in ``update_model``, the constraint-stack
 cache in :class:`ModelPredictiveController`, the LRU reference-LP memo
 in :class:`CostMPCPolicy`, and the :class:`PerfStats` container.  Every
 cache must (a) hit when inputs repeat and (b) miss when any keyed input
@@ -12,7 +12,7 @@ not crashes, so the invalidation side is what these tests guard.
 import numpy as np
 import pytest
 
-from repro.control import ModelPredictiveController, refresh_offset
+from repro.control import ModelPredictiveController
 from repro.control.horizon import build_horizon
 from repro.core import CostModelBuilder, build_constraints
 from repro.core.controller import CostMPCPolicy, MPCPolicyConfig
@@ -29,98 +29,51 @@ LOADS = np.array([30000.0, 15000.0, 15000.0, 20000.0, 20000.0])
 class TestDiscretizationCache:
     def test_repeat_returns_identical_object(self):
         builder = CostModelBuilder(paper_cluster())
-        m1 = builder.discrete(PRICES, np.zeros(3), 30.0,
-                              mode="sleep_substituted")
-        m2 = builder.discrete(PRICES, np.zeros(3), 30.0,
-                              mode="sleep_substituted")
+        m1 = builder.discrete(PRICES, 30.0)
+        m2 = builder.discrete(PRICES, 30.0)
         assert m1 is m2
         assert builder.cache_stats == {"hits": 1, "misses": 1}
 
     def test_price_change_invalidates(self):
         builder = CostModelBuilder(paper_cluster())
-        m1 = builder.discrete(PRICES, np.zeros(3), 30.0,
-                              mode="sleep_substituted")
-        m2 = builder.discrete(PRICES * 2.0, np.zeros(3), 30.0,
-                              mode="sleep_substituted")
+        m1 = builder.discrete(PRICES, 30.0)
+        m2 = builder.discrete(PRICES * 2.0, 30.0)
         assert m1 is not m2
         assert not np.array_equal(m1.Phi, m2.Phi)
         assert builder.cache_stats["misses"] == 2
 
-    def test_dt_output_and_mode_are_keyed(self):
+    def test_dt_is_keyed(self):
         builder = CostModelBuilder(paper_cluster())
-        servers = np.array([100.0, 100.0, 100.0])
-        base = builder.discrete(PRICES, servers, 30.0)
-        assert builder.discrete(PRICES, servers, 60.0) is not base
-        assert builder.discrete(PRICES, servers, 30.0,
-                                output="cost_and_energy") is not base
-        assert builder.discrete(PRICES, servers, 30.0,
-                                mode="sleep_substituted") is not base
-        assert builder.discrete(PRICES, servers, 30.0) is base
-
-    def test_servers_keyed_only_in_fixed_mode(self):
-        builder = CostModelBuilder(paper_cluster())
-        m_a = builder.discrete(PRICES, np.array([100.0, 100.0, 100.0]), 30.0,
-                               mode="fixed_servers")
-        m_b = builder.discrete(PRICES, np.array([200.0, 100.0, 100.0]), 30.0,
-                               mode="fixed_servers")
-        assert m_a is not m_b  # server counts enter the offset w
-        # eq. 36 substitutes the slow loop away: server counts are not an
-        # input of the sleep_substituted model, so they must share an entry
-        s_a = builder.discrete(PRICES, np.array([100.0, 100.0, 100.0]), 30.0,
-                               mode="sleep_substituted")
-        s_b = builder.discrete(PRICES, np.array([200.0, 100.0, 100.0]), 30.0,
-                               mode="sleep_substituted")
-        assert s_a is s_b
+        base = builder.discrete(PRICES, 30.0)
+        assert builder.discrete(PRICES, 60.0) is not base
+        assert builder.discrete(PRICES, 30.0) is base
 
     def test_cache_is_bounded(self):
         builder = CostModelBuilder(paper_cluster())
         builder.cache_size = 4
         for k in range(10):
-            builder.discrete(PRICES + k, np.zeros(3), 30.0,
-                             mode="sleep_substituted")
+            builder.discrete(PRICES + k, 30.0)
         assert len(builder._discrete_cache) == 4
 
     def test_cached_model_matches_fresh_build(self):
         builder = CostModelBuilder(paper_cluster())
-        cached = builder.discrete(PRICES, np.zeros(3), 30.0,
-                                  mode="sleep_substituted")
-        builder.discrete(PRICES, np.zeros(3), 30.0,
-                         mode="sleep_substituted")  # hit
-        fresh = CostModelBuilder(paper_cluster()).discrete(
-            PRICES, np.zeros(3), 30.0, mode="sleep_substituted")
+        cached = builder.discrete(PRICES, 30.0)
+        builder.discrete(PRICES, 30.0)  # hit
+        fresh = CostModelBuilder(paper_cluster()).discrete(PRICES, 30.0)
         np.testing.assert_allclose(cached.Phi, fresh.Phi)
         np.testing.assert_allclose(cached.G, fresh.G)
         np.testing.assert_allclose(cached.w, fresh.w)
 
 
 # ---------------------------------------------------------------------------
-# Horizon structural/offset split
+# Horizon reuse
 # ---------------------------------------------------------------------------
 class TestHorizonRefresh:
-    def _model(self, prices, servers):
-        return CostModelBuilder(paper_cluster()).discrete(
-            prices, servers, 30.0, mode="fixed_servers")
-
-    def test_refresh_offset_matches_full_rebuild(self):
-        m1 = self._model(PRICES, np.array([100.0, 100.0, 100.0]))
-        m2 = self._model(PRICES, np.array([250.0, 80.0, 120.0]))
-        # same Phi/G/C (same prices), different offset w (server change)
-        assert np.array_equal(m1.Phi, m2.Phi)
-        assert not np.array_equal(m1.w, m2.w)
-        H = build_horizon(m1, 8, 3)
-        theta_before = H.Theta
-        refresh_offset(H, m2.w)
-        full = build_horizon(m2, 8, 3)
-        np.testing.assert_allclose(H.f_w, full.f_w)
-        assert H.Theta is theta_before  # structure untouched
-
-    def test_refresh_offset_validates_size(self):
-        H = build_horizon(self._model(PRICES, np.zeros(3)), 8, 3)
-        with pytest.raises(ModelError):
-            refresh_offset(H, np.zeros(99))
+    def _model(self, prices):
+        return CostModelBuilder(paper_cluster()).discrete(prices, 30.0)
 
     def test_update_model_tiers(self):
-        m1 = self._model(PRICES, np.array([100.0, 100.0, 100.0]))
+        m1 = self._model(PRICES)
         mpc = ModelPredictiveController(m1, 8, 3, r_weight=0.01)
         assert mpc.stats["horizon_rebuilds"] == 1
 
@@ -128,16 +81,13 @@ class TestHorizonRefresh:
         assert mpc.stats["horizon_reuses"] == 1
         assert mpc.stats["horizon_rebuilds"] == 1
 
-        m_off = self._model(PRICES, np.array([250.0, 80.0, 120.0]))
         theta_before = mpc._horizon.Theta
-        mpc.update_model(m_off)  # offset-only: f_w refresh
-        assert mpc.stats["horizon_offset_refreshes"] == 1
+        mpc.update_model(self._model(PRICES))  # value-equal: reused
+        assert mpc.stats["horizon_reuses"] == 2
         assert mpc.stats["horizon_rebuilds"] == 1
         assert mpc._horizon.Theta is theta_before
-        np.testing.assert_allclose(mpc._horizon.f_w,
-                                   build_horizon(m_off, 8, 3).f_w)
 
-        m_struct = self._model(PRICES * 3.0, np.array([250.0, 80.0, 120.0]))
+        m_struct = self._model(PRICES * 3.0)
         mpc.update_model(m_struct)  # price change: full rebuild
         assert mpc.stats["horizon_rebuilds"] == 2
         np.testing.assert_allclose(mpc._horizon.Theta,
@@ -150,8 +100,7 @@ class TestHorizonRefresh:
 class TestConstraintStackCache:
     def _mpc(self):
         cluster = paper_cluster()
-        model = CostModelBuilder(cluster).discrete(
-            PRICES, np.zeros(3), 30.0, mode="sleep_substituted")
+        model = CostModelBuilder(cluster).discrete(PRICES, 30.0)
         cs = build_constraints(cluster, LOADS)
         return ModelPredictiveController(model, 8, 3, r_weight=0.01,
                                          constraints=cs), cluster

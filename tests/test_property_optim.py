@@ -1,9 +1,8 @@
-"""Property-based tests for the projection operators and LSQ bridge.
+"""Property-based tests for the projection operators.
 
 Projections onto convex sets must be idempotent (``P(P(x)) = P(x)``),
-non-expansive (``‖P(x) − P(y)‖ ≤ ‖x − y‖``) and land inside the set;
-the least-squares bridge must satisfy the normal equations (residual
-orthogonality) on unconstrained problems.  Hypothesis searches for
+non-expansive (``‖P(x) − P(y)‖ ≤ ‖x − y‖``) and land inside the set.
+Hypothesis searches for
 counterexamples instead of trusting a handful of fixed vectors.
 """
 
@@ -13,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.optim import solve_qp
-from repro.optim.lsq import solve_constrained_lsq, weighted_lsq_to_qp
 from repro.optim.projections import (
     project_box,
     project_capped_simplex,
@@ -127,35 +125,3 @@ class TestCappedSimplexProjection:
         p = project_capped_simplex(x, caps, total)
         np.testing.assert_allclose(
             project_capped_simplex(p, caps, total), p, atol=1e-6)
-
-
-class TestLsqBridge:
-    @given(seed=st.integers(0, 2**31 - 1),
-           reg=st.floats(1e-4, 10.0))
-    @settings(max_examples=50)
-    def test_unconstrained_residual_orthogonality(self, seed, reg):
-        """Normal equations: AᵀQ(Ax − b) + Rx = 0 at the optimum."""
-        rng = np.random.default_rng(seed)
-        m, n = 8, 4
-        A = rng.normal(size=(m, n))
-        b = rng.normal(size=m)
-        Q = np.diag(rng.uniform(0.5, 2.0, size=m))
-        R = reg * np.eye(n)
-        res = solve_constrained_lsq(A, b, Q=Q, reg=R)
-        grad = A.T @ Q @ (A @ res.x - b) + R @ res.x
-        np.testing.assert_allclose(grad, np.zeros(n), atol=1e-6)
-
-    @given(seed=st.integers(0, 2**31 - 1))
-    @settings(max_examples=50)
-    def test_qp_form_objective_matches_residual(self, seed):
-        """0.5 x'Px + q'x + c0 must equal the weighted LSQ objective."""
-        rng = np.random.default_rng(seed)
-        m, n = 6, 3
-        A = rng.normal(size=(m, n))
-        b = rng.normal(size=m)
-        Q = np.diag(rng.uniform(0.5, 2.0, size=m))
-        P, q, c0 = weighted_lsq_to_qp(A, b, Q=Q)
-        x = rng.normal(size=n)
-        direct = (A @ x - b) @ Q @ (A @ x - b)  # ‖Ax−b‖²_Q, no ½
-        via_qp = 0.5 * x @ P @ x + q @ x + c0
-        assert via_qp == pytest.approx(direct, rel=1e-9, abs=1e-9)

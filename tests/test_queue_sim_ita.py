@@ -1,4 +1,4 @@
-"""Tests for the discrete-event M/M/n simulator and the ITA log loader."""
+"""Tests for the discrete-event M/M/n simulator."""
 
 import numpy as np
 import pytest
@@ -10,12 +10,7 @@ from repro.datacenter import (
     simplified_latency,
     simulate_mmn_queue,
 )
-from repro.exceptions import ConfigurationError, ModelError
-from repro.workload import (
-    counts_per_interval,
-    load_ita_trace,
-    parse_log_timestamps,
-)
+from repro.exceptions import ModelError
 
 
 class TestQueueSimulator:
@@ -71,75 +66,3 @@ class TestQueueSimulator:
         with pytest.raises(ModelError):
             simulate_mmn_queue(2.0, 1.0, 2)  # rho = 1: unstable
 
-
-EPA_SAMPLE = """\
-host1 - - [29:23:53:25] "GET /a HTTP/1.0" 200 1234
-host2 - - [29:23:53:36] "GET /b HTTP/1.0" 200 99
-host3 - - [29:23:53:36] "GET /c HTTP/1.0" 404 -
-garbage line without a timestamp
-host4 - - [30:00:00:02] "GET /d HTTP/1.0" 200 50
-"""
-
-CLF_SAMPLE = """\
-host1 - - [30/Aug/1995:00:00:01 -0400] "GET /x HTTP/1.0" 200 10
-host2 - - [30/Aug/1995:00:00:31 -0400] "GET /y HTTP/1.0" 200 20
-host3 - - [30/Aug/1995:00:01:05 -0400] "GET /z HTTP/1.0" 200 30
-host4 - - [01/Sep/1995:00:00:00 -0400] "GET /w HTTP/1.0" 200 5
-"""
-
-
-class TestITALoader:
-    def test_epa_timestamps_relative(self):
-        times = parse_log_timestamps(EPA_SAMPLE.splitlines())
-        assert times.size == 4
-        assert times[0] == 0.0
-        assert times[1] == 11.0
-        assert times[2] == 11.0
-        # day 30 00:00:02 is 6m37s after day 29 23:53:25
-        assert times[3] == 397.0
-
-    def test_clf_timestamps_cross_month_boundary(self):
-        times = parse_log_timestamps(CLF_SAMPLE.splitlines())
-        assert times.size == 4
-        assert times[1] == 30.0
-        # Aug 30 -> Sep 1 is exactly 2 days minus 1 second here
-        assert times[3] == 2 * 86400.0 - 1.0
-
-    def test_counts_per_interval(self):
-        counts = counts_per_interval(np.array([0.0, 10.0, 61.0]), 60.0)
-        np.testing.assert_allclose(counts, [2.0, 1.0])
-
-    def test_load_from_lines(self):
-        rates = load_ita_trace(EPA_SAMPLE.splitlines(),
-                               interval_seconds=60.0)
-        assert rates.sum() == 4.0
-
-    def test_load_from_file(self, tmp_path):
-        path = tmp_path / "epa.log"
-        path.write_text(EPA_SAMPLE)
-        rates = load_ita_trace(str(path), interval_seconds=300.0)
-        assert rates.sum() == 4.0
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            counts_per_interval(np.array([1.0]), 0.0)
-        with pytest.raises(ConfigurationError):
-            load_ita_trace(["no timestamps here"])
-        assert parse_log_timestamps([]).size == 0
-
-    def test_predictor_consumes_loaded_trace(self):
-        """End-to-end: a loaded trace drives the Fig. 3 predictor."""
-        from repro.workload import ARWorkloadPredictor
-
-        rng = np.random.default_rng(5)
-        lines = []
-        for k in range(2000):
-            t = int(rng.uniform(0, 6 * 3600))
-            h, rem = divmod(t, 3600)
-            mi, s = divmod(rem, 60)
-            lines.append(f"h - - [01:{h:02d}:{mi:02d}:{s:02d}] \"GET /\" 200 1")
-        rates = load_ita_trace(lines, interval_seconds=300.0)
-        predictor = ARWorkloadPredictor(order=2)
-        for v in rates:
-            predictor.observe(float(v))
-        assert np.all(predictor.predict(3) >= 0)

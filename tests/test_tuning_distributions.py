@@ -1,16 +1,10 @@
-"""Tests for the R-weight autotuner and distribution analytics."""
+"""Tests for the R-weight autotuner."""
 
-import numpy as np
 import pytest
 
-from repro.analysis import (
-    SeriesDistribution,
-    ascii_histogram,
-    describe_series,
-    ramp_max,
-)
+from repro.analysis import ramp_max
 from repro.control import tune_r_weight
-from repro.exceptions import ConfigurationError, ConvergenceError, ModelError
+from repro.exceptions import ConfigurationError, ConvergenceError
 
 
 class TestTuneRWeight:
@@ -62,46 +56,3 @@ class TestTuneRWeight:
                                max_evaluations=8, tolerance=0.5)
         assert result.met_target
         assert result.achieved_ramp <= 1.5 * (1 + 1e-6)
-
-
-class TestDistributions:
-    def test_describe_constant(self):
-        d = describe_series(np.full(10, 3.0))
-        assert d.mean == 3.0 and d.std == 0.0
-        assert d.median == 3.0 and d.p99 == 3.0
-        assert d.count == 10
-
-    def test_describe_drops_nonfinite(self):
-        d = describe_series(np.array([1.0, np.nan, 2.0, np.inf]))
-        assert d.count == 2
-        assert d.maximum == 2.0
-
-    def test_describe_percentile_ordering(self):
-        rng = np.random.default_rng(0)
-        d = describe_series(rng.exponential(size=5000))
-        assert d.minimum <= d.p25 <= d.median <= d.p75 <= d.p95 \
-            <= d.p99 <= d.maximum
-
-    def test_row_and_headers_align(self):
-        d = describe_series(np.arange(10.0))
-        assert len(d.as_row()) == len(SeriesDistribution.headers())
-
-    def test_describe_empty_raises(self):
-        with pytest.raises(ModelError):
-            describe_series(np.array([np.nan]))
-
-    def test_ascii_histogram(self):
-        rng = np.random.default_rng(1)
-        text = ascii_histogram(rng.normal(size=1000), bins=8)
-        lines = text.splitlines()
-        assert len(lines) == 8
-        assert all("│" in line for line in lines)
-        # total counts printed must sum to the sample size
-        total = sum(int(line.rsplit(" ", 1)[1]) for line in lines)
-        assert total == 1000
-
-    def test_ascii_histogram_validation(self):
-        with pytest.raises(ModelError):
-            ascii_histogram(np.array([]), bins=4)
-        with pytest.raises(ModelError):
-            ascii_histogram(np.ones(5), bins=0)

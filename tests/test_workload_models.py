@@ -1,4 +1,4 @@
-"""Tests for AR processes, MMPP, MAP and synthetic traces."""
+"""Tests for AR processes and synthetic traces."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, ModelError
 from repro.workload import (
-    MAP,
-    MMPP,
     ARProcess,
     DiurnalTraceConfig,
     epa_like_trace,
@@ -78,83 +76,6 @@ class TestARProcess:
         # stationary variance is 1/(1-a^2); 10 sigma bound is generous
         bound = 10.0 / np.sqrt(1 - a ** 2)
         assert np.all(np.abs(path) < bound)
-
-
-class TestMMPP:
-    def _bursty(self):
-        return MMPP.two_state(low_rate=10.0, high_rate=100.0,
-                              rate_up=0.1, rate_down=0.3)
-
-    def test_stationary_distribution(self):
-        m = self._bursty()
-        pi = m.stationary_distribution()
-        # birth-death: pi = (rate_down, rate_up)/(sum)
-        np.testing.assert_allclose(pi, [0.75, 0.25], atol=1e-9)
-
-    def test_mean_rate(self):
-        m = self._bursty()
-        assert m.mean_rate() == pytest.approx(0.75 * 10 + 0.25 * 100)
-
-    def test_empirical_rate_matches(self):
-        rng = np.random.default_rng(3)
-        m = self._bursty()
-        counts = m.arrival_counts(duration=2000.0, interval=1.0, rng=rng)
-        assert counts.mean() == pytest.approx(m.mean_rate(), rel=0.15)
-
-    def test_burstiness_exceeds_poisson(self):
-        # Index of dispersion of an MMPP exceeds 1 (Poisson value).
-        rng = np.random.default_rng(4)
-        m = self._bursty()
-        counts = m.arrival_counts(duration=5000.0, interval=1.0, rng=rng)
-        dispersion = counts.var() / counts.mean()
-        assert dispersion > 1.5
-
-    def test_state_path_starts_at_initial(self):
-        times, states = self._bursty().simulate_states(
-            10.0, np.random.default_rng(5), initial_state=1)
-        assert times[0] == 0.0
-        assert states[0] == 1
-
-    def test_validation(self):
-        with pytest.raises(ModelError):
-            MMPP(generator=[[-1.0, 1.0], [1.0, -1.0]], rates=[1.0])
-        with pytest.raises(ModelError):
-            MMPP(generator=[[-1.0, 2.0], [1.0, -1.0]], rates=[1.0, 1.0])
-        with pytest.raises(ModelError):
-            MMPP(generator=[[-1.0, 1.0], [1.0, -1.0]], rates=[-1.0, 1.0])
-        m = self._bursty()
-        with pytest.raises(ModelError):
-            m.arrival_counts(10.0, 0.0)
-
-
-class TestMAP:
-    def test_poisson_special_case(self):
-        m = MAP.poisson(5.0)
-        assert m.fundamental_rate() == pytest.approx(5.0)
-        rng = np.random.default_rng(6)
-        counts = m.arrival_counts(2000.0, 1.0, rng=rng)
-        assert counts.mean() == pytest.approx(5.0, rel=0.1)
-
-    def test_from_mmpp_rate_agrees(self):
-        Q = np.array([[-0.1, 0.1], [0.3, -0.3]])
-        rates = np.array([10.0, 100.0])
-        m = MAP.from_mmpp(Q, rates)
-        mm = MMPP(generator=Q, rates=rates)
-        assert m.fundamental_rate() == pytest.approx(mm.mean_rate(), rel=1e-9)
-
-    def test_arrival_epochs_sorted_within_duration(self):
-        m = MAP.poisson(20.0)
-        epochs = m.simulate_arrivals(10.0, np.random.default_rng(7))
-        assert np.all(np.diff(epochs) >= 0)
-        assert np.all(epochs < 10.0)
-
-    def test_validation(self):
-        with pytest.raises(ModelError):
-            MAP(D0=[[-1.0]], D1=[[2.0]])  # rows of D0+D1 must sum to 0
-        with pytest.raises(ModelError):
-            MAP(D0=[[1.0]], D1=[[-1.0]])  # D1 negative
-        with pytest.raises(ModelError):
-            MAP.poisson(0.0)
 
 
 class TestTraces:
