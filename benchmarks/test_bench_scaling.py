@@ -5,14 +5,9 @@ its own section, preserving the other's):
 
 **Kernel scaling** sweeps the two size axes of the paper's problem — the
 number of IDCs ``N`` and the prediction horizon ``β₁`` — and times each
-structured kernel against the dense path it replaces on the same
-condensed MPC QP:
+structured kernel against the path it replaces on the same condensed
+MPC QP:
 
-* ADMM with the reduced (Schur-complement + matrix-free constraint
-  operator) KKT back-end vs the dense (n+m)×(n+m) LU back-end, at a
-  fixed iteration count so the comparison is per-solve work, not
-  convergence luck.  The iterates are algebraically identical, which the
-  benchmark also verifies.
 * Active-set warm solve (cached incremental KKT factorization, seeded
   working set) vs cold solve, with the ``kkt_updates`` /
   ``kkt_refactorizations`` counters recorded as proof that the O(n²)
@@ -21,8 +16,7 @@ condensed MPC QP:
   per-block Python copy loop.
 
 The hard assertion is the headline claim: at the largest configuration
-the structured ADMM path must beat the dense one by at least 3× per
-solve.
+the warm active-set solve must beat the cold one by at least 3×.
 
 **Scenario scaling** sweeps the fleet width ``S`` of a Monte-Carlo
 study: ``S`` price/workload-perturbed replicas of the paper's
@@ -50,16 +44,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.control import DiscreteStateSpace, build_horizon
+from repro.control import DiscreteStateSpace, build_horizon, move_selector
 from repro.core import CostMPCPolicy, MPCPolicyConfig
-from repro.optim import (
-    KKTFactorCache,
-    MPCConstraintOperator,
-    boxed_constraints,
-    solve_qp,
-    solve_qp_admm,
-)
-from repro.optim.qp_admm import AUTO_REDUCED_MIN_VARS
+from repro.optim import KKTFactorCache, solve_qp
 from repro.pricing import RegionMarketConfig, SharedMarket, paper_price_traces
 from repro.sim import (
     SharedMarketFleet,
@@ -73,7 +60,6 @@ from repro.sim import (
 from repro.sim.scenario import PAPER_IDC_SPECS, PAPER_PORTAL_LOADS
 
 CONFIGS = [(n, b1) for n in (3, 10, 30) for b1 in (5, 15, 30)]
-ADMM_ITERS = 60       # fixed per-solve work for a fair dense/reduced race
 REPEATS = 3
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_scaling.json"
 
@@ -122,14 +108,19 @@ def _make_qp(n_idcs, horizon_pred):
     R = 0.05 * np.eye(horizon_ctrl * n_idcs)
     P = 2.0 * (H.Theta.T @ H.Theta) + 2.0 * R
     P = 0.5 * (P + P.T)
-    op = MPCConstraintOperator(
-        horizon_ctrl, n_idcs, A_eq=np.ones((1, n_idcs)),
-        has_lower=True, has_upper=True, has_du_limit=True)
-    dense = op.to_dense()
-    m_eq, _ = op.bounds_rows()
-    A_eq, A_in = dense[:m_eq], dense[m_eq:]
+    # per step i: total-load row on u(k+i) = u_prev + T_i ΔU, then the
+    # lower and upper bounds on u(k+i) and the |Δu_i| <= 1 rate limits
+    eq_rows, in_rows = [], []
+    for i in range(horizon_ctrl):
+        T = move_selector(n_idcs, horizon_ctrl, i)
+        E = np.zeros_like(T)
+        E[:, i * n_idcs:(i + 1) * n_idcs] = np.eye(n_idcs)
+        eq_rows.append(np.ones((1, n_idcs)) @ T)
+        in_rows += [-T, T, E, -E]
+    A_eq, A_in = np.vstack(eq_rows), np.vstack(in_rows)
     u_prev = np.full(n_idcs, 5.0)
-    b_eq = np.zeros(m_eq)  # constant total load: per-step increments sum to 0
+    # constant total load: per-step increments sum to 0
+    b_eq = np.zeros(horizon_ctrl)
     b_in = np.concatenate([
         np.concatenate([u_prev, 8.0 - u_prev,
                         np.ones(n_idcs), np.ones(n_idcs)])
@@ -137,7 +128,7 @@ def _make_qp(n_idcs, horizon_pred):
     ])
     x_target = rng.normal(scale=0.6, size=horizon_ctrl * n_idcs)
     q = -(P @ x_target)
-    return model, P, q, A_eq, b_eq, A_in, b_in, op
+    return model, P, q, A_eq, b_eq, A_in, b_in, horizon_ctrl
 
 
 def _theta_block_loop(model, horizon_pred, horizon_ctrl):
@@ -159,29 +150,9 @@ def _theta_block_loop(model, horizon_pred, horizon_ctrl):
 
 
 def _bench_config(n_idcs, horizon_pred):
-    model, P, q, A_eq, b_eq, A_in, b_in, op = _make_qp(n_idcs, horizon_pred)
-    horizon_ctrl = op.horizon_ctrl
+    model, P, q, A_eq, b_eq, A_in, b_in, horizon_ctrl = _make_qp(
+        n_idcs, horizon_pred)
     n = q.size
-    A, low, high = boxed_constraints(n, A_eq, b_eq, A_in, b_in)
-
-    # --- ADMM: dense LU vs reduced Cholesky + matrix-free constraints ---
-    run_dense = lambda: solve_qp_admm(  # noqa: E731
-        P, q, A, low, high, eps_abs=0.0, eps_rel=0.0,
-        max_iter=ADMM_ITERS, method="dense")
-    run_reduced = lambda: solve_qp_admm(  # noqa: E731
-        P, q, A, low, high, eps_abs=0.0, eps_rel=0.0,
-        max_iter=ADMM_ITERS, method="reduced", structure=op)
-    res_dense = run_dense()
-    res_reduced = run_reduced()
-    iterate_gap = float(np.max(np.abs(res_dense.x - res_reduced.x)))
-    t_dense = _best_of(run_dense)
-    t_reduced = _best_of(run_reduced)
-    # which back-end "auto" would pick for this problem size — recorded
-    # so the AUTO_REDUCED_MIN_VARS crossover is regression-tested
-    # against the measured speedups in the same file
-    auto_method = solve_qp_admm(
-        P, q, A, low, high, eps_abs=0.0, eps_rel=0.0, max_iter=2,
-        method="auto", structure=op).meta["kkt_method"]
 
     # --- Active-set: cold build vs cached incremental factorization ---
     cache = KKTFactorCache()
@@ -206,15 +177,7 @@ def _bench_config(n_idcs, horizon_pred):
         "horizon_pred": horizon_pred,
         "horizon_ctrl": horizon_ctrl,
         "n_variables": n,
-        "n_constraint_rows": int(A.shape[0]),
-        "admm": {
-            "iterations": ADMM_ITERS,
-            "dense_seconds": t_dense,
-            "reduced_seconds": t_reduced,
-            "speedup": t_dense / t_reduced,
-            "iterate_gap": iterate_gap,
-            "auto_method": auto_method,
-        },
+        "n_constraint_rows": int(A_eq.shape[0] + A_in.shape[0]),
         "active_set": {
             "cold_seconds": t_cold,
             "warm_seconds": t_warm,
@@ -234,50 +197,25 @@ def _bench_config(n_idcs, horizon_pred):
 
 def test_bench_kernel_scaling():
     rows = [_bench_config(n, b1) for n, b1 in CONFIGS]
-    _write_sections(
-        {"benchmark": "kernel_scaling", "admm_fixed_iterations": ADMM_ITERS,
-         "configs": rows})
+    _write_sections({"benchmark": "kernel_scaling", "configs": rows})
 
     for row in rows:
-        # The two ADMM back-ends run the same iteration — any divergence
-        # is a kernel bug, not a tolerance artifact.
-        assert row["admm"]["iterate_gap"] < 1e-8, row
         # A warm solve on the cached factorization must do no
         # factorization work at all: the counters are the proof.
         assert row["active_set"]["warm_meta"]["kkt_refactorizations"] == 0
         assert row["active_set"]["warm_meta"]["kkt_updates"] == 0
-        # "auto" crossover regression: small problems (where this very
-        # sweep measured dense BLAS winning, e.g. 0.58x at N=3/β₁=5)
-        # must stay on the dense back-end, large ones on reduced.
-        expect = ("reduced" if row["n_variables"] >= AUTO_REDUCED_MIN_VARS
-                  else "dense")
-        assert row["admm"]["auto_method"] == expect, row
-    assert rows[0]["admm"]["auto_method"] == "dense"
 
-    # Headline acceptance: at the largest configuration the structured
-    # paths beat dense by >= 3x per solve (measured ~10x here; the 3x
-    # floor absorbs machine noise).
+    # Headline acceptance: at the largest configuration the warm solve
+    # beats the cold one by >= 3x (measured ~26x; the 3x floor absorbs
+    # machine noise).
     largest = rows[-1]
     assert (largest["n_idcs"], largest["horizon_pred"]) == (30, 30)
-    assert largest["admm"]["speedup"] >= 3.0, largest["admm"]
     assert largest["active_set"]["speedup"] >= 3.0, largest["active_set"]
     # ... and the cold solve itself is incremental: one refactorization
     # total, everything else O(n^2) updates.
     cold_meta = largest["active_set"]["cold_meta"]
     assert cold_meta["kkt_refactorizations"] <= 2
     assert cold_meta["kkt_updates"] >= 5
-
-
-def test_bench_scaling_trend_is_monotone():
-    """Sanity: the structured advantage grows with problem size.
-
-    Uses the smallest and largest configurations only — small problems
-    may legitimately favor dense BLAS, but the gap must widen as the
-    constraint stack grows.
-    """
-    small = _bench_config(3, 5)
-    large = _bench_config(30, 30)
-    assert large["admm"]["speedup"] > small["admm"]["speedup"]
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,11 @@ for name in ("BENCH_solvers.json", "BENCH_full_day.json"):
 
 with open("BENCH_scaling.json") as fh:
     data = json.load(fh)
-print("BENCH_scaling.json (structured vs dense, per solve):")
+print("BENCH_scaling.json (structured vs reference kernels, per solve):")
 for row in data["configs"]:
     print("  N={n_idcs} beta1={horizon_pred}: "
-          "admm x{a:.1f}, active-set warm x{w:.1f}, "
+          "active-set warm x{w:.1f}, "
           "horizon assembly x{h:.1f}".format(
-              a=row["admm"]["speedup"],
               w=row["active_set"]["speedup"],
               h=row["horizon_assembly"]["speedup"], **row))
 

@@ -13,11 +13,7 @@ eqs. (39)–(41) in the paper, written for a general output matrix.
 block ``J_{s−t} = C (Σ_{i<s−t} Φⁱ) G``, a function of ``s − t`` alone.
 :func:`build_horizon` therefore computes only the β₁ distinct blocks and
 assembles the dense matrix by fancy indexing (no Python block-copy
-loops); :class:`HorizonMatrices` keeps the block stack and exposes
-matrix-free :meth:`~HorizonMatrices.apply_theta` /
-:meth:`~HorizonMatrices.apply_theta_T` products for the prediction and
-solver matvec paths, which cost O(β₁·β₂·ny·nu) flops through batched
-small matmuls instead of touching the (β₁ny × β₂nu) dense operator.
+loops).
 """
 
 from __future__ import annotations
@@ -46,11 +42,6 @@ class HorizonMatrices:
     n_outputs, n_inputs:
         Per-step dimensions (the stacked dimensions are these times the
         respective horizons).
-    theta_blocks:
-        The β₁ distinct impulse-response blocks ``J_1 … J_{β₁}`` of the
-        block-lower-Toeplitz Θ, shape ``(β₁, ny, nu)``.  Backs the
-        matrix-free :meth:`apply_theta` / :meth:`apply_theta_T`; ``None``
-        for hand-built instances, which fall back to the dense operator.
     """
 
     F_x: np.ndarray
@@ -61,48 +52,13 @@ class HorizonMatrices:
     horizon_ctrl: int
     n_outputs: int
     n_inputs: int
-    theta_blocks: np.ndarray | None = None
-
-    def apply_theta(self, dU) -> np.ndarray:
-        """Matrix-free ``Theta @ dU`` via the Toeplitz block stack.
-
-        ``y_s = Σ_t J_{s−t} Δu_t`` is a block convolution: one batched
-        matmul of all blocks against all increments, then β₂ shifted
-        vector adds — no (β₁ny × β₂nu) product.
-        """
-        dU = np.asarray(dU, dtype=float).ravel()
-        if self.theta_blocks is None:
-            return self.Theta @ dU
-        b1, b2 = self.horizon_pred, self.horizon_ctrl
-        U = dU.reshape(b2, self.n_inputs)
-        # contrib[t, j] = J_{j+1} @ Δu_t lands at output step s = t+j+1.
-        contrib = np.einsum("jab,tb->tja", self.theta_blocks, U)
-        Y = np.zeros((b1, self.n_outputs))
-        for t in range(b2):
-            Y[t:] += contrib[t, :b1 - t]
-        return Y.ravel()
-
-    def apply_theta_T(self, v) -> np.ndarray:
-        """Matrix-free ``Theta.T @ v`` (adjoint of :meth:`apply_theta`)."""
-        v = np.asarray(v, dtype=float).ravel()
-        if self.theta_blocks is None:
-            return self.Theta.T @ v
-        b1, b2 = self.horizon_pred, self.horizon_ctrl
-        V = v.reshape(b1, self.n_outputs)
-        # contrib[s, j] = J_{j+1}ᵀ @ v_s ; Δu_t collects s = t+j.
-        contrib = np.einsum("jab,sa->sjb", self.theta_blocks, V)
-        out = np.empty((b2, self.n_inputs))
-        for t in range(b2):
-            j = np.arange(b1 - t)
-            out[t] = contrib[t + j, j].sum(axis=0)
-        return out.ravel()
 
     def predict(self, x, u_prev, dU) -> np.ndarray:
         """Stacked output prediction, reshaped to ``(β₁, ny)``."""
         x = np.asarray(x, dtype=float).ravel()
         u_prev = np.asarray(u_prev, dtype=float).ravel()
-        y = self.F_x @ x + self.F_u @ u_prev + self.f_w \
-            + self.apply_theta(dU)
+        dU = np.asarray(dU, dtype=float).ravel()
+        y = self.F_x @ x + self.F_u @ u_prev + self.f_w + self.Theta @ dU
         return y.reshape(self.horizon_pred, self.n_outputs)
 
     def free_response(self, x, u_prev) -> np.ndarray:
@@ -184,13 +140,13 @@ def build_horizon(model: DiscreteStateSpace, horizon_pred: int,
     # Θ's (s, t) block is J_{s-t} = C psums[s-t] G — a function of s−t
     # only.  Compute the β₁ distinct blocks in one batched product …
     psums_G = np.stack([psums[j] @ G for j in range(1, horizon_pred + 1)])
-    theta_blocks = C @ psums_G                     # (β₁, ny, nu)
+    blocks = C @ psums_G                           # (β₁, ny, nu)
     # … F_u is the first block column continued down all β₁ steps …
-    F_u = theta_blocks.reshape(horizon_pred * ny, nu).copy()
+    F_u = blocks.reshape(horizon_pred * ny, nu).copy()
     # … and the dense Θ is a fancy-index gather over the shift s−t, with
     # shift 0 padding the upper-triangular zero blocks.
     padded = np.concatenate(
-        [np.zeros((1, ny, nu)), theta_blocks])     # padded[j] = J_j, J_0 = 0
+        [np.zeros((1, ny, nu)), blocks])           # padded[j] = J_j, J_0 = 0
     shift = (np.arange(1, horizon_pred + 1)[:, None]
              - np.arange(horizon_ctrl)[None, :])   # s − t
     Theta = (padded[np.clip(shift, 0, horizon_pred)]
@@ -200,6 +156,5 @@ def build_horizon(model: DiscreteStateSpace, horizon_pred: int,
         F_x=F_x, F_u=F_u, f_w=f_w, Theta=Theta,
         horizon_pred=horizon_pred, horizon_ctrl=horizon_ctrl,
         n_outputs=ny, n_inputs=nu,
-        theta_blocks=theta_blocks,
     )
 

@@ -23,7 +23,7 @@ recourse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from ..optim import (
     solve_qp,
     solve_qp_admm,
 )
-from ..optim.linalg import KKTFactorCache, MPCConstraintOperator
+from ..optim.linalg import KKTFactorCache
 from .horizon import HorizonMatrices, build_horizon, move_selector
 from .statespace import DiscreteStateSpace
 
@@ -60,12 +60,9 @@ class InputConstraintSet:
         Equality constraints ``A_eq @ u == b_eq`` (workload conservation).
     A_ineq, b_ineq:
         Inequalities ``A_ineq @ u <= b_ineq`` (latency/capacity, eq. 31).
-    lower, upper:
-        Optional element-wise bounds on ``u`` (eq. 34 uses ``lower = 0``).
-    du_limit:
-        Optional element-wise bound on the *increments*:
-        ``|Δu| <= du_limit`` per step.  This is the hard-rate-limit
-        alternative to smoothing via the ``R`` penalty.
+    lower:
+        Optional element-wise lower bound on ``u`` (eq. 34 uses
+        ``lower = 0``).
     """
 
     A_eq: np.ndarray | None = None
@@ -73,8 +70,6 @@ class InputConstraintSet:
     A_ineq: np.ndarray | None = None
     b_ineq: np.ndarray | None = None
     lower: np.ndarray | float | None = None
-    upper: np.ndarray | float | None = None
-    du_limit: np.ndarray | float | None = None
 
     def rhs_at(self, b, step: int) -> np.ndarray:
         """Right-hand side for a given horizon step (handles 1-D/2-D)."""
@@ -186,6 +181,10 @@ class ModelPredictiveController:
         self.horizon_pred = int(horizon_pred)
         self.horizon_ctrl = int(horizon_ctrl)
         self.constraints = constraints
+        if backend not in get_args(Backend):
+            raise ModelError(
+                f"backend must be one of {get_args(Backend)}, "
+                f"got {backend!r}")
         self.backend = backend
         self.soften_infeasible = bool(soften_infeasible)
         self.slack_penalty = float(slack_penalty)
@@ -204,10 +203,6 @@ class ModelPredictiveController:
         self._R_stack = np.kron(np.eye(self.horizon_ctrl), self._R)
         self._horizon: HorizonMatrices = build_horizon(
             model, self.horizon_pred, self.horizon_ctrl)
-        self._selectors = [
-            move_selector(model.n_inputs, self.horizon_ctrl, i)
-            for i in range(self.horizon_ctrl)
-        ]
         #: perf counters, exposed through the policy layer's PerfStats.
         self.stats: dict[str, int] = {
             "qp_solves": 0, "qp_iterations": 0,
@@ -220,7 +215,7 @@ class ModelPredictiveController:
             # incremental O(n²) working-set factorization changes vs
             # from-scratch refactorizations vs dense fallback steps.
             "kkt_updates": 0, "kkt_refactorizations": 0,
-            "kkt_dense_steps": 0, "admm_reduced_solves": 0,
+            "kkt_dense_steps": 0,
             "certificates_checked": 0, "certificate_failures": 0,
         }
         self._qp_quad = None         # (Theta id, 2Θ'Q, P) objective cache
@@ -292,7 +287,7 @@ class ModelPredictiveController:
         stacked RHS vectors, which are always rebuilt.
         """
         parts = []
-        for M in (cs.A_eq, cs.A_ineq, cs.lower, cs.upper, cs.du_limit):
+        for M in (cs.A_eq, cs.A_ineq, cs.lower):
             if M is None:
                 parts.append(None)
             else:
@@ -303,11 +298,10 @@ class ModelPredictiveController:
     def _constraint_structure(self, cs: InputConstraintSet) -> dict:
         """Cached ΔU-space A-side stacks + normalized per-step operands.
 
-        The stacked ``A`` blocks (``A_eq @ T_i``, ``A_ineq @ T_i``, the
-        bound selectors ``±T_i`` and the ``du_limit`` increment selectors)
-        depend only on the constraint matrices and the horizon — never on
-        ``u_prev`` — so they are built once per distinct constraint set
-        and reused every period.
+        The stacked ``A`` blocks (``A_eq @ T_i``, ``A_ineq @ T_i`` and the
+        lower-bound selectors ``−T_i``) depend only on the constraint
+        matrices and the horizon — never on ``u_prev`` — so they are
+        built once per distinct constraint set and reused every period.
         """
         sig = self._constraint_signature(cs)
         cached = self._con_cache
@@ -316,49 +310,26 @@ class ModelPredictiveController:
             return cached
         self.stats["constraint_cache_misses"] += 1
         nu = self.model.n_inputs
-        ndu = nu * self.horizon_ctrl
         A_eq = (np.atleast_2d(np.asarray(cs.A_eq, dtype=float))
                 if cs.A_eq is not None else None)
         A_in = (np.atleast_2d(np.asarray(cs.A_ineq, dtype=float))
                 if cs.A_ineq is not None else None)
         lo = (np.broadcast_to(np.asarray(cs.lower, dtype=float), (nu,)).copy()
               if cs.lower is not None else None)
-        hi = (np.broadcast_to(np.asarray(cs.upper, dtype=float), (nu,)).copy()
-              if cs.upper is not None else None)
-        lim = None
-        if cs.du_limit is not None:
-            lim = np.broadcast_to(
-                np.asarray(cs.du_limit, dtype=float), (nu,)).copy()
-            if np.any(lim <= 0):
-                raise ModelError("du_limit must be positive")
         eq_blocks, in_blocks = [], []
-        for i, T in enumerate(self._selectors):
+        for i in range(self.horizon_ctrl):
+            T = move_selector(nu, self.horizon_ctrl, i)
             if A_eq is not None:
                 eq_blocks.append(A_eq @ T)
             if A_in is not None:
                 in_blocks.append(A_in @ T)
             if lo is not None:
                 in_blocks.append(-T)
-            if hi is not None:
-                in_blocks.append(T)
-            if lim is not None:
-                # select this step's increment block directly
-                E = np.zeros((nu, ndu))
-                E[:, i * nu:(i + 1) * nu] = np.eye(nu)
-                in_blocks.append(E)
-                in_blocks.append(-E)
         structure = {
             "sig": sig,
-            "A_eq": A_eq, "A_ineq": A_in,
-            "lower": lo, "upper": hi, "du_limit": lim,
+            "A_eq": A_eq, "A_ineq": A_in, "lower": lo,
             "A_eq_stack": np.vstack(eq_blocks) if eq_blocks else None,
             "A_in_stack": np.vstack(in_blocks) if in_blocks else None,
-            # Matrix-free view of the same stack (identical row order):
-            # drives the reduced/structured ADMM KKT path.
-            "operator": MPCConstraintOperator(
-                self.horizon_ctrl, nu, A_eq=A_eq, A_ineq=A_in,
-                has_lower=lo is not None, has_upper=hi is not None,
-                has_du_limit=lim is not None),
         }
         self._con_cache = structure
         return structure
@@ -372,10 +343,9 @@ class ModelPredictiveController:
         """
         cs = self.constraints
         if cs is None:
-            return None, None, None, None, None
+            return None, None, None, None
         st = self._constraint_structure(cs)
-        A_eq, A_in = st["A_eq"], st["A_ineq"]
-        lo, hi, lim = st["lower"], st["upper"], st["du_limit"]
+        A_eq, A_in, lo = st["A_eq"], st["A_ineq"], st["lower"]
         Aeq_u = A_eq @ u_prev if A_eq is not None else None
         Ain_u = A_in @ u_prev if A_in is not None else None
         b_eq_rows, b_in_rows = [], []
@@ -386,21 +356,15 @@ class ModelPredictiveController:
                 b_in_rows.append(cs.rhs_at(cs.b_ineq, i) - Ain_u)
             if lo is not None:
                 b_in_rows.append(u_prev - lo)
-            if hi is not None:
-                b_in_rows.append(hi - u_prev)
-            if lim is not None:
-                b_in_rows.append(lim)
-                b_in_rows.append(lim)
         b_eq = np.concatenate(b_eq_rows) if b_eq_rows else None
         b_in = np.concatenate(b_in_rows) if b_in_rows else None
-        return st["A_eq_stack"], b_eq, st["A_in_stack"], b_in, st["operator"]
+        return st["A_eq_stack"], b_eq, st["A_in_stack"], b_in
 
     # ------------------------------------------------------------------
     # QP assembly and solve
     # ------------------------------------------------------------------
     def _solve(self, P, q, A_eq, b_eq, A_in, b_in, max_iter: int = 500,
                x0=None, working_set0=None, y0=None, use_cache: bool = True,
-               structure: MPCConstraintOperator | None = None,
                deadline_seconds: float | None = None,
                stage: str = "solve"):
         if self.fault_hook is not None:
@@ -414,7 +378,6 @@ class ModelPredictiveController:
         A, low, high = boxed_constraints(q.size, A_eq, b_eq, A_in, b_in)
         return solve_qp_admm(P, q, A, low, high, x0=x0, y0=y0,
                              cache=self._admm_cache if use_cache else None,
-                             structure=structure,
                              deadline_seconds=deadline_seconds)
 
     def _solve_softened(self, P, q, A_eq, b_eq, A_in, b_in,
@@ -519,14 +482,13 @@ class ModelPredictiveController:
         q = -(ThetaT_2Q @ target)
         c0 = float(target @ self._Q_stack @ target)
 
-        A_eq, b_eq, A_in, b_in, operator = self._stack_constraints(u_prev)
+        A_eq, b_eq, A_in, b_in = self._stack_constraints(u_prev)
         x0, working_set0, y0 = self._warm_start_point(A_eq, b_eq, A_in, b_in)
         softened = False
         solved_by = self.backend
         try:
             res = self._solve(P, q, A_eq, b_eq, A_in, b_in,
                               x0=x0, working_set0=working_set0, y0=y0,
-                              structure=operator,
                               deadline_seconds=deadline_seconds)
         except InfeasibleProblemError:
             if not self.soften_infeasible:
@@ -546,7 +508,7 @@ class ModelPredictiveController:
             A, low, high = boxed_constraints(q.size, A_eq, b_eq,
                                              A_in, b_in)
             res = solve_qp_admm(P, q, A, low, high, rho=10.0,
-                                max_iter=50_000, structure=operator,
+                                max_iter=50_000,
                                 deadline_seconds=deadline_seconds)
             solved_by = "admm"
         self._store_warm_state(
@@ -558,8 +520,6 @@ class ModelPredictiveController:
         for key in ("kkt_updates", "kkt_refactorizations",
                     "kkt_dense_steps"):
             self.stats[key] += int(res.meta.get(key, 0))
-        if res.meta.get("kkt_method") == "reduced":
-            self.stats["admm_reduced_solves"] += 1
         if softened:
             self.stats["softened_solves"] += 1
 

@@ -57,7 +57,7 @@ from ..resilience.ladder import FallbackLadder, Rung, project_allocation
 from ..sim.policy import AllocationDecision
 from ..sim.profiling import BatchPerfStats
 from .constraints import capacity_matrix, capacity_rhs, conservation_matrix
-from .controller import MPCPolicyConfig
+from .controller import MPCPolicyConfig, check_positive
 from .model import CostModelBuilder
 from .peak_shaving import normalize_budgets
 from .reference_opt import (
@@ -224,6 +224,8 @@ class BatchCostMPCPolicy:
                  recovery_periods: int = 3) -> None:
         self.cluster = cluster
         self.config = config or MPCPolicyConfig()
+        if deadline_seconds is not None:
+            check_positive(deadline_seconds, "deadline_seconds")
         self.deadline_seconds = deadline_seconds
         self.quarantine_after = int(quarantine_after)
         self.recovery_periods = int(recovery_periods)
@@ -260,8 +262,6 @@ class BatchCostMPCPolicy:
         S = self.n_scenarios
         self._X = np.tile(self.builder.initial_state(), (S, 1))
         self._U_prev: np.ndarray | None = None
-        self._servers = np.tile(
-            np.array([idc.servers_on for idc in self.cluster.idcs]), (S, 1))
         self._pending: tuple[np.ndarray, np.ndarray] | None = None
         self._ops: dict | None = None
         self._ref_cache: OrderedDict = OrderedDict()
@@ -280,19 +280,19 @@ class BatchCostMPCPolicy:
         """Picklable copy of every piece of mutable per-lane state.
 
         Captures the closed-loop state ``X``, the committed allocation
-        ``U_prev``, server commands, the pending cost integration, the
-        ADMM warm-start iterate (which affects future iterates bit-wise
-        and therefore *must* survive a resume), the reference memo (its
-        keys are *rounded* prices/loads, so an entry created from one
-        exact input can serve later lookups whose exact inputs differ —
-        an empty cache after restore would recompute different values),
-        and the lane health machines.  The shared operator stack is
-        rebuilt deterministically from cluster + config *except* for the
-        adapted ADMM penalty: :class:`BatchADMMSetup` is stateful on
-        purpose (the tuned ``rho`` carries across control periods), so
-        the scalar ``admm_rho`` is captured and re-applied on restore —
-        without it a resumed run re-adapts from the default and the
-        iterates diverge.  The scalar fallback controller is stateless
+        ``U_prev``, the pending cost integration (with its server
+        commands), the ADMM warm-start iterate (which affects future
+        iterates bit-wise and therefore *must* survive a resume), the
+        reference memo (its keys are *rounded* prices/loads, so an entry
+        created from one exact input can serve later lookups whose exact
+        inputs differ — an empty cache after restore would recompute
+        different values), and the lane health machines.  The shared
+        operator stack is rebuilt deterministically from cluster + config
+        *except* for the adapted ADMM penalty: :class:`BatchADMMSetup` is
+        stateful on purpose (the tuned ``rho`` carries across control
+        periods), so the scalar ``admm_rho`` is captured and re-applied on
+        restore — without it a resumed run re-adapts from the default and
+        the iterates diverge.  The scalar fallback controller is stateless
         across calls and stays excluded.
         """
         return {
@@ -304,7 +304,6 @@ class BatchCostMPCPolicy:
             else self._ops["setup"].rho_lanes.copy(),
             "X": self._X.copy(),
             "U_prev": None if self._U_prev is None else self._U_prev.copy(),
-            "servers": np.asarray(self._servers).copy(),
             "pending": None if self._pending is None else
                 (self._pending[0].copy(), self._pending[1].copy()),
             "warm": None if self._warm is None else
@@ -319,7 +318,6 @@ class BatchCostMPCPolicy:
         self._X = np.asarray(state["X"], dtype=float).copy()
         up = state["U_prev"]
         self._U_prev = None if up is None else np.asarray(up).copy()
-        self._servers = np.asarray(state["servers"]).copy()
         pend = state["pending"]
         self._pending = None if pend is None else \
             (np.asarray(pend[0]).copy(), np.asarray(pend[1]).copy())
@@ -850,21 +848,12 @@ class BatchCostMPCPolicy:
                 # starts from or the trajectories diverge.  Period 0
                 # only — every later step warm-starts from U_prev.
                 self._U_prev = np.empty((S, self.cluster.n_allocations))
-                self._servers = np.empty((S, self._n), dtype=int)
                 for s in range(S):
-                    alloc = solve_optimal_allocation(self.cluster,
-                                                     prices[s], loads[s])
-                    self._U_prev[s] = alloc.u
-                    self._servers[s] = alloc.servers.astype(int)
+                    self._U_prev[s] = solve_optimal_allocation(
+                        self.cluster, prices[s], loads[s]).u
             else:
-                alloc = solve_optimal_allocation_batch(self.cluster,
-                                                       prices, loads)
-                self._U_prev = alloc.u
-                self._servers = alloc.servers.astype(int)
-
-        if period % cfg.slow_period == 0:
-            self._servers = self._servers_for_loads(
-                self._idc_workloads(self._U_prev))
+                self._U_prev = solve_optimal_allocation_batch(
+                    self.cluster, prices, loads).u
 
         with self.perf.shared.stage("model"):
             ops = self._shared_operators(prices[0])
@@ -930,7 +919,6 @@ class BatchCostMPCPolicy:
         lam_new = self._idc_workloads(U_new)
         servers = self._servers_for_loads(lam_new)
         self._U_prev = U_new
-        self._servers = servers
         self._pending = (U_new.copy(), servers.copy())
 
         powers_mw = self._powers_mw(lam_new, servers)

@@ -21,14 +21,15 @@ cumulative-energy references the MPC tracks.
 from __future__ import annotations
 
 import copy
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
 from ..control import ModelPredictiveController, integrate_rates
-from ..control.mpc import InputConstraintSet
+from ..control.mpc import Backend, InputConstraintSet
 from ..datacenter.cluster import IDCCluster
 from ..exceptions import (
     CapacityError,
@@ -82,11 +83,6 @@ class MPCPolicyConfig:
         (softened automatically when momentarily infeasible).
     backend:
         QP backend (``"active_set"`` or ``"admm"``).
-    slow_period:
-        Slow-loop decimation: server counts are recomputed every this
-        many control periods (1 = every period).  The commanded counts
-        are also recomputed from every new allocation (eq. 36), so the
-        slow tick changes no decision.
     warm_start_solver:
         Thread each period's QP solution (and active set / ADMM dual)
         into the next period's solve.  Consecutive MPC optima are close
@@ -135,7 +131,6 @@ class MPCPolicyConfig:
     budget_mode: Literal["lp", "clamp"] = "lp"
     hard_budget_constraints: bool = False
     backend: str = "active_set"
-    slow_period: int = 1
     warm_start_solver: bool = True
     power_schedule_watts: np.ndarray | None = None
     certify: bool = False
@@ -144,20 +139,31 @@ class MPCPolicyConfig:
     deadline_seconds: float | None = None
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ConfigurationError("dt must be positive")
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
-            raise ConfigurationError("deadline_seconds must be positive")
+        for name in ("dt", "q_weight", "r_weight"):
+            check_positive(getattr(self, name), name)
+        if self.deadline_seconds is not None:
+            check_positive(self.deadline_seconds, "deadline_seconds")
         if self.horizon_ctrl > self.horizon_pred or self.horizon_ctrl < 1:
             raise ConfigurationError("need 1 <= horizon_ctrl <= horizon_pred")
-        if self.r_weight <= 0:
-            raise ConfigurationError("r_weight must be positive")
-        if self.q_weight <= 0:
-            raise ConfigurationError("q_weight must be positive")
-        if self.slow_period < 1:
-            raise ConfigurationError("slow_period must be >= 1")
         if self.budget_mode not in ("lp", "clamp"):
             raise ConfigurationError("budget_mode must be 'lp' or 'clamp'")
+        if self.backend not in get_args(Backend):
+            raise ConfigurationError(
+                f"backend must be one of {get_args(Backend)}, "
+                f"got {self.backend!r}")
+        if self.capture_problems < 0:
+            raise ConfigurationError("capture_problems must be >= 0")
+
+
+def check_positive(value: float, name: str) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` is finite and > 0.
+
+    ``value <= 0`` alone lets NaN through (every comparison with NaN is
+    false), and an infinite weight or period breaks the QP silently.
+    """
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(
+            f"{name} must be positive and finite, got {value!r}")
 
 
 class CostMPCPolicy:
@@ -190,12 +196,9 @@ class CostMPCPolicy:
         entries are pure functions of (prices, dt) and stay valid
         across runs.
         """
-        n = self.cluster.n_idcs
         self._x = self.builder.initial_state()
         self._u_prev: np.ndarray | None = None
-        self._servers = np.array([idc.servers_on for idc in self.cluster.idcs])
         self._pending: tuple[np.ndarray, np.ndarray] | None = None
-        self._last_prices = np.full(n, np.nan)
         self._mpc: ModelPredictiveController | None = None
         # LRU memo of reference-LP solutions keyed by (prices, loads).
         self._ref_cache: OrderedDict = OrderedDict()
@@ -208,8 +211,7 @@ class CostMPCPolicy:
         a stale warm start is the most common way one bad solve poisons
         the next.  Model and reference caches survive — they are pure
         functions of their keys.  Deliberately narrow: the controller's
-        *dynamic* state (``_x``, ``_pending``, the adopted server
-        counts) and any predictor history must never be cleared by a
+        *dynamic* state (``_x``, ``_pending``) and any predictor history must never be cleared by a
         retry — losing them silently desynchronizes the internal model
         from the plant.  Recovering that state is what
         :meth:`snapshot`/:meth:`restore` are for.
@@ -223,8 +225,8 @@ class CostMPCPolicy:
     def snapshot(self) -> dict:
         """Deep, picklable copy of every piece of carried state.
 
-        Captures the dynamic state ([C̄, E], the pending integration
-        pair, adopted server counts), the full MPC core (warm start,
+        Captures the dynamic state ([C̄, E], the previous allocation and
+        the pending integration pair), the full MPC core (warm start,
         working set, factorization caches — so a restored run solves the
         identical iterate path, not just the identical optimum), the
         reference-LP memo and the perf counters.  The installed
@@ -243,10 +245,8 @@ class CostMPCPolicy:
             "version": self.SNAPSHOT_VERSION,
             "x": self._x.copy(),
             "u_prev": None if self._u_prev is None else self._u_prev.copy(),
-            "servers": self._servers.copy(),
             "pending": None if self._pending is None else
                 (self._pending[0].copy(), self._pending[1].copy()),
-            "last_prices": self._last_prices.copy(),
             "ref_cache": OrderedDict(
                 (k, v.copy()) for k, v in self._ref_cache.items()),
             "mpc": mpc_copy,
@@ -268,11 +268,9 @@ class CostMPCPolicy:
         self._x = state["x"].copy()
         self._u_prev = (None if state["u_prev"] is None
                         else state["u_prev"].copy())
-        self._servers = state["servers"].copy()
         self._pending = (None if state["pending"] is None else
                          (state["pending"][0].copy(),
                           state["pending"][1].copy()))
-        self._last_prices = state["last_prices"].copy()
         self._ref_cache = OrderedDict(
             (k, v.copy()) for k, v in state["ref_cache"].items())
         self._mpc = copy.deepcopy(state["mpc"])
@@ -327,8 +325,7 @@ class CostMPCPolicy:
         by the actuation layer (:mod:`repro.sim.faults`); the engine
         reports the applied counts back through ``obs.prev_servers``.
         When they differ from what this policy commanded, the pending
-        integration pair and the adopted slow-loop state are rewritten
-        to the plant's truth, so the internal [C̄, E] state integrates
+        integration pair is rewritten to the plant's truth, so the internal [C̄, E] state integrates
         the power that was actually drawn — not the power that was
         merely ordered.  A faithful plant makes this a no-op.
         """
@@ -342,7 +339,6 @@ class CostMPCPolicy:
         if np.array_equal(applied, commanded):
             return
         self._pending = (u_pending, applied.copy())
-        self._servers = applied.copy()
         self.perf.count("actuation_reconciliations")
         self.perf.count("actuation_server_gap",
                         int(np.abs(applied - commanded).sum()))
@@ -447,7 +443,7 @@ class CostMPCPolicy:
 
     # ------------------------------------------------------------------
     def decide(self, obs: PolicyObservation) -> AllocationDecision:
-        """One receding-horizon step: slow loop, references, MPC solve.
+        """One receding-horizon step: references, MPC solve, server counts.
 
         Returns the allocation to apply now plus per-step diagnostics
         (QP status, softening flag, the reference powers tracked).
@@ -466,15 +462,8 @@ class CostMPCPolicy:
             alloc = solve_optimal_allocation(self.cluster, prices,
                                              obs.loads)
             self._u_prev = alloc.u
-            self._servers = alloc.servers.astype(int)
 
-        # 2. slow loop: recompute integer server counts from the workload
-        #    currently routed to each IDC (eq. 35)
-        if obs.period % cfg.slow_period == 0:
-            lam = self.cluster.idc_workloads(self._u_prev)
-            self._servers = self._servers_for_loads(lam)
-
-        # 3. rebuild the prediction model when prices changed — the
+        # 2. rebuild the prediction model when prices changed — the
         #    builder memoizes, so an unchanged period returns the
         #    identical object and the MPC skips its horizon restacking
         with self.perf.stage("model"):
@@ -492,9 +481,8 @@ class CostMPCPolicy:
                 self._mpc.update_model(model)
                 self._mpc.constraints = constraints
             self._mpc.fault_hook = self.solver_fault_hook
-        self._last_prices = prices
 
-        # 4. references from the optimizer, clamped at the budgets
+        # 3. references from the optimizer, clamped at the budgets
         loads_seq = self._loads_sequence(obs)
         prices_seq = None
         if obs.predicted_prices is not None:
@@ -505,7 +493,7 @@ class CostMPCPolicy:
                                               period=obs.period,
                                               prices_seq=prices_seq)
 
-        # 5. solve the MPC step — through the degradation ladder when
+        # 4. solve the MPC step — through the degradation ladder when
         #    configured, else the plain (raise-on-failure) path
         with self.perf.stage("mpc_solve"):
             if cfg.fallback_ladder:
@@ -523,11 +511,11 @@ class CostMPCPolicy:
                 }
         u = step["u"]
 
-        # 6. integer server counts for the commanded allocation
+        # 5. slow loop: integer server counts for the commanded
+        #    allocation (eq. 35, folded into the model per eq. 36)
         servers = self._servers_for_loads(self.cluster.idc_workloads(u))
 
         self._u_prev = u
-        self._servers = servers
         self._pending = (u.copy(), servers.copy())
 
         ref_powers = self._reference_powers_mw(prices, loads_seq,

@@ -1,35 +1,27 @@
-"""Optimization substrate: LP and QP solvers, projections.
+"""Optimization substrate: LP and QP solvers, the capped-simplex projection.
 
 Everything here is implemented from scratch on numpy (scipy supplies only
 the triangular/Cholesky solves inside the linear-algebra kernels and the
 ADMM factorization, plus cross-validation in tests).  The MPC controller
 and the reference optimizer of the paper are built on these solvers; the
-structure-exploiting kernels backing both QP solvers live in
+incremental factorizations behind the active-set QP live in
 :mod:`repro.optim.linalg`.
 """
 
 from .linalg import (
     IncrementalKKT,
     KKTFactorCache,
-    MPCConstraintOperator,
     UpdatableCholesky,
 )
 from .linprog_simplex import linprog, to_standard_form
-from .projections import (
-    project_box,
-    project_capped_simplex,
-    project_nonnegative,
-    project_simplex,
-)
+from .projections import project_capped_simplex
 from .qp_activeset import find_feasible_point, solve_qp
 from .qp_admm import (
-    AUTO_REDUCED_MIN_VARS,
     ADMMFactorCache,
     BatchADMMSetup,
     BatchQPResult,
     boxed_constraints,
     prepare_batch_admm,
-    reduced_admm_factor,
     solve_qp_admm,
     solve_qp_admm_batch,
 )
@@ -42,8 +34,6 @@ __all__ = [
     "solve_qp_admm",
     "solve_qp_admm_batch",
     "prepare_batch_admm",
-    "reduced_admm_factor",
-    "AUTO_REDUCED_MIN_VARS",
     "ADMMFactorCache",
     "BatchADMMSetup",
     "BatchQPResult",
@@ -52,11 +42,7 @@ __all__ = [
     "UpdatableCholesky",
     "IncrementalKKT",
     "KKTFactorCache",
-    "MPCConstraintOperator",
-    "project_box",
-    "project_simplex",
     "project_capped_simplex",
-    "project_nonnegative",
     "OptimizeResult",
     "Status",
 ]

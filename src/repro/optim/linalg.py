@@ -1,8 +1,9 @@
-"""Structure-exploiting linear-algebra kernels for the QP backends.
+"""Incremental linear-algebra kernels for the active-set QP.
 
-The paper's fast loop solves one condensed MPC QP per control period; its
-cost is dominated by three dense O(n³) operations that this module
-replaces with structured ones:
+The paper's fast loop solves one condensed MPC QP per control period.
+Its working set changes by a row or two between iterations and between
+periods, so this module keeps the KKT factorizations incremental and
+reusable instead of refactoring them in O(n³):
 
 ``UpdatableCholesky``
     A Cholesky factor ``M = L Lᵀ`` that supports rank-one *update*
@@ -23,15 +24,9 @@ replaces with structured ones:
     iteration.  A diagonal condition estimate guards against drift: when
     it trips, the caller refactorizes from scratch.
 
-``MPCConstraintOperator``
-    The condensed MPC constraint stack has *prefix* structure: every
-    per-step row block applies a fixed per-step matrix to the running sum
-    ``u_prev + Σ_{b≤i} Δu_b`` (the move selector ``T_i``).  This operator
-    applies the stack and its transpose matrix-free via one cumulative
-    sum plus one batched small matmul, and assembles the Gram matrix
-    ``AᵀA`` directly from the block pattern — which is all the reduced
-    ADMM path needs.  ``to_dense()`` reproduces the exact dense stack
-    (same row order) for validation.
+``KKTFactorCache``
+    Keeps the factored :class:`IncrementalKKT` across the receding-
+    horizon loop's solves, which share their constraint matrices.
 
 All kernels are cross-validated against dense numpy/scipy paths in
 ``tests/test_optim_linalg.py``.
@@ -44,8 +39,7 @@ import scipy.linalg as sla
 
 from ..exceptions import FactorizationError
 
-__all__ = ["UpdatableCholesky", "IncrementalKKT", "KKTFactorCache",
-           "MPCConstraintOperator"]
+__all__ = ["UpdatableCholesky", "IncrementalKKT", "KKTFactorCache"]
 
 
 class UpdatableCholesky:
@@ -364,136 +358,3 @@ class KKTFactorCache:
         self._A_ineq = A_ineq.copy()
         self._kkt = kkt
         self._rows_key = rows_key
-
-
-class MPCConstraintOperator:
-    """Matrix-free condensed-MPC constraint stack over ΔU.
-
-    Row order matches the dense stack built by
-    ``ModelPredictiveController._constraint_structure`` followed by
-    ``boxed_constraints``: first the equality block (per step ``i``:
-    ``A_eq @ T_i``), then the inequality block (per step ``i``:
-    ``A_ineq @ T_i``, ``−T_i`` (lower bound), ``T_i`` (upper bound),
-    ``E_i`` and ``−E_i`` (increment limit)), where ``T_i`` sums the first
-    ``i+1`` increment blocks.  Applying the stack therefore reduces to a
-    cumulative sum over increment blocks and one batched per-step matmul.
-
-    Parameters mirror the normalized constraint structure: ``A_eq`` /
-    ``A_ineq`` are per-step matrices (or None), the booleans say which
-    bound/limit row groups are present.
-    """
-
-    def __init__(self, horizon_ctrl: int, n_inputs: int,
-                 A_eq: np.ndarray | None = None,
-                 A_ineq: np.ndarray | None = None,
-                 has_lower: bool = False, has_upper: bool = False,
-                 has_du_limit: bool = False) -> None:
-        self.horizon_ctrl = int(horizon_ctrl)
-        self.n_inputs = int(n_inputs)
-        self.A_eq = (np.atleast_2d(np.asarray(A_eq, dtype=float))
-                     if A_eq is not None else None)
-        self.A_ineq = (np.atleast_2d(np.asarray(A_ineq, dtype=float))
-                       if A_ineq is not None else None)
-        self.has_lower = bool(has_lower)
-        self.has_upper = bool(has_upper)
-        self.has_du_limit = bool(has_du_limit)
-        nu = self.n_inputs
-        self.m_eq_step = 0 if self.A_eq is None else self.A_eq.shape[0]
-        self.m_in_step = (
-            (0 if self.A_ineq is None else self.A_ineq.shape[0])
-            + (nu if self.has_lower else 0) + (nu if self.has_upper else 0)
-            + (2 * nu if self.has_du_limit else 0))
-        self.m_eq = self.m_eq_step * self.horizon_ctrl
-        self.m_in = self.m_in_step * self.horizon_ctrl
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.m_eq + self.m_in, self.horizon_ctrl * self.n_inputs)
-
-    # ------------------------------------------------------------------
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Compute ``A @ x`` without materializing ``A``."""
-        nu, H = self.n_inputs, self.horizon_ctrl
-        U = np.asarray(x, dtype=float).reshape(H, nu)
-        Ucum = np.cumsum(U, axis=0)
-        parts = []
-        if self.A_eq is not None:
-            parts.append((Ucum @ self.A_eq.T).ravel())
-        step_cols = []
-        if self.A_ineq is not None:
-            step_cols.append(Ucum @ self.A_ineq.T)
-        if self.has_lower:
-            step_cols.append(-Ucum)
-        if self.has_upper:
-            step_cols.append(Ucum)
-        if self.has_du_limit:
-            step_cols.append(U)
-            step_cols.append(-U)
-        if step_cols:
-            parts.append(np.hstack(step_cols).ravel())
-        if not parts:
-            return np.zeros(0)
-        return np.concatenate(parts)
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        """Compute ``Aᵀ @ v`` without materializing ``A``."""
-        nu, H = self.n_inputs, self.horizon_ctrl
-        v = np.asarray(v, dtype=float).ravel()
-        v_eq = v[:self.m_eq].reshape(H, self.m_eq_step)
-        v_in = v[self.m_eq:].reshape(H, self.m_in_step)
-        # Per-step pull-back into increment-cumulative space.
-        s = np.zeros((H, nu))
-        if self.A_eq is not None:
-            s += v_eq @ self.A_eq
-        col = 0
-        if self.A_ineq is not None:
-            k = self.A_ineq.shape[0]
-            s += v_in[:, col:col + k] @ self.A_ineq
-            col += k
-        if self.has_lower:
-            s -= v_in[:, col:col + nu]
-            col += nu
-        if self.has_upper:
-            s += v_in[:, col:col + nu]
-            col += nu
-        # T_iᵀ spreads step i's pull-back over blocks 0..i: reverse cumsum.
-        out = np.cumsum(s[::-1], axis=0)[::-1].copy()
-        if self.has_du_limit:
-            out += v_in[:, col:col + nu]
-            out -= v_in[:, col + nu:col + 2 * nu]
-        return out.ravel()
-
-    # ------------------------------------------------------------------
-    def gram(self) -> np.ndarray:
-        """Assemble ``AᵀA`` from the prefix block pattern.
-
-        The cumulative rows contribute ``(β₂ − max(b,c)) · W`` to block
-        ``(b, c)`` with ``W`` the per-step Gram; the increment-limit rows
-        add ``2·I`` to each diagonal block.  O(β₂²·nu²) writes plus one
-        per-step Gram product — no (m × n) intermediate.
-        """
-        nu, H = self.n_inputs, self.horizon_ctrl
-        W = np.zeros((nu, nu))
-        if self.A_eq is not None:
-            W += self.A_eq.T @ self.A_eq
-        if self.A_ineq is not None:
-            W += self.A_ineq.T @ self.A_ineq
-        if self.has_lower:
-            W += np.eye(nu)
-        if self.has_upper:
-            W += np.eye(nu)
-        counts = H - np.maximum.outer(np.arange(H), np.arange(H))
-        G = np.kron(counts, W)
-        if self.has_du_limit:
-            G += 2.0 * np.eye(H * nu)
-        return G
-
-    def to_dense(self) -> np.ndarray:
-        """Materialize the stack (row order documented above)."""
-        n = self.horizon_ctrl * self.n_inputs
-        cols = np.eye(n)
-        return np.column_stack([self.matvec(cols[:, j]) for j in range(n)])
-
-    def bounds_rows(self) -> tuple[int, int]:
-        """(equality rows, inequality rows) — for aligning ``l``/``u``."""
-        return self.m_eq, self.m_in

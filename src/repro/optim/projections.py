@@ -1,57 +1,17 @@
-"""Euclidean projections used by allocation heuristics and baselines.
+"""Euclidean projection onto the capped simplex.
 
-The baseline policies in :mod:`repro.baselines` repair heuristic workload
-splits by projecting onto the feasible region (portal conservation is a
-scaled simplex; latency capacity is a box).  These are small, exact,
-closed-form or O(n log n) routines.
+A portal's workload split across IDCs lies on a scaled simplex (portal
+conservation) capped per IDC (latency-bounded capacity).  The static
+baseline (:mod:`repro.baselines.static`) and the fallback ladder's hold
+rung (:mod:`repro.resilience.ladder`) repair a split by projecting it
+onto that set.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "project_box",
-    "project_simplex",
-    "project_capped_simplex",
-    "project_nonnegative",
-]
-
-
-def project_nonnegative(x) -> np.ndarray:
-    """Project onto the nonnegative orthant (componentwise max with 0)."""
-    return np.maximum(np.asarray(x, dtype=float), 0.0)
-
-
-def project_box(x, lower, upper) -> np.ndarray:
-    """Project onto the box ``lower <= x <= upper``."""
-    x = np.asarray(x, dtype=float)
-    return np.clip(x, lower, upper)
-
-
-def project_simplex(x, total: float = 1.0) -> np.ndarray:
-    """Project onto the scaled simplex ``{v >= 0 : sum(v) = total}``.
-
-    Uses the sorting algorithm of Held, Wolfe & Crowder (1974); exact in
-    O(n log n).
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    if total < 0:
-        raise ValueError("simplex total must be nonnegative")
-    if total == 0:
-        return np.zeros_like(x)
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u) - total
-    ks = np.arange(1, x.size + 1)
-    cond = u - css / ks > 0
-    if not np.any(cond):
-        # Degenerate fall-back: all mass on the largest coordinate.
-        out = np.zeros_like(x)
-        out[int(np.argmax(x))] = total
-        return out
-    rho = int(np.max(ks[cond]))
-    theta = css[rho - 1] / rho
-    return np.maximum(x - theta, 0.0)
+__all__ = ["project_capped_simplex"]
 
 
 def project_capped_simplex(x, caps, total: float, max_iter: int = 100,

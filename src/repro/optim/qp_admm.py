@@ -15,33 +15,15 @@ The two-sided constraint form is convenient: equality constraints are
 rows with ``l == u`` and one-sided inequalities use an infinite bound.
 A helper converts from the ``A_eq/A_ineq`` convention used elsewhere.
 
-Two KKT back-ends are available (``method=``):
+Each iteration back-solves the full (n+m)×(n+m) KKT matrix, LU-factored
+once per ``(P, A, rho, sigma)`` and reusable across solves through
+:class:`ADMMFactorCache`.  The condensed MPC QP has 45 variables at the
+paper's sizes, where dense BLAS is the cheap path.
 
-``"dense"``
-    LU of the full (n+m)×(n+m) KKT matrix — the original path, exact for
-    arbitrary problems.
-``"reduced"``
-    The (2,2) block of the ADMM KKT matrix is ``−I/ρ``, so the dual block
-    can be eliminated *analytically*: factor the n×n SPD Schur complement
-    ``P + σI + ρAᵀA`` by Cholesky instead.  Algebraically identical
-    iterates, but the factorization is O(n³) instead of O((n+m)³) and
-    each back-solve O(n²) instead of O((n+m)²) — on the condensed MPC
-    stack m ≈ 4n, a ~100×/~25× flop reduction.  Passing a
-    :class:`repro.optim.linalg.MPCConstraintOperator` as ``structure``
-    additionally assembles ``AᵀA`` from the block-prefix pattern and
-    applies ``A``/``Aᵀ`` matrix-free per iteration.
-
-``method="auto"`` selects ``"reduced"`` when a structure operator is
-supplied *and* the problem is large enough for the structured path to
-win: on small problems (n below :data:`AUTO_REDUCED_MIN_VARS`) dense
-BLAS beats the per-iteration Python overhead of the matrix-free
-operator — the scaling benchmark measures the reduced path at
-0.58–0.91× dense through n = 50 and ≥ 2.3× from n = 100 — so auto
-stays dense below the crossover.
-
-:func:`solve_qp_admm_batch` runs the same reduced iteration for a whole
-*batch* of problems that share ``(P, A)`` — the fleet-scale Monte-Carlo
-hot path.  One Cholesky factorization of the Schur complement is shared
+:func:`solve_qp_admm_batch` runs the same iteration for a whole *batch*
+of problems that share ``(P, A)`` — the fleet-scale Monte-Carlo hot
+path.  The dual block of its KKT matrix is eliminated: one Cholesky
+factorization of the Schur complement ``P + σI + AᵀρA`` is shared
 across all scenarios; the iterates are stacked ``(S, n)`` / ``(S, m)``
 tensors advanced by level-3 BLAS, with per-scenario residual checks and
 lane freezing so converged scenarios stop paying for stragglers, and an
@@ -56,21 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MPCConstraintOperator
 from .result import OptimizeResult, Status
 
 __all__ = ["solve_qp_admm", "solve_qp_admm_batch", "boxed_constraints",
            "ADMMFactorCache", "BatchQPResult", "BatchADMMSetup",
-           "prepare_batch_admm", "reduced_admm_factor",
-           "AUTO_REDUCED_MIN_VARS"]
-
-#: ``method="auto"`` crossover: the reduced/matrix-free path must have at
-#: least this many primal variables before it outruns dense LU.  The
-#: scaling benchmark (``BENCH_scaling.json``, kernel sweep) measures
-#: reduced at 0.58×–0.91× dense up to n = 50 (N=10, β₁=5) and ≥ 2.3×
-#: from n = 100 (N=10, β₁=15), so auto stays dense through n = 50 and
-#: switches in the n = 50–100 gap.
-AUTO_REDUCED_MIN_VARS = 64
+           "prepare_batch_admm"]
 
 
 class ADMMFactorCache:
@@ -90,16 +62,14 @@ class ADMMFactorCache:
         self._A: np.ndarray | None = None
         self._rho: float = np.nan
         self._sigma: float = np.nan
-        self._method: str = ""
         self._factor = None
         self.hits = 0
         self.misses = 0
 
-    def lookup(self, P: np.ndarray, A: np.ndarray, rho: float, sigma: float,
-               method: str = "dense"):
+    def lookup(self, P: np.ndarray, A: np.ndarray, rho: float, sigma: float):
         """Return the cached factorization, or ``None`` on mismatch."""
         if (self._factor is not None and rho == self._rho
-                and sigma == self._sigma and method == self._method
+                and sigma == self._sigma
                 and self._P.shape == P.shape and self._A.shape == A.shape
                 and np.array_equal(self._P, P)
                 and np.array_equal(self._A, A)):
@@ -109,12 +79,11 @@ class ADMMFactorCache:
         return None
 
     def store(self, P: np.ndarray, A: np.ndarray, rho: float, sigma: float,
-              factor, method: str = "dense") -> None:
+              factor) -> None:
         self._P = P.copy()
         self._A = A.copy()
         self._rho = rho
         self._sigma = sigma
-        self._method = method
         self._factor = factor
 
 
@@ -145,8 +114,6 @@ def solve_qp_admm(P, q, A=None, l=None, u=None, rho: float = 1.0,
                   eps_abs: float = 1e-7, eps_rel: float = 1e-7,
                   max_iter: int = 20_000, x0=None, y0=None,
                   cache: ADMMFactorCache | None = None,
-                  method: str = "auto",
-                  structure: MPCConstraintOperator | None = None,
                   deadline_seconds: float | None = None
                   ) -> OptimizeResult:
     """Solve ``min 0.5 x'Px + q'x  s.t.  l <= Ax <= u`` by ADMM.
@@ -166,18 +133,8 @@ def solve_qp_admm(P, q, A=None, l=None, u=None, rho: float = 1.0,
         dramatically because consecutive optima are close.
     cache:
         Optional :class:`ADMMFactorCache` reused across calls; the KKT
-        factorization is skipped whenever ``(P, A, rho, sigma, method)``
-        match the cached problem.
-    method:
-        ``"dense"`` (full KKT LU), ``"reduced"`` (Schur-complement
-        Cholesky of ``P + σI + ρAᵀA`` — algebraically the same iteration,
-        see module docstring) or ``"auto"`` (reduced when ``structure``
-        is given and ``n >= AUTO_REDUCED_MIN_VARS``; below the crossover
-        dense BLAS wins and auto keeps the dense path).
-    structure:
-        Optional :class:`~repro.optim.linalg.MPCConstraintOperator` whose
-        dense form equals ``A``.  The reduced path then assembles ``AᵀA``
-        from the block pattern and applies ``A``/``Aᵀ`` matrix-free.
+        factorization is skipped whenever ``(P, A, rho, sigma)`` match
+        the cached problem.
     deadline_seconds:
         Optional wall-clock budget.  ADMM always has a best-so-far
         iterate, so on expiry the solve *returns* it (status
@@ -190,8 +147,9 @@ def solve_qp_admm(P, q, A=None, l=None, u=None, rho: float = 1.0,
     OptimizeResult
         ``status`` is ``optimal`` on residual convergence, otherwise
         ``iteration_limit``; the best iterate is returned either way.
-        ``meta["kkt_method"]`` records the factorization path taken and
-        ``meta["solve_seconds"]`` the wall time spent.
+        ``meta["factor_cached"]`` records whether the KKT factorization
+        came from ``cache`` and ``meta["solve_seconds"]`` the wall time
+        spent.
     """
     t_start = time.monotonic()
     P = np.atleast_2d(np.asarray(P, dtype=float))
@@ -212,45 +170,26 @@ def solve_qp_admm(P, q, A=None, l=None, u=None, rho: float = 1.0,
         return OptimizeResult(x=x, fun=float(0.5 * x @ P @ x + q @ x),
                               status=Status.OPTIMAL, iterations=0)
 
-    if method not in ("auto", "dense", "reduced"):
-        raise ValueError(f"unknown KKT method {method!r}")
-    if method == "auto":
-        method = ("reduced" if structure is not None
-                  and n >= AUTO_REDUCED_MIN_VARS else "dense")
-    if structure is not None and structure.shape != A.shape:
-        raise ValueError(
-            f"structure operator shape {structure.shape} does not match "
-            f"A {A.shape}")
-    A_dot = structure.matvec if structure is not None else (lambda v: A @ v)
-    AT_dot = (structure.rmatvec if structure is not None
-              else (lambda v: A.T @ v))
-
     # KKT matrix factored once (fixed rho), or pulled from the cache when
     # the caller solves a sequence of problems sharing (P, A).
     import scipy.linalg as sla
-    factor = (cache.lookup(P, A, rho, sigma, method)
-              if cache is not None else None)
+    factor = cache.lookup(P, A, rho, sigma) if cache is not None else None
     factor_cached = factor is not None
     if factor is None:
-        if method == "reduced":
-            AtA = structure.gram() if structure is not None else A.T @ A
-            K = P + sigma * np.eye(n) + rho * AtA
-            factor = sla.cho_factor(K)
-        else:
-            K = np.zeros((n + m, n + m))
-            K[:n, :n] = P + sigma * np.eye(n)
-            K[:n, n:] = A.T
-            K[n:, :n] = A
-            K[n:, n:] = -np.eye(m) / rho
-            factor = sla.lu_factor(K)
+        K = np.zeros((n + m, n + m))
+        K[:n, :n] = P + sigma * np.eye(n)
+        K[:n, n:] = A.T
+        K[n:, :n] = A
+        K[n:, n:] = -np.eye(m) / rho
+        factor = sla.lu_factor(K)
         if cache is not None:
-            cache.store(P, A, rho, sigma, factor, method)
+            cache.store(P, A, rho, sigma, factor)
 
     if x0 is not None:
         x = np.asarray(x0, dtype=float).ravel().copy()
         if x.size != n:
             x = np.zeros(n)
-        z = np.clip(A_dot(x), l, u)
+        z = np.clip(A @ x, l, u)
     else:
         x = np.zeros(n)
         z = np.zeros(m)
@@ -264,19 +203,11 @@ def solve_qp_admm(P, q, A=None, l=None, u=None, rho: float = 1.0,
     deadline_hit = False
     it = 0
     for it in range(1, max_iter + 1):
-        if method == "reduced":
-            # Eliminated dual block: the second KKT row reads
-            # A x̃ − ν/ρ = z − y/ρ, so z̃ = z + (ν − y)/ρ = A x̃ and only
-            # the n×n system for x̃ remains.
-            rhs = sigma * x - q + AT_dot(rho * z - y)
-            x_tilde = sla.cho_solve(factor, rhs)
-            z_tilde = A_dot(x_tilde)
-        else:
-            rhs = np.concatenate([sigma * x - q, z - y / rho])
-            sol = sla.lu_solve(factor, rhs)
-            x_tilde = sol[:n]
-            nu = sol[n:]
-            z_tilde = z + (nu - y) / rho
+        rhs = np.concatenate([sigma * x - q, z - y / rho])
+        sol = sla.lu_solve(factor, rhs)
+        x_tilde = sol[:n]
+        nu = sol[n:]
+        z_tilde = z + (nu - y) / rho
         x_next = alpha * x_tilde + (1 - alpha) * x
         z_relax = alpha * z_tilde + (1 - alpha) * z
         z_next = np.clip(z_relax + y / rho, l, u)
@@ -284,9 +215,9 @@ def solve_qp_admm(P, q, A=None, l=None, u=None, rho: float = 1.0,
         x, z = x_next, z_next
 
         if it % 10 == 0 or it == 1:
-            Ax = A_dot(x)
+            Ax = A @ x
             r_prim = np.linalg.norm(Ax - z, ord=np.inf)
-            Aty = AT_dot(y)
+            Aty = A.T @ y
             r_dual = np.linalg.norm(P @ x + q + Aty, ord=np.inf)
             eps_prim = eps_abs + eps_rel * max(
                 np.linalg.norm(Ax, ord=np.inf), np.linalg.norm(z, ord=np.inf))
@@ -308,27 +239,10 @@ def solve_qp_admm(P, q, A=None, l=None, u=None, rho: float = 1.0,
         message="" if status == Status.OPTIMAL else
         ("ADMM deadline expired; returning best iterate" if deadline_hit
          else "ADMM hit iteration limit; returning best iterate"),
-        meta={"kkt_method": method,
-              "factor_cached": int(factor_cached),
+        meta={"factor_cached": int(factor_cached),
               "deadline_exceeded": int(deadline_hit),
               "solve_seconds": time.monotonic() - t_start},
     )
-
-
-def reduced_admm_factor(P, A, rho: float = 1.0, sigma: float = 1e-6,
-                        structure: MPCConstraintOperator | None = None):
-    """Cholesky factor of the reduced ADMM KKT ``P + σI + ρAᵀA``.
-
-    The factor depends only on ``(P, A, rho, sigma)`` — for a batch of
-    scenarios sharing the constraint geometry it is computed once and
-    passed to every :func:`solve_qp_admm_batch` call.
-    """
-    import scipy.linalg as sla
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    n = P.shape[0]
-    AtA = structure.gram() if structure is not None else A.T @ A
-    return sla.cho_factor(P + sigma * np.eye(n) + rho * AtA)
 
 
 @dataclass
@@ -543,8 +457,9 @@ def solve_qp_admm_batch(P, Q, A, L, U, rho: float = 0.1,
     price/workload noise (see ``repro.core.batch_controller``) while the
     targets and right-hand sides vary per lane.
 
-    The iteration is the reduced (Schur-complement) update of
-    :func:`solve_qp_admm` applied to all lanes at once — the shared
+    The iteration is the update of :func:`solve_qp_admm` with the dual
+    block of the KKT matrix eliminated (the Schur complement
+    ``P + σI + AᵀρA``), applied to all lanes at once — the shared
     Cholesky back-solve runs on an ``(n, S)`` right-hand-side block
     (level-3 BLAS), the projection/dual steps are elementwise on
     ``(S, m)`` tensors — with three OSQP refinements the scalar path

@@ -69,8 +69,10 @@ __all__ = [
 #: Version stamp of the checkpoint envelope; bumped on layout changes.
 #: Version 2: every period loop checkpoints one lane-axis record
 #: (:class:`repro.sim.recorder.LaneRecord`) instead of the scalar
-#: engine's per-period recorder.
-CHECKPOINT_VERSION = 2
+#: engine's per-period recorder.  Version 3: the pickled MPC core no
+#: longer carries a matrix-free constraint operator, and the policy
+#: snapshots no longer carry server counts or last prices.
+CHECKPOINT_VERSION = 3
 
 #: Version stamp of the WAL record schema.
 WAL_VERSION = 1

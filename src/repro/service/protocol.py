@@ -16,6 +16,7 @@ specs mirror the shared-market herding study
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import asdict, dataclass, field
 
@@ -101,6 +102,8 @@ _POLICY_KEYS = {"name", "r_weight", "supervised", "fallback_ladder",
 _FLEET_KEYS = {"n_lanes", "n_periods", "dt", "gamma", "policy_mix",
                "stagger", "seed", "load_noise", "nominal_power_mw",
                "r_weight", "start_hour"}
+#: Numeric keys (in any section) that must also be strictly positive.
+_POSITIVE_KEYS = {"dt", "duration", "r_weight", "deadline_seconds"}
 
 
 def _check_keys(mapping: dict, allowed: set, where: str) -> None:
@@ -109,6 +112,22 @@ def _check_keys(mapping: dict, allowed: set, where: str) -> None:
         raise ProtocolError(
             f"unknown {where} key(s) {sorted(unknown)}; "
             f"allowed: {sorted(allowed)}")
+
+
+def _check_numbers(mapping: dict, where: str) -> None:
+    """Every number must be finite, and ``_POSITIVE_KEYS`` positive.
+
+    Python's ``json`` parses ``NaN`` and ``Infinity``; such a value would
+    otherwise reach the controller and fail its control thread.
+    """
+    for key, value in mapping.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            continue
+        if not math.isfinite(value):
+            raise ProtocolError(f"{where}.{key} must be finite, got {value!r}")
+        if key in _POSITIVE_KEYS and value <= 0:
+            raise ProtocolError(
+                f"{where}.{key} must be positive, got {value!r}")
 
 
 def spec_from_dict(payload: dict) -> RunSpec:
@@ -133,6 +152,7 @@ def spec_from_dict(payload: dict) -> RunSpec:
         if not isinstance(section, dict):
             raise ProtocolError(f"{name} must be a JSON object")
         _check_keys(section, allowed, name)
+        _check_numbers(section, name)
     if scenario.get("name", "paper") not in SCENARIO_KINDS:
         raise ProtocolError(
             f"scenario.name must be one of {SCENARIO_KINDS}")

@@ -10,10 +10,9 @@ per closed-loop run:
 * **stage timers** — cumulative wall time and call counts per named
   stage (``model``, ``reference``, ``mpc_solve`` …),
 * **counters** — cache hits/misses, QP iteration totals, warm-start
-  engagement, and the linear-algebra kernel counters forwarded from the
+  engagement, and the active-set QP's kernel counters forwarded from the
   MPC layer (``kkt_updates`` / ``kkt_refactorizations`` /
-  ``kkt_dense_steps`` / ``admm_reduced_solves`` — see
-  :mod:`repro.optim.linalg`),
+  ``kkt_dense_steps`` — see :mod:`repro.optim.linalg`),
 
 so benchmarks can assert *cache effectiveness*, not just speed.  The
 object is a plain-data container (picklable) and cheap enough to leave

@@ -302,7 +302,6 @@ def generate_spec(seed: int, *, chaos: bool = False) -> dict:
         "horizon_ctrl": horizon_ctrl,
         "r_weight": float(np.round(10.0 ** rng.uniform(-3, -1), 5)),
         "backend": str(rng.choice(["active_set", "admm"])),
-        "slow_period": int(rng.choice([1, 1, 2])),
     }
     if chaos:
         names = [name for name, _m, _mu in PAPER_IDC_SPECS]
@@ -573,7 +572,6 @@ def build_scenario(spec: dict) -> tuple[Scenario, MPCPolicyConfig]:
         budget_mode=spec.get("budget_mode", "lp"),
         hard_budget_constraints=bool(spec.get("hard_budgets", False)),
         backend=spec.get("backend", "active_set"),
-        slow_period=int(spec.get("slow_period", 1)),
         # Chaos injects solver failures on purpose: route every solve
         # through the fallback ladder under a (generous) deadline budget
         # instead of certifying optimality of solves meant to fail.
@@ -1150,8 +1148,6 @@ def _shrink_candidates(spec: dict) -> list[tuple[str, dict]]:
         pred = max(2, spec["horizon_pred"] // 2)
         variant("shrink_horizon", horizon_pred=pred,
                 horizon_ctrl=min(spec["horizon_ctrl"], pred))
-    if spec.get("slow_period", 1) != 1:
-        variant("slow_period_1", slow_period=1)
     return out
 
 

@@ -1,14 +1,13 @@
 """Differential oracles: one problem, every solver, one verdict.
 
-Solver rewrites (incremental KKT factorizations, reduced ADMM, warm
-starts) must not change *answers*.  The oracle harness therefore takes a
+Solver rewrites (incremental KKT factorizations, warm starts) must not
+change *answers*.  The oracle harness therefore takes a
 captured :class:`~repro.verify.problems.QPProblem` or
 :class:`~repro.verify.problems.LPProblem` and
 
 1. solves it with **every** in-house backend — the active-set QP cold,
    the active-set QP warm-started from its own solution (exercising the
-   incremental-KKT reuse path), ADMM with the dense KKT and ADMM with
-   the reduced Schur-complement KKT; for LPs the two-phase revised
+   incremental-KKT reuse path) and ADMM; for LPs the two-phase revised
    simplex,
 2. solves it with an **external reference** — ``scipy.optimize.linprog``
    (HiGHS) for LPs, ``scipy.optimize.minimize(trust-constr)`` for QPs,
@@ -44,7 +43,7 @@ __all__ = ["BackendRun", "OracleReport", "cross_check_qp", "cross_check_lp",
            "cross_check"]
 
 #: In-house QP backends exercised by :func:`cross_check_qp`.
-QP_BACKENDS = ("active_set", "active_set_warm", "admm_dense", "admm_reduced")
+QP_BACKENDS = ("active_set", "active_set_warm", "admm")
 
 
 @dataclass
@@ -240,24 +239,23 @@ def cross_check_qp(problem: QPProblem, obj_tol: float = 1e-4,
         except (ConvergenceError, InfeasibleProblemError) as exc:
             _add("active_set_warm", error=f"{type(exc).__name__}: {exc}")
 
-    # -- ADMM, dense and reduced KKT ---------------------------------------
+    # -- ADMM --------------------------------------------------------------
     A, low, high = boxed_constraints(p.n, p.A_eq, p.b_eq, p.A_ineq, p.b_ineq)
-    for name, method in (("admm_dense", "dense"), ("admm_reduced", "reduced")):
-        try:
-            res = solve_qp_admm(p.P, p.q, A, low, high, method=method)
-            if res.status != "optimal":
-                _add(name, status=res.status,
-                     error=f"ADMM did not converge ({res.message})")
-                continue
+    try:
+        res = solve_qp_admm(p.P, p.q, A, low, high)
+        if res.status != "optimal":
+            _add("admm", status=res.status,
+                 error=f"ADMM did not converge ({res.message})")
+        else:
             # First-order method: certify at a looser tolerance, and let
             # the checker recover multipliers (the boxed dual has a
             # different shape than the eq/ineq split).
             cert = check_kkt_qp(p.P, p.q, res.x, p.A_eq, p.b_eq,
                                 p.A_ineq, p.b_ineq, tol=50 * cert_tol)
-            _add(name, status=res.status, objective=res.fun, x=res.x,
+            _add("admm", status=res.status, objective=res.fun, x=res.x,
                  certificate=cert)
-        except (ConvergenceError, np.linalg.LinAlgError) as exc:
-            _add(name, error=f"{type(exc).__name__}: {exc}")
+    except (ConvergenceError, np.linalg.LinAlgError) as exc:
+        _add("admm", error=f"{type(exc).__name__}: {exc}")
 
     # -- scipy reference ---------------------------------------------------
     if scipy_reference:

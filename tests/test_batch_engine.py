@@ -371,16 +371,3 @@ def test_solve_qp_admm_batch_matches_scalar():
                             eps_abs=1e-11, eps_rel=1e-11)
         assert ref.success
         np.testing.assert_allclose(res.X[s], ref.x, rtol=1e-8, atol=1e-8)
-
-
-def test_solve_qp_admm_auto_method_picks_by_size():
-    rng = np.random.default_rng(31)
-    n = 4
-    M = rng.standard_normal((n, n))
-    P = M @ M.T + np.eye(n)
-    q = rng.standard_normal(n)
-    A = np.eye(n)
-    res = solve_qp_admm(P, q, A, np.zeros(n), np.ones(n), method="auto")
-    assert res.success
-    # tiny problem, no structure operator: auto must take the dense path
-    assert res.meta["kkt_method"] == "dense"

@@ -85,42 +85,22 @@ class TestHorizon:
         )
         b1, b2, ny, nu = 6, 4, 2, 2
         H = build_horizon(model, b1, b2)
-        assert H.theta_blocks.shape == (b1, ny, nu)
-        # dense Θ's (s, t) block must equal J_{s-t} (zero above diagonal)
+        assert H.Theta.shape == (b1 * ny, b2 * nu)
+
+        def block(s, t):
+            return H.Theta[s * ny:(s + 1) * ny, t * nu:(t + 1) * nu]
+
+        # Θ's (s, t) block is J_{s-t}, the first block column shifted
+        # down t steps (zero above the diagonal); the first block column
+        # is F_u's, since u(k+i) = u(k-1) + Δu(k) + …
+        np.testing.assert_allclose(H.Theta[:, :nu], H.F_u, atol=1e-13)
         for s in range(b1):
             for t in range(b2):
-                block = H.Theta[s * ny:(s + 1) * ny, t * nu:(t + 1) * nu]
                 if s < t:
-                    np.testing.assert_array_equal(block, 0.0)
+                    np.testing.assert_array_equal(block(s, t), 0.0)
                 else:
                     np.testing.assert_allclose(
-                        block, H.theta_blocks[s - t], atol=1e-13)
-
-    def test_apply_theta_matches_dense_operator(self):
-        rng = np.random.default_rng(2)
-        model = DiscreteStateSpace(
-            Phi=rng.normal(size=(4, 4)) * 0.25,
-            G=rng.normal(size=(4, 3)),
-            C=rng.normal(size=(2, 4)),
-        )
-        for b1, b2 in ((7, 4), (5, 5), (3, 1)):
-            H = build_horizon(model, b1, b2)
-            dU = rng.normal(size=b2 * 3)
-            v = rng.normal(size=b1 * 2)
-            np.testing.assert_allclose(H.apply_theta(dU), H.Theta @ dU,
-                                       atol=1e-11)
-            np.testing.assert_allclose(H.apply_theta_T(v), H.Theta.T @ v,
-                                       atol=1e-11)
-
-    def test_apply_theta_dense_fallback_without_blocks(self):
-        rng = np.random.default_rng(3)
-        model = _double_integrator()
-        H = build_horizon(model, 4, 2)
-        H.theta_blocks = None  # hand-built instances lack the block stack
-        dU = rng.normal(size=2)
-        np.testing.assert_allclose(H.apply_theta(dU), H.Theta @ dU)
-        v = rng.normal(size=4)
-        np.testing.assert_allclose(H.apply_theta_T(v), H.Theta.T @ v)
+                        block(s, t), block(s - t, 0), atol=1e-13)
 
     def test_move_selector_is_cached_and_read_only(self):
         T1 = move_selector(2, 3, 1)
@@ -158,7 +138,9 @@ class TestMPC:
 
     def test_respects_input_bounds(self):
         model = _double_integrator()
-        cons = InputConstraintSet(lower=-0.5, upper=0.5)
+        # -0.5 <= u <= 0.5 as capacity-style inequality rows
+        cons = InputConstraintSet(A_ineq=[[1.0], [-1.0]],
+                                  b_ineq=[0.5, 0.5])
         ctrl = ModelPredictiveController(model, 10, 3, q_weight=1.0,
                                          r_weight=1e-3, constraints=cons)
         x = np.array([0.0, 0.0])
@@ -168,27 +150,6 @@ class TestMPC:
             u = sol.u
             assert -0.5 - 1e-6 <= u[0] <= 0.5 + 1e-6
             x = model.step(x, u)
-
-    def test_du_limit_enforced(self):
-        model = _double_integrator()
-        cons = InputConstraintSet(du_limit=0.1)
-        ctrl = ModelPredictiveController(model, 10, 3, q_weight=10.0,
-                                         r_weight=1e-6, constraints=cons)
-        x = np.zeros(2)
-        u = np.zeros(1)
-        for _ in range(20):
-            sol = ctrl.control(x, u, reference=100.0)
-            assert np.all(np.abs(sol.du_sequence) <= 0.1 + 1e-8)
-            assert abs(sol.u[0] - u[0]) <= 0.1 + 1e-8
-            u = sol.u
-            x = model.step(x, u)
-
-    def test_du_limit_validation(self):
-        model = _double_integrator()
-        cons = InputConstraintSet(du_limit=0.0)
-        ctrl = ModelPredictiveController(model, 4, 2, constraints=cons)
-        with pytest.raises(ModelError):
-            ctrl.control(np.zeros(2), np.zeros(1), 1.0)
 
     def test_equality_constraint_held(self):
         # Two inputs whose sum must stay 1 at every step.
@@ -217,10 +178,11 @@ class TestMPC:
         assert sol.u_sequence[1].sum() == pytest.approx(2.0, abs=1e-6)
 
     def test_softening_on_infeasible(self):
-        # Equality sum(u)=4 conflicts with upper bound u <= 1 (2 inputs).
+        # Equality sum(u)=4 conflicts with capacity rows u <= 1 (2 inputs).
         model = DiscreteStateSpace(Phi=np.eye(1), G=np.ones((1, 2)))
         cons = InputConstraintSet(A_eq=[[1.0, 1.0]], b_eq=[4.0],
-                                  lower=0.0, upper=1.0)
+                                  A_ineq=np.eye(2), b_ineq=[1.0, 1.0],
+                                  lower=0.0)
         ctrl = ModelPredictiveController(model, 3, 1, constraints=cons,
                                          soften_infeasible=True)
         sol = ctrl.control([0.0], [0.0, 0.0], reference=0.0)
@@ -231,7 +193,8 @@ class TestMPC:
     def test_infeasible_raises_when_not_softened(self):
         model = DiscreteStateSpace(Phi=np.eye(1), G=np.ones((1, 2)))
         cons = InputConstraintSet(A_eq=[[1.0, 1.0]], b_eq=[4.0],
-                                  lower=0.0, upper=1.0)
+                                  A_ineq=np.eye(2), b_ineq=[1.0, 1.0],
+                                  lower=0.0)
         ctrl = ModelPredictiveController(model, 3, 1, constraints=cons,
                                          soften_infeasible=False)
         with pytest.raises(InfeasibleProblemError):
@@ -248,6 +211,11 @@ class TestMPC:
         s1 = c1.control(x, u, 1.0)
         s2 = c2.control(x, u, 1.0)
         np.testing.assert_allclose(s1.u, s2.u, atol=1e-4)
+
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(ModelError, match="backend"):
+            ModelPredictiveController(_double_integrator(), 4, 2,
+                                      backend="activeset")
 
     def test_reference_shapes(self):
         model = _double_integrator()

@@ -212,9 +212,32 @@ class TestControllerMechanics:
         with pytest.raises(ConfigurationError):
             MPCPolicyConfig(q_weight=-1.0)
         with pytest.raises(ConfigurationError):
-            MPCPolicyConfig(slow_period=0)
-        with pytest.raises(ConfigurationError):
             MPCPolicyConfig(budget_mode="never")
+
+    @pytest.mark.parametrize("field", ["dt", "q_weight", "r_weight",
+                                       "deadline_seconds"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_config_rejects_non_finite_and_negative(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            MPCPolicyConfig(**{field: value})
+
+    def test_config_rejects_unknown_backend(self):
+        # a misspelt backend used to run ADMM silently
+        with pytest.raises(ConfigurationError, match="backend"):
+            MPCPolicyConfig(backend="activeset")
+        MPCPolicyConfig(backend="admm")
+
+    def test_config_rejects_negative_capture(self):
+        with pytest.raises(ConfigurationError, match="capture_problems"):
+            MPCPolicyConfig(capture_problems=-1)
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0, np.nan, np.inf])
+    def test_batch_policy_rejects_bad_deadline(self, value):
+        from repro.core import BatchCostMPCPolicy
+        from repro.sim import paper_cluster
+        with pytest.raises(ConfigurationError, match="deadline_seconds"):
+            BatchCostMPCPolicy(paper_cluster(), n_scenarios=2,
+                               deadline_seconds=value)
 
     def test_reset_reproducibility(self):
         """Two runs of the same policy object give identical results."""
@@ -260,3 +283,25 @@ class TestControllerMechanics:
                                    rtol=0.01)
         assert peak_power(mpc.powers_watts[:, 0]) == pytest.approx(
             peak_power(opt.powers_watts[:, 0]), rel=0.01)
+
+
+class TestSolverBackends:
+    def test_admm_agrees_with_active_set_at_75_variables(self):
+        """β₂ = 5 gives 15 inputs × 5 moves = 75 QP variables.
+
+        The ablation (``benchmarks/test_bench_ablation_solvers.py``)
+        runs β₂ = 3; this run covers the one dense ADMM path beyond 64
+        variables, under the same agreement bounds.
+        """
+        runs, sizes = {}, {}
+        for backend in ("active_set", "admm"):
+            sc = price_step_scenario(dt=30.0, duration=600.0)
+            policy = CostMPCPolicy(sc.cluster, MPCPolicyConfig(
+                dt=30.0, horizon_ctrl=5, backend=backend))
+            runs[backend] = run_simulation(sc, policy)
+            sizes[backend] = policy._mpc._horizon.Theta.shape[1]
+        assert sizes == {"active_set": 75, "admm": 75}
+        a, b = runs["active_set"], runs["admm"]
+        assert np.max(np.abs(a.powers_mw[-1] - b.powers_mw[-1])) < 0.05
+        assert abs(a.total_cost_usd - b.total_cost_usd) \
+            / a.total_cost_usd < 0.01

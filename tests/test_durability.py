@@ -447,6 +447,26 @@ class TestCrashResume:
         with pytest.raises(CheckpointError, match="version 1 not supported"):
             run_simulation(sc2, _mpc(sc2), resume_from=wal)
 
+    def test_version_2_checkpoint_refused_by_version(self, tmp_path):
+        """A version-2 checkpoint pickles an MPC core this code cannot load.
+
+        Version 2 pickled the MPC core with its matrix-free constraint
+        operator, a class that no longer exists; the envelope must refuse
+        it by its version stamp before it tries to unpickle the payload.
+        """
+        wal = str(tmp_path / "v2.wal")
+        sc = _short_scenario()
+        with pytest.raises(SimulatedCrashError):
+            run_simulation(sc, CrashInjector(_mpc(sc), 5), wal_path=wal,
+                           checkpoint_every=2)
+        ckpt = checkpoint_path_for(wal)
+        current = ControllerCheckpoint.load(ckpt)
+        ControllerCheckpoint(period=current.period, state=current.state,
+                             version=2).save(ckpt)
+        sc2 = _short_scenario()
+        with pytest.raises(CheckpointError, match="version 2 not supported"):
+            run_simulation(sc2, _mpc(sc2), resume_from=wal)
+
     def test_resume_with_faults_and_monitor(self, tmp_path):
         """Outage + actuation fault + monitor all survive the restart."""
         def faults(t0):
@@ -654,12 +674,12 @@ class TestResetAudit:
         narrow: solver carry-over goes, plant-integration state stays."""
         _sc, policy, _u, _servers = self._warmed_policy()
         x_before = policy._x.copy()
-        servers_before = policy._servers.copy()
+        u_prev_before = policy._u_prev.copy()
         pending_before = policy._pending
         cache_before = dict(policy._ref_cache)
         policy.reset_solver_state()
         np.testing.assert_array_equal(policy._x, x_before)
-        np.testing.assert_array_equal(policy._servers, servers_before)
+        np.testing.assert_array_equal(policy._u_prev, u_prev_before)
         assert policy._pending is pending_before
         assert dict(policy._ref_cache) == cache_before
         # whereas a full reset() discards everything

@@ -2,9 +2,8 @@
 
 Every kernel in :mod:`repro.optim.linalg` is checked against the dense
 numpy/scipy reference it replaces: the updatable Cholesky against fresh
-factorizations of the explicitly modified matrix, the incremental KKT
-stepper against the dense KKT system, and the matrix-free MPC constraint
-operator against its own materialized stack.
+factorizations of the explicitly modified matrix, and the incremental KKT
+stepper against the dense KKT system.
 """
 
 import numpy as np
@@ -15,7 +14,6 @@ from repro.exceptions import FactorizationError
 from repro.optim.linalg import (
     IncrementalKKT,
     KKTFactorCache,
-    MPCConstraintOperator,
     UpdatableCholesky,
 )
 
@@ -212,46 +210,3 @@ class TestKKTFactorCache:
         cache.store(P, A, A, IncrementalKKT(P), rows_key=())
         P[0, 0] += 1.0  # caller mutates its own copy
         assert cache.lookup(P, A, A) is None
-
-
-class TestMPCConstraintOperator:
-    def make_op(self, **kw):
-        rng = np.random.default_rng(14)
-        defaults = dict(horizon_ctrl=4, n_inputs=3,
-                        A_eq=rng.standard_normal((1, 3)),
-                        A_ineq=rng.standard_normal((2, 3)),
-                        has_lower=True, has_upper=True, has_du_limit=True)
-        defaults.update(kw)
-        return MPCConstraintOperator(**defaults)
-
-    @pytest.mark.parametrize("kw", [
-        {},
-        {"A_eq": None},
-        {"A_ineq": None, "has_du_limit": False},
-        {"has_lower": False, "has_upper": False},
-        {"A_eq": None, "A_ineq": None, "has_lower": True,
-         "has_upper": False, "has_du_limit": True},
-    ])
-    def test_matvec_rmatvec_gram_match_dense(self, kw):
-        op = self.make_op(**kw)
-        A = op.to_dense()
-        assert A.shape == op.shape
-        rng = np.random.default_rng(15)
-        x = rng.standard_normal(op.shape[1])
-        v = rng.standard_normal(op.shape[0])
-        np.testing.assert_allclose(op.matvec(x), A @ x, atol=1e-12)
-        np.testing.assert_allclose(op.rmatvec(v), A.T @ v, atol=1e-12)
-        np.testing.assert_allclose(op.gram(), A.T @ A, atol=1e-10)
-
-    def test_adjoint_identity(self):
-        op = self.make_op()
-        rng = np.random.default_rng(16)
-        x = rng.standard_normal(op.shape[1])
-        v = rng.standard_normal(op.shape[0])
-        assert op.matvec(x) @ v == pytest.approx(x @ op.rmatvec(v))
-
-    def test_bounds_rows_partition(self):
-        op = self.make_op()
-        m_eq, m_in = op.bounds_rows()
-        assert m_eq + m_in == op.shape[0]
-        assert m_eq == op.m_eq_step * op.horizon_ctrl

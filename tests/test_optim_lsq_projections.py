@@ -1,4 +1,9 @@
-"""Tests for the projection operators."""
+"""Tests for the capped-simplex projection.
+
+With every cap at ``total`` the caps cannot bind, so the same routine is
+the projection onto the plain scaled simplex; the ``simplex`` tests check
+that regime.
+"""
 
 import numpy as np
 import pytest
@@ -6,39 +11,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.optim import (
-    project_box,
-    project_capped_simplex,
-    project_nonnegative,
-    project_simplex,
-)
+from repro.optim import project_capped_simplex
+
+
+def simplex_projection(x, total):
+    """Projection onto ``{v >= 0 : sum(v) = total}`` (caps never bind)."""
+    return project_capped_simplex(x, total, total)
 
 
 class TestProjections:
-    def test_nonnegative(self):
-        np.testing.assert_allclose(project_nonnegative([-1, 0, 2]), [0, 0, 2])
-
-    def test_box(self):
-        np.testing.assert_allclose(project_box([-1, 5, 0.5], 0, 1),
-                                   [0, 1, 0.5])
-
     def test_simplex_simple(self):
-        out = project_simplex([0.5, 0.5], total=1.0)
+        out = simplex_projection([0.5, 0.5], total=1.0)
         np.testing.assert_allclose(out, [0.5, 0.5])
 
     def test_simplex_outside(self):
-        out = project_simplex([2.0, 0.0], total=1.0)
+        out = simplex_projection([2.0, 0.0], total=1.0)
         np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-12)
 
     def test_simplex_zero_total(self):
-        np.testing.assert_allclose(project_simplex([1.0, 2.0], 0.0), [0, 0])
+        np.testing.assert_allclose(simplex_projection([1.0, 2.0], 0.0), [0, 0])
 
     @settings(max_examples=50, deadline=None)
     @given(hnp.arrays(np.float64, st.integers(1, 8),
                       elements=st.floats(-5, 5)),
            st.floats(0.01, 10.0))
     def test_simplex_properties(self, x, total):
-        out = project_simplex(x, total)
+        out = simplex_projection(x, total)
         assert np.all(out >= -1e-12)
         assert np.sum(out) == pytest.approx(total, rel=1e-9, abs=1e-9)
         # Projection is no farther from x than any feasible reference point:

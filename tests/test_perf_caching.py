@@ -10,13 +10,11 @@ not crashes, so the invalidation side is what these tests guard.
 """
 
 import numpy as np
-import pytest
 
 from repro.control import ModelPredictiveController
 from repro.control.horizon import build_horizon
 from repro.core import CostModelBuilder, build_constraints
 from repro.core.controller import CostMPCPolicy, MPCPolicyConfig
-from repro.exceptions import ModelError
 from repro.sim import PerfStats, paper_cluster
 
 PRICES = np.array([43.26, 30.26, 19.06])
@@ -120,10 +118,10 @@ class TestConstraintStackCache:
     def test_rhs_change_keeps_a_side(self):
         mpc, cluster = self._mpc()
         u = np.zeros(mpc.model.n_inputs)
-        A_eq1, b_eq1, A_in1, b_in1, _ = mpc._stack_constraints(u)
+        A_eq1, b_eq1, A_in1, b_in1 = mpc._stack_constraints(u)
         new_loads = LOADS * 1.5
         mpc.constraints = build_constraints(cluster, new_loads)
-        A_eq2, b_eq2, A_in2, b_in2, _ = mpc._stack_constraints(u)
+        A_eq2, b_eq2, A_in2, b_in2 = mpc._stack_constraints(u)
         assert A_eq2 is A_eq1  # loads only touch the RHS
         assert not np.array_equal(b_eq1, b_eq2)
         np.testing.assert_allclose(b_eq2[:new_loads.size], new_loads)
@@ -145,9 +143,7 @@ class TestConstraintStackCache:
         rng = np.random.default_rng(7)
         u_prev = rng.uniform(0, 100, mpc.model.n_inputs)
         cs = mpc.constraints
-        cs.du_limit = 500.0
-        cs.upper = 40000.0
-        A_eq, b_eq, A_in, b_in, operator = mpc._stack_constraints(u_prev)
+        A_eq, b_eq, A_in, b_in = mpc._stack_constraints(u_prev)
         nu = mpc.model.n_inputs
         # reference: the pre-cache formulation, step by step
         from repro.control.horizon import move_selector
@@ -160,28 +156,10 @@ class TestConstraintStackCache:
             in_rhs.append(cs.rhs_at(cs.b_ineq, i) - cs.A_ineq @ u_prev)
             in_rows.append(-T)
             in_rhs.append(u_prev - 0.0)
-            in_rows.append(T)
-            in_rhs.append(np.full(nu, 40000.0) - u_prev)
-            E = np.zeros((nu, nu * 3))
-            E[:, i * nu:(i + 1) * nu] = np.eye(nu)
-            in_rows.append(E)
-            in_rhs.append(np.full(nu, 500.0))
-            in_rows.append(-E)
-            in_rhs.append(np.full(nu, 500.0))
         np.testing.assert_allclose(A_eq, np.vstack(eq_rows))
         np.testing.assert_allclose(b_eq, np.concatenate(eq_rhs))
         np.testing.assert_allclose(A_in, np.vstack(in_rows))
         np.testing.assert_allclose(b_in, np.concatenate(in_rhs))
-        # the matrix-free operator is the same stack in the same row order
-        np.testing.assert_allclose(
-            operator.to_dense(), np.vstack([np.vstack(eq_rows),
-                                            np.vstack(in_rows)]))
-
-    def test_nonpositive_du_limit_rejected(self):
-        mpc, cluster = self._mpc()
-        mpc.constraints.du_limit = -1.0
-        with pytest.raises(ModelError):
-            mpc._stack_constraints(np.zeros(mpc.model.n_inputs))
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.optim import solve_qp
-from repro.optim.projections import (
-    project_box,
-    project_capped_simplex,
-    project_nonnegative,
-    project_simplex,
-)
+from repro.optim.projections import project_capped_simplex
 
 _coords = st.floats(min_value=-50.0, max_value=50.0,
                     allow_nan=False, allow_infinity=False)
@@ -37,58 +32,31 @@ def _vector_pairs(min_size=1, max_size=8):
     ).map(lambda p: (np.array(p[0]), np.array(p[1])))
 
 
-class TestNonnegativeProjection:
-    @given(x=_vectors())
-    def test_idempotent_and_feasible(self, x):
-        p = project_nonnegative(x)
-        assert np.all(p >= 0.0)
-        np.testing.assert_array_equal(project_nonnegative(p), p)
-
-    @given(pair=_vector_pairs())
-    def test_non_expansive(self, pair):
-        x, y = pair
-        assert np.linalg.norm(project_nonnegative(x)
-                              - project_nonnegative(y)) \
-            <= np.linalg.norm(x - y) + 1e-12
-
-
-class TestBoxProjection:
-    @given(x=_vectors(), lo=st.floats(-10.0, 0.0), width=st.floats(0.0, 10.0))
-    def test_idempotent_and_feasible(self, x, lo, width):
-        hi = lo + width
-        p = project_box(x, lo, hi)
-        assert np.all(p >= lo - 1e-12) and np.all(p <= hi + 1e-12)
-        np.testing.assert_array_equal(project_box(p, lo, hi), p)
-
-    @given(pair=_vector_pairs(), lo=st.floats(-10.0, 0.0),
-           width=st.floats(0.0, 10.0))
-    def test_non_expansive(self, pair, lo, width):
-        x, y = pair
-        hi = lo + width
-        assert np.linalg.norm(project_box(x, lo, hi)
-                              - project_box(y, lo, hi)) \
-            <= np.linalg.norm(x - y) + 1e-12
+def simplex_projection(x, total):
+    """Projection onto ``{v >= 0 : sum(v) = total}``: with every cap at
+    ``total`` the capped simplex's caps cannot bind."""
+    return project_capped_simplex(x, total, total)
 
 
 class TestSimplexProjection:
     @given(x=_vectors(), total=st.floats(0.1, 100.0))
     def test_feasible(self, x, total):
-        p = project_simplex(x, total)
+        p = simplex_projection(x, total)
         assert np.all(p >= -1e-9)
         assert np.sum(p) == pytest.approx(total, rel=1e-6, abs=1e-6)
 
     @given(x=_vectors(), total=st.floats(0.1, 100.0))
     @settings(max_examples=50)
     def test_idempotent(self, x, total):
-        p = project_simplex(x, total)
-        np.testing.assert_allclose(project_simplex(p, total), p, atol=1e-8)
+        p = simplex_projection(x, total)
+        np.testing.assert_allclose(simplex_projection(p, total), p, atol=1e-8)
 
     @given(pair=_vector_pairs(), total=st.floats(0.1, 100.0))
     @settings(max_examples=50)
     def test_non_expansive(self, pair, total):
         x, y = pair
-        assert np.linalg.norm(project_simplex(x, total)
-                              - project_simplex(y, total)) \
+        assert np.linalg.norm(simplex_projection(x, total)
+                              - simplex_projection(y, total)) \
             <= np.linalg.norm(x - y) + 1e-8
 
     @given(x=_vectors())
@@ -98,7 +66,7 @@ class TestSimplexProjection:
         res = solve_qp(np.eye(n), -x,
                        A_eq=np.ones((1, n)), b_eq=np.array([1.0]),
                        A_ineq=-np.eye(n), b_ineq=np.zeros(n))
-        np.testing.assert_allclose(project_simplex(x, 1.0), res.x,
+        np.testing.assert_allclose(simplex_projection(x, 1.0), res.x,
                                    atol=1e-6)
 
 

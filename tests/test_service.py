@@ -73,6 +73,26 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="resume"):
             spec_from_dict({"resume": "maybe"})
 
+    def test_non_finite_and_non_positive_numbers_rejected(self):
+        # Python's json parses NaN/Infinity; they must stop at the door,
+        # not fail the control thread later.
+        for section, key, value in (
+                ("policy", "r_weight", float("nan")),
+                ("policy", "deadline_seconds", float("inf")),
+                ("scenario", "start_hour", float("-inf")),
+                ("fleet", "gamma", float("nan"))):
+            with pytest.raises(ProtocolError, match="finite"):
+                spec_from_dict({section: {key: value}})
+        for section, key in (("scenario", "dt"), ("scenario", "duration"),
+                             ("policy", "r_weight"),
+                             ("policy", "deadline_seconds"),
+                             ("fleet", "dt"), ("fleet", "r_weight")):
+            with pytest.raises(ProtocolError, match="positive"):
+                spec_from_dict({section: {key: 0.0}})
+        spec = spec_from_dict(json.loads(
+            '{"policy": {"r_weight": 0.02, "deadline_seconds": null}}'))
+        assert spec.policy["r_weight"] == 0.02
+
     def test_durability_always_armed(self):
         with pytest.raises(ProtocolError, match="checkpoint_every"):
             spec_from_dict({"checkpoint_every": 0})
@@ -116,6 +136,14 @@ class TestEndpoints:
         with pytest.raises(ServiceError) as exc:
             client.submit({"kind": "nope"})
         assert exc.value.status == 400
+
+    def test_nan_spec_is_400(self, service):
+        _, client = service
+        with pytest.raises(ServiceError) as exc:
+            client.submit(_spec(_SHORT, "nan",
+                                policy={"r_weight": float("nan")}))
+        assert exc.value.status == 400
+        assert "finite" in str(exc.value)
 
     def test_unknown_run_is_404(self, service):
         _, client = service

@@ -80,7 +80,6 @@ class TestShrink:
         # halving stops once it would clip the fault away entirely
         assert minimal["n_periods"] <= spec["n_periods"]
         assert minimal["backend"] == "active_set"
-        assert minimal["slow_period"] == 1
 
     def test_shrink_returns_spec_unchanged_when_nothing_helps(self):
         spec = generate_spec(4)
