@@ -56,8 +56,8 @@ def _study():
     }
 
 
-def test_bench_anticipation(macro, capsys):
-    data = macro(_study)
+def test_bench_anticipation(capsys):
+    data = _study()
 
     # the blind controller cannot move before the price does...
     assert data["blind_pre_step_movement_mw"] < 0.5

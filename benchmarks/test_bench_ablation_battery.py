@@ -35,8 +35,8 @@ def _study(dt=30.0, duration=600.0):
             "rows": rows}
 
 
-def test_bench_battery_shaving(macro, capsys):
-    data = macro(_study)
+def test_bench_battery_shaving(capsys):
+    data = _study()
     rows = data["rows"]
 
     # the unshaved optimal policy exceeds the budget

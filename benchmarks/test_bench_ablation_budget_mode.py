@@ -5,8 +5,8 @@ import numpy as np
 from repro.experiments.ablations import budget_mode_comparison
 
 
-def test_bench_budget_modes(macro, capsys):
-    data = macro(budget_mode_comparison)
+def test_bench_budget_modes(capsys):
+    data = budget_mode_comparison()
     rows = {r["mode"]: r for r in data["rows"]}
     budgets = data["budgets_mw"]
 

@@ -95,8 +95,8 @@ def _study():
     return out
 
 
-def test_bench_dayahead_contracting(macro, capsys):
-    data = macro(_study)
+def test_bench_dayahead_contracting(capsys):
+    data = _study()
 
     # the commitment-tracking MPC misses the schedule by far less energy
     assert data["mpc+commit"]["deviation_mwh"] \

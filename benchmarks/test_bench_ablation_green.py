@@ -48,8 +48,8 @@ def _study():
     return rows
 
 
-def test_bench_green_balancing(macro, capsys):
-    rows = macro(_study)
+def test_bench_green_balancing(capsys):
+    rows = _study()
 
     # with no renewables the two policies coincide
     r0 = rows[0]

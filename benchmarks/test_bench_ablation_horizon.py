@@ -3,8 +3,8 @@
 from repro.experiments.ablations import horizon_sweep
 
 
-def test_bench_horizon_sweep(macro, capsys):
-    data = macro(horizon_sweep)
+def test_bench_horizon_sweep(capsys):
+    data = horizon_sweep()
     rows = data["rows"]
 
     # Every horizon yields a working controller whose cost is at least

@@ -62,8 +62,8 @@ def _study():
     return out
 
 
-def test_bench_prediction(macro, capsys):
-    data = macro(_study)
+def test_bench_prediction(capsys):
+    data = _study()
 
     for label, d in data.items():
         # prediction or not, the loop never drops work or violates QoS

@@ -3,8 +3,8 @@
 from repro.experiments.ablations import price_feedback_study
 
 
-def test_bench_price_feedback(macro, capsys):
-    data = macro(price_feedback_study)
+def test_bench_price_feedback(capsys):
+    data = price_feedback_study()
     rows = {r["sensitivity"]: r for r in data["rows"]}
 
     # With prices coupled to demand, naive greedy chasing gets *more*

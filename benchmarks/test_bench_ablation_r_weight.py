@@ -3,8 +3,8 @@
 from repro.experiments.ablations import r_weight_sweep
 
 
-def test_bench_r_weight_sweep(macro, capsys):
-    data = macro(r_weight_sweep)
+def test_bench_r_weight_sweep(capsys):
+    data = r_weight_sweep()
     rows = data["rows"]
 
     # Larger R must monotonically reduce the worst power jump...

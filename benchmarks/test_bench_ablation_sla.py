@@ -3,8 +3,8 @@
 from repro.experiments import sla_sweep
 
 
-def test_bench_sla_sweep(macro, capsys):
-    data = macro(sla_sweep.run)
+def test_bench_sla_sweep(capsys):
+    data = sla_sweep.run()
     rows = data["rows"]
 
     # tighter SLAs cost more (monotone nonincreasing cost as D grows)

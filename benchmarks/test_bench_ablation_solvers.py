@@ -3,8 +3,8 @@
 from repro.experiments.ablations import solver_comparison
 
 
-def test_bench_solver_comparison(macro, capsys):
-    data = macro(solver_comparison)
+def test_bench_solver_comparison(capsys):
+    data = solver_comparison()
 
     # The two backends must agree on the settled operating point.
     assert data["max_power_disagreement_mw"] < 0.05

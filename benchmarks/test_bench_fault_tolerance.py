@@ -33,8 +33,8 @@ def _study(dt=60.0, duration=600.0):
     return out
 
 
-def test_bench_fault_tolerance(macro, capsys):
-    data = macro(_study)
+def test_bench_fault_tolerance(capsys):
+    data = _study()
     outage_cap = 0.5 * 30000 * 2.0 - 1000.0  # 29000 req/s
 
     for label in ("optimal", "mpc"):

@@ -5,8 +5,8 @@ import numpy as np
 from repro.experiments import fig2_prices
 
 
-def test_bench_fig2(macro, capsys):
-    data = macro(fig2_prices.run)
+def test_bench_fig2(capsys):
+    data = fig2_prices.run()
 
     series = data["series"]
     # 24 hourly points per region, within the figure's axis range

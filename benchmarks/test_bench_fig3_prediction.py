@@ -3,8 +3,8 @@
 from repro.experiments import fig3_prediction
 
 
-def test_bench_fig3(macro, capsys):
-    data = macro(fig3_prediction.run)
+def test_bench_fig3(capsys):
+    data = fig3_prediction.run()
 
     # the figure's qualitative claim: prediction accurately captures the
     # workload — one-step error is a small fraction of the signal

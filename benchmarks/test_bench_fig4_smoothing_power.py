@@ -5,8 +5,8 @@ import numpy as np
 from repro.experiments import fig4_smoothing_power
 
 
-def test_bench_fig4(macro, capsys):
-    data = macro(fig4_smoothing_power.run)
+def test_bench_fig4(capsys):
+    data = fig4_smoothing_power.run()
 
     opt = data["optimal_mw"]
     mpc = data["mpc_mw"]

@@ -5,8 +5,8 @@ import numpy as np
 from repro.experiments import fig5_smoothing_servers
 
 
-def test_bench_fig5(macro, capsys):
-    data = macro(fig5_smoothing_servers.run)
+def test_bench_fig5(capsys):
+    data = fig5_smoothing_servers.run()
 
     opt = data["optimal_servers"]
     mpc = data["mpc_servers"]

@@ -5,8 +5,8 @@ import numpy as np
 from repro.experiments import fig6_shaving_power
 
 
-def test_bench_fig6(macro, capsys):
-    data = macro(fig6_shaving_power.run)
+def test_bench_fig6(capsys):
+    data = fig6_shaving_power.run()
 
     budgets = data["budgets_mw"]
     opt = data["optimal_mw"]

@@ -5,8 +5,8 @@ import numpy as np
 from repro.experiments import fig7_shaving_servers
 
 
-def test_bench_fig7(macro, capsys):
-    data = macro(fig7_shaving_servers.run)
+def test_bench_fig7(capsys):
+    data = fig7_shaving_servers.run()
 
     opt = data["optimal_servers"]
     mpc = data["mpc_servers"]

@@ -76,8 +76,8 @@ def _study():
     return rows
 
 
-def test_bench_monte_carlo_days(macro, capsys):
-    rows = macro(_study)
+def test_bench_monte_carlo_days(capsys):
+    rows = _study()
 
     premiums = [(r["mpc_cost"] - r["opt_cost"]) / r["opt_cost"]
                 for r in rows]

@@ -1,22 +1,16 @@
 """Scaling benchmarks: linear-algebra kernels and the fleet engine.
 
-Two independent sweeps land in ``BENCH_scaling.json`` (each test merges
-its own section, preserving the other's):
+Pass/fail checks only; nothing is written to disk.  Timings of record
+come from ``benchmarks/e2e``.
 
 **Kernel scaling** sweeps the two size axes of the paper's problem — the
-number of IDCs ``N`` and the prediction horizon ``β₁`` — and times each
-structured kernel against the path it replaces on the same condensed
-MPC QP:
-
-* Active-set warm solve (cached incremental KKT factorization, seeded
-  working set) vs cold solve, with the ``kkt_updates`` /
-  ``kkt_refactorizations`` counters recorded as proof that the O(n²)
-  incremental path — not a refactorization — did the work.
-* Horizon stacking via the β₁ distinct Toeplitz blocks vs the legacy
-  per-block Python copy loop.
-
-The hard assertion is the headline claim: at the largest configuration
-the warm active-set solve must beat the cold one by at least 3×.
+number of IDCs ``N`` and the prediction horizon ``β₁`` — and times the
+active-set warm solve (cached incremental KKT factorization, seeded
+working set) against the cold solve on the same condensed MPC QP, with
+the ``kkt_updates`` / ``kkt_refactorizations`` counters as proof that
+the O(n²) incremental path — not a refactorization — did the work.
+At the largest configuration the warm solve must beat the cold one by
+at least 3×.
 
 **Scenario scaling** sweeps the fleet width ``S`` of a Monte-Carlo
 study: ``S`` price/workload-perturbed replicas of the paper's
@@ -30,17 +24,18 @@ one scalar full-day run.
 (every lane owns a demand-coupled market, cleared vectorized through
 :class:`repro.pricing.LaneMarketBatch`), then runs the headline
 shared-market experiment: a 1000-controller mixed-policy fleet on one
-demand-coupled regional market for a full day, with herding metrics
-and the stagger/smoothing mitigation comparison recorded.  Acceptance:
+demand-coupled regional market for a full day.  Acceptance:
 coupled batched ≥ 5× looped at S = 100 with ≤ 1e-6 relative cost
 agreement, and the 1000-lane coupled day within 5× of one scalar
 full-day run.
+
+**Fleet durability** times the batched engine and the shared-market
+fleet with the write-ahead log and checkpoints armed against the same
+runs without them: durable must stay within 2× of plain.
 """
 
-import json
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
@@ -60,32 +55,9 @@ from repro.sim import (
 from repro.sim.scenario import PAPER_IDC_SPECS, PAPER_PORTAL_LOADS
 
 CONFIGS = [(n, b1) for n in (3, 10, 30) for b1 in (5, 15, 30)]
-REPEATS = 3
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_scaling.json"
 
 SCENARIO_SWEEP = (1, 10, 100)   # looped-vs-batched comparison widths
 MC_FLEET = 1000                 # headline batched-only fleet width
-
-
-def _write_sections(update: dict) -> None:
-    """Merge ``update`` into BENCH_scaling.json, keeping other sections."""
-    data = {}
-    if OUTPUT.exists():
-        try:
-            data = json.loads(OUTPUT.read_text())
-        except ValueError:
-            data = {}
-    data.update(update)
-    OUTPUT.write_text(json.dumps(data, indent=2) + "\n")
-
-
-def _best_of(fn, repeats=REPEATS):
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return min(times)
 
 
 def _make_model(n_idcs):
@@ -128,30 +100,11 @@ def _make_qp(n_idcs, horizon_pred):
     ])
     x_target = rng.normal(scale=0.6, size=horizon_ctrl * n_idcs)
     q = -(P @ x_target)
-    return model, P, q, A_eq, b_eq, A_in, b_in, horizon_ctrl
-
-
-def _theta_block_loop(model, horizon_pred, horizon_ctrl):
-    """Legacy dense Θ assembly: per-block Python copy loop (reference)."""
-    Phi, G, C = model.Phi, model.G, model.C
-    n, nu, ny = model.n_states, model.n_inputs, model.n_outputs
-    powers = [np.eye(n)]
-    for _ in range(horizon_pred):
-        powers.append(Phi @ powers[-1])
-    psums = [np.zeros((n, n))]
-    for s in range(1, horizon_pred + 1):
-        psums.append(psums[-1] + powers[s - 1])
-    Theta = np.zeros((horizon_pred * ny, horizon_ctrl * nu))
-    for s in range(1, horizon_pred + 1):
-        for t in range(min(s, horizon_ctrl)):
-            Theta[(s - 1) * ny:s * ny, t * nu:(t + 1) * nu] = \
-                C @ psums[s - t] @ G
-    return Theta
+    return P, q, A_eq, b_eq, A_in, b_in
 
 
 def _bench_config(n_idcs, horizon_pred):
-    model, P, q, A_eq, b_eq, A_in, b_in, horizon_ctrl = _make_qp(
-        n_idcs, horizon_pred)
+    P, q, A_eq, b_eq, A_in, b_in = _make_qp(n_idcs, horizon_pred)
     n = q.size
 
     # --- Active-set: cold build vs cached incremental factorization ---
@@ -166,38 +119,19 @@ def _bench_config(n_idcs, horizon_pred):
     t_warm = time.perf_counter() - t0
     assert np.allclose(warm.x, cold.x, atol=1e-7)
 
-    # --- Horizon assembly: Toeplitz-block gather vs per-block loop ---
-    t_loop = _best_of(
-        lambda: _theta_block_loop(model, horizon_pred, horizon_ctrl))
-    t_gather = _best_of(
-        lambda: build_horizon(model, horizon_pred, horizon_ctrl))
-
     return {
         "n_idcs": n_idcs,
         "horizon_pred": horizon_pred,
-        "horizon_ctrl": horizon_ctrl,
-        "n_variables": n,
-        "n_constraint_rows": int(A_eq.shape[0] + A_in.shape[0]),
         "active_set": {
-            "cold_seconds": t_cold,
-            "warm_seconds": t_warm,
             "speedup": t_cold / t_warm,
             "cold_meta": cold.meta,
             "warm_meta": warm.meta,
-            "cold_iterations": cold.iterations,
-            "warm_iterations": warm.iterations,
-        },
-        "horizon_assembly": {
-            "block_loop_seconds": t_loop,
-            "toeplitz_gather_seconds": t_gather,
-            "speedup": t_loop / t_gather,
         },
     }
 
 
 def test_bench_kernel_scaling():
     rows = [_bench_config(n, b1) for n, b1 in CONFIGS]
-    _write_sections({"benchmark": "kernel_scaling", "configs": rows})
 
     for row in rows:
         # A warm solve on the cached factorization must do no
@@ -259,30 +193,14 @@ def test_bench_scenario_scaling():
             for b, l in zip(batched, looped))
         rows.append({
             "n_scenarios": width,
-            "n_periods": scens_b[0].n_periods,
-            "looped_seconds": t_loop,
-            "batched_seconds": t_batch,
             "speedup": t_loop / t_batch,
             "max_cost_reldiff": cost_gap,
         })
 
     scens = monte_carlo_scenarios(MC_FLEET, seed=0)
     t0 = time.perf_counter()
-    fleet = run_batch(scens, cfg, warm_start="waterfill")
+    run_batch(scens, cfg, warm_start="waterfill")
     t_fleet = time.perf_counter() - t0
-    costs = np.array([r.total_cost_usd for r in fleet])
-
-    _write_sections({"scenario_scaling": {
-        "full_day_scalar_seconds": t_day,
-        "sweep": rows,
-        "fleet": {
-            "n_scenarios": MC_FLEET,
-            "batched_seconds": t_fleet,
-            "vs_full_day": t_fleet / t_day,
-            "cost_mean_usd": float(costs.mean()),
-            "cost_std_usd": float(costs.std()),
-        },
-    }})
 
     # the batched path is a pure perf transformation — per-lane totals
     # must agree with the looped scalar runs at every width
@@ -302,7 +220,6 @@ COUPLED_GAMMA = 0.4           # per-lane demand sensitivity for the race
 FLEET_GAMMA = 0.05            # shared-market γ (inside the stable regime)
 FLEET_LANES = 1000
 FLEET_PERIODS = 288           # dt = 300 s → one full day
-MITIGATION_GAMMA = 0.6        # herding regime for the mitigation study
 
 
 def _shared_market(gamma: float, n_lanes: int) -> SharedMarket:
@@ -351,9 +268,6 @@ def test_bench_market_coupling():
             for b, l in zip(batched, looped))
         rows.append({
             "n_scenarios": width,
-            "demand_sensitivity": COUPLED_GAMMA,
-            "looped_seconds": t_loop,
-            "batched_seconds": t_batch,
             "speedup": t_loop / t_batch,
             "max_cost_reldiff": cost_gap,
         })
@@ -361,55 +275,11 @@ def test_bench_market_coupling():
     # --- headline: 1000-controller shared-market full day ---
     loads = _fleet_loads(FLEET_LANES)
     t0 = time.perf_counter()
-    fleet = run_shared_market_fleet(
+    run_shared_market_fleet(
         paper_cluster(), _shared_market(FLEET_GAMMA, FLEET_LANES), loads,
         FLEET_PERIODS, policy_mix=("mpc", "lp", "static"), dt=300.0,
         start_time=0.0)
     t_fleet = time.perf_counter() - t0
-    herding = fleet.herding_metrics()
-
-    # --- mitigation study: herding regime, stagger + smoothing R ---
-    mit_loads = _fleet_loads(24, seed=0)
-    mitigation = {}
-    for label, kwargs in (
-            ("herding", dict(policy_mix=("lp",), stagger=1)),
-            ("stagger_4", dict(policy_mix=("lp",), stagger=4)),
-            ("mpc_default_R", dict(policy_mix=("mpc",), stagger=1)),
-            ("mpc_raised_R", dict(policy_mix=("mpc",), stagger=1,
-                                  config=MPCPolicyConfig(r_weight=0.3)))):
-        res = run_shared_market_fleet(
-            paper_cluster(), _shared_market(MITIGATION_GAMMA, 24),
-            mit_loads, 16, dt=300.0, **kwargs)
-        m = res.herding_metrics()
-        mitigation[label] = {
-            "aggregate_ramp_mw_mean": m["aggregate_ramp_mw_mean"],
-            "aggregate_ramp_mw_max": m["aggregate_ramp_mw_max"],
-            "price_oscillation_mean": m["price_oscillation_mean"],
-            "clearing_nonconverged": m["clearing_nonconverged"],
-            "total_cost_usd": res.total_cost_usd,
-        }
-
-    _write_sections({"market_coupling": {
-        "full_day_scalar_seconds": t_day,
-        "independent_coupled_sweep": rows,
-        "shared_fleet": {
-            "n_lanes": FLEET_LANES,
-            "n_periods": FLEET_PERIODS,
-            "dt_seconds": 300.0,
-            "demand_sensitivity": FLEET_GAMMA,
-            "policy_mix": ["mpc", "lp", "static"],
-            "batched_seconds": t_fleet,
-            "vs_full_day": t_fleet / t_day,
-            "total_cost_usd": fleet.total_cost_usd,
-            "herding": herding,
-            "cost_by_policy": fleet.cost_by_policy(),
-        },
-        "mitigation": {
-            "demand_sensitivity": MITIGATION_GAMMA,
-            "n_lanes": 24,
-            "runs": mitigation,
-        },
-    }})
 
     # γ > 0 no longer splinters the batch: the coupled race must match
     # the looped engine tightly and still win big at S = 100
@@ -419,11 +289,6 @@ def test_bench_market_coupling():
     assert rows[-1]["speedup"] >= 5.0, rows[-1]
     # a 1000-controller coupled day within 5x of one scalar full day
     assert t_fleet <= 5.0 * t_day, (t_fleet, t_day)
-    # the mitigations actually mitigate (grid-facing ramp metric)
-    assert mitigation["stagger_4"]["aggregate_ramp_mw_mean"] \
-        < mitigation["herding"]["aggregate_ramp_mw_mean"]
-    assert mitigation["mpc_raised_R"]["aggregate_ramp_mw_mean"] \
-        < mitigation["mpc_default_R"]["aggregate_ramp_mw_mean"]
 
 
 # ---------------------------------------------------------------------------
@@ -483,30 +348,6 @@ def test_bench_fleet_durability(tmp_path):
                                   res_durable.agg_demand_mw)
     assert res_plain.total_cost_usd == res_durable.total_cost_usd
     fleet_overhead = t_fleet_durable / t_fleet_plain
-
-    _write_sections({"fleet_durability": {
-        "max_overhead_target": DURABILITY_MAX_OVERHEAD,
-        "batch": {
-            "n_lanes": S,
-            "n_periods": len(plain[0].allocations),
-            "checkpoint_every": 12,
-            "wal_shards": 2,
-            "plain_seconds": t_plain,
-            "durable_seconds": t_durable,
-            "overhead": batch_overhead,
-        },
-        "shared_fleet": {
-            "n_lanes": DURABILITY_FLEET_LANES,
-            "n_periods": DURABILITY_FLEET_PERIODS,
-            "dt_seconds": 300.0,
-            "policy_mix": ["mpc", "lp", "static"],
-            "checkpoint_every": 12,
-            "wal_shards": 4,
-            "plain_seconds": t_fleet_plain,
-            "durable_seconds": t_fleet_durable,
-            "overhead": fleet_overhead,
-        },
-    }})
 
     # acceptance: the durable control plane costs at most 2x wall clock
     assert batch_overhead <= DURABILITY_MAX_OVERHEAD, batch_overhead

@@ -5,8 +5,8 @@ import numpy as np
 from repro.experiments import tables
 
 
-def test_bench_tables(macro, capsys):
-    data = macro(tables.run)
+def test_bench_tables(capsys):
+    data = tables.run()
 
     # Table I — portal workloads
     np.testing.assert_allclose(data["portal_loads"],

@@ -1,19 +1,19 @@
-"""Service throughput/latency under load, with overload shedding.
+"""Service throughput under load, with overload shedding.
 
-Lands ``BENCH_service.json`` at the repo root with three sections:
+Three pass/fail phases; nothing is written to disk:
 
-* ``sustained_load`` — eight keep-alive workers hammer the daemon's
+* sustained load — eight keep-alive workers hammer the daemon's
   request path while a full simulated day (288 MPC periods, durable
-  control plane armed) runs underneath.  Records throughput, p50/p99
-  request latency, and — the robustness headline — that **zero
-  decisions were dropped**: every one of the day's periods is present
-  in the WAL-backed ``/decisions`` stream afterwards, load or no load.
-* ``overload`` — a deliberately tiny admission gate (one slot, ~zero
-  wait) is saturated; the benchmark proves overload is answered with
-  ``503`` + ``Retry-After`` (never a hang, never a dropped decision)
-  while health probes keep answering ``200``.
-* ``streaming`` — one follower reads the whole day's telemetry off the
-  chunked JSONL stream; records end-to-end records/s.
+  control plane armed) runs underneath.  Checks throughput and — the
+  robustness headline — that **zero decisions were dropped**: every
+  one of the day's periods is present in the WAL-backed
+  ``/decisions`` stream afterwards, load or no load.
+* overload — a deliberately tiny admission gate (one slot, ~zero
+  wait) is saturated; overload must be answered with ``503`` +
+  ``Retry-After`` (never a hang, never a dropped decision) while
+  health probes keep answering ``200``.
+* streaming — one follower reads a short run's telemetry off the
+  chunked JSONL stream.
 
 Acceptance (asserted): sustained throughput ≥ 1000 req/s with zero
 request errors and zero dropped decisions; every overload answer is a
@@ -21,28 +21,16 @@ well-formed 503 with Retry-After.
 """
 
 import http.client
-import json
 import threading
 import time
-from pathlib import Path
 
 from repro.service import ServiceClient, ServiceConfig, ServiceDaemon
-
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_service.json"
 
 _DAY = {"kind": "scalar", "run_id": "benchday",
         "scenario": {"name": "paper", "dt": 300.0, "duration": 86400.0},
         "policy": {"name": "mpc"}}
 _N_WORKERS = 8
 _MIN_RPS = 1000.0
-
-
-def _percentile(sorted_values, q):
-    if not sorted_values:
-        return None
-    index = min(len(sorted_values) - 1,
-                int(q / 100.0 * len(sorted_values)))
-    return sorted_values[index]
 
 
 def _hammer(host, port, stop, latencies, errors):
@@ -66,8 +54,6 @@ def _hammer(host, port, stop, latencies, errors):
 
 
 def test_service_load_latency_and_shedding(tmp_path):
-    report = {}
-
     # -- sustained load over a running full day ------------------------
     daemon = ServiceDaemon(ServiceConfig(
         data_dir=str(tmp_path / "load"), max_inflight=64)).start()
@@ -89,28 +75,11 @@ def test_service_load_latency_and_shedding(tmp_path):
             w.join()
         elapsed = time.perf_counter() - t0
         decisions = client.decisions("benchday")
-        admission = client.health()["admission"]
     finally:
         daemon.stop()
 
-    latencies.sort()
     n_periods = 288
     throughput = len(latencies) / elapsed
-    report["sustained_load"] = {
-        "n_workers": _N_WORKERS,
-        "elapsed_seconds": elapsed,
-        "n_requests": len(latencies),
-        "n_request_errors": len(errors),
-        "throughput_rps": throughput,
-        "p50_ms": _percentile(latencies, 50) * 1e3,
-        "p99_ms": _percentile(latencies, 99) * 1e3,
-        "run_state": final["state"],
-        "decisions_expected": n_periods,
-        "decisions_recorded": len(decisions),
-        "decisions_dropped": n_periods - len(decisions),
-        "admission": admission,
-        "min_rps_target": _MIN_RPS,
-    }
     assert final["state"] == "completed"
     assert not errors, f"request errors under load: {errors[:5]}"
     assert len(decisions) == n_periods      # zero dropped decisions
@@ -145,18 +114,9 @@ def test_service_load_latency_and_shedding(tmp_path):
         probe_status = probe.getresponse().status
         probe.close()
         daemon.server.gate.release()
-        gate_stats = daemon.server.gate.stats()
     finally:
         daemon.stop()
 
-    report["overload"] = {
-        "n_requests": 200,
-        "n_shed_503": n_shed,
-        "retry_after_present": retry_after_ok,
-        "malformed_answers": malformed,
-        "healthz_status_at_saturation": probe_status,
-        "gate": gate_stats,
-    }
     assert n_shed == 200 and retry_after_ok == 200 and malformed == 0
     assert probe_status == 200
 
@@ -170,18 +130,9 @@ def test_service_load_latency_and_shedding(tmp_path):
                        "scenario": {"name": "paper", "dt": 300.0,
                                     "duration": 28800.0},
                        "policy": {"name": "mpc"}})
-        t0 = time.perf_counter()
         records = [r for r in client.stream("streamday")
                    if r.get("type") == "telemetry"]
-        stream_elapsed = time.perf_counter() - t0
     finally:
         daemon.stop()
 
-    report["streaming"] = {
-        "n_records": len(records),
-        "elapsed_seconds": stream_elapsed,
-        "records_per_second": len(records) / stream_elapsed,
-    }
     assert len(records) == 96               # every period streamed
-
-    OUTPUT.write_text(json.dumps(report, indent=2))

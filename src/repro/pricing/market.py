@@ -36,6 +36,7 @@ Three couplings live here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,11 +58,12 @@ class RegionMarketConfig:
         The exogenous hourly base price trace.
     demand_sensitivity:
         γ — relative price increase per unit relative demand increase
-        above nominal.  0 disables the feedback.
+        above nominal, finite.  0 disables the feedback.
     nominal_power_mw:
-        P̄ — the demand level at which the base price applies.
+        P̄ — the demand level at which the base price applies, finite.
     price_floor:
-        Lower bound applied after the demand adjustment ($/MWh).
+        Lower bound applied after the demand adjustment ($/MWh);
+        ``-inf`` means no floor.
     """
 
     trace: PriceTrace
@@ -70,10 +72,17 @@ class RegionMarketConfig:
     price_floor: float = -50.0
 
     def __post_init__(self) -> None:
-        if self.demand_sensitivity < 0:
-            raise ConfigurationError("demand sensitivity must be >= 0")
-        if self.nominal_power_mw <= 0:
-            raise ConfigurationError("nominal power must be positive")
+        # Written so NaN fails: every comparison with NaN is false.
+        if not 0 <= self.demand_sensitivity < math.inf:
+            raise ConfigurationError(
+                "demand sensitivity must be finite and >= 0, got "
+                f"{self.demand_sensitivity!r}")
+        if not 0 < self.nominal_power_mw < math.inf:
+            raise ConfigurationError(
+                "nominal power must be finite and positive, got "
+                f"{self.nominal_power_mw!r}")
+        if math.isnan(self.price_floor):
+            raise ConfigurationError("price floor must not be NaN")
 
 
 class RealTimeMarket:

@@ -12,6 +12,7 @@ last-known-good allocation) are attempted.
 
 from __future__ import annotations
 
+import math
 import time
 
 __all__ = ["DeadlineBudget"]
@@ -23,9 +24,10 @@ class DeadlineBudget:
     Parameters
     ----------
     seconds:
-        Total budget for the control step.  ``None`` means unbounded —
-        every query reports infinite remaining time, so the ladder
-        behaves exactly as if no deadline plumbing existed.
+        Total budget for the control step, positive and finite.
+        ``None`` means unbounded — every query reports infinite
+        remaining time, so the ladder behaves exactly as if no deadline
+        plumbing existed.
     min_slice:
         Floor on the per-rung slice handed to a solver.  Giving a QP a
         50 µs deadline just wastes the setup cost; below this floor
@@ -34,8 +36,11 @@ class DeadlineBudget:
 
     def __init__(self, seconds: float | None,
                  min_slice: float = 1e-3) -> None:
-        if seconds is not None and seconds <= 0:
-            raise ValueError("deadline budget must be positive")
+        # Negated so NaN fails too (every comparison with NaN is false);
+        # ``None`` is the only unbounded budget.
+        if seconds is not None and not 0 < seconds < math.inf:
+            raise ValueError("deadline budget must be positive and finite, "
+                             f"got {seconds!r}")
         self.seconds = None if seconds is None else float(seconds)
         self.min_slice = float(min_slice)
         self._start = time.monotonic()

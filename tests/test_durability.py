@@ -406,6 +406,12 @@ class TestCrashResume:
     def test_kill_at_every_period_resumes_bit_exact(self, tmp_path):
         """The determinism sweep: crash at each k, resume, compare."""
         baseline = run_simulation(_short_scenario(), _mpc(_short_scenario()))
+        # the WAL and checkpoints observe the loop, never steer it
+        sc = _short_scenario()
+        durable = run_simulation(sc, _mpc(sc), checkpoint_every=2,
+                                 wal_path=str(tmp_path / "durable.wal"))
+        np.testing.assert_array_equal(durable.servers, baseline.servers)
+        np.testing.assert_array_equal(durable.cost_usd, baseline.cost_usd)
         n = _short_scenario().n_periods
         for crash_at in range(1, n):
             wal = str(tmp_path / f"kill{crash_at}.wal")
@@ -417,6 +423,7 @@ class TestCrashResume:
             sc2 = _short_scenario()
             resumed = run_simulation(sc2, _mpc(sc2), resume_from=wal)
             counters = resumed.perf["counters"]
+            assert counters["resumed_from_period"] == crash_at - crash_at % 2
             assert counters["wal_tail_mismatches"] == 0
             np.testing.assert_array_equal(resumed.servers,
                                           baseline.servers)

@@ -10,6 +10,7 @@ from repro.experiments import (
     fig5_smoothing_servers,
     fig6_shaving_power,
     fig7_shaving_servers,
+    full_day,
     tables,
 )
 from repro.experiments.common import (
@@ -64,6 +65,58 @@ class TestFig3:
         text = fig3_prediction.report()
         assert "Fig. 3" in text
         assert "MAE" in text
+
+
+class TestFullDay:
+    """Every policy over the whole 24-hour trace (5-minute periods)."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return {r["policy"]: r for r in full_day.run()["rows"]}
+
+    def test_policy_ordering(self, rows):
+        # the optimal policy is the daily cost floor
+        floor = rows["optimal"]["cost_usd"]
+        for name, r in rows.items():
+            assert r["cost_usd"] >= floor - 1e-6, name
+        # the MPC stays within a few percent of it over the whole day...
+        assert rows["mpc"]["cost_usd"] <= floor * 1.05
+        # ...with a smaller worst ramp than the step-reallocating policies
+        assert rows["mpc"]["worst_ramp_mw"] \
+            < rows["optimal"]["worst_ramp_mw"]
+        assert rows["mpc"]["worst_ramp_mw"] < rows["greedy"]["worst_ramp_mw"]
+        # price-oblivious splits pay the most
+        assert rows["uniform"]["cost_usd"] > rows["mpc"]["cost_usd"]
+        # everyone serves the workload without overloads
+        for r in rows.values():
+            assert r["qos_violations"] == 0
+
+    def test_mpc_caches_warm_start_and_ladder_engage(self, rows):
+        # With 24 hourly price changes over 288 periods the
+        # discretization/horizon caches hit for every period whose
+        # prices repeat, and the solver warm start carries every period
+        # after the first.
+        perf = rows["mpc"]["perf"]["counters"]
+        n_periods = perf["qp_solves"]
+        assert perf["model_cache_hits"] + perf["model_cache_misses"] \
+            == n_periods
+        assert perf["model_cache_misses"] <= 25  # one per price hour
+        assert perf["model_cache_hits"] >= n_periods - 25
+        assert perf["horizon_rebuilds"] <= 25
+        assert perf["constraint_cache_hits"] == n_periods - 1
+        assert perf["warm_start_hits"] == n_periods - 1
+        assert perf["warm_start_misses"] == 0
+        # warm-started active set needs only a few working-set
+        # changes per period
+        assert perf["qp_iterations"] < 5 * n_periods
+        assert perf["ref_cache_hits"] > 10 * perf["ref_cache_misses"]
+        # The fallback ladder is armed; on a healthy day every period
+        # resolves on the first (warm) rung with zero failures.
+        assert perf["ladder_rung_warm"] == n_periods
+        for rung in ("cold", "admm", "reference", "hold"):
+            assert perf.get(f"ladder_rung_{rung}", 0) == 0
+        assert not any(k.startswith("ladder_failures_") and v
+                       for k, v in perf.items())
 
 
 class TestCommon:

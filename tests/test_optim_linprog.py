@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.optimize as sopt
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import InfeasibleProblemError, UnboundedProblemError
@@ -112,6 +112,7 @@ def test_redundant_equality_rows():
     m=st.integers(1, 4),
     seed=st.integers(0, 10_000),
 )
+@example(n=30, m=20, seed=0)    # a solver-sized LP beyond the drawn range
 def test_random_lps_match_scipy(n, m, seed):
     """Random bounded-feasible LPs agree with scipy's HiGHS solver."""
     rng = np.random.default_rng(seed)

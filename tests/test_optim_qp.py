@@ -6,7 +6,7 @@ and against KKT optimality conditions on random strictly convex QPs.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import InfeasibleProblemError
@@ -120,9 +120,10 @@ class TestADMM:
         np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-5)
 
     @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_agrees_with_active_set(self, seed):
-        P, q, A_eq, b_eq, A_ineq, b_ineq = _random_qp(seed)
+    @given(seed=st.integers(0, 10_000), n=st.just(6))
+    @example(seed=1, n=45)      # a solver-sized QP beyond the drawn one
+    def test_agrees_with_active_set(self, seed, n):
+        P, q, A_eq, b_eq, A_ineq, b_ineq = _random_qp(seed, n=n)
         ref = solve_qp(P, q, A_eq, b_eq, A_ineq, b_ineq)
         A, low, high = boxed_constraints(q.size, A_eq, b_eq, A_ineq, b_ineq)
         res = solve_qp_admm(P, q, A, low, high)

@@ -236,6 +236,30 @@ class TestMarket:
         # negative base drives it far down — floor must bind.
         assert m.price("wisconsin", 3 * 3600.0) >= -50.0
 
+    @pytest.mark.parametrize("field,value", [
+        ("demand_sensitivity", -0.1),
+        ("demand_sensitivity", float("nan")),
+        ("demand_sensitivity", float("inf")),
+        ("nominal_power_mw", 0.0),
+        ("nominal_power_mw", float("nan")),
+        ("nominal_power_mw", float("inf")),
+        ("price_floor", float("nan")),
+    ])
+    def test_config_rejects_invalid_and_non_finite(self, field, value):
+        # NaN slips past a plain `< 0` check and poisons every price
+        trace = paper_price_traces()["michigan"]
+        with pytest.raises(ConfigurationError):
+            RegionMarketConfig(trace=trace, **{field: value})
+
+    def test_config_floor_may_be_minus_infinity(self):
+        traces = paper_price_traces()
+        m = RealTimeMarket({"wisconsin": RegionMarketConfig(
+            trace=traces["wisconsin"], demand_sensitivity=5.0,
+            nominal_power_mw=1.0, price_floor=float("-inf"))})
+        m.record_demand({"wisconsin": 100.0})
+        # hour 3's negative base price, scaled up, is not clipped
+        assert m.price("wisconsin", 3 * 3600.0) < -50.0
+
     def test_record_demand_vector_form(self):
         m = self._market(gamma=0.1)
         m.record_demand(np.array([1.0, 2.0, 3.0]))

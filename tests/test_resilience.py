@@ -87,6 +87,13 @@ class TestDeadlineBudget:
         with pytest.raises(ValueError):
             DeadlineBudget(-1.0)
 
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+    def test_non_finite_budget_rejected(self, seconds):
+        # a NaN budget would slice 0.0 while never expiring, so the
+        # ladder would skip every solver rung; None is "unbounded"
+        with pytest.raises(ValueError):
+            DeadlineBudget(seconds)
+
 
 class TestFallbackLadder:
     def _counting(self):

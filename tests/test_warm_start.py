@@ -19,10 +19,12 @@ quantization step.
 import numpy as np
 import pytest
 
-from repro.core import CostMPCPolicy, MPCPolicyConfig
+from repro.control import ModelPredictiveController
+from repro.core import CostMPCPolicy, CostModelBuilder, MPCPolicyConfig, \
+    build_constraints, solve_optimal_allocation
 from repro.optim import ADMMFactorCache, boxed_constraints, solve_qp, \
     solve_qp_admm
-from repro.sim import price_step_scenario, run_simulation
+from repro.sim import paper_cluster, price_step_scenario, run_simulation
 
 
 def _small_qp():
@@ -125,6 +127,53 @@ class TestADMMWarmStart:
                              y0=np.zeros(3))  # wrong length
         assert warm.success
         np.testing.assert_allclose(warm.x, cold.x, atol=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# One MPC step on the paper's QP: cold, warm and ADMM
+# ---------------------------------------------------------------------------
+def _paper_mpc_step():
+    """The MPC, state, input and reference of one 6H paper period."""
+    prices = np.array([43.26, 30.26, 19.06])
+    loads = np.array([30000.0, 15000.0, 15000.0, 20000.0, 20000.0])
+    cluster = paper_cluster()
+    builder = CostModelBuilder(cluster)
+    mpc = ModelPredictiveController(
+        builder.discrete(prices, dt=30.0), 8, 3, q_weight=1.0,
+        r_weight=0.01, constraints=build_constraints(cluster, loads))
+    alloc = solve_optimal_allocation(cluster, prices, loads)
+    ref = np.cumsum(np.tile(alloc.powers_watts_relaxed / 1e6, (8, 1)),
+                    axis=0) * 30.0
+    return mpc, builder.initial_state(), alloc.u, ref
+
+
+class TestMPCStep:
+    def test_warm_step_cuts_iterations_over_cold(self):
+        mpc, x, u, ref = _paper_mpc_step()
+        mpc.warm_start = False
+        cold = mpc.control(x, u, ref)
+        assert cold.status == "optimal"
+
+        mpc, x, u, ref = _paper_mpc_step()
+        first = mpc.control(x, u, ref)          # primes the warm state
+        assert first.status == "optimal"
+        warm = mpc.control(x, u, ref)
+        assert warm.status == "optimal"
+        # receding-horizon regime: consecutive solves share their optimum
+        assert warm.solver_iterations \
+            <= max(2, first.solver_iterations // 5)
+        assert mpc.stats["warm_start_hits"] >= 1
+        assert mpc.stats["warm_start_misses"] == 0
+
+    def test_warm_admm_step_reuses_the_factorization(self):
+        mpc, x, u, ref = _paper_mpc_step()
+        mpc.backend = "admm"
+        cold = mpc.control(x, u, ref)
+        warm = mpc.control(x, u, ref)
+        assert warm.status == "optimal"
+        assert warm.solver_iterations <= cold.solver_iterations
+        # the O(n³) KKT factorization comes from the cache
+        assert mpc._admm_cache.hits >= 1
 
 
 # ---------------------------------------------------------------------------
