@@ -15,17 +15,17 @@ tensors in one process.  The key structural facts that make this cheap:
   (:func:`repro.optim.solve_qp_admm_batch`) runs every scenario's
   iterates through **one** Cholesky factorization, with per-lane
   vectors as the only per-scenario state.
-* The budget-free reference LP has a closed-form waterfill solution
-  (:class:`repro.core.reference_opt.Waterfill`), so all lanes'
-  reference powers come from a few vectorized passes over per-IDC
-  totals instead of ``S`` simplex solves.
+* The reference LP, power budgets included, has a closed-form
+  waterfill solution (:class:`repro.core.reference_opt.Waterfill`), the
+  same one the scalar policy calls, so all lanes' reference powers over
+  the whole horizon come from one vectorized call.
 
 Lanes whose ADMM iterates fail to converge ("stragglers") fall back to
 the exact scalar :class:`repro.control.ModelPredictiveController`
 (active-set backend) one lane at a time — correctness never depends on
 the batched path converging.
 
-Configurations outside the shared-structure regime (finite budgets,
+Configurations outside the shared-structure regime (hard budget rows,
 power schedules, fallback ladder, certification …) are rejected by
 :func:`batch_incompatibility`; the batch engine routes such scenarios
 through the scalar engine instead.
@@ -33,7 +33,6 @@ through the scalar engine instead.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -75,19 +74,13 @@ def batch_incompatibility(config: MPCPolicyConfig) -> str | None:
 
     The batched controller shares the horizon operators, Hessian and
     constraint matrices across scenarios.  What it cannot run yet is
-    rejected here: finite budgets, hard budget rows, power schedules,
-    the fallback ladder, KKT certification, QP capture and per-step
-    deadlines, all of which need the scalar solver's machinery every
-    period.  The batch engine falls back to the scalar engine for such
-    lanes.
+    rejected here: hard budget rows, power schedules, the fallback
+    ladder, KKT certification, QP capture and per-step deadlines, all of
+    which need the scalar solver's machinery every period.  The batch
+    engine falls back to the scalar engine for such lanes.  Power
+    budgets in either ``budget_mode`` run batched: they only cap the
+    reference waterfill.
     """
-    if config.budgets_watts is not None:
-        raw = ([config.budgets_watts] if np.isscalar(config.budgets_watts)
-               else list(config.budgets_watts))
-        budgets = normalize_budgets(raw, len(raw))
-        if np.any(np.isfinite(budgets)):
-            return ("finite power budgets (reference waterfill is "
-                    "budget-free)")
     if config.power_schedule_watts is not None:
         return "power schedule tracking"
     if config.hard_budget_constraints:
@@ -211,9 +204,6 @@ class BatchCostMPCPolicy:
     deadline is given this machinery is completely inert.
     """
 
-    #: bound on the batched reference memo (distinct price/load keys).
-    REF_CACHE_SIZE = 4096
-
     def __init__(self, cluster: IDCCluster,
                  config: MPCPolicyConfig | None = None,
                  n_scenarios: int = 1,
@@ -249,6 +239,8 @@ class BatchCostMPCPolicy:
         self.builder = CostModelBuilder(cluster)
         self.name = "mpc_batch"
         wf = self._waterfill = Waterfill(cluster)
+        self._budgets = normalize_budgets(self.config.budgets_watts,
+                                          cluster.n_idcs)
         self._b1, self._b0, self._mu = wf.b1, wf.b0, wf.mu
         self._inv_d, self._fleet = wf.inv_d, wf.fleet
         self._n, self._c = cluster.n_idcs, cluster.n_portals
@@ -264,7 +256,6 @@ class BatchCostMPCPolicy:
         self._U_prev: np.ndarray | None = None
         self._pending: tuple[np.ndarray, np.ndarray] | None = None
         self._ops: dict | None = None
-        self._ref_cache: OrderedDict = OrderedDict()
         self._warm: tuple[np.ndarray, np.ndarray] | None = None
         self._fallback: ModelPredictiveController | None = None
         self._restored_rho: float | None = None
@@ -282,11 +273,8 @@ class BatchCostMPCPolicy:
         Captures the closed-loop state ``X``, the committed allocation
         ``U_prev``, the pending cost integration (with its server
         commands), the ADMM warm-start iterate (which affects future
-        iterates bit-wise and therefore *must* survive a resume), the
-        reference memo (its keys are *rounded* prices/loads, so an entry
-        created from one exact input can serve later lookups whose exact
-        inputs differ — an empty cache after restore would recompute
-        different values), and the lane health machines.  The shared
+        iterates bit-wise and therefore *must* survive a resume) and the
+        lane health machines.  The shared
         operator stack is rebuilt deterministically from cluster + config
         *except* for the adapted ADMM penalty: :class:`BatchADMMSetup` is
         stateful on purpose (the tuned ``rho`` carries across control
@@ -308,8 +296,6 @@ class BatchCostMPCPolicy:
                 (self._pending[0].copy(), self._pending[1].copy()),
             "warm": None if self._warm is None else
                 (self._warm[0].copy(), self._warm[1].copy()),
-            "ref_cache": OrderedDict(
-                (k, v.copy()) for k, v in self._ref_cache.items()),
             "health": self._health.snapshot(),
         }
 
@@ -324,8 +310,6 @@ class BatchCostMPCPolicy:
         warm = state["warm"]
         self._warm = None if warm is None else \
             (np.asarray(warm[0]).copy(), np.asarray(warm[1]).copy())
-        self._ref_cache = OrderedDict(
-            (k, v.copy()) for k, v in state["ref_cache"].items())
         rho = state.get("admm_rho")
         if rho is not None:
             if self._ops is not None:
@@ -437,64 +421,28 @@ class BatchCostMPCPolicy:
         return self._ops
 
     # ------------------------------------------------------------------
-    # reference construction (batched waterfill + memo)
+    # reference construction (one batched waterfill call)
     # ------------------------------------------------------------------
     def _reference_powers_mw(self, prices: np.ndarray,
                              loads_seq: np.ndarray,
                              uniform: bool = False) -> np.ndarray:
         """Reference power targets for all lanes, shape ``(S, β₁, N)``.
 
-        Distinct (prices, loads) keys are memoized exactly like the
-        scalar policy's LRU; all misses across the whole batch are
-        solved in **one** vectorized waterfill call.  ``uniform`` marks
-        that every horizon step shares the lane's measured loads (no
-        forecast), collapsing the lookups to one per lane.  The period
-        is served from the memo as it stood plus its own misses, and
-        only then are the misses inserted, so a period with more
-        distinct keys than ``REF_CACHE_SIZE`` cannot evict its own rows.
+        Every (lane, horizon step) row goes through **one** capped
+        waterfill call — the same :meth:`Waterfill.reference_powers_watts`
+        the scalar policy calls per lane.  ``uniform`` marks that every
+        horizon step shares the lane's measured loads (no forecast),
+        collapsing the rows to one per lane.
         """
         S = self.n_scenarios
         beta1 = self.config.horizon_pred
         n_steps = 1 if uniform else beta1
         rows = np.minimum(np.arange(n_steps), loads_seq.shape[1] - 1)
-        n = self._n
-        # one (prices, loads) key row per lookup, in lane-major order,
-        # compared bit for bit as the memo's byte keys are
-        key_rows = np.empty((S, n_steps, n + loads_seq.shape[2]))
-        key_rows[:, :, :n] = np.round(prices, 6)[:, None, :]
-        key_rows[:, :, n:] = np.round(loads_seq[:, rows], 3)
-        key_rows = key_rows.reshape(S * n_steps, -1)
-        width = key_rows.shape[1] * 8
-        _, first, inv = np.unique(
-            key_rows.view(np.dtype((np.void, width))).ravel(),
-            return_index=True, return_inverse=True)
-        buf = key_rows[first].tobytes()
-        keys = [(buf[o:o + 8 * n], buf[o + 8 * n:o + width])
-                for o in range(0, len(buf), width)]
-        table = np.empty((len(keys), n))
-        miss = []
-        for g, key in enumerate(keys):
-            row = self._ref_cache.get(key)
-            if row is None:
-                miss.append(g)
-            else:
-                table[g] = row
-        if miss:
-            miss = np.asarray(miss)
-            miss = miss[np.argsort(first[miss])]   # first-lookup order
-            lanes, steps = np.divmod(first[miss], n_steps)
-            wf = self._waterfill
-            lam = wf.workloads(prices[lanes],
-                               loads_seq[lanes, rows[steps]].sum(axis=1))
-            powers = wf.powers_watts(lam) / 1e6
-            table[miss] = powers
-            for g, row in zip(miss, powers):
-                self._ref_cache[keys[g]] = row
-                if len(self._ref_cache) > self.REF_CACHE_SIZE:
-                    self._ref_cache.popitem(last=False)
-            self.perf.shared.count("ref_cache_misses", len(miss))
-        out = table[inv].reshape(S, n_steps, n)
-        self.perf.shared.count("ref_cache_hits", S * n_steps - len(miss))
+        totals = loads_seq[:, rows].sum(axis=2).reshape(-1)
+        out = self._waterfill.reference_powers_watts(
+            np.repeat(prices, n_steps, axis=0), totals, self._budgets,
+            self.config.budget_mode) / 1e6
+        out = out.reshape(S, n_steps, self._n)
         if uniform:
             return np.repeat(out, beta1, axis=1)
         return out
@@ -782,10 +730,10 @@ class BatchCostMPCPolicy:
 
         Simultaneous market clearing needs the controllers'
         price→demand map *without* advancing any lane's closed-loop
-        state, so it iterates against the same budget-free waterfill
+        state, so it iterates against the same budget-handled waterfill
         that anchors the reference trajectory: the demand the
         controller is steering toward at those prices.  (The shared-
-        market fleet computes the same bids from its own
+        market fleet computes the same budget-free bids from its own
         :class:`~repro.core.reference_opt.Waterfill`, memoized by cost
         order.)
         (The committed :meth:`decide_batch` draw then differs only by
@@ -794,15 +742,15 @@ class BatchCostMPCPolicy:
         no operator rebuild is needed either: the horizon projections
         are price-invariant (module docstring), and the per-period
         price refresh enters :meth:`decide_batch` purely through the
-        linear term and the reference memo.
+        linear term and the reference.
 
         ``prices`` may be one shared row ``(N,)`` — a cleared market —
         or per-lane rows ``(S, N)``; ``loads`` is ``(S, C)``.  Returns
         ``(S, N)`` megawatts.
         """
-        wf = self._waterfill
-        lam = wf.workloads(prices, np.asarray(loads, dtype=float).sum(axis=1))
-        return wf.powers_watts(lam) * 1e-6
+        totals = np.asarray(loads, dtype=float).sum(axis=1)
+        return self._waterfill.reference_powers_watts(
+            prices, totals, self._budgets, self.config.budget_mode) * 1e-6
 
     # ------------------------------------------------------------------
     def decide_batch(self, period: int, prices: np.ndarray,

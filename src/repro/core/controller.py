@@ -8,9 +8,9 @@
 * the constrained MPC of Sec. IV-C (generic engine in
   :mod:`repro.control.mpc`, constraints from
   :mod:`repro.core.constraints`),
-* the optimal control reference of Sec. IV-D
-  (:mod:`repro.core.reference_opt`) with the peak-shaving budget clamp
-  (:mod:`repro.core.peak_shaving`).
+* the optimal control reference of Sec. IV-D, the closed-form
+  :class:`~repro.core.reference_opt.Waterfill` of the instantaneous
+  cost LP, with the peak-shaving budgets (:mod:`repro.core.peak_shaving`).
 
 Power demand smoothing comes from the ``r_weight`` penalty on the
 allocation increments ΔU; peak shaving from clamping the reference power
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import copy
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Literal, get_args
 
@@ -34,7 +33,7 @@ from ..datacenter.cluster import IDCCluster
 from ..exceptions import (
     CapacityError,
     ConfigurationError,
-    InfeasibleProblemError,
+    ModelError,
 )
 from ..resilience import DeadlineBudget, FallbackLadder, Rung, \
     project_allocation
@@ -42,8 +41,8 @@ from ..sim.policy import AllocationDecision, PolicyObservation
 from ..sim.profiling import PerfStats
 from .constraints import build_constraints
 from .model import CostModelBuilder
-from .peak_shaving import clamp_powers, normalize_budgets
-from .reference_opt import solve_optimal_allocation
+from .peak_shaving import normalize_budgets
+from .reference_opt import Waterfill, solve_optimal_allocation
 
 __all__ = ["MPCPolicyConfig", "CostMPCPolicy"]
 
@@ -65,15 +64,17 @@ class MPCPolicyConfig:
         values trade electricity cost for lower power volatility (the
         Q/R compromise of eq. 37).
     budgets_watts:
-        Per-IDC peak budgets (None entries = unconstrained).
+        Per-IDC peak budgets (None entries = unconstrained; every given
+        budget must be positive and not NaN).
     budget_mode:
-        How budgets shape the reference: ``"lp"`` (default) re-solves the
+        How budgets shape the reference: ``"lp"`` (default) solves the
         reference LP *with* the budget rows, so the reference trajectory
-        is itself feasible and budget-respecting; ``"clamp"`` applies the
-        paper's verbatim rule (clamp the unconstrained optimum at the
-        budget), which leaves the workload displaced by the clamp to be
-        absorbed as a tracking compromise.  The ablation benchmark
-        compares the two.
+        is itself feasible and budget-respecting (a step whose load the
+        budgets cannot carry falls back to the clamp); ``"clamp"``
+        applies the paper's verbatim rule (clamp the unconstrained
+        optimum at the budget), which leaves the workload displaced by
+        the clamp to be absorbed as a tracking compromise.  The ablation
+        benchmark compares the two.
     hard_budget_constraints:
         Extension beyond the paper: additionally impose the budgets as
         *hard* per-step inequality rows on the allocation (power is
@@ -147,6 +148,13 @@ class MPCPolicyConfig:
             raise ConfigurationError("need 1 <= horizon_ctrl <= horizon_pred")
         if self.budget_mode not in ("lp", "clamp"):
             raise ConfigurationError("budget_mode must be 'lp' or 'clamp'")
+        if self.budgets_watts is not None:
+            raw = self.budgets_watts
+            raw = [raw] if np.ndim(raw) == 0 else list(raw)
+            try:
+                normalize_budgets(raw, len(raw))
+            except ModelError as exc:
+                raise ConfigurationError(f"budgets_watts: {exc}") from None
         if self.backend not in get_args(Backend):
             raise ConfigurationError(
                 f"backend must be one of {get_args(Backend)}, "
@@ -185,9 +193,6 @@ class CostMPCPolicy:
         self.solver_fault_hook = None
         self.reset()
 
-    #: bound on the reference-LP memo (distinct price/load pairs kept).
-    REF_CACHE_SIZE = 512
-
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Return to the pre-simulation state.
@@ -200,8 +205,6 @@ class CostMPCPolicy:
         self._u_prev: np.ndarray | None = None
         self._pending: tuple[np.ndarray, np.ndarray] | None = None
         self._mpc: ModelPredictiveController | None = None
-        # LRU memo of reference-LP solutions keyed by (prices, loads).
-        self._ref_cache: OrderedDict = OrderedDict()
         self.perf = PerfStats()
 
     def reset_solver_state(self) -> None:
@@ -209,7 +212,7 @@ class CostMPCPolicy:
 
         Called by the policy supervisor before retrying a failed period:
         a stale warm start is the most common way one bad solve poisons
-        the next.  Model and reference caches survive — they are pure
+        the next.  The model cache survives — its entries are pure
         functions of their keys.  Deliberately narrow: the controller's
         *dynamic* state (``_x``, ``_pending``) and any predictor history must never be cleared by a
         retry — losing them silently desynchronizes the internal model
@@ -228,8 +231,8 @@ class CostMPCPolicy:
         Captures the dynamic state ([C̄, E], the previous allocation and
         the pending integration pair), the full MPC core (warm start,
         working set, factorization caches — so a restored run solves the
-        identical iterate path, not just the identical optimum), the
-        reference-LP memo and the perf counters.  The installed
+        identical iterate path, not just the identical optimum) and the
+        perf counters.  The installed
         ``solver_fault_hook`` is *not* captured: hooks are process-local
         wiring, re-installed by whoever owns the restored policy.
         """
@@ -247,8 +250,6 @@ class CostMPCPolicy:
             "u_prev": None if self._u_prev is None else self._u_prev.copy(),
             "pending": None if self._pending is None else
                 (self._pending[0].copy(), self._pending[1].copy()),
-            "ref_cache": OrderedDict(
-                (k, v.copy()) for k, v in self._ref_cache.items()),
             "mpc": mpc_copy,
             "perf": copy.deepcopy(self.perf),
         }
@@ -271,8 +272,6 @@ class CostMPCPolicy:
         self._pending = (None if state["pending"] is None else
                          (state["pending"][0].copy(),
                           state["pending"][1].copy()))
-        self._ref_cache = OrderedDict(
-            (k, v.copy()) for k, v in state["ref_cache"].items())
         self._mpc = copy.deepcopy(state["mpc"])
         self.perf = copy.deepcopy(state["perf"])
 
@@ -280,14 +279,12 @@ class CostMPCPolicy:
         """React to the fleet's availability changing under the policy.
 
         The engine calls this when an outage starts, deepens or clears.
-        Two pieces of carried state silently assume fixed availability
-        and must be dropped: the MPC warm start (the constraint stack's
-        capacity rows — and with a total outage, its *row pattern* —
-        change) and the reference-LP memo (keyed by (prices, loads) only;
-        its allocations were solved against the old fleet).
+        The MPC warm start silently assumes fixed availability and is
+        dropped: the constraint stack's capacity rows — and with a total
+        outage, its *row pattern* — change.  The reference needs nothing:
+        its :class:`Waterfill` reads the available fleet every period.
         """
         self.reset_solver_state()
-        self._ref_cache.clear()
         self.perf.count("availability_resets")
 
     def perf_snapshot(self) -> dict:
@@ -363,72 +360,30 @@ class CostMPCPolicy:
                              period: int = 0,
                              prices_seq: np.ndarray | None = None
                              ) -> np.ndarray:
-        """Budget-clamped power targets, shape (β₁, N).
+        """Budget-handled power targets, shape (β₁, N).
 
+        One capped :class:`Waterfill` call over the β₁ horizon steps.
         ``prices_seq`` optionally supplies *forecast* prices per horizon
         step (from the engine's price forecaster); the reference LP is
         then solved against each step's expected prices, which is what
-        makes the MPC ramp *before* an anticipated price change.
+        makes the MPC ramp *before* an anticipated price change.  The
+        waterfill is built each period so it sees the fleet available
+        now (outages change it).
         """
         beta1 = self.config.horizon_pred
+        steps = np.arange(beta1)
         schedule = self.config.power_schedule_watts
         if schedule is not None:
             schedule = np.atleast_2d(np.asarray(schedule, dtype=float))
-            idx = np.minimum(period + 1 + np.arange(beta1),
-                             schedule.shape[0] - 1)
+            idx = np.minimum(period + 1 + steps, schedule.shape[0] - 1)
             refs = schedule[idx] / 1e6
             return np.minimum(refs, self._budgets / 1e6)
-        out = np.empty((beta1, self.cluster.n_idcs))
-        for s in range(beta1):
-            loads = loads_seq[min(s, loads_seq.shape[0] - 1)]
-            if prices_seq is not None:
-                step_prices = prices_seq[min(s, prices_seq.shape[0] - 1)]
-            else:
-                step_prices = prices
-            key = (tuple(np.round(step_prices, 6)),
-                   tuple(np.round(loads, 3)))
-            cached = self._ref_cache.get(key)
-            if cached is None:
-                self.perf.count("ref_cache_misses")
-                cached = self._solve_reference(step_prices, loads)
-                self._ref_cache[key] = cached
-                if len(self._ref_cache) > self.REF_CACHE_SIZE:
-                    self._ref_cache.popitem(last=False)
-            else:
-                # true LRU: a hit refreshes the entry's recency, so the
-                # recurring (price, load) pairs of a long run never age out.
-                self._ref_cache.move_to_end(key)
-                self.perf.count("ref_cache_hits")
-            out[s] = cached
-        return out
-
-    def _solve_reference(self, prices: np.ndarray,
-                         loads: np.ndarray) -> np.ndarray:
-        """Reference powers (MW) at one horizon step, budget-handled."""
-        has_budgets = np.any(np.isfinite(self._budgets))
-        if has_budgets and self.config.budget_mode == "lp":
-            lp_budgets = [b if np.isfinite(b) else None
-                          for b in self._budgets]
-            try:
-                alloc = solve_optimal_allocation(
-                    self.cluster, prices, loads, budgets_watts=lp_budgets)
-                return alloc.powers_watts_relaxed / 1e6
-            except InfeasibleProblemError:
-                # Budgets too tight for the offered load: fall back to the
-                # paper's clamping rule and let tracking do its best.
-                pass
-        alloc = solve_optimal_allocation(self.cluster, prices, loads)
-        return clamp_powers(alloc.powers_watts_relaxed, self._budgets) / 1e6
-
-    def _build_reference(self, prices: np.ndarray,
-                         loads_seq: np.ndarray,
-                         period: int = 0,
-                         prices_seq: np.ndarray | None = None) -> np.ndarray:
-        """Cumulative-energy references the MPC tracks, shape (β₁, N)."""
-        power_refs = self._reference_powers_mw(prices, loads_seq,
-                                               period=period,
-                                               prices_seq=prices_seq)
-        return integrate_rates(self._x[1:], power_refs, self.config.dt)
+        totals = loads_seq[np.minimum(steps, loads_seq.shape[0] - 1)] \
+            .sum(axis=1)
+        if prices_seq is not None:
+            prices = prices_seq[np.minimum(steps, prices_seq.shape[0] - 1)]
+        return Waterfill(self.cluster).reference_powers_watts(
+            prices, totals, self._budgets, self.config.budget_mode) / 1e6
 
     # ------------------------------------------------------------------
     def _loads_sequence(self, obs: PolicyObservation) -> np.ndarray:
@@ -489,9 +444,10 @@ class CostMPCPolicy:
             prices_seq = np.atleast_2d(
                 np.asarray(obs.predicted_prices, dtype=float))
         with self.perf.stage("reference"):
-            reference = self._build_reference(prices, loads_seq,
-                                              period=obs.period,
-                                              prices_seq=prices_seq)
+            ref_powers = self._reference_powers_mw(prices, loads_seq,
+                                                   period=obs.period,
+                                                   prices_seq=prices_seq)
+            reference = integrate_rates(self._x[1:], ref_powers, cfg.dt)
 
         # 4. solve the MPC step — through the degradation ladder when
         #    configured, else the plain (raise-on-failure) path
@@ -518,9 +474,6 @@ class CostMPCPolicy:
         self._u_prev = u
         self._pending = (u.copy(), servers.copy())
 
-        ref_powers = self._reference_powers_mw(prices, loads_seq,
-                                               period=obs.period,
-                                               prices_seq=prices_seq)
         diagnostics = {
             "reference_powers_mw": ref_powers[0].copy(),
             "powers_mw": self.builder.powers_mw(u, servers),
@@ -636,21 +589,11 @@ class CostMPCPolicy:
     def _budget_workload_caps(self) -> np.ndarray:
         """Per-IDC workload ceilings equivalent to the power budgets.
 
-        The relaxed eq. 36 server count makes the power
-        ``(b1_j + b0_j/μ_j) λ_j + b0_j/(μ_j D_j) (+ b0_j margin for the
-        integer ceiling the plant applies)``, affine in ``λ_j``, so
-        ``P_j ≤ P^b_j`` becomes ``λ_j ≤ cap_j``.
+        The relaxed eq. 36 server count makes the power affine in
+        ``λ_j`` (:meth:`Waterfill.budget_caps`), so ``P_j ≤ P^b_j``
+        becomes ``λ_j ≤ cap_j``, with one server's ``b0_j`` kept in
+        reserve for the integer ceiling the plant applies.
         """
-        caps = np.full(self.cluster.n_idcs, np.inf)
-        for j, idc in enumerate(self.cluster.idcs):
-            budget = self._budgets[j]
-            if not np.isfinite(budget):
-                continue
-            pm = idc.config.power_model
-            mu = idc.config.service_rate
-            slope = pm.b1 + pm.b0 / mu
-            offset = pm.b0 / (mu * idc.config.latency_bound) + pm.b0
-            if slope <= 0:
-                continue  # budget cannot bind through the workload
-            caps[j] = max((budget - offset) / slope, 0.0)
-        return caps
+        caps = Waterfill(self.cluster).budget_caps(self._budgets,
+                                                   margin_servers=1.0)
+        return np.maximum(caps, 0.0)

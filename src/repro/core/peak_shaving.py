@@ -26,18 +26,21 @@ def normalize_budgets(budgets, n_idcs: int) -> np.ndarray:
     """Expand a budget spec into a float vector with ``inf`` for 'none'.
 
     Accepts ``None`` (no budgets at all), a scalar, or a per-IDC sequence
-    whose entries may be ``None``.
+    whose entries may be ``None``.  Every budget must be positive; NaN
+    is rejected (``nan <= 0`` is false, so it would otherwise pass as
+    "no budget").
     """
     if budgets is None:
         return np.full(n_idcs, np.inf)
     if np.isscalar(budgets):
-        return np.full(n_idcs, float(budgets))
-    out = np.array([np.inf if b is None else float(b) for b in budgets],
-                   dtype=float)
+        out = np.full(n_idcs, float(budgets))
+    else:
+        out = np.array([np.inf if b is None else float(b) for b in budgets],
+                       dtype=float)
     if out.size != n_idcs:
         raise ModelError(f"need {n_idcs} budgets, got {out.size}")
-    if np.any(out <= 0):
-        raise ModelError("power budgets must be positive")
+    if not np.all(out > 0):
+        raise ModelError(f"power budgets must be positive, got {out}")
     return out
 
 

@@ -10,10 +10,19 @@ linearized as ``λ_j ≤ μ_j m_j − 1/D_j``), fleet bounds ``0 ≤ m_j ≤ M_j
 and ``λ ≥ 0`` — with ``m`` relaxed to be continuous and ceiled
 afterwards, exactly as the paper's optimal baseline does.
 
-The LP is solved with the package's own revised simplex.  Optionally,
-per-IDC power-budget rows ``b1_j λ_j + b0_j m_j ≤ P^b_j`` can be added
-(budget-aware variant, an extension the ablation benchmarks compare with
-the paper's reference-clamping rule).
+Optionally, per-IDC power-budget rows ``b1_j λ_j + b0_j m_j ≤ P^b_j``
+are added (budget-aware variant, an extension the ablation benchmarks
+compare with the paper's reference-clamping rule).
+
+The LP is solved two ways:
+
+* :class:`Waterfill` is its closed form for the per-IDC totals ``λ_j``,
+  budgets included (they are workload caps).  It is the MPC's reference
+  on every path, scalar and batched.
+* :func:`solve_optimal_allocation` runs the package's own revised
+  simplex and returns the per-portal split.  It is the optimal
+  baseline, the MPC's period-0 warm start, the fallback ladder's
+  reference rung and the oracle the closed form is tested against.
 """
 
 from __future__ import annotations
@@ -175,7 +184,7 @@ def solve_optimal_allocation(cluster: IDCCluster, prices: np.ndarray,
 
 
 class Waterfill:
-    """The budget-free reference optimum in closed form, per IDC only.
+    """The reference LP's optimum in closed form, per IDC only.
 
     With the latency constraint active at the optimum (``μ_j m_j = λ_j +
     1/D_j`` — idle servers cost money), eliminating ``m`` leaves the
@@ -186,11 +195,18 @@ class Waterfill:
     simplex solution's per-IDC totals ``λ_j`` (and hence the reference
     powers) to solver precision.
 
-    The fleet's clearing bids, the batched MPC's reference powers and
-    the LP chasers' draw need only ``λ`` — not the per-portal split —
-    so this computes just that.  :func:`solve_optimal_allocation_batch`
-    builds on it, so the two agree bit for bit.  The coefficients,
-    including the *available* fleet, are read from ``cluster`` once.
+    Power budgets are caps too: at the active latency bound the budget
+    row ``b1_j λ_j + b0_j m_j ≤ P^b_j`` reads ``λ_j ≤ (P^b_j −
+    b0_j/(μ_j D_j)) / (b1_j + b0_j/μ_j)``, so the budgeted LP is the same
+    fill under the smaller of the two caps (:meth:`budget_caps`).
+    :meth:`reference_powers_watts` is the MPC's reference on every path,
+    scalar and batched, with both budget modes.
+
+    The fleet's clearing bids, the MPC's reference powers and the LP
+    chasers' draw need only ``λ`` — not the per-portal split — so this
+    computes just that.  :func:`solve_optimal_allocation_batch` builds
+    on it, so the two agree bit for bit.  The coefficients, including
+    the *available* fleet, are read from ``cluster`` once.
     """
 
     def __init__(self, cluster: IDCCluster) -> None:
@@ -198,46 +214,77 @@ class Waterfill:
         self.b1 = np.array([idc.config.power_model.b1 for idc in idcs])
         self.b0 = np.array([idc.config.power_model.b0 for idc in idcs])
         self.mu = np.array([idc.config.service_rate for idc in idcs])
-        self.inv_d = np.array([1.0 / idc.config.latency_bound
-                               for idc in idcs])
+        latency = np.array([idc.config.latency_bound for idc in idcs])
+        self.inv_d = 1.0 / latency
         self.fleet = np.array([idc.available_servers for idc in idcs],
                               dtype=float)
         #: workload capacity per IDC
         self.caps = np.maximum(self.mu * self.fleet - self.inv_d, 0.0)
         #: effective cost per unit workload, per unit price
         self.rate = self.b1 + self.b0 / self.mu
+        #: power of an idle IDC held at the latency bound, b0/(μD)
+        self.idle_watts = self.b0 / (self.mu * latency)
 
     def order(self, prices: np.ndarray) -> np.ndarray:
         """IDC indices, cheapest first, along the last axis of ``prices``."""
         return np.argsort(prices * self.rate, axis=-1, kind="stable")
 
-    def workloads(self, prices: np.ndarray,
-                  totals: np.ndarray) -> np.ndarray:
-        """Per-IDC totals ``λ``, shape ``(S, N)``.
+    def budget_caps(self, budgets_watts: np.ndarray,
+                    margin_servers: float = 0.0) -> np.ndarray:
+        """Per-IDC workload ceilings equivalent to the power budgets.
 
-        ``prices`` is per lane ``(S, N)`` or one shared row ``(N,)`` (a
-        cleared market, whose single cost order serves every lane);
-        ``totals`` is each lane's offered load, ``(S,)``.
-
-        Raises
-        ------
-        InfeasibleProblemError
-            When any lane's total load exceeds the fleet capacity.
+        ``(P^b_j − b0_j/(μ_j D_j) − margin·b0_j) / (b1_j + b0_j/μ_j)``;
+        ``margin_servers`` reserves power for that many extra servers
+        (the integer ceiling the plant applies).  Infinite budgets give
+        infinite caps; a negative cap means the budget cannot even hold
+        the IDC idle at the latency bound.
         """
+        with np.errstate(divide="ignore"):
+            return (budgets_watts - (self.idle_watts
+                                     + margin_servers * self.b0)) / self.rate
+
+    def _fill(self, prices: np.ndarray, totals: np.ndarray,
+              caps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(λ, remaining)``: the fill under ``caps`` and each row's load
+        left over once every IDC is at its cap."""
         remaining = np.asarray(totals, dtype=float)
         order = self.order(np.asarray(prices, dtype=float))
-        lam = np.zeros((remaining.shape[0], self.caps.size))
+        lam = np.zeros((remaining.shape[0], caps.size))
         if order.ndim == 1:
             for j in order:
-                take = np.minimum(remaining, self.caps[j])
+                take = np.minimum(remaining, caps[j])
                 lam[:, j] = take
                 remaining = remaining - take
         else:
             rows = np.arange(lam.shape[0])
             for j in order.T:
-                take = np.minimum(remaining, self.caps[j])
+                take = np.minimum(remaining, caps[j])
                 lam[rows, j] = take
                 remaining = remaining - take
+        return lam, remaining
+
+    def workloads(self, prices: np.ndarray, totals: np.ndarray,
+                  budgets_watts: np.ndarray | None = None) -> np.ndarray:
+        """Per-IDC totals ``λ``, shape ``(S, N)``.
+
+        ``prices`` is per lane ``(S, N)`` or one shared row ``(N,)`` (a
+        cleared market, whose single cost order serves every lane);
+        ``totals`` is each lane's offered load, ``(S,)``.  With
+        ``budgets_watts`` (``inf`` = none) this solves the budgeted LP.
+
+        Raises
+        ------
+        InfeasibleProblemError
+            When any lane's total load exceeds the fleet capacity (or
+            the capacity within the budgets).
+        """
+        caps = self.caps if budgets_watts is None else \
+            np.minimum(self.caps, self.budget_caps(budgets_watts))
+        if np.any(caps < 0):
+            raise InfeasibleProblemError(
+                "a power budget is below its IDC's idle power at the "
+                "latency bound")
+        lam, remaining = self._fill(prices, totals, caps)
         if np.any(remaining > 1e-6):
             bad = int(np.argmax(remaining))
             raise InfeasibleProblemError(
@@ -245,6 +292,34 @@ class Waterfill:
                 "latency-bounded capacity by "
                 f"{float(remaining[bad]):.1f} req/s")
         return lam
+
+    def reference_powers_watts(self, prices: np.ndarray, totals: np.ndarray,
+                               budgets_watts: np.ndarray,
+                               budget_mode: str) -> np.ndarray:
+        """The MPC's budget-handled reference powers (W), shape ``(S, N)``.
+
+        ``budget_mode="clamp"`` is the paper's rule: the budget-free
+        optimum clamped at the budgets.  ``"lp"`` is the budgeted LP's
+        optimum; a row whose load the budget caps cannot carry (the LP
+        is infeasible there) falls back to the clamp.
+
+        Raises
+        ------
+        InfeasibleProblemError
+            When any row's load exceeds the fleet capacity.
+        """
+        powers = self.powers_watts(self.workloads(prices, totals))
+        if not np.any(np.isfinite(budgets_watts)):
+            return powers
+        clamped = np.minimum(powers, budgets_watts)
+        if budget_mode == "clamp":
+            return clamped
+        caps = np.minimum(self.caps, self.budget_caps(budgets_watts))
+        if np.any(caps < 0):
+            return clamped
+        lam, remaining = self._fill(prices, totals, caps)
+        return np.where((remaining <= 1e-6)[:, None],
+                        self.powers_watts(lam), clamped)
 
     def servers(self, lam: np.ndarray) -> np.ndarray:
         """Relaxed server counts at the active latency bound."""

@@ -71,8 +71,9 @@ __all__ = [
 #: (:class:`repro.sim.recorder.LaneRecord`) instead of the scalar
 #: engine's per-period recorder.  Version 3: the pickled MPC core no
 #: longer carries a matrix-free constraint operator, and the policy
-#: snapshots no longer carry server counts or last prices.
-CHECKPOINT_VERSION = 3
+#: snapshots no longer carry server counts or last prices.  Version 4:
+#: the policy snapshots no longer carry a reference memo.
+CHECKPOINT_VERSION = 4
 
 #: Version stamp of the WAL record schema.
 WAL_VERSION = 1

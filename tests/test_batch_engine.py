@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import BatchCostMPCPolicy, CostMPCPolicy, MPCPolicyConfig
+from repro.core.reference_opt import Waterfill
 from repro.datacenter.queueing import simplified_latency_batch
 from repro.exceptions import ConfigurationError, ModelError
 from repro.optim.qp_admm import (
@@ -23,10 +24,12 @@ from repro.optim.qp_admm import (
     solve_qp_admm_batch,
 )
 from repro.sim import (
+    PAPER_BUDGETS_WATTS,
     FleetOutage,
     batch_signature,
     monte_carlo_scenarios,
     paper_scenario,
+    price_step_scenario,
     run_batch,
     run_simulation,
     scenario_incompatibility,
@@ -90,7 +93,44 @@ def test_singleton_batch_replays_golden_day_fixture():
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("n_scenarios", [4, 16])
 def test_batch_matches_looped(n_scenarios):
-    cfg = MPCPolicyConfig(dt=30.0)
+    _assert_batch_matches_looped(MPCPolicyConfig(dt=30.0), n_scenarios)
+
+
+@pytest.mark.parametrize("budget_mode", ["lp", "clamp"])
+def test_batch_matches_looped_with_budgets(budget_mode):
+    # the Sec. V-C budgets cap the reference waterfill in every lane;
+    # replica 2's load exceeds the budget-capped capacity, so its "lp"
+    # reference falls back to the clamp
+    cfg = MPCPolicyConfig(dt=30.0, budgets_watts=PAPER_BUDGETS_WATTS,
+                          budget_mode=budget_mode)
+    wf = Waterfill(paper_scenario().cluster)
+    capped = np.minimum(wf.caps, wf.budget_caps(PAPER_BUDGETS_WATTS)).sum()
+    totals = [sum(p.rate for p in sc.cluster.portals.portals)
+              for sc in monte_carlo_scenarios(4, seed=3, duration=600.0)]
+    assert totals[2] > capped > max(totals[:2] + totals[3:])
+    _assert_batch_matches_looped(cfg, 4)
+
+
+@pytest.mark.parametrize("budget_mode", ["lp", "clamp"])
+def test_shaving_figures_run_batched(budget_mode):
+    # the Figs. 6-7 peak-shaving setup (Sec. V-C budgets) rides the
+    # batched path and bills what the scalar engine bills
+    cfg = MPCPolicyConfig(dt=30.0, budgets_watts=PAPER_BUDGETS_WATTS,
+                          budget_mode=budget_mode)
+    scens = [price_step_scenario(dt=30.0, duration=600.0, with_budgets=True)
+             for _ in range(2)]
+    batch = run_batch(scens, cfg)
+    sc = price_step_scenario(dt=30.0, duration=600.0, with_budgets=True)
+    scalar = run_simulation(sc, CostMPCPolicy(sc.cluster, cfg))
+    for b in batch:
+        assert b.policy_name == "mpc_batch"
+        assert "batch_fallback_reason" not in b.perf
+        assert b.total_cost_usd == pytest.approx(scalar.total_cost_usd,
+                                                 rel=1e-9)
+        np.testing.assert_allclose(b.cost_usd, scalar.cost_usd, rtol=1e-9)
+
+
+def _assert_batch_matches_looped(cfg, n_scenarios):
     scens_b = monte_carlo_scenarios(n_scenarios, seed=3, duration=600.0)
     scens_l = monte_carlo_scenarios(n_scenarios, seed=3, duration=600.0)
 
@@ -253,74 +293,32 @@ def test_batch_perf_stats_isolates_lanes():
     assert perf.rollup().counters["telemetry_hold_fills"] == 5
 
 
-def test_reference_memo_smaller_than_one_period(monkeypatch):
-    # 16 lanes with distinct (price, load) keys against a memo of 8: the
-    # period must be served from its own misses, not from a memo that
-    # already evicted them, and must decide exactly as with a large memo
-    sc = paper_scenario(dt=30.0, duration=600.0)
-    rng = np.random.default_rng(4)
-    S = 16
-    prices = sc.prices_at(sc.start_time) * (1.0 + 0.2 * rng.random((S, 1)))
-    rates = np.array([p.rate for p in sc.cluster.portals.portals])
-    loads = rates * (0.8 + 0.4 * rng.random((S, 1)))
-    cfg = MPCPolicyConfig(dt=30.0)
-
-    def decide():
-        policy = BatchCostMPCPolicy(sc.cluster, cfg, n_scenarios=S,
-                                    warm_start="waterfill")
-        decision = policy.decide_batch(0, prices, loads)
-        return policy, decision
-
-    _, big = decide()
-    monkeypatch.setattr(BatchCostMPCPolicy, "REF_CACHE_SIZE", 8)
-    policy, small = decide()
-    np.testing.assert_array_equal(small.u, big.u)
-    np.testing.assert_array_equal(small.reference_powers_mw,
-                                  big.reference_powers_mw)
-    assert len(policy._ref_cache) == 8
-    counters = policy.perf.rollup().counters
-    assert counters["ref_cache_misses"] == S
-    assert counters.get("ref_cache_hits", 0) == 0
-
-
-def test_reference_memo_matches_per_lookup_loop():
-    # the vectorized key grouping against a plain loop over lookups:
-    # byte keys of the rounded rows, first occurrence solved, the rest
-    # served from the memo
+def test_batched_reference_matches_per_lane_scalar_reference():
+    # one batched waterfill call over every (lane, step) row against the
+    # scalar policy's reference for each lane, bit for bit; the 1.2x
+    # loads exceed the budget-capped capacity (the "lp" clamp fallback)
     sc = paper_scenario(dt=30.0, duration=600.0)
     rng = np.random.default_rng(8)
     S = 12
-    cfg = MPCPolicyConfig(dt=30.0)
-    policy = BatchCostMPCPolicy(sc.cluster, cfg, n_scenarios=S)
-    base = sc.prices_at(sc.start_time)
-    prices = base * rng.choice([1.0, 1.1, 1.1 + 1e-9], size=(S, 1))
+    prices = sc.prices_at(sc.start_time) * rng.uniform(0.5, 1.5, (S, 3))
     rates = np.array([p.rate for p in sc.cluster.portals.portals])
-    loads_seq = rates * rng.choice([0.9, 1.0, 1.0 + 1e-5],
-                                   size=(S, cfg.horizon_ctrl, 1))
-    wf = policy._waterfill
-    for uniform in (False, True):
-        policy._ref_cache.clear()
-        out = policy._reference_powers_mw(prices, loads_seq, uniform)
-        n_steps = 1 if uniform else cfg.horizon_pred
-        seen = {}
-        for s in range(S):
-            for step in range(n_steps):
-                row = loads_seq[s, min(step, cfg.horizon_ctrl - 1)]
-                key = (np.round(prices[s], 6).tobytes(),
-                       np.round(row, 3).tobytes())
-                if key not in seen:
-                    lam = wf.workloads(prices[s:s + 1], row.sum()[None])
-                    seen[key] = wf.powers_watts(lam)[0] / 1e6
-                np.testing.assert_array_equal(out[s, step], seen[key])
-                if uniform:
-                    assert (out[s] == seen[key]).all()
-        assert list(policy._ref_cache) == list(seen)
-        again = policy._reference_powers_mw(prices, loads_seq, uniform)
-        np.testing.assert_array_equal(again, out)
-    counters = policy.perf.rollup().counters
-    lookups = 2 * S * (cfg.horizon_pred + 1)
-    assert counters["ref_cache_misses"] + counters["ref_cache_hits"] \
-        == lookups
+    for budgets, budget_mode in ((None, "lp"), (PAPER_BUDGETS_WATTS, "lp"),
+                                 (PAPER_BUDGETS_WATTS, "clamp")):
+        cfg = MPCPolicyConfig(dt=30.0, budgets_watts=budgets,
+                              budget_mode=budget_mode)
+        batch = BatchCostMPCPolicy(sc.cluster, cfg, n_scenarios=S)
+        scalar = CostMPCPolicy(sc.cluster, cfg)
+        loads_seq = rates * rng.choice([0.9, 1.0, 1.2],
+                                       size=(S, cfg.horizon_ctrl, 1))
+        for uniform in (False, True):
+            if uniform:
+                loads_seq = np.repeat(loads_seq[:, :1], cfg.horizon_ctrl,
+                                      axis=1)
+            out = batch._reference_powers_mw(prices, loads_seq, uniform)
+            assert out.shape == (S, cfg.horizon_pred, 3)
+            for s in range(S):
+                want = scalar._reference_powers_mw(prices[s], loads_seq[s])
+                np.testing.assert_array_equal(out[s], want)
 
 
 def test_simplified_latency_batch_matches_scalar_and_flags_overload():

@@ -221,6 +221,16 @@ class TestControllerMechanics:
         with pytest.raises(ConfigurationError, match=field):
             MPCPolicyConfig(**{field: value})
 
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0])
+    def test_config_rejects_bad_budgets(self, bad):
+        # NaN used to pass as "no budget" (nan <= 0 is false) and would
+        # poison the capped reference waterfill
+        with pytest.raises(ConfigurationError, match="budgets_watts"):
+            MPCPolicyConfig(budgets_watts=[bad, 5e6, None])
+        with pytest.raises(ConfigurationError, match="budgets_watts"):
+            MPCPolicyConfig(budgets_watts=bad)
+        MPCPolicyConfig(budgets_watts=[np.inf, 5e6, None])
+
     def test_config_rejects_unknown_backend(self):
         # a misspelt backend used to run ADMM silently
         with pytest.raises(ConfigurationError, match="backend"):

@@ -175,6 +175,14 @@ class TestPeakShaving:
         with pytest.raises(ModelError):
             normalize_budgets([-1.0, 1.0], 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0])
+    def test_normalize_budgets_rejects_nan_and_nonpositive(self, bad):
+        # nan <= 0 is false, so NaN used to pass as "no budget"
+        with pytest.raises(ModelError, match="positive"):
+            normalize_budgets([bad, 1.0], 2)
+        with pytest.raises(ModelError, match="positive"):
+            normalize_budgets(bad, 2)
+
     def test_clamp_powers_rule(self):
         out = clamp_powers([6e6, 2e6, 5e6], [5e6, None, 4e6])
         np.testing.assert_allclose(out, [5e6, 2e6, 4e6])

@@ -474,6 +474,26 @@ class TestCrashResume:
         with pytest.raises(CheckpointError, match="version 2 not supported"):
             run_simulation(sc2, _mpc(sc2), resume_from=wal)
 
+    def test_version_3_checkpoint_refused_by_version(self, tmp_path):
+        """A version-3 checkpoint carries the policies' reference memo.
+
+        The reference is now computed in closed form every period, with
+        no memo to restore; the envelope must refuse the old layout by
+        its version stamp.
+        """
+        wal = str(tmp_path / "v3.wal")
+        sc = _short_scenario()
+        with pytest.raises(SimulatedCrashError):
+            run_simulation(sc, CrashInjector(_mpc(sc), 5), wal_path=wal,
+                           checkpoint_every=2)
+        ckpt = checkpoint_path_for(wal)
+        current = ControllerCheckpoint.load(ckpt)
+        ControllerCheckpoint(period=current.period, state=current.state,
+                             version=3).save(ckpt)
+        sc2 = _short_scenario()
+        with pytest.raises(CheckpointError, match="version 3 not supported"):
+            run_simulation(sc2, _mpc(sc2), resume_from=wal)
+
     def test_resume_with_faults_and_monitor(self, tmp_path):
         """Outage + actuation fault + monitor all survive the restart."""
         def faults(t0):
@@ -683,16 +703,13 @@ class TestResetAudit:
         x_before = policy._x.copy()
         u_prev_before = policy._u_prev.copy()
         pending_before = policy._pending
-        cache_before = dict(policy._ref_cache)
         policy.reset_solver_state()
         np.testing.assert_array_equal(policy._x, x_before)
         np.testing.assert_array_equal(policy._u_prev, u_prev_before)
         assert policy._pending is pending_before
-        assert dict(policy._ref_cache) == cache_before
         # whereas a full reset() discards everything
         policy.reset()
         assert policy._pending is None
-        assert not policy._ref_cache
 
     def test_restore_recovers_from_a_stray_full_reset(self):
         sc, policy, u_prev, servers_prev = self._warmed_policy()

@@ -109,7 +109,6 @@ class TestFullDay:
         # warm-started active set needs only a few working-set
         # changes per period
         assert perf["qp_iterations"] < 5 * n_periods
-        assert perf["ref_cache_hits"] > 10 * perf["ref_cache_misses"]
         # The fallback ladder is armed; on a healthy day every period
         # resolves on the first (warm) rung with zero failures.
         assert perf["ladder_rung_warm"] == n_periods

@@ -2,8 +2,8 @@
 
 Covers the discretization memo in :class:`CostModelBuilder`, the
 horizon reuse in ``update_model``, the constraint-stack
-cache in :class:`ModelPredictiveController`, the LRU reference-LP memo
-in :class:`CostMPCPolicy`, and the :class:`PerfStats` container.  Every
+cache in :class:`ModelPredictiveController`, and the :class:`PerfStats`
+container.  Every
 cache must (a) hit when inputs repeat and (b) miss when any keyed input
 actually changes — stale-entry bugs in an MPC are silent wrong answers,
 not crashes, so the invalidation side is what these tests guard.
@@ -14,7 +14,6 @@ import numpy as np
 from repro.control import ModelPredictiveController
 from repro.control.horizon import build_horizon
 from repro.core import CostModelBuilder, build_constraints
-from repro.core.controller import CostMPCPolicy, MPCPolicyConfig
 from repro.sim import PerfStats, paper_cluster
 
 PRICES = np.array([43.26, 30.26, 19.06])
@@ -160,49 +159,6 @@ class TestConstraintStackCache:
         np.testing.assert_allclose(b_eq, np.concatenate(eq_rhs))
         np.testing.assert_allclose(A_in, np.vstack(in_rows))
         np.testing.assert_allclose(b_in, np.concatenate(in_rhs))
-
-
-# ---------------------------------------------------------------------------
-# Reference-LP LRU
-# ---------------------------------------------------------------------------
-class TestReferenceLRU:
-    def _policy(self):
-        cluster = paper_cluster()
-        return CostMPCPolicy(cluster, MPCPolicyConfig(dt=30.0))
-
-    def test_hit_refreshes_recency(self):
-        policy = self._policy()
-        policy.REF_CACHE_SIZE = 3
-        loads_seq = np.tile(LOADS, (3, 1))
-        prices = [PRICES + k for k in range(3)]
-        for p in prices:
-            policy._reference_powers_mw(p, loads_seq)
-        # touch the oldest entry, then insert a new one: the *second*
-        # oldest must be evicted, not the just-touched one
-        policy._reference_powers_mw(prices[0], loads_seq)
-        policy._reference_powers_mw(PRICES + 99, loads_seq)
-        key0 = (tuple(np.round(prices[0], 6)), tuple(np.round(LOADS, 3)))
-        key1 = (tuple(np.round(prices[1], 6)), tuple(np.round(LOADS, 3)))
-        assert key0 in policy._ref_cache
-        assert key1 not in policy._ref_cache
-
-    def test_counters_exposed_through_perf(self):
-        policy = self._policy()
-        loads_seq = np.tile(LOADS, (3, 1))
-        policy._reference_powers_mw(PRICES, loads_seq)
-        policy._reference_powers_mw(PRICES, loads_seq)
-        snap = policy.perf_snapshot()
-        # β₁ = 8 lookups per call, one distinct (price, load) pair
-        assert snap["counters"]["ref_cache_misses"] == 1
-        assert snap["counters"]["ref_cache_hits"] == 15
-
-    def test_cache_bounded(self):
-        policy = self._policy()
-        policy.REF_CACHE_SIZE = 5
-        loads_seq = np.tile(LOADS, (3, 1))
-        for k in range(12):
-            policy._reference_powers_mw(PRICES + k, loads_seq)
-        assert len(policy._ref_cache) == 5
 
 
 # ---------------------------------------------------------------------------
