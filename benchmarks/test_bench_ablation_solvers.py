@@ -11,6 +11,9 @@ def test_bench_solver_comparison(capsys):
     # And on the bill.
     a, b = data["active_set"]["cost_usd"], data["admm"]["cost_usd"]
     assert abs(a - b) / a < 0.01
+    # ADMM finishes by the active-set polish, mostly at iteration 1; a
+    # return to grinding to tolerance (thousands a solve) fails here.
+    assert data["admm"]["mean_qp_iterations"] <= 3.0
 
     with capsys.disabled():
         print()

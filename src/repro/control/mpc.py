@@ -30,8 +30,8 @@ import numpy as np
 from ..exceptions import ConvergenceError, DeadlineExceededError, \
     InfeasibleProblemError, ModelError
 from ..optim import (
-    ADMMFactorCache,
     boxed_constraints,
+    prepare_batch_admm,
     solve_qp,
     solve_qp_admm,
 )
@@ -148,10 +148,10 @@ class ModelPredictiveController:
         solve (shifted one step, per the receding-horizon coherence the
         ``R`` penalty enforces).  For the active-set backend this skips
         the phase-1 feasibility LP — the dominant cost of a cold solve —
-        and seeds the working set; for ADMM it seeds ``x``/``y`` and
-        reuses the cached KKT factorization.  The QP is strictly convex,
-        so warm and cold solves reach the same optimum (within solver
-        tolerance); disable only for benchmarking cold performance.
+        and seeds the working set; for ADMM it seeds ``x``.  The
+        QP is strictly convex, so warm and cold solves reach the same
+        optimum (within solver tolerance); disable only for benchmarking
+        cold performance.
     certify:
         Check a KKT optimality certificate on every (non-softened) QP
         solution via :func:`repro.verify.check_kkt_qp`.  Failures are
@@ -221,7 +221,8 @@ class ModelPredictiveController:
         self._qp_quad = None         # (Theta id, 2Θ'Q, P) objective cache
         self._con_cache: dict | None = None
         self._warm: dict | None = None
-        self._admm_cache = ADMMFactorCache()
+        #: (P, A, setup) of the last ADMM solve, see :meth:`_admm_setup`
+        self._admm: tuple | None = None
         self._kkt_cache = KKTFactorCache()
         #: fault-injection seam: an optional callable invoked with a
         #: stage name (``"solve"``, ``"soften"``, ``"admm_fallback"``)
@@ -364,7 +365,7 @@ class ModelPredictiveController:
     # QP assembly and solve
     # ------------------------------------------------------------------
     def _solve(self, P, q, A_eq, b_eq, A_in, b_in, max_iter: int = 500,
-               x0=None, working_set0=None, y0=None, use_cache: bool = True,
+               x0=None, working_set0=None, use_cache: bool = True,
                deadline_seconds: float | None = None,
                stage: str = "solve"):
         if self.fault_hook is not None:
@@ -376,9 +377,30 @@ class ModelPredictiveController:
                             kkt_cache=self._kkt_cache if use_cache else None,
                             deadline_seconds=deadline_seconds)
         A, low, high = boxed_constraints(q.size, A_eq, b_eq, A_in, b_in)
-        return solve_qp_admm(P, q, A, low, high, x0=x0, y0=y0,
-                             cache=self._admm_cache if use_cache else None,
+        setup = None
+        if use_cache and A.size:
+            setup = self._admm_setup(P, A, 0 if A_eq is None
+                                     else A_eq.shape[0])
+        return solve_qp_admm(P, q, A, low, high, x0=x0, setup=setup,
                              deadline_seconds=deadline_seconds)
+
+    def _admm_setup(self, P, A, n_eq: int):
+        """The ADMM setup of ``(P, A)``, rebuilt only when they change.
+
+        The matrices are compared by value (an O(n²) check, negligible
+        next to the scaling and factorization the setup holds), so a
+        receding-horizon loop with unchanged prices reuses one setup.
+        """
+        kept = self._admm
+        if (kept is None or kept[0].shape != P.shape
+                or kept[1].shape != A.shape
+                or not np.array_equal(kept[0], P)
+                or not np.array_equal(kept[1], A)):
+            # built at solve_qp_admm's default initial penalty
+            kept = (P.copy(), A.copy(),
+                    prepare_batch_admm(P, A, n_eq=n_eq, rho=1.0))
+            self._admm = kept
+        return kept[2]
 
     def _solve_softened(self, P, q, A_eq, b_eq, A_in, b_in,
                         deadline_seconds: float | None = None):
@@ -408,8 +430,7 @@ class ModelPredictiveController:
         # The softened problem is much larger (one slack per inequality
         # row) and highly degenerate.  Try the configured backend with a
         # proportionally larger budget; if the active-set method still
-        # cycles on a degenerate vertex, fall back to ADMM with a stiff
-        # step size, which handles this regime reliably.
+        # cycles on a degenerate vertex, fall back to ADMM.
         try:
             res = self._solve(P_big, q_big, A_eq_big, b_eq,
                               A_in_big, b_in_big,
@@ -423,7 +444,6 @@ class ModelPredictiveController:
             A, low, high = boxed_constraints(n + m, A_eq_big, b_eq,
                                              A_in_big, b_in_big)
             res = solve_qp_admm(P_big, q_big, A, low, high,
-                                rho=10.0, max_iter=50_000,
                                 deadline_seconds=deadline_seconds)
         res.x = res.x[:n]
         return res
@@ -483,12 +503,12 @@ class ModelPredictiveController:
         c0 = float(target @ self._Q_stack @ target)
 
         A_eq, b_eq, A_in, b_in = self._stack_constraints(u_prev)
-        x0, working_set0, y0 = self._warm_start_point(A_eq, b_eq, A_in, b_in)
+        x0, working_set0 = self._warm_start_point(A_eq, b_eq, A_in, b_in)
         softened = False
         solved_by = self.backend
         try:
             res = self._solve(P, q, A_eq, b_eq, A_in, b_in,
-                              x0=x0, working_set0=working_set0, y0=y0,
+                              x0=x0, working_set0=working_set0,
                               deadline_seconds=deadline_seconds)
         except InfeasibleProblemError:
             if not self.soften_infeasible:
@@ -507,8 +527,7 @@ class ModelPredictiveController:
                 self.fault_hook("admm_fallback")
             A, low, high = boxed_constraints(q.size, A_eq, b_eq,
                                              A_in, b_in)
-            res = solve_qp_admm(P, q, A, low, high, rho=10.0,
-                                max_iter=50_000,
+            res = solve_qp_admm(P, q, A, low, high,
                                 deadline_seconds=deadline_seconds)
             solved_by = "admm"
         self._store_warm_state(
@@ -573,29 +592,31 @@ class ModelPredictiveController:
         unshifted previous ΔU, and zero increments (feasible whenever
         ``u_prev`` itself still satisfies the per-step constraints).  The
         first feasible candidate is returned together with the previous
-        working set (active set) / constraint dual (ADMM).
+        working set (active set).  ADMM gets the primal candidate alone:
+        its polish reads the active set off the first iterate, and the
+        previous period's dual, stale after a price or capacity change,
+        would mislead that guess.
 
-        The stored working set and dual index *rows* of the stacked
-        constraints, so they are only meaningful while the row counts are
-        unchanged.  When the stack grows or shrinks between periods (a
-        budget toggling on/off mid-day changes the inequality count) the
-        stale solver state is dropped *here* — counted as a
+        The stored working set indexes *rows* of the stacked constraints,
+        so it is only meaningful while the row counts are unchanged.
+        When the stack grows or shrinks between periods (a budget
+        toggling on/off mid-day changes the inequality count) the stale
+        working set is dropped *here* — counted as a
         ``warm_start_rejections`` — rather than handed to the solver,
-        where out-of-range indices or a wrong-length dual would fail.
-        The primal candidate is still tried: it lives in ΔU space, which
-        is unchanged.
+        where out-of-range indices would fail.  The primal candidate is
+        still tried: it lives in ΔU space, which is unchanged.
         """
         if not self.warm_start:
-            return None, None, None
+            return None, None
         warm = self._warm
         ndu = self.model.n_inputs * self.horizon_ctrl
         if warm is None or warm["x"].size != ndu:
-            return None, None, None
+            return None, None
         rows_now = (0 if A_eq is None else A_eq.shape[0],
                     0 if A_in is None else A_in.shape[0])
-        working_set, y = warm.get("working_set"), warm.get("y")
+        working_set = warm.get("working_set")
         if warm.get("rows") != rows_now:
-            working_set, y = None, None
+            working_set = None
             self.stats["warm_start_rejections"] += 1
         prev = warm["x"]
         shifted = np.zeros(ndu)
@@ -605,9 +626,9 @@ class ModelPredictiveController:
         for cand in (shifted, prev, np.zeros(ndu)):
             if self._point_feasible(cand, A_eq, b_eq, A_in, b_in):
                 self.stats["warm_start_hits"] += 1
-                return cand, working_set, y
+                return cand, working_set
         self.stats["warm_start_misses"] += 1
-        return None, None, None
+        return None, None
 
     @staticmethod
     def _point_feasible(x, A_eq, b_eq, A_in, b_in,
@@ -623,19 +644,17 @@ class ModelPredictiveController:
         """Remember the solution for the next period's warm start.
 
         ``rows`` records the constraint-stack shape (equality rows,
-        inequality rows) the working set and dual were computed against;
-        :meth:`_warm_start_point` rejects them when the next period's
+        inequality rows) the working set was computed against;
+        :meth:`_warm_start_point` rejects it when the next period's
         stack has a different row count.
         """
         if softened:
-            # The softened problem has extra slack variables; its duals
-            # and working set do not map back onto the nominal rows.
+            # The softened problem has extra slack variables; its
+            # working set does not map back onto the nominal rows.
             self._warm = None
             return
         self._warm = {
             "x": res.x.copy(),
             "working_set": res.working_set,
             "rows": rows,
-            "y": (res.dual_ineq.copy()
-                  if self.backend == "admm" and res.dual_ineq.size else None),
         }

@@ -85,7 +85,7 @@ class MPCPolicyConfig:
     backend:
         QP backend (``"active_set"`` or ``"admm"``).
     warm_start_solver:
-        Thread each period's QP solution (and active set / ADMM dual)
+        Thread each period's QP solution (and its active set)
         into the next period's solve.  Consecutive MPC optima are close
         by construction — that is what ``r_weight`` enforces — so this
         skips the phase-1 feasibility LP and most working-set iterations

@@ -123,10 +123,11 @@ def solve_optimal_allocation(cluster: IDCCluster, prices: np.ndarray,
     A_eq = np.hstack([H, np.zeros((c, n))])
     b_eq = loads
 
-    # inequality: Psi U - mu_j m_j <= -1/D_j
+    # inequality: Psi U - mu_j m_j <= -1/D_j; an IDC with no available
+    # servers serves nothing, so its row reads Psi_j U <= 0 instead
     Psi = capacity_matrix(cluster)
     A_ub = np.hstack([Psi, -np.diag(mu)])
-    b_ub = -inv_d
+    b_ub = np.where(fleet > 0, -inv_d, 0.0)
 
     if budgets_watts is not None:
         budgets = np.asarray(

@@ -36,8 +36,6 @@ class IDCConfig:
         ``D_j`` — the QoS latency bound in seconds.
     power_model:
         Per-server affine power model.
-    power_budget_watts:
-        Optional peak-shaving budget ``P^b`` (None = unconstrained).
     """
 
     name: str
@@ -46,7 +44,6 @@ class IDCConfig:
     service_rate: float
     latency_bound: float
     power_model: LinearPowerModel
-    power_budget_watts: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_servers < 1:
@@ -55,9 +52,6 @@ class IDCConfig:
             raise ConfigurationError("service_rate must be positive")
         if self.latency_bound <= 0:
             raise ConfigurationError("latency_bound must be positive")
-        if (self.power_budget_watts is not None
-                and self.power_budget_watts <= 0):
-            raise ConfigurationError("power budget must be positive")
 
     @property
     def max_capacity(self) -> float:

@@ -17,7 +17,6 @@ from .linprog_simplex import linprog, to_standard_form
 from .projections import project_capped_simplex
 from .qp_activeset import find_feasible_point, solve_qp
 from .qp_admm import (
-    ADMMFactorCache,
     BatchADMMSetup,
     BatchQPResult,
     boxed_constraints,
@@ -34,7 +33,6 @@ __all__ = [
     "solve_qp_admm",
     "solve_qp_admm_batch",
     "prepare_batch_admm",
-    "ADMMFactorCache",
     "BatchADMMSetup",
     "BatchQPResult",
     "boxed_constraints",

@@ -5,30 +5,26 @@ Solves::
     minimize    0.5 * x @ P @ x + q @ x
     subject to  l <= A @ x <= u
 
-using the operator-splitting iteration of Stellato et al. (OSQP, 2020)
-with a fixed step size.  This is the alternative backend of the MPC
-controller (see ``repro.core.controller``); the active-set solver is the
-default because it returns exact vertices, while ADMM scales better and
-is the solver the ablation benchmark compares against.
+using the operator-splitting iteration of Stellato et al. (OSQP, 2020).
+This is the alternative backend of the MPC controller (see
+``repro.core.controller``); the active-set solver is the default because
+it returns exact vertices, while ADMM scales better and is the solver
+the ablation benchmark compares against.
 
 The two-sided constraint form is convenient: equality constraints are
 rows with ``l == u`` and one-sided inequalities use an infinite bound.
 A helper converts from the ``A_eq/A_ineq`` convention used elsewhere.
 
-Each iteration back-solves the full (n+m)×(n+m) KKT matrix, LU-factored
-once per ``(P, A, rho, sigma)`` and reusable across solves through
-:class:`ADMMFactorCache`.  The condensed MPC QP has 45 variables at the
-paper's sizes, where dense BLAS is the cheap path.
-
-:func:`solve_qp_admm_batch` runs the same iteration for a whole *batch*
-of problems that share ``(P, A)`` — the fleet-scale Monte-Carlo hot
-path.  The dual block of its KKT matrix is eliminated: one Cholesky
-factorization of the Schur complement ``P + σI + AᵀρA`` is shared
-across all scenarios; the iterates are stacked ``(S, n)`` / ``(S, m)``
-tensors advanced by level-3 BLAS, with per-scenario residual checks and
-lane freezing so converged scenarios stop paying for stragglers, and an
-active-set polish that lands lanes near their optimum on the exact
-vertex instead of grinding ADMM to its tolerance.
+There is one iteration, :func:`solve_qp_admm_batch`, which solves a
+whole *batch* of problems that share ``(P, A)`` — the fleet-scale
+Monte-Carlo hot path.  The dual block of its KKT matrix is eliminated:
+one Cholesky factorization of the Schur complement ``P + σI + AᵀρA`` is
+shared across all scenarios; the iterates are stacked ``(S, n)`` /
+``(S, m)`` tensors advanced by level-3 BLAS, with per-scenario residual
+checks and lane freezing so converged scenarios stop paying for
+stragglers, and an active-set polish that lands lanes near their
+optimum on the exact vertex instead of grinding ADMM to its tolerance.
+:func:`solve_qp_admm` is the single-problem entry point: a batch of one.
 """
 
 from __future__ import annotations
@@ -41,50 +37,7 @@ import numpy as np
 from .result import OptimizeResult, Status
 
 __all__ = ["solve_qp_admm", "solve_qp_admm_batch", "boxed_constraints",
-           "ADMMFactorCache", "BatchQPResult", "BatchADMMSetup",
-           "prepare_batch_admm"]
-
-
-class ADMMFactorCache:
-    """Reusable LU factorization of the ADMM KKT matrix.
-
-    The KKT matrix depends only on ``(P, A, rho, sigma)`` — in a receding-
-    horizon loop these are unchanged for long stretches (prices constant ⇒
-    same Hessian and constraint matrix), so the O(n³) factorization can be
-    reused across solves.  Pass one instance to consecutive
-    :func:`solve_qp_admm` calls; matrices are compared *by value* (an O(n²)
-    check, negligible next to refactorization), so callers need not track
-    identity.
-    """
-
-    def __init__(self) -> None:
-        self._P: np.ndarray | None = None
-        self._A: np.ndarray | None = None
-        self._rho: float = np.nan
-        self._sigma: float = np.nan
-        self._factor = None
-        self.hits = 0
-        self.misses = 0
-
-    def lookup(self, P: np.ndarray, A: np.ndarray, rho: float, sigma: float):
-        """Return the cached factorization, or ``None`` on mismatch."""
-        if (self._factor is not None and rho == self._rho
-                and sigma == self._sigma
-                and self._P.shape == P.shape and self._A.shape == A.shape
-                and np.array_equal(self._P, P)
-                and np.array_equal(self._A, A)):
-            self.hits += 1
-            return self._factor
-        self.misses += 1
-        return None
-
-    def store(self, P: np.ndarray, A: np.ndarray, rho: float, sigma: float,
-              factor) -> None:
-        self._P = P.copy()
-        self._A = A.copy()
-        self._rho = rho
-        self._sigma = sigma
-        self._factor = factor
+           "BatchQPResult", "BatchADMMSetup", "prepare_batch_admm"]
 
 
 def boxed_constraints(n: int, A_eq=None, b_eq=None, A_ineq=None, b_ineq=None):
@@ -113,28 +66,34 @@ def solve_qp_admm(P, q, A=None, l=None, u=None, rho: float = 1.0,
                   sigma: float = 1e-6, alpha: float = 1.6,
                   eps_abs: float = 1e-7, eps_rel: float = 1e-7,
                   max_iter: int = 20_000, x0=None, y0=None,
-                  cache: ADMMFactorCache | None = None,
+                  setup: BatchADMMSetup | None = None,
                   deadline_seconds: float | None = None
                   ) -> OptimizeResult:
     """Solve ``min 0.5 x'Px + q'x  s.t.  l <= Ax <= u`` by ADMM.
 
+    A batch of one through :func:`solve_qp_admm_batch`: Ruiz scaling,
+    adaptive ``rho`` and the active-set polish included.  The leading
+    ``l == u`` rows get the stiff equality penalty.
+
     Parameters
     ----------
     rho, sigma, alpha:
-        ADMM penalty, regularization and over-relaxation parameters.  The
-        defaults follow the OSQP paper and work well for the small, well
-        scaled MPC problems in this library.
+        Initial ADMM penalty, regularization and over-relaxation.
     eps_abs, eps_rel:
         Absolute/relative tolerances on the primal and dual residuals.
     x0, y0:
-        Warm-start primal iterate and constraint dual.  ``z`` is seeded
-        with ``clip(A x0, l, u)``.  In a receding-horizon loop the
-        previous period's ``(x, dual_ineq)`` pair cuts the iteration count
-        dramatically because consecutive optima are close.
-    cache:
-        Optional :class:`ADMMFactorCache` reused across calls; the KKT
-        factorization is skipped whenever ``(P, A, rho, sigma)`` match
-        the cached problem.
+        Warm-start primal iterate and constraint dual; one of the wrong
+        length is ignored.  ``z`` is seeded with ``clip(A x0, l, u)``.
+        The polish reads its first active-set guess off the iterate
+        these start, so a start near the optimum mostly ends the solve
+        at iteration 1.
+    setup:
+        Optional :func:`prepare_batch_admm` state of this ``(P, A)``
+        (same ``sigma``; ``n_eq`` the leading run of ``l == u`` rows,
+        the equality rows of :func:`boxed_constraints`), reused across
+        calls to skip the scaling and the factorization.  It is
+        re-armed to ``rho`` first, so the solve is a pure function of
+        its arguments whatever the setup solved before.
     deadline_seconds:
         Optional wall-clock budget.  ADMM always has a best-so-far
         iterate, so on expiry the solve *returns* it (status
@@ -145,103 +104,44 @@ def solve_qp_admm(P, q, A=None, l=None, u=None, rho: float = 1.0,
     Returns
     -------
     OptimizeResult
-        ``status`` is ``optimal`` on residual convergence, otherwise
-        ``iteration_limit``; the best iterate is returned either way.
-        ``meta["factor_cached"]`` records whether the KKT factorization
-        came from ``cache`` and ``meta["solve_seconds"]`` the wall time
-        spent.
+        ``status`` is ``optimal`` on convergence (by residuals or by an
+        accepted polish), otherwise ``iteration_limit``; the best
+        iterate is returned either way.  ``dual_ineq`` is the dual of
+        every row of ``A``.
     """
-    t_start = time.monotonic()
     P = np.atleast_2d(np.asarray(P, dtype=float))
+    P = 0.5 * (P + P.T)
     q = np.asarray(q, dtype=float).ravel()
     n = q.size
-    P = 0.5 * (P + P.T)
     if A is None or np.size(A) == 0:
-        A = np.zeros((0, n))
-        l = np.zeros(0)
-        u = np.zeros(0)
-    else:
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        l = np.asarray(l, dtype=float).ravel()
-        u = np.asarray(u, dtype=float).ravel()
-    m = A.shape[0]
-    if m == 0:
         x = np.linalg.solve(P + sigma * np.eye(n), -q)
         return OptimizeResult(x=x, fun=float(0.5 * x @ P @ x + q @ x),
                               status=Status.OPTIMAL, iterations=0)
-
-    # KKT matrix factored once (fixed rho), or pulled from the cache when
-    # the caller solves a sequence of problems sharing (P, A).
-    import scipy.linalg as sla
-    factor = cache.lookup(P, A, rho, sigma) if cache is not None else None
-    factor_cached = factor is not None
-    if factor is None:
-        K = np.zeros((n + m, n + m))
-        K[:n, :n] = P + sigma * np.eye(n)
-        K[:n, n:] = A.T
-        K[n:, :n] = A
-        K[n:, n:] = -np.eye(m) / rho
-        factor = sla.lu_factor(K)
-        if cache is not None:
-            cache.store(P, A, rho, sigma, factor)
-
-    if x0 is not None:
-        x = np.asarray(x0, dtype=float).ravel().copy()
-        if x.size != n:
-            x = np.zeros(n)
-        z = np.clip(A @ x, l, u)
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    l = np.asarray(l, dtype=float).ravel()
+    u = np.asarray(u, dtype=float).ravel()
+    if setup is None:
+        eq = l == u
+        setup = BatchADMMSetup(P, A, n_eq=eq.size if eq.all()
+                               else int(np.argmin(eq)), rho=rho, sigma=sigma)
     else:
-        x = np.zeros(n)
-        z = np.zeros(m)
-    if y0 is not None:
-        y = np.asarray(y0, dtype=float).ravel().copy()
-        if y.size != m:
-            y = np.zeros(m)
-    else:
-        y = np.zeros(m)
-    status = Status.ITERATION_LIMIT
-    deadline_hit = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        rhs = np.concatenate([sigma * x - q, z - y / rho])
-        sol = sla.lu_solve(factor, rhs)
-        x_tilde = sol[:n]
-        nu = sol[n:]
-        z_tilde = z + (nu - y) / rho
-        x_next = alpha * x_tilde + (1 - alpha) * x
-        z_relax = alpha * z_tilde + (1 - alpha) * z
-        z_next = np.clip(z_relax + y / rho, l, u)
-        y = y + rho * (z_relax - z_next)
-        x, z = x_next, z_next
-
-        if it % 10 == 0 or it == 1:
-            Ax = A @ x
-            r_prim = np.linalg.norm(Ax - z, ord=np.inf)
-            Aty = A.T @ y
-            r_dual = np.linalg.norm(P @ x + q + Aty, ord=np.inf)
-            eps_prim = eps_abs + eps_rel * max(
-                np.linalg.norm(Ax, ord=np.inf), np.linalg.norm(z, ord=np.inf))
-            eps_dual = eps_abs + eps_rel * max(
-                np.linalg.norm(P @ x, ord=np.inf),
-                np.linalg.norm(Aty, ord=np.inf),
-                np.linalg.norm(q, ord=np.inf))
-            if r_prim <= eps_prim and r_dual <= eps_dual:
-                status = Status.OPTIMAL
-                break
-            if deadline_seconds is not None and \
-                    time.monotonic() - t_start > deadline_seconds:
-                deadline_hit = True
-                break
-
+        setup.set_rho(rho)
+    x0 = None if x0 is None or np.size(x0) != n else x0
+    y0 = None if y0 is None or np.size(y0) != A.shape[0] else y0
+    res = solve_qp_admm_batch(P, q[None], A, l, u, alpha=alpha,
+                              eps_abs=eps_abs, eps_rel=eps_rel,
+                              max_iter=max_iter, X0=x0, Y0=y0,
+                              setup=setup, deadline_seconds=deadline_seconds)
+    optimal = bool(res.converged[0])
     return OptimizeResult(
-        x=x, fun=float(0.5 * x @ P @ x + q @ x), status=status,
-        iterations=it, dual_ineq=y.copy(),
-        message="" if status == Status.OPTIMAL else
-        ("ADMM deadline expired; returning best iterate" if deadline_hit
+        x=res.X[0], fun=float(res.fun[0]),
+        status=Status.OPTIMAL if optimal else Status.ITERATION_LIMIT,
+        iterations=int(res.iterations[0]), dual_ineq=res.Y[0],
+        message="" if optimal else
+        ("ADMM deadline expired; returning best iterate"
+         if res.deadline_exceeded
          else "ADMM hit iteration limit; returning best iterate"),
-        meta={"factor_cached": int(factor_cached),
-              "deadline_exceeded": int(deadline_hit),
-              "solve_seconds": time.monotonic() - t_start},
+        meta={"deadline_exceeded": int(res.deadline_exceeded)},
     )
 
 
@@ -251,11 +151,12 @@ class BatchQPResult:
 
     ``X``/``Y`` hold every scenario's primal iterate and constraint
     dual; ``iterations`` records the iteration at which each lane's
-    residuals converged (``max_iter`` for stragglers, whose
+    residuals converged (the last iteration run for stragglers, whose
     ``converged`` entry is ``False`` — callers re-solve those lanes
     through an exact scalar backend).  ``polished`` marks the converged
     lanes whose solution came from the active-set polish rather than
-    from the ADMM iterate itself.
+    from the ADMM iterate itself.  ``deadline_exceeded`` is set when
+    the wall-clock budget stopped the solve with stragglers left.
     """
 
     X: np.ndarray
@@ -264,6 +165,7 @@ class BatchQPResult:
     iterations: np.ndarray
     converged: np.ndarray
     polished: np.ndarray
+    deadline_exceeded: bool = False
 
     @property
     def n_stragglers(self) -> int:
@@ -285,7 +187,8 @@ class BatchADMMSetup:
     adapts ``rho`` from the observed primal/dual residual balance and
     re-factors in place (an O(n³) = 45³ triviality next to one batched
     iteration), so the tuned penalty carries over to the next control
-    period instead of being re-learned every solve.
+    period instead of being re-learned every solve.  The single-problem
+    :func:`solve_qp_admm` re-arms it to the caller's ``rho`` instead.
     """
 
     def __init__(self, P, A, n_eq: int = 0, rho: float = 0.1,
@@ -447,7 +350,9 @@ def solve_qp_admm_batch(P, Q, A, L, U, rho: float = 0.1,
                         setup: BatchADMMSetup | None = None,
                         n_eq: int = 0,
                         adaptive_rho: bool = True,
-                        lane_isolated: bool = False) -> BatchQPResult:
+                        lane_isolated: bool = False,
+                        deadline_seconds: float | None = None
+                        ) -> BatchQPResult:
     """Solve ``S`` QPs sharing ``(P, A)`` with stacked ADMM iterates.
 
     Each scenario ``s`` solves ``min 0.5 x'Px + Q[s]'x`` subject to
@@ -457,13 +362,12 @@ def solve_qp_admm_batch(P, Q, A, L, U, rho: float = 0.1,
     price/workload noise (see ``repro.core.batch_controller``) while the
     targets and right-hand sides vary per lane.
 
-    The iteration is the update of :func:`solve_qp_admm` with the dual
-    block of the KKT matrix eliminated (the Schur complement
-    ``P + σI + AᵀρA``), applied to all lanes at once — the shared
-    Cholesky back-solve runs on an ``(n, S)`` right-hand-side block
-    (level-3 BLAS), the projection/dual steps are elementwise on
-    ``(S, m)`` tensors — with three OSQP refinements the scalar path
-    does not need at its problem sizes:
+    The iteration is OSQP's update with the dual block of the KKT
+    matrix eliminated (the Schur complement ``P + σI + AᵀρA``), applied
+    to all lanes at once — the shared Cholesky back-solve runs on an
+    ``(n, S)`` right-hand-side block (level-3 BLAS), the projection/dual
+    steps are elementwise on ``(S, m)`` tensors — with three OSQP
+    refinements:
 
     * **Ruiz equilibration** of ``(P, A)`` with cost normalization (the
       raw MPC stack mixes req/s-scale constraint rows with 1e-6-scale
@@ -523,8 +427,13 @@ def solve_qp_admm_batch(P, Q, A, L, U, rho: float = 0.1,
         bit-identical to a fault-free (equally armed) baseline while
         faulted lanes are ejected; the default shared mode keeps the
         cheaper compacted hot loop and shared adaptive rho.
+    deadline_seconds:
+        Optional wall-clock budget, checked at every residual check
+        *before* the polish.  On expiry the solve stops: lanes that met
+        the stopping test at that check count as converged, the rest
+        return their iterate as stragglers.
     """
-    import scipy.linalg as sla
+    t_start = time.monotonic()
     P = np.atleast_2d(np.asarray(P, dtype=float))
     P = 0.5 * (P + P.T)
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
@@ -555,10 +464,14 @@ def solve_qp_admm_batch(P, Q, A, L, U, rho: float = 0.1,
     else:
         Y = np.zeros((S, m))
 
+    def expired() -> bool:
+        return deadline_seconds is not None and \
+            time.monotonic() - t_start > deadline_seconds
+
     if lane_isolated:
         return _solve_batch_isolated(P, setup, Q, Qs, Ls, Us, X, Z, Y,
                                      alpha, eps_abs, eps_rel, max_iter,
-                                     adaptive_rho)
+                                     adaptive_rho, expired)
 
     iters = np.full(S, max_iter, dtype=int)
     converged = np.zeros(S, dtype=bool)
@@ -582,6 +495,7 @@ def solve_qp_admm_batch(P, Q, A, L, U, rho: float = 0.1,
     BN = np.empty((S, n))
     BN2 = np.empty((S, n))
     it = 0
+    out_of_time = False
     while idx.size and it < max_iter:
         it += 1
         k = idx.size
@@ -614,7 +528,8 @@ def solve_qp_admm_batch(P, Q, A, L, U, rho: float = 0.1,
                 setup, x, z, y, q_u, qn)
             done = (r_prim <= eps_abs + eps_rel * prim_scale) & \
                 (r_dual <= eps_abs + eps_rel * dual_scale)
-            if polish:
+            out_of_time = expired()
+            if polish and not out_of_time:
                 if it == 1:
                     # a warm start mostly names the optimal active set
                     # already: every unfinished lane tries it at once
@@ -646,6 +561,8 @@ def solve_qp_admm_batch(P, Q, A, L, U, rho: float = 0.1,
                 x, z, y = x[live], z[live], y[live]
                 qs, q_u, qn = qs[live], q_u[live], qn[live]
                 ls, us = ls[live], us[live]
+            if out_of_time:
+                break
             if adaptive_rho and idx.size:
                 num = r_prim[live] / np.maximum(prim_scale[live], 1e-12)
                 den = r_dual[live] / np.maximum(dual_scale[live], 1e-12)
@@ -655,6 +572,7 @@ def solve_qp_admm_batch(P, Q, A, L, U, rho: float = 0.1,
                 setup.maybe_adapt_rho(agg)
     if idx.size:        # stragglers: scatter the last iterate back
         X[idx], Z[idx], Y[idx] = x, z, y
+        iters[idx] = it
 
     # unscale the returned iterates: x = D x̄, y = E ȳ / c
     X = X * D
@@ -663,7 +581,8 @@ def solve_qp_admm_batch(P, Q, A, L, U, rho: float = 0.1,
     fun = 0.5 * np.einsum("sn,sn->s", X, PX) \
         + np.einsum("sn,sn->s", Q, X)
     return BatchQPResult(X=X, Y=Y, fun=fun, iterations=iters,
-                         converged=converged, polished=polished)
+                         converged=converged, polished=polished,
+                         deadline_exceeded=bool(out_of_time and idx.size))
 
 
 #: Polish trigger: a lane whose unscaled residuals first fall within
@@ -818,7 +737,7 @@ def _solve_active(M, act, rhs):
 def _solve_batch_isolated(P, setup: BatchADMMSetup, Q, Qs, Ls, Us,
                           X, Z, Y, alpha: float, eps_abs: float,
                           eps_rel: float, max_iter: int,
-                          adaptive_rho: bool) -> BatchQPResult:
+                          adaptive_rho: bool, expired) -> BatchQPResult:
     """Lane-decoupled batched ADMM (``lane_isolated=True``).
 
     Bit-exact lane isolation needs two departures from the compacted
@@ -870,6 +789,7 @@ def _solve_batch_isolated(P, setup: BatchADMMSetup, Q, Qs, Ls, Us,
     bn = np.empty((S, n))
     bn2 = np.empty((S, n))
     it = 0
+    out_of_time = False
     while not frozen.all() and it < max_iter:
         it += 1
         np.multiply(z, rho_vec_l, out=bm)
@@ -907,6 +827,9 @@ def _solve_batch_isolated(P, setup: BatchADMMSetup, Q, Qs, Ls, Us,
                 Xf[newly], Zf[newly], Yf[newly] = \
                     x[newly], z[newly], y[newly]
                 frozen |= newly
+            out_of_time = expired()
+            if out_of_time:
+                break
             if adaptive_rho and not frozen.all():
                 for i in np.nonzero(~frozen)[0]:
                     num = r_prim[i] / max(prim_scale[i], 1e-12)
@@ -923,6 +846,7 @@ def _solve_batch_isolated(P, setup: BatchADMMSetup, Q, Qs, Ls, Us,
     strag = ~frozen
     if np.any(strag):       # stragglers keep their final iterate
         Xf[strag], Zf[strag], Yf[strag] = x[strag], z[strag], y[strag]
+        iters[strag] = it
     setup.rho_lanes = rho_l
 
     Xo = Xf * D
@@ -932,4 +856,6 @@ def _solve_batch_isolated(P, setup: BatchADMMSetup, Q, Qs, Ls, Us,
         + np.einsum("sn,sn->s", Q, Xo)
     return BatchQPResult(X=Xo, Y=Yo, fun=fun, iterations=iters,
                          converged=converged,
-                         polished=np.zeros(S, dtype=bool))
+                         polished=np.zeros(S, dtype=bool),
+                         deadline_exceeded=bool(out_of_time
+                                                and np.any(strag)))

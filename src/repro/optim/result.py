@@ -53,7 +53,7 @@ class OptimizeResult:
     meta:
         Solver-specific diagnostics (e.g. the QP kernels report
         ``kkt_updates`` / ``kkt_refactorizations`` / ``kkt_dense_steps``,
-        the ADMM solver its KKT method, the simplex its
+        the ADMM solver ``deadline_exceeded``, the simplex its
         ``phase1_iterations`` / ``phase2_iterations`` split).  Always a
         plain dict of scalars, safe to fold into
         :class:`repro.sim.profiling.PerfStats` counters and consumed by

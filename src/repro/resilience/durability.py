@@ -72,8 +72,10 @@ __all__ = [
 #: engine's per-period recorder.  Version 3: the pickled MPC core no
 #: longer carries a matrix-free constraint operator, and the policy
 #: snapshots no longer carry server counts or last prices.  Version 4:
-#: the policy snapshots no longer carry a reference memo.
-CHECKPOINT_VERSION = 4
+#: the policy snapshots no longer carry a reference memo.  Version 5:
+#: the pickled MPC core holds a batched-ADMM setup in place of the
+#: scalar ADMM's factorization cache.
+CHECKPOINT_VERSION = 5
 
 #: Version stamp of the WAL record schema.
 WAL_VERSION = 1

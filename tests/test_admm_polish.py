@@ -15,7 +15,9 @@ stopping test.  Pinned here:
   lane finishes by ADMM;
 * the lane-isolated mode never polishes, and its outputs do not depend
   on whether the polish is available;
-* a Hessian that is not positive definite switches the polish off.
+* a Hessian that is not positive definite switches the polish off;
+* an expired deadline stops the solve before the polish, and lanes that
+  met the stopping test at that check still count as converged.
 """
 
 import numpy as np
@@ -190,3 +192,27 @@ def test_singular_hessian_disables_polish():
     res = solve_qp_admm_batch(P, Q, A, L, U, setup=setup)
     assert not res.polished.any()
     assert res.converged.any()
+
+
+def test_deadline_stops_before_the_polish():
+    P, Q, A, L, U, A_eq, *_ = _mpc_batch(S=8)
+    n_eq = A_eq.shape[0]
+    first = solve_qp_admm_batch(P, Q, A, L, U,
+                                setup=prepare_batch_admm(P, A, n_eq=n_eq))
+    assert first.converged.all()
+    # lanes 0-3 restart at their optimum and meet the stopping test at
+    # the first check; lanes 4-7 start cold and would need the polish
+    X0, Y0 = first.X.copy(), first.Y.copy()
+    X0[4:], Y0[4:] = 0.0, 0.0
+    for isolated in (False, True):
+        res = solve_qp_admm_batch(P, Q, A, L, U, X0=X0, Y0=Y0,
+                                  setup=prepare_batch_admm(P, A, n_eq=n_eq),
+                                  lane_isolated=isolated,
+                                  deadline_seconds=1e-9)
+        assert res.deadline_exceeded
+        np.testing.assert_array_equal(res.converged, np.arange(8) < 4)
+        assert not res.polished.any()
+        np.testing.assert_array_equal(res.iterations, 1)
+        np.testing.assert_allclose(res.X[:4], first.X[:4], rtol=1e-6,
+                                   atol=1e-6)
+        assert np.isfinite(res.X).all()

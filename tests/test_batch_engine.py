@@ -18,9 +18,9 @@ from repro.core import BatchCostMPCPolicy, CostMPCPolicy, MPCPolicyConfig
 from repro.core.reference_opt import Waterfill
 from repro.datacenter.queueing import simplified_latency_batch
 from repro.exceptions import ConfigurationError, ModelError
+from repro.optim import solve_qp
 from repro.optim.qp_admm import (
     prepare_batch_admm,
-    solve_qp_admm,
     solve_qp_admm_batch,
 )
 from repro.sim import (
@@ -364,8 +364,9 @@ def test_solve_qp_admm_batch_matches_scalar():
     assert res.X.shape == (S, n)
     for s in range(S):
         # the active-set polish makes the batched lanes exact, so the
-        # scalar reference runs far past its default tolerance
-        ref = solve_qp_admm(P, Q[s], A, L[s], U[s],
-                            eps_abs=1e-11, eps_rel=1e-11)
+        # reference is the exact active-set solver, with each two-sided
+        # row split into two one-sided ones
+        ref = solve_qp(P, Q[s], A_ineq=np.vstack([A, -A]),
+                       b_ineq=np.concatenate([U[s], -L[s]]))
         assert ref.success
         np.testing.assert_allclose(res.X[s], ref.x, rtol=1e-8, atol=1e-8)

@@ -4,8 +4,8 @@ The MPC's reference on every path is :class:`Waterfill`'s closed form of
 the Sec. IV-D cost LP, with the Sec. V-C power budgets as workload caps.
 :func:`solve_optimal_allocation` solves the same LP, budget rows
 included, with the revised simplex.  Over random clusters, prices, loads
-and budgets the two must agree on the per-IDC totals, and both must
-refuse the same infeasible draws.  The budget-mode rule of the reference
+and budgets, some with one IDC in total outage, the two must agree on
+the per-IDC totals, and both must refuse the same infeasible draws.  The budget-mode rule of the reference
 (``"lp"`` falling back to the clamp where the LP is infeasible) is held
 to the same simplex oracle.
 """
@@ -20,14 +20,16 @@ from repro.exceptions import InfeasibleProblemError
 from repro.workload import PortalSet
 
 N_DRAWS = 60
+N_OUTAGE_DRAWS = 20
 
 
-def _draw(rng):
+def _draw(rng, outage=False):
     """A random cluster with prices, portal loads and budgets.
 
     Draws near a feasibility boundary (total load at the budget-capped
     capacity, a budget at an IDC's idle power) are redrawn: there the
-    two solvers' feasibility tolerances, not the LP, decide.
+    two solvers' feasibility tolerances, not the LP, decide.  With
+    ``outage`` one IDC has no available servers and no budget.
     """
     while True:
         n, c = int(rng.integers(2, 6)), int(rng.integers(1, 5))
@@ -43,11 +45,16 @@ def _draw(rng):
                     idle, idle * rng.uniform(1.2, 3.0), service_rate=mu)))
         cluster = IDCCluster.from_configs(
             configs, PortalSet.constant(np.ones(c)))
+        if outage:
+            dead = int(rng.integers(n))
+            cluster.idcs[dead].set_availability(0)
         wf = Waterfill(cluster)
         prices = rng.uniform(5.0, 100.0, n)
         full = wf.powers_watts(wf.caps)
         budgets = np.where(rng.random(n) < 0.3, np.inf,
                            full * rng.uniform(0.002, 1.2, n))
+        if outage:
+            budgets[dead] = np.inf
         budget_caps = wf.budget_caps(budgets)
         capped = np.minimum(wf.caps, budget_caps).sum()
         loads = rng.dirichlet(np.ones(c)) * wf.caps.sum() \
@@ -65,9 +72,7 @@ def _simplex_totals(cluster, prices, loads, budgets):
     ).idc_workloads
 
 
-@pytest.mark.parametrize("seed", range(N_DRAWS))
-def test_capped_waterfill_matches_budgeted_simplex(seed):
-    cluster, wf, prices, loads, budgets = _draw(np.random.default_rng(seed))
+def _check_against_simplex(cluster, wf, prices, loads, budgets):
     total = loads.sum()
     for caps in (None, budgets):
         try:
@@ -80,6 +85,20 @@ def test_capped_waterfill_matches_budgeted_simplex(seed):
             continue
         lam = wf.workloads(prices, total[None], budgets_watts=caps)[0]
         assert np.max(np.abs(lam - want)) <= 1e-9 * total
+
+
+@pytest.mark.parametrize("seed", range(N_DRAWS))
+def test_capped_waterfill_matches_budgeted_simplex(seed):
+    _check_against_simplex(*_draw(np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("seed", range(N_OUTAGE_DRAWS))
+def test_capped_waterfill_matches_simplex_under_total_outage(seed):
+    # an IDC with no available servers serves nothing; the others carry
+    # the load, on both solvers
+    drawn = _draw(np.random.default_rng(seed), outage=True)
+    assert min(idc.available_servers for idc in drawn[0].idcs) == 0
+    _check_against_simplex(*drawn)
 
 
 def test_draws_cover_feasible_and_infeasible_budgets():

@@ -24,11 +24,9 @@ from repro.workload import PortalSet
 PM = LinearPowerModel.from_idle_peak(150.0, 285.0, 2.0)
 
 
-def _config(name="michigan", max_servers=30000, mu=2.0, d=0.001,
-            budget=None):
+def _config(name="michigan", max_servers=30000, mu=2.0, d=0.001):
     return IDCConfig(name=name, region=name, max_servers=max_servers,
-                     service_rate=mu, latency_bound=d, power_model=PM,
-                     power_budget_watts=budget)
+                     service_rate=mu, latency_bound=d, power_model=PM)
 
 
 class TestIDC:
@@ -76,8 +74,6 @@ class TestIDC:
             _config(mu=0.0)
         with pytest.raises(ConfigurationError):
             _config(d=0.0)
-        with pytest.raises(ConfigurationError):
-            _config(budget=-5.0)
 
     def test_max_power(self):
         cfg = _config(max_servers=10)

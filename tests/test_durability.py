@@ -494,6 +494,25 @@ class TestCrashResume:
         with pytest.raises(CheckpointError, match="version 3 not supported"):
             run_simulation(sc2, _mpc(sc2), resume_from=wal)
 
+    def test_version_4_checkpoint_refused_by_version(self, tmp_path):
+        """A version-4 checkpoint pickles the scalar ADMM's factor cache.
+
+        That class is gone (the MPC keeps a batched-ADMM setup instead);
+        the envelope must refuse the old layout by its version stamp.
+        """
+        wal = str(tmp_path / "v4.wal")
+        sc = _short_scenario()
+        with pytest.raises(SimulatedCrashError):
+            run_simulation(sc, CrashInjector(_mpc(sc), 5), wal_path=wal,
+                           checkpoint_every=2)
+        ckpt = checkpoint_path_for(wal)
+        current = ControllerCheckpoint.load(ckpt)
+        ControllerCheckpoint(period=current.period, state=current.state,
+                             version=4).save(ckpt)
+        sc2 = _short_scenario()
+        with pytest.raises(CheckpointError, match="version 4 not supported"):
+            run_simulation(sc2, _mpc(sc2), resume_from=wal)
+
     def test_resume_with_faults_and_monitor(self, tmp_path):
         """Outage + actuation fault + monitor all survive the restart."""
         def faults(t0):

@@ -4,8 +4,10 @@ Warm starting is a pure performance device — it must change the number
 of iterations, never the answer.  Both QP backends are strictly convex
 here (P ≻ 0), so warm and cold solves share a unique optimum; these
 tests pin (a) the new ``x0``/``working_set0``/``y0`` solver arguments,
-(b) the ADMM factorization cache, and (c) closed-loop trajectories over
-a price-step day being equal warm vs cold, for both backends.
+(b) the reused ADMM setup (no refactorization on unchanged ``(P, A)``,
+and a solve that does not depend on what the setup solved before), and
+(c) closed-loop trajectories over a price-step day being equal warm vs
+cold, for both backends.
 
 Tolerances: the active-set solver is exact, so its warm/cold gap is
 float noise (~1e-11 on allocations).  ADMM stops at a residual
@@ -22,7 +24,7 @@ import pytest
 from repro.control import ModelPredictiveController
 from repro.core import CostMPCPolicy, CostModelBuilder, MPCPolicyConfig, \
     build_constraints, solve_optimal_allocation
-from repro.optim import ADMMFactorCache, boxed_constraints, solve_qp, \
+from repro.optim import boxed_constraints, prepare_batch_admm, solve_qp, \
     solve_qp_admm
 from repro.sim import paper_cluster, price_step_scenario, run_simulation
 
@@ -97,27 +99,42 @@ class TestADMMWarmStart:
     def test_factor_cache_hits_on_same_structure(self):
         P, q, A_in, b_in = _small_qp()
         A, low, high = boxed_constraints(P.shape[0], None, None, A_in, b_in)
-        cache = ADMMFactorCache()
-        solve_qp_admm(P, q, A, low, high, cache=cache)
-        assert (cache.hits, cache.misses) == (0, 1)
+        setup = prepare_batch_admm(P, A, rho=1.0)
+        solve_qp_admm(P, q, A, low, high, setup=setup)
+        before = setup.refactorizations
         # new q, same P/A: the O(n³) factorization must be reused
-        res = solve_qp_admm(P, q * 2.0, A, low, high, cache=cache)
+        res = solve_qp_admm(P, q * 2.0, A, low, high, setup=setup)
         assert res.success
-        assert cache.hits == 1
+        assert setup.refactorizations == before
         ref = solve_qp_admm(P, q * 2.0, A, low, high)
-        np.testing.assert_allclose(res.x, ref.x, atol=1e-6)
+        np.testing.assert_array_equal(res.x, ref.x)
 
     def test_factor_cache_invalidates_on_matrix_change(self):
+        mpc, *_ = _paper_mpc_step()
+        P = np.eye(6) + 1.0
+        A = np.vstack([np.ones((1, 6)), -np.eye(6)])
+        setup = mpc._admm_setup(P, A, n_eq=1)
+        # equal by value, not by identity: the setup is kept
+        assert mpc._admm_setup(P.copy(), A.copy(), n_eq=1) is setup
+        assert mpc._admm_setup(P + np.eye(6), A, n_eq=1) is not setup
+        assert mpc._admm_setup(P, A[:5], n_eq=1) is not setup
+
+    def test_reused_setup_gives_the_same_solve(self):
+        # every row twice: the polish refuses the dependent active set,
+        # so ADMM iterates and adapts the setup's penalty
         P, q, A_in, b_in = _small_qp()
-        A, low, high = boxed_constraints(P.shape[0], None, None, A_in, b_in)
-        cache = ADMMFactorCache()
-        solve_qp_admm(P, q, A, low, high, cache=cache)
-        P2 = P + np.eye(P.shape[0])
-        res = solve_qp_admm(P2, q, A, low, high, cache=cache)
-        assert res.success
-        assert cache.misses == 2
-        ref = solve_qp_admm(P2, q, A, low, high)
-        np.testing.assert_allclose(res.x, ref.x, atol=1e-6)
+        A, low, high = boxed_constraints(P.shape[0], None, None,
+                                         np.vstack([A_in, A_in]),
+                                         np.concatenate([b_in, b_in]))
+        fresh = solve_qp_admm(P, q, A, low, high)
+        setup = prepare_batch_admm(P, A, rho=1.0)
+        for scale in (100.0, 1e-3):
+            solve_qp_admm(P, scale * q, A, low, high, setup=setup)
+            assert setup.rho != 1.0
+            again = solve_qp_admm(P, q, A, low, high, setup=setup)
+            assert again.iterations == fresh.iterations
+            np.testing.assert_array_equal(again.x, fresh.x)
+            np.testing.assert_array_equal(again.dual_ineq, fresh.dual_ineq)
 
     def test_mismatched_y0_is_ignored(self):
         P, q, A_in, b_in = _small_qp()
@@ -169,11 +186,14 @@ class TestMPCStep:
         mpc, x, u, ref = _paper_mpc_step()
         mpc.backend = "admm"
         cold = mpc.control(x, u, ref)
+        setup = mpc._admm[2]
+        before = setup.refactorizations
         warm = mpc.control(x, u, ref)
         assert warm.status == "optimal"
         assert warm.solver_iterations <= cold.solver_iterations
-        # the O(n³) KKT factorization comes from the cache
-        assert mpc._admm_cache.hits >= 1
+        # unchanged (P, A): the same setup, and no O(n³) refactorization
+        assert mpc._admm[2] is setup
+        assert setup.refactorizations == before
 
 
 # ---------------------------------------------------------------------------
