@@ -19,14 +19,18 @@ tensors in one process.  The key structural facts that make this cheap:
   waterfill solution (:class:`repro.core.reference_opt.Waterfill`), the
   same one the scalar policy calls, so all lanes' reference powers over
   the whole horizon come from one vectorized call.
+* Hard budget rows fold into the shared capacity right-hand side
+  (:func:`repro.core.controller.budgeted_capacity_rhs`, the fold the
+  scalar policy makes), so they change no matrix.
 
 Lanes whose ADMM iterates fail to converge ("stragglers") fall back to
 the exact scalar :class:`repro.control.ModelPredictiveController`
 (active-set backend) one lane at a time — correctness never depends on
-the batched path converging.
+the batched path converging.  The config's ``fallback_ladder`` and
+``deadline_seconds`` arm the per-lane ladder and health machines (see
+:class:`BatchCostMPCPolicy`).
 
-Configurations outside the shared-structure regime (hard budget rows,
-power schedules, fallback ladder, certification …) are rejected by
+Power schedules, KKT certification and QP capture are rejected by
 :func:`batch_incompatibility`; the batch engine routes such scenarios
 through the scalar engine instead.
 """
@@ -55,8 +59,8 @@ from ..resilience.fleet import FleetHealth
 from ..resilience.ladder import FallbackLadder, Rung, project_allocation
 from ..sim.policy import AllocationDecision
 from ..sim.profiling import BatchPerfStats
-from .constraints import capacity_matrix, capacity_rhs, conservation_matrix
-from .controller import MPCPolicyConfig, check_positive
+from .constraints import capacity_matrix, conservation_matrix
+from .controller import MPCPolicyConfig, budgeted_capacity_rhs
 from .model import CostModelBuilder
 from .peak_shaving import normalize_budgets
 from .reference_opt import (
@@ -73,26 +77,19 @@ def batch_incompatibility(config: MPCPolicyConfig) -> str | None:
     """Why ``config`` cannot run on the batched hot path (None = it can).
 
     The batched controller shares the horizon operators, Hessian and
-    constraint matrices across scenarios.  What it cannot run yet is
-    rejected here: hard budget rows, power schedules, the fallback
-    ladder, KKT certification, QP capture and per-step deadlines, all of
+    constraint matrices across scenarios.  What it cannot run is
+    rejected here: power schedules, KKT certification and QP capture,
     which need the scalar solver's machinery every period.  The batch
     engine falls back to the scalar engine for such lanes.  Power
-    budgets in either ``budget_mode`` run batched: they only cap the
-    reference waterfill.
+    budgets in either ``budget_mode``, hard budget rows, the fallback
+    ladder and the deadline all run batched.
     """
     if config.power_schedule_watts is not None:
         return "power schedule tracking"
-    if config.hard_budget_constraints:
-        return "hard budget constraint rows"
-    if config.fallback_ladder:
-        return "fallback ladder"
     if config.certify:
         return "KKT certification"
     if config.capture_problems:
         return "QP capture"
-    if config.deadline_seconds is not None:
-        return "per-step deadline"
     return None
 
 
@@ -168,25 +165,14 @@ class BatchCostMPCPolicy:
         solution (same per-IDC totals, canonical per-portal split) —
         equally optimal and ~1000× cheaper at Monte-Carlo widths, for
         sweeps that never compare against looped runs step-by-step.
-    deadline_seconds:
-        Optional per-period *fleet* deadline budget.  Measured from the
-        top of :meth:`decide_batch`; once spent, ejected lanes skip the
-        solver rungs of their fallback ladder and fall straight to the
-        projection rung.  ``None`` (default) = unbounded.
-    quarantine_after:
-        Consecutive ladder periods after which a lane is *permanently*
-        demoted to the exact scalar solve path (see below).
-    recovery_periods:
-        Consecutive clean periods a degraded lane needs to be NOMINAL
-        again (scalar :class:`~repro.resilience.PolicySupervisor`
-        semantics).
 
     Lane fault isolation
     --------------------
-    Setting :attr:`solver_fault_hook` (a callable
-    ``hook(stage, lane, period)`` that raises a
-    :class:`~repro.exceptions.SolverError` subclass to inject a fault)
-    or ``deadline_seconds`` arms the per-lane resilience path.  Faulted
+    Setting :attr:`solver_fault_hook` (the callable
+    ``hook(stage, lane, period)`` both MPC policies take, raising a
+    :class:`~repro.exceptions.SolverError` subclass to inject a fault),
+    or the config's ``fallback_ladder`` or ``deadline_seconds``, arms
+    the per-lane resilience path.  Faulted
     lanes are **not** removed from the shared tensors — every GEMM row
     depends only on that lane's own rows plus shared matrices, so
     keeping the shapes fixed is what keeps healthy lanes bit-identical
@@ -196,29 +182,26 @@ class BatchCostMPCPolicy:
     (``cold`` exact scalar active-set → ``admm`` batched iterate →
     ``reference`` waterfill LP → ``hold`` feasibility projection),
     its :class:`~repro.resilience.fleet.FleetHealth` machine is
-    advanced, and after ``quarantine_after`` consecutive ladder periods
-    the lane is quarantined: permanently served by the exact scalar
-    solve, never again eligible to poison the shared step.  All
+    advanced, and after ``FleetHealth.quarantine_after`` consecutive
+    ladder periods the lane is quarantined: permanently served by the
+    exact scalar solve, never again eligible to poison the shared step.
+    Once armed, a failed shared solve ejects every lane instead of
+    raising.  The deadline is one
+    :class:`~repro.resilience.DeadlineBudget` per :meth:`decide_batch`;
+    once it is spent, ejected lanes skip the solver rungs of their
+    ladder.  All
     ``ladder_*``/``supervisor_*`` counters fold into the lane slots of
-    :class:`~repro.sim.BatchPerfStats`.  When the hook is unset and no
-    deadline is given this machinery is completely inert.
+    :class:`~repro.sim.BatchPerfStats`.  Unarmed, this machinery is
+    completely inert.
     """
 
     def __init__(self, cluster: IDCCluster,
                  config: MPCPolicyConfig | None = None,
                  n_scenarios: int = 1,
                  perf: BatchPerfStats | None = None,
-                 warm_start: str = "exact",
-                 deadline_seconds: float | None = None,
-                 quarantine_after: int = 3,
-                 recovery_periods: int = 3) -> None:
+                 warm_start: str = "exact") -> None:
         self.cluster = cluster
         self.config = config or MPCPolicyConfig()
-        if deadline_seconds is not None:
-            check_positive(deadline_seconds, "deadline_seconds")
-        self.deadline_seconds = deadline_seconds
-        self.quarantine_after = int(quarantine_after)
-        self.recovery_periods = int(recovery_periods)
         #: optional fault-injection hook ``hook(stage, lane, period)``;
         #: raising a SolverError subclass poisons that lane for the
         #: period.  Anything else (e.g. SimulatedCrashError) propagates.
@@ -260,9 +243,7 @@ class BatchCostMPCPolicy:
         self._fallback: ModelPredictiveController | None = None
         self._restored_rho: float | None = None
         self._restored_rho_lanes: np.ndarray | None = None
-        self._health = FleetHealth(S,
-                                   recovery_periods=self.recovery_periods,
-                                   quarantine_after=self.quarantine_after)
+        self._health = FleetHealth(S)
 
     # ------------------------------------------------------------------
     # durable control plane: the mutable-state envelope
@@ -391,7 +372,7 @@ class BatchCostMPCPolicy:
         P = 0.5 * (P + P.T)
         Hc = conservation_matrix(self.cluster)
         Psi = capacity_matrix(self.cluster)
-        phi = capacity_rhs(self.cluster)
+        phi = budgeted_capacity_rhs(self.cluster, cfg)
         eq_blocks, in_blocks = [], []
         for i in range(cfg.horizon_ctrl):
             T = move_selector(nu, cfg.horizon_ctrl, i)
@@ -522,7 +503,7 @@ class BatchCostMPCPolicy:
         res = solve_qp_admm_batch(ops["P"], Qlin, ops["A_box"], L, U_box,
                                   eps_abs=eps, eps_rel=eps,
                                   X0=X0, Y0=Y0, setup=ops["setup"],
-                                  lane_isolated=self._lane_isolated)
+                                  lane_isolated=self.lane_isolated)
         if cfg.warm_start_solver:
             self._warm = (res.X.copy(), res.Y.copy())
         self.perf.shared.count("qp_solves")
@@ -576,24 +557,24 @@ class BatchCostMPCPolicy:
     @property
     def _armed(self) -> bool:
         """Whether the per-lane resilience path is active at all."""
-        return (self.solver_fault_hook is not None
-                or self.deadline_seconds is not None
+        return (self.lane_isolated or self.config.fallback_ladder
+                or self.config.deadline_seconds is not None
                 or bool(self._health.touched))
 
     @property
-    def _lane_isolated(self) -> bool:
+    def lane_isolated(self) -> bool:
         """Whether the shared solve runs in lane-decoupled mode.
 
-        Keyed off the arming *configuration* (hook / deadline budget),
-        not the health state: bit-exact lane isolation only holds if
-        every period — including the fault-free ones before the first
-        injection — ran the decoupled iteration.  The guarantee is
-        therefore relative to an equally armed, fault-free baseline
-        (e.g. the same hook that never fires); the unarmed hot path
-        keeps the cheaper compacted shared-rho loop untouched.
+        Keyed off the fault hook alone, the chaos seam: a configured
+        ladder or deadline keeps the polished shared solve.  Not keyed
+        off the health state either: bit-exact lane isolation only
+        holds if every period — including the fault-free ones before
+        the first injection — ran the decoupled iteration.  The
+        guarantee is therefore relative to an equally hooked, fault-free
+        baseline (e.g. a hook that never fires); the unhooked path keeps
+        the cheaper compacted shared-rho loop.
         """
-        return (self.solver_fault_hook is not None
-                or self.deadline_seconds is not None)
+        return self.solver_fault_hook is not None
 
     def _scan_faults(self, period: int) -> dict[int, str]:
         """Fire the fault hook once per live lane; collect poisonings.
@@ -619,7 +600,7 @@ class BatchCostMPCPolicy:
     def _eject_lane(self, ops: dict, lane: int, period: int,
                     prices: np.ndarray, loads_seq: np.ndarray,
                     refs: np.ndarray, batched_row: np.ndarray | None,
-                    budget: DeadlineBudget | None, lane_perf):
+                    budget: DeadlineBudget, lane_perf):
         """Re-derive one faulted lane's decision through its ladder.
 
         Returns ``(u, diag, outcome)`` with ``outcome`` the health-
@@ -780,8 +761,7 @@ class BatchCostMPCPolicy:
         # crash models a process that never decided this period.
         armed = self._armed
         poisoned = self._scan_faults(period) if armed else {}
-        budget = DeadlineBudget(self.deadline_seconds) \
-            if armed and self.deadline_seconds is not None else None
+        budget = DeadlineBudget(cfg.deadline_seconds)
 
         self._integrate_pending(prices)
 

@@ -39,12 +39,12 @@ from ..resilience import DeadlineBudget, FallbackLadder, Rung, \
     project_allocation
 from ..sim.policy import AllocationDecision, PolicyObservation
 from ..sim.profiling import PerfStats
-from .constraints import build_constraints
+from .constraints import build_constraints, capacity_rhs
 from .model import CostModelBuilder
 from .peak_shaving import normalize_budgets
 from .reference_opt import Waterfill, solve_optimal_allocation
 
-__all__ = ["MPCPolicyConfig", "CostMPCPolicy"]
+__all__ = ["MPCPolicyConfig", "CostMPCPolicy", "budgeted_capacity_rhs"]
 
 
 @dataclass
@@ -81,7 +81,10 @@ class MPCPolicyConfig:
         affine in ``U``, so ``P_j ≤ P^b_j`` is a linear constraint).
         Reference tracking alone approaches the budget asymptotically
         from above after a disturbance; the hard rows pin it immediately
-        (softened automatically when momentarily infeasible).
+        (softened automatically when momentarily infeasible).  Both
+        policies fold the rows into the capacity right-hand side
+        (:func:`budgeted_capacity_rhs`); the batched policy folds them
+        once into its shared constraint stack.
     backend:
         QP backend (``"active_set"`` or ``"admm"``).
     warm_start_solver:
@@ -115,12 +118,20 @@ class MPCPolicyConfig:
         ``diagnostics["rung"]`` and per-rung counters
         (``ladder_rung_*`` / ``ladder_failures_*`` / ``ladder_skipped_*``)
         land in the perf snapshot.  Off by default: the nominal path then
-        behaves exactly as before, raising on solver failure.
+        behaves exactly as before, raising on solver failure.  Batched,
+        it arms the per-lane ladder (cold → batched ADMM iterate →
+        reference LP → hold) and lane health machines of
+        :class:`~repro.core.BatchCostMPCPolicy`: a lane whose solve
+        fails, or every lane when the shared solve fails, is served by
+        its ladder instead of raising.
     deadline_seconds:
         Per-control-step wall-clock budget shared by all ladder rungs
         (and threaded into the plain solve when the ladder is off).  On
         exhaustion, solver rungs are skipped and the solver-free
-        projection rung answers.  ``None`` = unbounded.
+        projection rung answers.  ``None`` = unbounded.  Batched, it is
+        one budget per period for the whole batch and arms the per-lane
+        ladder as ``fallback_ladder`` does: once it is spent, lanes
+        ejected from the shared solve skip their solver rungs.
     """
 
     dt: float = 30.0
@@ -185,11 +196,13 @@ class CostMPCPolicy:
         self.name = "mpc"
         self._budgets = normalize_budgets(self.config.budgets_watts,
                                           cluster.n_idcs)
-        #: fault-injection seam forwarded to the MPC core each period
-        #: (see ModelPredictiveController.fault_hook); chaos testing
-        #: installs a hook here, production leaves it None.  Deliberately
-        #: outside reset(): the engine resets the policy at run start,
-        #: and an installed hook must survive that.
+        #: fault-injection hook ``hook(stage, lane, period)``, the
+        #: batched policy's signature; each period :meth:`decide` binds
+        #: ``lane=0`` and the period for the MPC core's
+        #: ``fault_hook(stage)``.  Chaos testing installs a hook here,
+        #: production leaves it None.  Deliberately outside reset(): the
+        #: engine resets the policy at run start, and an installed hook
+        #: must survive that.
         self.solver_fault_hook = None
         self.reset()
 
@@ -435,7 +448,9 @@ class CostMPCPolicy:
             else:
                 self._mpc.update_model(model)
                 self._mpc.constraints = constraints
-            self._mpc.fault_hook = self.solver_fault_hook
+            hook, period = self.solver_fault_hook, int(obs.period)
+            self._mpc.fault_hook = None if hook is None else \
+                (lambda stage: hook(stage, 0, period))
 
         # 3. references from the optimizer, clamped at the budgets
         loads_seq = self._loads_sequence(obs)
@@ -455,16 +470,7 @@ class CostMPCPolicy:
             if cfg.fallback_ladder:
                 step = self._solve_with_ladder(obs, prices, reference)
             else:
-                sol = self._mpc.control(
-                    self._x, self._u_prev, reference,
-                    deadline_seconds=cfg.deadline_seconds)
-                step = {
-                    "u": np.maximum(sol.u, 0.0),
-                    "qp_status": sol.status,
-                    "qp_iterations": sol.solver_iterations,
-                    "softened": sol.softened,
-                    "mpc_cost": sol.cost,
-                }
+                step = self._mpc_step(reference, cfg.deadline_seconds)
         u = step["u"]
 
         # 5. slow loop: integer server counts for the commanded
@@ -576,24 +582,25 @@ class CostMPCPolicy:
 
     def _make_constraints(self, obs: PolicyObservation) -> InputConstraintSet:
         cs = build_constraints(self.cluster, self._loads_sequence(obs))
-        if self.config.hard_budget_constraints and \
-                np.any(np.isfinite(self._budgets)):
-            # Power is affine in the per-IDC workload, so a power budget
-            # is an equivalent workload cap.  Folding it into the
-            # existing capacity right-hand side (rather than appending a
-            # parallel inequality row) keeps the QP constraint matrix
-            # full rank.
-            cs.b_ineq = np.minimum(cs.b_ineq, self._budget_workload_caps())
+        cs.b_ineq = budgeted_capacity_rhs(self.cluster, self.config)
         return cs
 
-    def _budget_workload_caps(self) -> np.ndarray:
-        """Per-IDC workload ceilings equivalent to the power budgets.
 
-        The relaxed eq. 36 server count makes the power affine in
-        ``λ_j`` (:meth:`Waterfill.budget_caps`), so ``P_j ≤ P^b_j``
-        becomes ``λ_j ≤ cap_j``, with one server's ``b0_j`` kept in
-        reserve for the integer ceiling the plant applies.
-        """
-        caps = Waterfill(self.cluster).budget_caps(self._budgets,
-                                                   margin_servers=1.0)
-        return np.maximum(caps, 0.0)
+def budgeted_capacity_rhs(cluster: IDCCluster,
+                          config: MPCPolicyConfig) -> np.ndarray:
+    """The capacity rows' right-hand side ``φ`` with the hard budget rows.
+
+    With ``config.hard_budget_constraints`` each finite power budget
+    becomes a workload cap: the relaxed eq. 36 server count makes the
+    power affine in ``λ_j`` (:meth:`Waterfill.budget_caps`), so ``P_j ≤
+    P^b_j`` becomes ``λ_j ≤ cap_j``, with one server's ``b0_j`` kept in
+    reserve for the integer ceiling the plant applies.  Folding the cap
+    into ``φ`` rather than appending a parallel inequality row keeps the
+    QP constraint matrix full rank.  Both MPC policies call this.
+    """
+    phi = capacity_rhs(cluster)
+    if not config.hard_budget_constraints:
+        return phi
+    budgets = normalize_budgets(config.budgets_watts, cluster.n_idcs)
+    caps = Waterfill(cluster).budget_caps(budgets, margin_servers=1.0)
+    return np.minimum(phi, np.maximum(caps, 0.0))

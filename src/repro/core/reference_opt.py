@@ -124,10 +124,11 @@ def solve_optimal_allocation(cluster: IDCCluster, prices: np.ndarray,
     b_eq = loads
 
     # inequality: Psi U - mu_j m_j <= -1/D_j; an IDC with no available
-    # servers serves nothing, so its row reads Psi_j U <= 0 instead
+    # servers has 1/D_j = 0 (Waterfill.inv_d), so its row reads
+    # Psi_j U <= 0: it serves nothing
     Psi = capacity_matrix(cluster)
     A_ub = np.hstack([Psi, -np.diag(mu)])
-    b_ub = np.where(fleet > 0, -inv_d, 0.0)
+    b_ub = -inv_d
 
     if budgets_watts is not None:
         budgets = np.asarray(
@@ -216,15 +217,18 @@ class Waterfill:
         self.b0 = np.array([idc.config.power_model.b0 for idc in idcs])
         self.mu = np.array([idc.config.service_rate for idc in idcs])
         latency = np.array([idc.config.latency_bound for idc in idcs])
-        self.inv_d = 1.0 / latency
         self.fleet = np.array([idc.available_servers for idc in idcs],
                               dtype=float)
+        # An IDC with no available servers serves nothing, so it holds
+        # no server at the latency bound: its 1/D_j and idle power are 0.
+        live = self.fleet > 0
+        self.inv_d = live / latency
         #: workload capacity per IDC
         self.caps = np.maximum(self.mu * self.fleet - self.inv_d, 0.0)
         #: effective cost per unit workload, per unit price
         self.rate = self.b1 + self.b0 / self.mu
         #: power of an idle IDC held at the latency bound, b0/(μD)
-        self.idle_watts = self.b0 / (self.mu * latency)
+        self.idle_watts = live * self.b0 / (self.mu * latency)
 
     def order(self, prices: np.ndarray) -> np.ndarray:
         """IDC indices, cheapest first, along the last axis of ``prices``."""

@@ -104,8 +104,6 @@ def run_batch(scenarios, config=None, *,
               monitors=None,
               warm_start: str = "exact",
               perf: BatchPerfStats | None = None,
-              deadline_seconds: float | None = None,
-              quarantine_after: int = 3,
               solver_fault_hook=None,
               checkpoint_every: int | None = None,
               wal_path: str | None = None,
@@ -124,9 +122,12 @@ def run_batch(scenarios, config=None, *,
     config:
         Shared :class:`repro.core.MPCPolicyConfig` (default-constructed
         when omitted).  Its ``dt`` is overridden per lane/group by the
-        scenario's ``dt``.  A config rejected by
-        :func:`repro.core.batch_incompatibility` routes *every* lane
-        through the scalar engine.
+        scenario's ``dt``.  Its ``fallback_ladder`` and
+        ``deadline_seconds`` arm the batched groups' per-lane ladder
+        (see :class:`repro.core.BatchCostMPCPolicy`).  A config rejected
+        by :func:`repro.core.batch_incompatibility` (power schedules,
+        certification, QP capture) routes *every* lane through the
+        scalar engine.
     predict_loads, prediction_horizon:
         As in :func:`repro.sim.engine.run_simulation`; batched groups
         use the stacked :class:`repro.workload.BatchARWorkloadPredictor`
@@ -148,14 +149,11 @@ def run_batch(scenarios, config=None, *,
         lane's final counters are folded into its lane slot and each
         scalar fallback is recorded by reason, so ``perf.rollup()``
         reports how many lanes fell off the batched path and why.
-    deadline_seconds, quarantine_after, solver_fault_hook:
-        Lane fault isolation, forwarded to
-        :class:`repro.core.BatchCostMPCPolicy`: an optional per-period
-        fleet deadline budget, the consecutive-failure threshold for
-        the permanent scalar-quarantine demotion, and an optional
-        fault-injection hook ``hook(stage, lane, period)``.  Scalar-
-        fallback lanes are unaffected (their scenarios never see the
-        hook).
+    solver_fault_hook:
+        Optional fault-injection hook ``hook(stage, lane, period)`` of
+        the batched groups' :class:`repro.core.BatchCostMPCPolicy`; it
+        switches their shared solve to lane isolation.  Scalar-fallback
+        lanes are unaffected (their scenarios never see the hook).
     checkpoint_every, wal_path, wal_fsync_every, wal_shards,
     resume_from, resume_strict:
         The durable control plane, as in
@@ -228,8 +226,6 @@ def run_batch(scenarios, config=None, *,
     for lanes in groups.values():
         group = _BatchGroup(
             [scenarios[i] for i in lanes], base_cfg, warm_start=warm_start,
-            deadline_seconds=deadline_seconds,
-            quarantine_after=quarantine_after,
             solver_fault_hook=solver_fault_hook)
         group_results = run_lanes(
             group, journal, predict_loads=predict_loads,
@@ -262,7 +258,6 @@ class _BatchGroup:
     has_actuation = False
 
     def __init__(self, scens: list[Scenario], base_cfg, *, warm_start: str,
-                 deadline_seconds: float | None, quarantine_after: int,
                  solver_fault_hook) -> None:
         from ..core import BatchCostMPCPolicy
         from ..core.reference_opt import Waterfill
@@ -275,22 +270,18 @@ class _BatchGroup:
         self.perf = BatchPerfStats(S)
         self.policy = BatchCostMPCPolicy(
             cluster, replace(base_cfg, dt=dt), n_scenarios=S,
-            perf=self.perf, warm_start=warm_start,
-            deadline_seconds=deadline_seconds,
-            quarantine_after=quarantine_after)
+            perf=self.perf, warm_start=warm_start)
         self.policy.solver_fault_hook = solver_fault_hook
         self.policy_name = self.policy.name
-        # arming flips the shared QP into its lane-isolated mode, which
-        # is a *different bit-exact trajectory* — a resume must arm the
-        # same way or every replayed digest diverges.  The fingerprint
-        # records it so the mismatch fails fast.
-        self.isolated = bool(solver_fault_hook is not None
-                             or deadline_seconds is not None)
         self.fingerprint = {
             "kind": "batch", "policy": self.policy_name, "n_lanes": S,
             "dt": dt, "n_periods": int(T), "n_idcs": n, "n_portals": c,
             "scenarios": [sc.name for sc in scens],
-            "isolated": self.isolated,
+            # a fault hook flips the shared QP into its lane-isolated
+            # mode, a *different bit-exact trajectory*: a resume must
+            # hook the same way or every replayed digest diverges, so
+            # the mismatch fails fast here
+            "isolated": self.policy.lane_isolated,
         }
         plant = Waterfill(cluster)        # eq. 14 power, eq. 3 latency
         self._b1, self._b0, self._mu = plant.b1, plant.b0, plant.mu
@@ -353,7 +344,7 @@ class _BatchGroup:
             "obs_sha256": array_digest(obs_prices, obs_loads),
             "decision_sha256": array_digest(decision.u, decision.servers),
         }
-        if self.isolated:
+        if self.policy.lane_isolated:
             record["health"] = self.policy.lane_health()
         if len(self.scenarios) <= _LANE_DIGEST_MAX:
             record["lane_sha256"] = [

@@ -361,9 +361,11 @@ def generate_batch_specs(seed: int, n_lanes: int, *,
     """A fleet of structurally identical, batch-compatible scenario specs.
 
     Draws ONE base geometry (dt, period count, horizons, weights, traces)
-    from ``seed`` via :func:`generate_spec`, strips everything the
-    batched hot path cannot express (budgets, outages — the scalar
-    engine's territory), then emits ``n_lanes`` variations that scale
+    from ``seed`` via :func:`generate_spec` and strips its budgets and
+    outages: :func:`build_scenario` sizes budgets from each lane's own
+    loads and prices, while :func:`repro.sim.run_batch` runs every lane
+    under one config, and outages route a lane to the scalar engine.
+    It then emits ``n_lanes`` variations that scale
     every region's hourly prices and every portal's workload trace by
     lane-specific factors, capacity-guarded like the base generator.
     All lanes therefore share a :func:`repro.sim.batch_signature` and
@@ -526,8 +528,8 @@ def build_scenario(spec: dict) -> tuple[Scenario, MPCPolicyConfig]:
     ]
     telem = spec.get("telemetry")
     if telem:
-        # Standalone telemetry faults (batch-compatible — unlike the
-        # chaos block they imply no ladder/deadline config).
+        # Standalone telemetry faults (fleet specs): they change only
+        # what the lane's controller sees, so the lane stays batched.
         for f in telem.get("price_dropouts", []):
             faults.append(PriceFeedDropout(
                 idc_name=f["idc"],
@@ -589,101 +591,95 @@ def build_scenario(spec: dict) -> tuple[Scenario, MPCPolicyConfig]:
 # Execution
 # ---------------------------------------------------------------------------
 class _ChaosInjector:
-    """Probabilistic solver-fault hook driven by counter-mode RNG.
+    """Probabilistic solver-fault hook of both MPC policies.
 
-    Installed as ``CostMPCPolicy.solver_fault_hook``; fires before every
-    QP backend call and raises :class:`ConvergenceError` (forced
-    non-convergence) or :class:`DeadlineExceededError` (simulated
-    deadline exhaustion) at the spec's rates.  Injection stops after
-    ``quiet_after_period`` so the run's tail is clean and recovery to
-    NOMINAL is a hard requirement, not luck.
+    Installed as the ``solver_fault_hook`` (signature ``hook(stage,
+    lane, period)``) of :class:`~repro.core.CostMPCPolicy`, which calls
+    it as lane 0 before every QP backend call, or of the batched policy
+    that :func:`repro.sim.run_batch` builds.  Three behaviours, checked
+    in order:
 
-    The injector is deliberately *stateless* across periods: each draw is
-    keyed on ``(seed, period, call_index_within_period)``, so a run
-    resumed from a checkpoint at period *p* replays exactly the faults
-    the uninterrupted run would have seen from *p* on — which is what
-    lets the engine verify the resumed decisions against the write-ahead
-    log bit-exact.  The current period is fed in by :class:`_PeriodTap`.
+    1. **Crash** — at ``crash_at_period`` the first hook call raises
+       :class:`~repro.resilience.SimulatedCrashError` (``crash=True``;
+       the scalar drill kills its loop with a
+       :class:`~repro.resilience.CrashInjector` instead).  The crash
+       check runs *before* any fault draw, so it fires regardless of
+       which lane's scan reaches it first and before any state mutates.
+    2. **Hot lane** (batch drills) — one designated lane fails
+       *deterministically* at every stage inside its window, so its
+       ladder falls through to the hold projection period after period
+       and the permanent scalar-quarantine demotion is exercised, not
+       left to chance.
+    3. **Background faults** — counter-mode draws keyed on
+       ``(seed, period, lane, call)`` raise
+       :class:`~repro.exceptions.ConvergenceError` or
+       :class:`~repro.exceptions.DeadlineExceededError` at the spec's
+       rates.  Statelessness across periods means a resumed run replays
+       exactly the faults the killed run saw from the checkpoint on —
+       the WAL digest verification depends on that.
+
+    Injection stops at ``quiet_after_period`` so every non-quarantined
+    lane is *required* to finish NOMINAL.  ``injected_lanes`` records
+    which lanes were ever poisoned — their complement is the healthy
+    set whose bit-exactness against a fault-free baseline the runner
+    asserts.
     """
 
-    def __init__(self, seed: int, fault_rate: float, deadline_rate: float,
-                 quiet_after_period: int) -> None:
+    def __init__(self, seed: int, chaos: dict, *, crash: bool) -> None:
         self.seed = int(seed) ^ _CHAOS_SEED_SALT
-        self.fault_rate = float(fault_rate)
-        self.deadline_rate = float(deadline_rate)
-        self.quiet_after_period = int(quiet_after_period)
-        self.period = 0
-        self.calls_this_period = 0
+        self.fault_rate = float(chaos.get("solver_fault_rate", 0.0))
+        self.deadline_rate = float(chaos.get("deadline_exhaust_rate", 0.0))
+        self.quiet_after_period = int(chaos.get("quiet_after_period", 0))
+        crash_at = chaos.get("crash_at_period")
+        self.crash_at_period = (int(crash_at)
+                                if crash and crash_at is not None else None)
+        self.hot_lane = chaos.get("hot_lane")
+        self.hot_start = int(chaos.get("hot_start_period", 1))
         self.injected = 0
+        self.injected_lanes: set[int] = set()
+        self._calls: dict[tuple[int, int], int] = {}
 
-    def begin_period(self, period: int) -> None:
-        self.period = int(period)
-        self.calls_this_period = 0
-
-    def __call__(self, stage: str) -> None:
-        if self.period >= self.quiet_after_period:
+    def __call__(self, stage: str, lane: int, period: int) -> None:
+        lane, period = int(lane), int(period)
+        if self.crash_at_period is not None \
+                and period >= self.crash_at_period:
+            raise SimulatedCrashError(
+                f"chaos: crash at period {period}")
+        if period >= self.quiet_after_period:
             return
-        call = self.calls_this_period
-        self.calls_this_period += 1
-        r = np.random.default_rng([self.seed, self.period, call]).random()
+        if self.hot_lane is not None and lane == int(self.hot_lane) \
+                and period >= self.hot_start:
+            self.injected += 1
+            self.injected_lanes.add(lane)
+            raise ConvergenceError(
+                f"chaos: hot lane {lane} forced failure at "
+                f"stage {stage!r}")
+        key = (period, lane)
+        call = self._calls.get(key, 0)
+        self._calls[key] = call + 1
+        r = np.random.default_rng(
+            [self.seed, period, lane, call]).random()
         if r < self.fault_rate:
             self.injected += 1
+            self.injected_lanes.add(lane)
             raise ConvergenceError(
                 f"chaos: forced non-convergence at stage {stage!r}")
         if r < self.fault_rate + self.deadline_rate:
             self.injected += 1
+            self.injected_lanes.add(lane)
             raise DeadlineExceededError(
-                f"chaos: simulated deadline exhaustion at stage {stage!r}")
-
-
-class _PeriodTap:
-    """Policy wrapper that tells the chaos injector the current period."""
-
-    def __init__(self, inner, injector: _ChaosInjector) -> None:
-        self.inner = inner
-        self.injector = injector
-        self.name = inner.name
-
-    def decide(self, obs):
-        """Re-key the injector for this period, then delegate."""
-        self.injector.begin_period(int(obs.period))
-        return self.inner.decide(obs)
-
-    def reset(self) -> None:
-        """Delegate to the wrapped policy."""
-        self.inner.reset()
-
-    def perf_snapshot(self) -> dict:
-        """Delegate to the wrapped policy."""
-        return self.inner.perf_snapshot()
-
-    def on_availability_change(self) -> None:
-        """Delegate to the wrapped policy."""
-        self.inner.on_availability_change()
-
-    def snapshot(self) -> dict:
-        """Delegate to the wrapped policy (the injector has no state)."""
-        return self.inner.snapshot()
-
-    def restore(self, state: dict) -> None:
-        """Delegate to the wrapped policy."""
-        self.inner.restore(state)
+                f"chaos: simulated deadline exhaustion at "
+                f"stage {stage!r}")
 
 
 def _make_chaos_stack(spec: dict):
-    """Fresh (scenario, supervisor-wrapped runner) pair for a chaos spec."""
-    chaos = spec["chaos"]
+    """Fresh (scenario, supervisor-wrapped policy) pair for a chaos spec."""
     scenario, config = build_scenario(spec)
     policy = CostMPCPolicy(scenario.cluster, config)
-    injector = _ChaosInjector(
-        spec.get("seed", 0),
-        chaos.get("solver_fault_rate", 0.0),
-        chaos.get("deadline_exhaust_rate", 0.0),
-        chaos.get("quiet_after_period", spec["n_periods"]))
-    policy.solver_fault_hook = injector
-    supervisor = PolicySupervisor(policy, scenario.cluster,
-                                  recovery_periods=3)
-    return scenario, supervisor, _PeriodTap(supervisor, injector)
+    policy.solver_fault_hook = _ChaosInjector(spec.get("seed", 0),
+                                              spec["chaos"], crash=False)
+    return scenario, PolicySupervisor(policy, scenario.cluster,
+                                      recovery_periods=3)
 
 
 def _run_chaos_with_crash(spec: dict, mon: InvariantMonitor,
@@ -707,19 +703,19 @@ def _run_chaos_with_crash(spec: dict, mon: InvariantMonitor,
     tmpdir = tempfile.mkdtemp(prefix="repro-chaos-")
     wal_path = os.path.join(tmpdir, "run.wal")
     try:
-        scenario, supervisor, runner = _make_chaos_stack(spec)
+        scenario, supervisor = _make_chaos_stack(spec)
         crashed = True
         try:
             result = run_simulation(
-                scenario, CrashInjector(runner, crash_at_period=crash_at),
+                scenario, CrashInjector(supervisor, crash_at_period=crash_at),
                 monitor=mon, wal_path=wal_path, checkpoint_every=every)
             crashed = False  # crash period beyond the (shrunk) run
         except SimulatedCrashError:
             pass
         if not crashed:
             return result, supervisor
-        scenario2, supervisor2, runner2 = _make_chaos_stack(spec)
-        result = run_simulation(scenario2, runner2, monitor=mon,
+        scenario2, supervisor2 = _make_chaos_stack(spec)
+        result = run_simulation(scenario2, supervisor2, monitor=mon,
                                 resume_from=wal_path,
                                 checkpoint_every=every)
         return result, supervisor2
@@ -766,8 +762,8 @@ def run_spec(spec: dict, *, oracle_samples: int = 2,
                 result, supervisor = _run_chaos_with_crash(
                     spec, mon, int(crash_at))
             else:
-                scenario, supervisor, runner = _make_chaos_stack(spec)
-                result = run_simulation(scenario, runner, monitor=mon)
+                scenario, supervisor = _make_chaos_stack(spec)
+                result = run_simulation(scenario, supervisor, monitor=mon)
         else:
             scenario, config = build_scenario(spec)
             policy = CostMPCPolicy(scenario.cluster, config)
@@ -828,87 +824,11 @@ def run_spec(spec: dict, *, oracle_samples: int = 2,
 # Batch (fleet) chaos
 # ---------------------------------------------------------------------------
 #: Seed salt for the batch chaos block draws, independent of both the
-#: scenario stream and the scalar chaos injector stream.
+#: scenario stream and the chaos injector stream.
 _BATCH_CHAOS_SALT = 0xF1EE7
 
 #: The fixed routing reason asserted for actuation-fault lanes.
 _ACTUATION_REASON = "actuation faults (per-lane plant channel)"
-
-
-class _BatchChaosInjector:
-    """Per-lane solver-fault hook for :func:`repro.sim.run_batch`.
-
-    Installed as the batched policy's ``solver_fault_hook`` (signature
-    ``hook(stage, lane, period)``).  Three behaviours, checked in order:
-
-    1. **Crash** — at ``crash_at_period`` the first hook call raises
-       :class:`~repro.resilience.SimulatedCrashError`.  The crash check
-       runs *before* any fault draw, so it fires regardless of which
-       lane's scan reaches it first and before any state mutates.
-    2. **Hot lane** — one designated lane fails *deterministically* at
-       every stage inside its window, so its ladder falls through to
-       the hold projection period after period and the permanent
-       scalar-quarantine demotion is exercised, not left to chance.
-    3. **Background faults** — counter-mode draws keyed on
-       ``(seed, period, lane, call)`` raise
-       :class:`~repro.exceptions.ConvergenceError` or
-       :class:`~repro.exceptions.DeadlineExceededError` at the spec's
-       rates.  Statelessness across periods means a resumed run replays
-       exactly the faults the killed run saw from the checkpoint on —
-       the WAL digest verification depends on that.
-
-    Injection stops at ``quiet_after_period`` so every non-quarantined
-    lane is *required* to finish NOMINAL.  ``injected_lanes`` records
-    which lanes were ever poisoned — their complement is the healthy
-    set whose bit-exactness against a fault-free baseline the runner
-    asserts.
-    """
-
-    def __init__(self, seed: int, chaos: dict, *, crash: bool) -> None:
-        self.seed = int(seed) ^ _CHAOS_SEED_SALT
-        self.fault_rate = float(chaos.get("solver_fault_rate", 0.0))
-        self.deadline_rate = float(chaos.get("deadline_exhaust_rate", 0.0))
-        self.quiet_after_period = int(chaos.get("quiet_after_period", 0))
-        crash_at = chaos.get("crash_at_period")
-        self.crash_at_period = (int(crash_at)
-                                if crash and crash_at is not None else None)
-        self.hot_lane = chaos.get("hot_lane")
-        self.hot_start = int(chaos.get("hot_start_period", 1))
-        self.injected = 0
-        self.injected_lanes: set[int] = set()
-        self._calls: dict[tuple[int, int], int] = {}
-
-    def __call__(self, stage: str, lane: int, period: int) -> None:
-        lane, period = int(lane), int(period)
-        if self.crash_at_period is not None \
-                and period >= self.crash_at_period:
-            raise SimulatedCrashError(
-                f"batch chaos: crash at period {period}")
-        if period >= self.quiet_after_period:
-            return
-        if self.hot_lane is not None and lane == int(self.hot_lane) \
-                and period >= self.hot_start:
-            self.injected += 1
-            self.injected_lanes.add(lane)
-            raise ConvergenceError(
-                f"batch chaos: hot lane {lane} forced failure at "
-                f"stage {stage!r}")
-        key = (period, lane)
-        call = self._calls.get(key, 0)
-        self._calls[key] = call + 1
-        r = np.random.default_rng(
-            [self.seed, period, lane, call]).random()
-        if r < self.fault_rate:
-            self.injected += 1
-            self.injected_lanes.add(lane)
-            raise ConvergenceError(
-                f"batch chaos: forced non-convergence at stage {stage!r}")
-        if r < self.fault_rate + self.deadline_rate:
-            self.injected += 1
-            self.injected_lanes.add(lane)
-            raise DeadlineExceededError(
-                f"batch chaos: simulated deadline exhaustion at "
-                f"stage {stage!r}")
 
 
 def generate_batch_chaos_spec(seed: int, n_lanes: int = 6) -> dict:
@@ -940,7 +860,6 @@ def generate_batch_chaos_spec(seed: int, n_lanes: int = 6) -> dict:
         "checkpoint_every": int(rng.integers(1, 4)),
         "hot_lane": hot_lane,
         "hot_start_period": 1,
-        "quarantine_after": 3,
     }
     return {"seed": int(seed), "n_lanes": int(n_lanes),
             "specs": specs, "chaos": chaos}
@@ -952,7 +871,7 @@ def run_batch_chaos_seed(seed: int, *, n_lanes: int = 6) -> Outcome:
     Runs the fleet twice through :func:`repro.sim.run_batch`: once
     fault-free but equally armed — a hook that never fires, so the
     baseline runs the same lane-isolated solve mode — and once under a
-    :class:`_BatchChaosInjector` with the durable control plane armed
+    :class:`_ChaosInjector` with the durable control plane armed
     (sharded WAL + periodic fleet checkpoints).  The chaos run is
     killed by its scheduled crash and resumed from disk by a second
     ``run_batch`` call, whose replayed periods are digest-verified
@@ -997,22 +916,20 @@ def run_batch_chaos_seed(seed: int, *, n_lanes: int = 6) -> Outcome:
         # fires.
         baseline = run_batch(scens, config,
                              solver_fault_hook=lambda *a: None)
-        injector = _BatchChaosInjector(seed, chaos, crash=True)
+        injector = _ChaosInjector(seed, chaos, crash=True)
         crashed = True
         try:
             results = run_batch(
                 scens, config, solver_fault_hook=injector,
-                quarantine_after=int(chaos.get("quarantine_after", 3)),
                 checkpoint_every=every, wal_path=wal, wal_shards=2)
             crashed = False
         except SimulatedCrashError:
             pass
         faulted = set(injector.injected_lanes)
         if crashed:
-            resumer = _BatchChaosInjector(seed, chaos, crash=False)
+            resumer = _ChaosInjector(seed, chaos, crash=False)
             results = run_batch(
                 scens, config, solver_fault_hook=resumer,
-                quarantine_after=int(chaos.get("quarantine_after", 3)),
                 checkpoint_every=every, wal_path=wal, wal_shards=2,
                 resume_from=wal)
             faulted |= set(resumer.injected_lanes)

@@ -111,12 +111,17 @@ def test_batch_matches_looped_with_budgets(budget_mode):
     _assert_batch_matches_looped(cfg, 4)
 
 
-@pytest.mark.parametrize("budget_mode", ["lp", "clamp"])
-def test_shaving_figures_run_batched(budget_mode):
+@pytest.mark.parametrize("budget_mode, flags", [
+    ("lp", {}), ("clamp", {}),
+    ("lp", {"fallback_ladder": True}),          # paper_day's flags
+    ("lp", {"hard_budget_constraints": True}),
+], ids=["lp", "clamp", "ladder", "hard"])
+def test_shaving_figures_run_batched(budget_mode, flags):
     # the Figs. 6-7 peak-shaving setup (Sec. V-C budgets) rides the
-    # batched path and bills what the scalar engine bills
+    # batched path and bills what the scalar engine bills, with the
+    # fallback ladder armed or the budgets as hard rows too
     cfg = MPCPolicyConfig(dt=30.0, budgets_watts=PAPER_BUDGETS_WATTS,
-                          budget_mode=budget_mode)
+                          budget_mode=budget_mode, **flags)
     scens = [price_step_scenario(dt=30.0, duration=600.0, with_budgets=True)
              for _ in range(2)]
     batch = run_batch(scens, cfg)

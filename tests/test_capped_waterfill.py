@@ -17,6 +17,8 @@ from repro.core import solve_optimal_allocation
 from repro.core.reference_opt import Waterfill
 from repro.datacenter import IDCCluster, IDCConfig, LinearPowerModel
 from repro.exceptions import InfeasibleProblemError
+from repro.sim import paper_cluster
+from repro.sim.scenario import PAPER_PORTAL_LOADS
 from repro.workload import PortalSet
 
 N_DRAWS = 60
@@ -29,7 +31,7 @@ def _draw(rng, outage=False):
     Draws near a feasibility boundary (total load at the budget-capped
     capacity, a budget at an IDC's idle power) are redrawn: there the
     two solvers' feasibility tolerances, not the LP, decide.  With
-    ``outage`` one IDC has no available servers and no budget.
+    ``outage`` one IDC has no available servers and a 1 000 W budget.
     """
     while True:
         n, c = int(rng.integers(2, 6)), int(rng.integers(1, 5))
@@ -54,7 +56,7 @@ def _draw(rng, outage=False):
         budgets = np.where(rng.random(n) < 0.3, np.inf,
                            full * rng.uniform(0.002, 1.2, n))
         if outage:
-            budgets[dead] = np.inf
+            budgets[dead] = 1000.0
         budget_caps = wf.budget_caps(budgets)
         capped = np.minimum(wf.caps, budget_caps).sum()
         loads = rng.dirichlet(np.ones(c)) * wf.caps.sum() \
@@ -94,11 +96,33 @@ def test_capped_waterfill_matches_budgeted_simplex(seed):
 
 @pytest.mark.parametrize("seed", range(N_OUTAGE_DRAWS))
 def test_capped_waterfill_matches_simplex_under_total_outage(seed):
-    # an IDC with no available servers serves nothing; the others carry
-    # the load, on both solvers
+    # an IDC with no available servers serves nothing, holds no server
+    # and draws no power, whatever its budget; the others carry the
+    # load, on both solvers
     drawn = _draw(np.random.default_rng(seed), outage=True)
     assert min(idc.available_servers for idc in drawn[0].idcs) == 0
     _check_against_simplex(*drawn)
+
+    # the paper cluster at the 6H prices and Table I loads, Wisconsin out
+    cluster = paper_cluster()
+    cluster.idcs[2].set_availability(0)
+    wf = Waterfill(cluster)
+    prices = np.array([43.26, 30.26, 19.06])
+    loads = np.asarray(PAPER_PORTAL_LOADS, dtype=float)
+    budgets = np.array([np.inf, np.inf, 1000.0])
+    want = solve_optimal_allocation(cluster, prices, loads,
+                                    budgets_watts=[None, None, 1000.0])
+    np.testing.assert_allclose(want.idc_workloads, [59000, 41000, 0],
+                               atol=1e-6)
+    for caps in (None, budgets):
+        lam = wf.workloads(prices, loads.sum()[None], budgets_watts=caps)
+        np.testing.assert_array_equal(lam, [[59000, 41000, 0]])
+        assert wf.servers(lam)[0, 2] == 0.0
+        assert wf.powers_watts(lam)[0, 2] == 0.0
+    for mode in ("lp", "clamp"):
+        ref = wf.reference_powers_watts(prices, loads.sum()[None],
+                                        budgets, mode)
+        assert ref[0, 2] == 0.0
 
 
 def test_draws_cover_feasible_and_infeasible_budgets():

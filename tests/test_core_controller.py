@@ -246,8 +246,9 @@ class TestControllerMechanics:
         from repro.core import BatchCostMPCPolicy
         from repro.sim import paper_cluster
         with pytest.raises(ConfigurationError, match="deadline_seconds"):
-            BatchCostMPCPolicy(paper_cluster(), n_scenarios=2,
-                               deadline_seconds=value)
+            BatchCostMPCPolicy(paper_cluster(),
+                               MPCPolicyConfig(deadline_seconds=value),
+                               n_scenarios=2)
 
     def test_reset_reproducibility(self):
         """Two runs of the same policy object give identical results."""

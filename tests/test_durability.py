@@ -758,7 +758,7 @@ class TestResetAudit:
         policy = _mpc(sc)
         fired = []
 
-        def hook(stage):
+        def hook(stage, lane, period):
             # Fail the whole first attempt: the MPC's own ADMM fallback
             # swallows a single solver fault, so both the solve and the
             # fallback must die for the error to reach the supervisor.

@@ -2,10 +2,10 @@
 
 Three contracts stacked on the batched engine:
 
-1. **Lane fault isolation** — arming the resilience machinery switches
-   the shared QP into its lane-decoupled mode, so a poisoned lane can
+1. **Lane fault isolation** — installing a fault hook switches the
+   shared QP into its lane-decoupled mode, so a poisoned lane can
    never change a healthy lane's decisions *bitwise* (relative to an
-   equally armed fault-free baseline).
+   equally hooked fault-free baseline).
 2. **Durable fleet control plane** — ``run_batch`` and
    ``SharedMarketFleet.run`` survive a kill at *every* period and
    resume bit-exact from the sharded WAL + fleet checkpoint.
@@ -347,6 +347,54 @@ class TestActuationRouting:
                 assert reason is None
                 # batched lanes carry the shared-solve counters
                 assert res.perf["counters"].get("batch_qp_solves", 0) >= 1
+
+
+# ---------------------------------------------------------------------------
+# the config's ladder and deadline arm the batched lanes
+# ---------------------------------------------------------------------------
+class TestBatchedLadderConfig:
+    def test_ladder_and_deadline_keep_the_shared_solve(self):
+        # lane isolation is keyed on the fault hook alone: a configured
+        # ladder or deadline, with nothing failing, is the unarmed run
+        plain = run_batch(monte_carlo_scenarios(4, seed=3, duration=300.0),
+                          MPCPolicyConfig(dt=30.0))
+        armed = run_batch(monte_carlo_scenarios(4, seed=3, duration=300.0),
+                          MPCPolicyConfig(dt=30.0, fallback_ladder=True,
+                                          deadline_seconds=10.0))
+        for p, a in zip(plain, armed):
+            assert "batch_fallback_reason" not in a.perf
+            np.testing.assert_array_equal(a.allocations, p.allocations)
+            np.testing.assert_array_equal(np.asarray(a.cost_usd),
+                                          np.asarray(p.cost_usd))
+
+    def test_spent_deadline_skips_the_solver_rungs(self):
+        # one DeadlineBudget per period: at 1e-9 s it is spent before
+        # the poisoned lane is ejected, so its ladder skips ``cold`` and
+        # lands on ``hold``; every other lane is bit-identical to an
+        # equally hooked run without the deadline
+        S, bad, periods = 4, 2, (3, 4)
+
+        def hook(stage, lane, period):
+            if stage == "batch_qp" and lane == bad and period in periods:
+                raise ConvergenceError("poisoned")
+
+        base = run_batch(monte_carlo_scenarios(S, seed=3, duration=300.0),
+                         MPCPolicyConfig(dt=30.0), solver_fault_hook=hook)
+        timed = run_batch(monte_carlo_scenarios(S, seed=3, duration=300.0),
+                          MPCPolicyConfig(dt=30.0, deadline_seconds=1e-9),
+                          solver_fault_hook=hook)
+        assert base[bad].perf["counters"]["ladder_rung_cold"] == 2
+        counters = timed[bad].perf["counters"]
+        assert counters["ladder_skipped_cold"] == 2
+        assert counters["ladder_rung_hold"] == 2
+        assert "ladder_rung_cold" not in counters
+        for i in range(S):
+            if i == bad:
+                continue
+            np.testing.assert_array_equal(timed[i].allocations,
+                                          base[i].allocations)
+            np.testing.assert_array_equal(np.asarray(timed[i].cost_usd),
+                                          np.asarray(base[i].cost_usd))
 
 
 # ---------------------------------------------------------------------------

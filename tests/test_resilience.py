@@ -495,11 +495,16 @@ class TestLadderInPolicy:
         policy = CostMPCPolicy(sc.cluster, MPCPolicyConfig(
             dt=60.0, fallback_ladder=True))
 
-        def always_fail(stage):
+        seen = set()
+
+        def always_fail(stage, lane, period):
+            seen.add((lane, period))
             raise ConvergenceError(f"injected at {stage}")
 
         policy.solver_fault_hook = always_fail
         run = run_simulation(sc, policy)
+        # the scalar policy calls the batched hook signature as lane 0
+        assert seen == {(0, k) for k in range(run.n_periods)}
         counters = run.perf["counters"]
         assert counters["ladder_rung_reference"] == run.n_periods
         assert counters["ladder_failures_warm"] == run.n_periods
@@ -571,7 +576,7 @@ class TestSupervisedClosedLoop:
 
         calls = {"n": -1}
 
-        def flaky(stage):
+        def flaky(stage, lane, period):
             if stage == "solve":
                 calls["n"] += 1
                 if calls["n"] in fail_at:
