@@ -111,10 +111,6 @@ class MPCSolution:
     status: str
     softened: bool = False
     solver_iterations: int = 0
-    #: KKT optimality certificate for the solved QP (only populated when
-    #: the controller runs with ``certify=True`` and the step was not
-    #: softened; see :mod:`repro.verify.certificates`).
-    certificate: object | None = None
 
 
 class ModelPredictiveController:
@@ -152,19 +148,6 @@ class ModelPredictiveController:
         QP is strictly convex, so warm and cold solves reach the same
         optimum (within solver tolerance); disable only for benchmarking
         cold performance.
-    certify:
-        Check a KKT optimality certificate on every (non-softened) QP
-        solution via :func:`repro.verify.check_kkt_qp`.  Failures are
-        counted in ``stats["certificate_failures"]`` and attached to the
-        returned :class:`MPCSolution`; the solve itself is never blocked.
-    certify_tol:
-        Residual tolerance for the certificate (ADMM solutions are judged
-        at a proportionally looser tolerance matching the solver's
-        first-order accuracy).
-    capture_limit:
-        Keep up to this many solved QPs as
-        (:class:`repro.verify.QPProblem`, result) pairs in
-        :attr:`captured` for offline differential cross-checking.
     """
 
     def __init__(self, model: DiscreteStateSpace, horizon_pred: int,
@@ -173,10 +156,7 @@ class ModelPredictiveController:
                  backend: Backend = "active_set",
                  soften_infeasible: bool = True,
                  slack_penalty: float = 1e4,
-                 warm_start: bool = True,
-                 certify: bool = False,
-                 certify_tol: float = 1e-5,
-                 capture_limit: int = 0) -> None:
+                 warm_start: bool = True) -> None:
         self.model = model
         self.horizon_pred = int(horizon_pred)
         self.horizon_ctrl = int(horizon_ctrl)
@@ -189,11 +169,6 @@ class ModelPredictiveController:
         self.soften_infeasible = bool(soften_infeasible)
         self.slack_penalty = float(slack_penalty)
         self.warm_start = bool(warm_start)
-        self.certify = bool(certify)
-        self.certify_tol = float(certify_tol)
-        self.capture_limit = int(capture_limit)
-        #: (QPProblem, OptimizeResult) pairs kept for differential oracles.
-        self.captured: list = []
         self._Q = self._expand_weight(q_weight, model.n_outputs, "q_weight")
         self._R = self._expand_weight(r_weight, model.n_inputs, "r_weight")
         if np.any(np.linalg.eigvalsh(self._R) <= 0):
@@ -216,7 +191,6 @@ class ModelPredictiveController:
             # from-scratch refactorizations vs dense fallback steps.
             "kkt_updates": 0, "kkt_refactorizations": 0,
             "kkt_dense_steps": 0,
-            "certificates_checked": 0, "certificate_failures": 0,
         }
         self._qp_quad = None         # (Theta id, 2Θ'Q, P) objective cache
         self._con_cache: dict | None = None
@@ -224,16 +198,6 @@ class ModelPredictiveController:
         #: (P, A, setup) of the last ADMM solve, see :meth:`_admm_setup`
         self._admm: tuple | None = None
         self._kkt_cache = KKTFactorCache()
-        #: fault-injection seam: an optional callable invoked with a
-        #: stage name (``"solve"``, ``"soften"``, ``"admm_fallback"``)
-        #: immediately before each QP backend call.  Chaos testing (see
-        #: :mod:`repro.verify.fuzz`) installs a hook that raises solver
-        #: exceptions probabilistically; production leaves it ``None``.
-        self.fault_hook = None
-
-    def reset_warm_start(self) -> None:
-        """Drop carried solver state (previous solution, working set)."""
-        self._warm = None
 
     @staticmethod
     def _expand_weight(w, size: int, name: str) -> np.ndarray:
@@ -366,10 +330,7 @@ class ModelPredictiveController:
     # ------------------------------------------------------------------
     def _solve(self, P, q, A_eq, b_eq, A_in, b_in, max_iter: int = 500,
                x0=None, working_set0=None, use_cache: bool = True,
-               deadline_seconds: float | None = None,
-               stage: str = "solve"):
-        if self.fault_hook is not None:
-            self.fault_hook(stage)
+               deadline_seconds: float | None = None):
         if self.backend == "active_set":
             return solve_qp(P, q, A_eq=A_eq, b_eq=b_eq,
                             A_ineq=A_in, b_ineq=b_in, max_iter=max_iter,
@@ -436,8 +397,7 @@ class ModelPredictiveController:
                               A_in_big, b_in_big,
                               max_iter=max(2000, 20 * (n + m)),
                               use_cache=False,
-                              deadline_seconds=deadline_seconds,
-                              stage="soften")
+                              deadline_seconds=deadline_seconds)
         except DeadlineExceededError:
             raise
         except ConvergenceError:
@@ -505,7 +465,6 @@ class ModelPredictiveController:
         A_eq, b_eq, A_in, b_in = self._stack_constraints(u_prev)
         x0, working_set0 = self._warm_start_point(A_eq, b_eq, A_in, b_in)
         softened = False
-        solved_by = self.backend
         try:
             res = self._solve(P, q, A_eq, b_eq, A_in, b_in,
                               x0=x0, working_set0=working_set0,
@@ -523,13 +482,10 @@ class ModelPredictiveController:
         except ConvergenceError:
             # Degenerate vertex made the active set cycle: fall back to
             # ADMM, which trades exactness for unconditional progress.
-            if self.fault_hook is not None:
-                self.fault_hook("admm_fallback")
             A, low, high = boxed_constraints(q.size, A_eq, b_eq,
                                              A_in, b_in)
             res = solve_qp_admm(P, q, A, low, high,
                                 deadline_seconds=deadline_seconds)
-            solved_by = "admm"
         self._store_warm_state(
             res, softened,
             rows=(0 if A_eq is None else A_eq.shape[0],
@@ -542,35 +498,6 @@ class ModelPredictiveController:
         if softened:
             self.stats["softened_solves"] += 1
 
-        certificate = None
-        if (self.certify or self.capture_limit) and not softened:
-            # Imported lazily: repro.verify pulls in the policy layer for
-            # its fuzzer, so a module-level import would be circular.
-            from ..verify.certificates import check_kkt_qp
-            from ..verify.problems import QPProblem
-            if self.capture_limit and len(self.captured) < self.capture_limit:
-                self.captured.append((
-                    QPProblem(P=P.copy(), q=q.copy(),
-                              A_eq=A_eq, b_eq=b_eq,
-                              A_ineq=A_in, b_ineq=b_in,
-                              label=f"mpc-step-{self.stats['qp_solves']}"),
-                    res))
-            if self.certify:
-                # ADMM returns boxed-form duals and first-order-accurate
-                # iterates: let the certificate estimate multipliers and
-                # judge at a matching looser tolerance.
-                exact = solved_by == "active_set"
-                certificate = check_kkt_qp(
-                    P, q, res.x, A_eq=A_eq, b_eq=b_eq,
-                    A_ineq=A_in, b_ineq=b_in,
-                    dual_eq=res.dual_eq if exact else None,
-                    dual_ineq=res.dual_ineq if exact else None,
-                    tol=self.certify_tol if exact
-                    else 50.0 * self.certify_tol)
-                self.stats["certificates_checked"] += 1
-                if not certificate.ok:
-                    self.stats["certificate_failures"] += 1
-
         dU = res.x.reshape(self.horizon_ctrl, self.model.n_inputs)
         u_seq = u_prev + np.cumsum(dU, axis=0)
         predicted = H.predict(x, u_prev, res.x)
@@ -578,7 +505,7 @@ class ModelPredictiveController:
             u=u_seq[0].copy(), du_sequence=dU, u_sequence=u_seq,
             predicted_outputs=predicted, cost=float(res.fun + c0),
             status=res.status, softened=softened,
-            solver_iterations=res.iterations, certificate=certificate,
+            solver_iterations=res.iterations,
         )
 
     # ------------------------------------------------------------------

@@ -12,11 +12,7 @@ from .constraints import (
     capacity_rhs,
     conservation_matrix,
 )
-from .batch_controller import (
-    BatchAllocationDecision,
-    BatchCostMPCPolicy,
-    batch_incompatibility,
-)
+from .batch_controller import BatchAllocationDecision, BatchCostMPCPolicy
 from .controller import CostMPCPolicy, MPCPolicyConfig
 from .deferral import BatchQueue, DeferralConfig, DeferralPolicy
 from .green import GreenAllocation, GreenOptimalPolicy, solve_green_allocation
@@ -53,7 +49,6 @@ __all__ = [
     "MPCPolicyConfig",
     "BatchCostMPCPolicy",
     "BatchAllocationDecision",
-    "batch_incompatibility",
     "DeferralPolicy",
     "DeferralConfig",
     "BatchQueue",

@@ -1,8 +1,9 @@
-"""Batched fleet-scale variant of the electricity-cost MPC.
+"""The electricity-cost MPC of Sec. IV, for one lane or a fleet.
 
 :class:`BatchCostMPCPolicy` advances ``S`` *independent* scenarios of
-the paper's controller (:class:`repro.core.CostMPCPolicy`) as stacked
-tensors in one process.  The key structural facts that make this cheap:
+the paper's controller as stacked tensors in one process;
+:class:`repro.core.CostMPCPolicy` is its one-lane view.  The key
+structural facts that make this cheap:
 
 * The C-projected horizon operators ``Θ, F_x, F_u, f_w`` of the eq. 36
   cumulative-energy model (:func:`repro.control.build_horizon`) are
@@ -16,23 +17,22 @@ tensors in one process.  The key structural facts that make this cheap:
   iterates through **one** Cholesky factorization, with per-lane
   vectors as the only per-scenario state.
 * The reference LP, power budgets included, has a closed-form
-  waterfill solution (:class:`repro.core.reference_opt.Waterfill`), the
-  same one the scalar policy calls, so all lanes' reference powers over
-  the whole horizon come from one vectorized call.
+  waterfill solution (:class:`repro.core.reference_opt.Waterfill`), so
+  all lanes' reference powers over the whole horizon come from one
+  vectorized call — against the observed or the forecast prices.  A
+  configured power schedule replaces those rows.
 * Hard budget rows fold into the shared capacity right-hand side
-  (:func:`repro.core.controller.budgeted_capacity_rhs`, the fold the
-  scalar policy makes), so they change no matrix.
+  (:func:`repro.core.controller.budgeted_capacity_rhs`), so they change
+  no matrix.
 
-Lanes whose ADMM iterates fail to converge ("stragglers") fall back to
-the exact scalar :class:`repro.control.ModelPredictiveController`
-(active-set backend) one lane at a time — correctness never depends on
-the batched path converging.  The config's ``fallback_ladder`` and
-``deadline_seconds`` arm the per-lane ladder and health machines (see
-:class:`BatchCostMPCPolicy`).
-
-Power schedules, KKT certification and QP capture are rejected by
-:func:`batch_incompatibility`; the batch engine routes such scenarios
-through the scalar engine instead.
+The config's ``backend`` picks each lane's solver: ``"admm"`` is the
+shared polished batched solve, whose stragglers fall to the exact
+active-set :class:`repro.control.ModelPredictiveController` one lane at
+a time; ``"active_set"`` sends every lane through that exact solve.
+``certify`` checks a KKT certificate on every lane's QP and
+``capture_problems`` keeps lane 0's first QPs.  The config's
+``fallback_ladder`` and ``deadline_seconds`` arm the per-lane ladder and
+health machines (see :class:`BatchCostMPCPolicy`).
 """
 
 from __future__ import annotations
@@ -69,28 +69,12 @@ from .reference_opt import (
     solve_optimal_allocation_batch,
 )
 
-__all__ = ["BatchAllocationDecision", "BatchCostMPCPolicy",
-           "batch_incompatibility"]
+__all__ = ["BatchAllocationDecision", "BatchCostMPCPolicy"]
 
-
-def batch_incompatibility(config: MPCPolicyConfig) -> str | None:
-    """Why ``config`` cannot run on the batched hot path (None = it can).
-
-    The batched controller shares the horizon operators, Hessian and
-    constraint matrices across scenarios.  What it cannot run is
-    rejected here: power schedules, KKT certification and QP capture,
-    which need the scalar solver's machinery every period.  The batch
-    engine falls back to the scalar engine for such lanes.  Power
-    budgets in either ``budget_mode``, hard budget rows, the fallback
-    ladder and the deadline all run batched.
-    """
-    if config.power_schedule_watts is not None:
-        return "power schedule tracking"
-    if config.certify:
-        return "KKT certification"
-    if config.capture_problems:
-        return "QP capture"
-    return None
+#: KKT residual tolerance of an exact (active-set or polished) solve;
+#: a lane ADMM finished unpolished is judged at 50x, its first-order
+#: accuracy.
+_CERTIFY_TOL = 1e-5
 
 
 @dataclass
@@ -119,7 +103,7 @@ class BatchAllocationDecision:
 
     @cached_property
     def diagnostics(self) -> list:
-        """Per-lane diagnostics dicts (same keys as the scalar policy's).
+        """Per-lane diagnostics dicts (one-lane views share the keys).
 
         Built on first access: the fleet never reads them, so it does
         not pay for building ``S`` dicts every period.
@@ -146,10 +130,10 @@ class BatchCostMPCPolicy:
         A *representative* cluster: every batched scenario must share its
         structure (IDC count, portals, power coefficients, service
         rates, latency bounds, fleet sizes) — the batch engine groups
-        scenarios by exactly that signature.
+        scenarios by exactly that signature.  Its *available* fleet is
+        re-read whenever it changes (:meth:`on_availability_change`).
     config:
-        The shared controller tuning; must pass
-        :func:`batch_incompatibility`.
+        The shared controller tuning.
     n_scenarios:
         The batch width ``S``.
     perf:
@@ -157,8 +141,8 @@ class BatchCostMPCPolicy:
         created when omitted.
     warm_start:
         Period-0 warm-start construction.  ``"exact"`` (default) solves
-        the scalar reference LP per lane so the batch starts from the
-        *identical simplex vertex* the scalar policy starts from —
+        the reference LP per lane with the simplex, so every lane starts
+        from the *identical vertex* a one-lane run starts from —
         required for batched-vs-looped trajectory equivalence, because
         the LP optimum is split-degenerate and the closed loop is
         split-sensitive.  ``"waterfill"`` uses the vectorized greedy
@@ -169,30 +153,30 @@ class BatchCostMPCPolicy:
     Lane fault isolation
     --------------------
     Setting :attr:`solver_fault_hook` (the callable
-    ``hook(stage, lane, period)`` both MPC policies take, raising a
+    ``hook(stage, lane, period)``, raising a
     :class:`~repro.exceptions.SolverError` subclass to inject a fault),
     or the config's ``fallback_ladder`` or ``deadline_seconds``, arms
-    the per-lane resilience path.  Faulted
+    the per-lane resilience path.  The shared solve is then the ladder's
+    first rung (``warm``, counted batch-wide); a lane it fails, or that
+    the hook poisons, is re-derived through its own
+    :class:`~repro.resilience.FallbackLadder` (``cold`` exact active-set
+    solve → ``admm`` batched iterate → ``reference`` waterfill LP →
+    ``hold`` feasibility projection).  Faulted
     lanes are **not** removed from the shared tensors — every GEMM row
     depends only on that lane's own rows plus shared matrices, so
     keeping the shapes fixed is what keeps healthy lanes bit-identical
-    to a fault-free run.  Instead, a faulted lane's *result* is
-    discarded and re-derived through a per-lane
-    :class:`~repro.resilience.FallbackLadder`
-    (``cold`` exact scalar active-set → ``admm`` batched iterate →
-    ``reference`` waterfill LP → ``hold`` feasibility projection),
-    its :class:`~repro.resilience.fleet.FleetHealth` machine is
-    advanced, and after ``FleetHealth.quarantine_after`` consecutive
-    ladder periods the lane is quarantined: permanently served by the
-    exact scalar solve, never again eligible to poison the shared step.
-    Once armed, a failed shared solve ejects every lane instead of
-    raising.  The deadline is one
+    to a fault-free run.  Each lane's
+    :class:`~repro.resilience.fleet.FleetHealth` machine is advanced,
+    and in a batch of two or more, after ``FleetHealth.quarantine_after``
+    consecutive ladder periods the lane is quarantined: permanently
+    served by the exact solve, never again eligible to poison the shared
+    step.  A lone lane has no shared step to protect and is never
+    quarantined.  The deadline is one
     :class:`~repro.resilience.DeadlineBudget` per :meth:`decide_batch`;
     once it is spent, ejected lanes skip the solver rungs of their
-    ladder.  All
-    ``ladder_*``/``supervisor_*`` counters fold into the lane slots of
-    :class:`~repro.sim.BatchPerfStats`.  Unarmed, this machinery is
-    completely inert.
+    ladder.  All ``ladder_*``/``supervisor_*`` lane counters fold into
+    the lane slots of :class:`~repro.sim.BatchPerfStats`.  Unarmed,
+    this machinery is completely inert.
     """
 
     def __init__(self, cluster: IDCCluster,
@@ -206,11 +190,6 @@ class BatchCostMPCPolicy:
         #: raising a SolverError subclass poisons that lane for the
         #: period.  Anything else (e.g. SimulatedCrashError) propagates.
         self.solver_fault_hook = None
-        reason = batch_incompatibility(self.config)
-        if reason is not None:
-            raise ConfigurationError(
-                f"config not batchable: {reason}; run it through the "
-                "scalar engine instead")
         if n_scenarios < 1:
             raise ConfigurationError("n_scenarios must be >= 1")
         if warm_start not in ("exact", "waterfill"):
@@ -221,12 +200,17 @@ class BatchCostMPCPolicy:
         self.n_scenarios = int(n_scenarios)
         self.builder = CostModelBuilder(cluster)
         self.name = "mpc_batch"
-        wf = self._waterfill = Waterfill(cluster)
         self._budgets = normalize_budgets(self.config.budgets_watts,
                                           cluster.n_idcs)
-        self._b1, self._b0, self._mu = wf.b1, wf.b0, wf.mu
-        self._inv_d, self._fleet = wf.inv_d, wf.fleet
+        schedule = self.config.power_schedule_watts
+        self._schedule = None if schedule is None else \
+            np.atleast_2d(np.asarray(schedule, dtype=float))
         self._n, self._c = cluster.n_idcs, cluster.n_portals
+        self._ops: dict | None = None
+        self._avail: tuple | None = None
+        self._read_availability()
+        wf = self._waterfill
+        self._b1, self._b0, self._mu = wf.b1, wf.b0, wf.mu
         self.perf = perf if perf is not None \
             else BatchPerfStats(self.n_scenarios)
         self.reset()
@@ -243,7 +227,66 @@ class BatchCostMPCPolicy:
         self._fallback: ModelPredictiveController | None = None
         self._restored_rho: float | None = None
         self._restored_rho_lanes: np.ndarray | None = None
-        self._health = FleetHealth(S)
+        self._health = FleetHealth(S) if S > 1 else \
+            FleetHealth(1, quarantine_after=None)
+        #: lane 0's first ``config.capture_problems`` QPs, as
+        #: (:class:`repro.verify.QPProblem`, solution ΔU) pairs.
+        self.captured: list = []
+
+    def reset_solver_state(self) -> None:
+        """Drop the carried ADMM warm-start iterate of every lane."""
+        self._warm = None
+
+    def on_availability_change(self) -> None:
+        """React to the fleet's availability changing under the policy.
+
+        Re-reads the available fleet — the waterfill reference, the
+        eq. 35 fleet caps and the capacity right-hand side ``φ`` — and
+        drops the ADMM warm iterate, which assumed the old constraint
+        geometry.  (Each :meth:`decide_batch` re-reads availability too,
+        so a policy restored mid-outage sees the fleet it runs on.)
+        """
+        self._read_availability()
+        self.reset_solver_state()
+        self.perf.shared.count("availability_resets")
+
+    def _read_availability(self) -> None:
+        """Rebuild what depends on the available fleet, if it changed."""
+        avail = tuple(idc.available_servers for idc in self.cluster.idcs)
+        if avail == self._avail:
+            return
+        self._avail = avail
+        wf = self._waterfill = Waterfill(self.cluster)
+        self._inv_d, self._fleet = wf.inv_d, wf.fleet
+        if self._ops is not None:
+            self._ops["phi"] = budgeted_capacity_rhs(self.cluster,
+                                                     self.config)
+
+    def reconcile_actuation(self, applied_servers: np.ndarray) -> None:
+        """Adopt the server counts the plant *actually* ran last period.
+
+        The eq.-35 command can be dropped, delayed or partially applied
+        by the actuation layer (:mod:`repro.sim.faults`).  Where the
+        applied counts ``(S, N)`` differ from the commanded ones, the
+        pending integration is rewritten to the plant's truth, so each
+        lane's [C̄, E] state integrates the power that was actually
+        drawn.  A faithful plant makes this a no-op.
+        """
+        if self._pending is None:
+            return
+        U, commanded = self._pending
+        applied = np.asarray(applied_servers).astype(int)
+        if applied.size != commanded.size:
+            return
+        applied = applied.reshape(commanded.shape)
+        if np.array_equal(applied, commanded):
+            return
+        self._pending = (U, applied.copy())
+        gaps = np.abs(applied - commanded).sum(axis=1)
+        for lane in np.flatnonzero(gaps):
+            lane_perf = self.perf.lane(int(lane))
+            lane_perf.count("actuation_reconciliations")
+            lane_perf.count("actuation_server_gap", int(gaps[lane]))
 
     # ------------------------------------------------------------------
     # durable control plane: the mutable-state envelope
@@ -261,7 +304,7 @@ class BatchCostMPCPolicy:
         stateful on purpose (the tuned ``rho`` carries across control
         periods), so the scalar ``admm_rho`` is captured and re-applied on
         restore — without it a resumed run re-adapts from the default and
-        the iterates diverge.  The scalar fallback controller is stateless
+        the iterates diverge.  The exact fallback controller is stateless
         across calls and stays excluded.
         """
         return {
@@ -320,7 +363,7 @@ class BatchCostMPCPolicy:
         return [self._health.label(s) for s in range(self.n_scenarios)]
 
     # ------------------------------------------------------------------
-    # vectorized counterparts of the scalar policy's state updates
+    # vectorized state updates
     # ------------------------------------------------------------------
     def _idc_workloads(self, U: np.ndarray) -> np.ndarray:
         """Per-IDC totals ``λ_j`` for stacked allocations, ``(S, N)``."""
@@ -331,8 +374,13 @@ class BatchCostMPCPolicy:
         return (self._b1 * lam + self._b0 * np.round(servers)) * 1e-6
 
     def _servers_for_loads(self, lam: np.ndarray) -> np.ndarray:
-        """Eq. 35 per (lane, IDC), capped at the fleet (CapacityError →
-        whole fleet, matching the scalar policy's fallback)."""
+        """Eq. 35 per (lane, IDC), capped at the available fleet.
+
+        A softened MPC step may route more workload than an IDC's fleet
+        can serve within the latency bound; the slow loop then turns on
+        the whole fleet and the resulting QoS violation is visible in
+        the recorded latencies rather than hidden by an exception.
+        """
         m = np.ceil(lam / self._mu + self._inv_d / self._mu - 1e-9)
         m = np.maximum(m, 1.0)
         return np.where(m > self._fleet, self._fleet, m).astype(int)
@@ -344,6 +392,7 @@ class BatchCostMPCPolicy:
         U, M = self._pending
         powers_mw = self._powers_mw(self._idc_workloads(U), M)
         dt = self.config.dt
+        # paper cost state: dC = Σ Pr_j · E_j(MWh) dt
         self._X[:, 0] += np.sum(prices * (self._X[:, 1:] / 3600.0),
                                 axis=1) * dt
         self._X[:, 1:] += powers_mw * dt
@@ -402,27 +451,41 @@ class BatchCostMPCPolicy:
         return self._ops
 
     # ------------------------------------------------------------------
-    # reference construction (one batched waterfill call)
+    # reference construction (Sec. IV-D + peak shaving)
     # ------------------------------------------------------------------
     def _reference_powers_mw(self, prices: np.ndarray,
-                             loads_seq: np.ndarray,
+                             loads_seq: np.ndarray, period: int = 0,
+                             predicted_prices: np.ndarray | None = None,
                              uniform: bool = False) -> np.ndarray:
         """Reference power targets for all lanes, shape ``(S, β₁, N)``.
 
         Every (lane, horizon step) row goes through **one** capped
-        waterfill call — the same :meth:`Waterfill.reference_powers_watts`
-        the scalar policy calls per lane.  ``uniform`` marks that every
-        horizon step shares the lane's measured loads (no forecast),
-        collapsing the rows to one per lane.
+        waterfill call; ``predicted_prices`` ``(S, H, N)`` replaces the
+        observed prices by each step's forecast, which is what makes the
+        MPC ramp *before* an anticipated price change.  ``uniform``
+        marks that every step shares the lane's measured loads and
+        prices, collapsing the rows to one per lane.  A configured power
+        schedule replaces the rows (row ``period + 1 + step``, the last
+        row repeating), still clamped at the budgets.
         """
         S = self.n_scenarios
         beta1 = self.config.horizon_pred
+        steps = np.arange(beta1)
+        if self._schedule is not None:
+            idx = np.minimum(period + 1 + steps, self._schedule.shape[0] - 1)
+            refs = np.minimum(self._schedule[idx] / 1e6, self._budgets / 1e6)
+            return np.broadcast_to(refs, (S, beta1, self._n))
         n_steps = 1 if uniform else beta1
         rows = np.minimum(np.arange(n_steps), loads_seq.shape[1] - 1)
         totals = loads_seq[:, rows].sum(axis=2).reshape(-1)
+        if predicted_prices is None:
+            prices = np.repeat(prices, n_steps, axis=0)
+        else:
+            prices = predicted_prices[
+                :, np.minimum(steps, predicted_prices.shape[1] - 1)]
+            prices = prices.reshape(-1, self._n)
         out = self._waterfill.reference_powers_watts(
-            np.repeat(prices, n_steps, axis=0), totals, self._budgets,
-            self.config.budget_mode) / 1e6
+            prices, totals, self._budgets, self.config.budget_mode) / 1e6
         out = out.reshape(S, n_steps, self._n)
         if uniform:
             return np.repeat(out, beta1, axis=1)
@@ -445,11 +508,11 @@ class BatchCostMPCPolicy:
         return out
 
     # ------------------------------------------------------------------
-    # the batched QP hot path + per-lane exact fallback
+    # the batched QP hot path + per-lane exact solve
     # ------------------------------------------------------------------
     def _fallback_solve(self, ops: dict, lane: int, prices_lane: np.ndarray,
                         loads_seq_lane: np.ndarray, ref_lane: np.ndarray):
-        """Exact scalar active-set solve for one straggler lane."""
+        """Exact active-set solve of one lane's MPC step."""
         cfg = self.config
         model = self.builder.discrete(prices_lane, cfg.dt)
         cs = InputConstraintSet(A_eq=ops["Hc"], b_eq=loads_seq_lane,
@@ -467,9 +530,22 @@ class BatchCostMPCPolicy:
         return self._fallback.control(self._X[lane], self._U_prev[lane],
                                       ref_lane)
 
-    def _solve(self, ops: dict, prices: np.ndarray, loads_seq: np.ndarray,
-               refs: np.ndarray) -> tuple[np.ndarray, list]:
-        """One stacked QP solve; returns (new allocations, diagnostics)."""
+    @staticmethod
+    def _exact_diag(sol) -> dict:
+        """Diagnostics of an exact solve (an :class:`MPCSolution`)."""
+        return {"qp_status": str(sol.status),
+                "qp_iterations": int(sol.solver_iterations),
+                "softened": bool(sol.softened), "mpc_cost": float(sol.cost)}
+
+    def _solve(self, ops: dict, period: int, prices: np.ndarray,
+               loads_seq: np.ndarray, refs: np.ndarray
+               ) -> tuple[np.ndarray, list]:
+        """One stacked QP step; returns (new allocations, diagnostics).
+
+        With the ``"admm"`` backend every lane runs the shared batched
+        solve and its stragglers the exact one; with ``"active_set"``
+        every lane runs the exact one.
+        """
         cfg = self.config
         S, nu, ndu = self.n_scenarios, ops["nu"], ops["ndu"]
         H = ops["horizon"]
@@ -483,73 +559,125 @@ class BatchCostMPCPolicy:
         b_eq = (loads_seq - HU[:, None, :]).reshape(S, -1)
         step_in = np.concatenate([ops["phi"] - lamU, self._U_prev], axis=1)
         b_in = np.tile(step_in, (1, cfg.horizon_ctrl))
-        L = np.concatenate(
-            [b_eq, np.full((S, b_in.shape[1]), -np.inf)], axis=1)
         U_box = np.concatenate([b_eq, b_in], axis=1)
-
-        X0 = Y0 = None
-        if cfg.warm_start_solver and self._warm is not None:
-            prev_X, prev_Y = self._warm
-            X0 = np.zeros((S, ndu))
-            if cfg.horizon_ctrl > 1:
-                X0[:, :ndu - nu] = prev_X[:, nu:]
-            Y0 = prev_Y
-        # Lockstep mode is compared step-for-step against the scalar
-        # active-set engine; under demand feedback (γ > 0) a solver-
-        # tolerance split difference compounds through the price, so
-        # exact mode runs the iterates an order tighter.  Monte-Carlo
-        # mode keeps the fast default.
-        eps = 1e-8 if self.warm_start == "exact" else 1e-6
-        res = solve_qp_admm_batch(ops["P"], Qlin, ops["A_box"], L, U_box,
-                                  eps_abs=eps, eps_rel=eps,
-                                  X0=X0, Y0=Y0, setup=ops["setup"],
-                                  lane_isolated=self.lane_isolated)
-        if cfg.warm_start_solver:
-            self._warm = (res.X.copy(), res.Y.copy())
         self.perf.shared.count("qp_solves")
-        self.perf.shared.count("qp_iterations", int(res.iterations.max()))
-        self.perf.shared.count("qp_polished", int(res.polished.sum()))
 
-        U_new = np.maximum(self._U_prev + res.X[:, :nu], 0.0)
-        # Exact conservation repair: ADMM meets the Σ_j u_ij = L_i rows
-        # only to solver tolerance (~1e-6 relative), while the scalar
-        # active-set path satisfies them to machine precision — enough
-        # of a gap for the invariant monitor to flag stressed periods.
-        # Rescaling each portal's split onto its observed load closes it
-        # without moving the split proportions the QP chose.
-        target = loads_seq[:, 0, :]
-        split = U_new.reshape(S, self._n, self._c)
-        sums = split.sum(axis=1)
-        scale = np.divide(target, sums, out=np.ones_like(sums),
-                          where=sums > 0)
-        U_new = (split * scale[:, None, :]).reshape(S, nu)
-        diags = [
-            {"qp_status": "optimal" if ok else "straggler",
-             "qp_iterations": iters,
-             "softened": False,
-             "mpc_cost": cost}
-            for ok, iters, cost in zip(res.converged.tolist(),
-                                       res.iterations.tolist(),
-                                       (res.fun + c0).tolist())
-        ]
-        for lane in np.nonzero(~res.converged)[0]:
-            sol = self._fallback_solve(self._ops, int(lane), prices[lane],
-                                       loads_seq[lane],
-                                       refs[lane])
+        if cfg.backend == "admm":
+            L = np.concatenate(
+                [b_eq, np.full((S, b_in.shape[1]), -np.inf)], axis=1)
+            X0 = Y0 = None
+            if cfg.warm_start_solver and self._warm is not None:
+                prev_X, prev_Y = self._warm
+                X0 = np.zeros((S, ndu))
+                if cfg.horizon_ctrl > 1:
+                    X0[:, :ndu - nu] = prev_X[:, nu:]
+                Y0 = prev_Y
+            # Lockstep mode is compared step-for-step against looped
+            # one-lane runs; under demand feedback (γ > 0) a solver-
+            # tolerance split difference compounds through the price, so
+            # exact mode runs the iterates an order tighter.  Monte-Carlo
+            # mode keeps the fast default.
+            eps = 1e-8 if self.warm_start == "exact" else 1e-6
+            res = solve_qp_admm_batch(ops["P"], Qlin, ops["A_box"], L,
+                                      U_box, eps_abs=eps, eps_rel=eps,
+                                      X0=X0, Y0=Y0, setup=ops["setup"],
+                                      lane_isolated=self.lane_isolated)
+            if cfg.warm_start_solver:
+                self._warm = (res.X.copy(), res.Y.copy())
+            self.perf.shared.count("qp_iterations",
+                                   int(res.iterations.max()))
+            self.perf.shared.count("qp_polished", int(res.polished.sum()))
+
+            U_new = np.maximum(self._U_prev + res.X[:, :nu], 0.0)
+            # Exact conservation repair: ADMM meets the Σ_j u_ij = L_i
+            # rows only to solver tolerance (~1e-6 relative), while the
+            # active-set path satisfies them to machine precision —
+            # enough of a gap for the invariant monitor to flag stressed
+            # periods.  Rescaling each portal's split onto its observed
+            # load closes it without moving the split proportions the QP
+            # chose.
+            target = loads_seq[:, 0, :]
+            split = U_new.reshape(S, self._n, self._c)
+            sums = split.sum(axis=1)
+            scale = np.divide(target, sums, out=np.ones_like(sums),
+                              where=sums > 0)
+            U_new = (split * scale[:, None, :]).reshape(S, nu)
+            diags = [
+                {"qp_status": "optimal" if ok else "straggler",
+                 "qp_iterations": iters,
+                 "softened": False,
+                 "mpc_cost": cost}
+                for ok, iters, cost in zip(res.converged.tolist(),
+                                           res.iterations.tolist(),
+                                           (res.fun + c0).tolist())
+            ]
+            X, exact = res.X, res.polished.copy()
+            solved = res.converged.copy()
+            exact_lanes = np.flatnonzero(~res.converged)
+        else:
+            U_new, diags = self._U_prev.copy(), [None] * S
+            X, exact = np.empty((S, ndu)), np.ones(S, dtype=bool)
+            solved = np.ones(S, dtype=bool)
+            exact_lanes = range(S)
+        for lane in exact_lanes:
+            lane = int(lane)
+            sol = self._fallback_solve(ops, lane, prices[lane],
+                                       loads_seq[lane], refs[lane])
             U_new[lane] = np.maximum(sol.u, 0.0)
-            diags[lane] = {
-                "qp_status": str(sol.status),
-                "qp_iterations": int(sol.solver_iterations),
-                "softened": bool(sol.softened),
-                "mpc_cost": float(sol.cost),
-                "straggler_fallback": True,
-            }
-            self.perf.lane(int(lane)).count("straggler_fallbacks")
-            if self._warm is not None:
-                # the batched iterate diverged — don't carry it forward
-                self._warm[0][lane] = 0.0
-                self._warm[1][lane] = 0.0
+            diags[lane] = self._exact_diag(sol)
+            X[lane], exact[lane] = sol.du_sequence.ravel(), True
+            solved[lane] = not sol.softened
+            if cfg.backend == "admm":
+                diags[lane]["straggler_fallback"] = True
+                self.perf.lane(lane).count("straggler_fallbacks")
+                if self._warm is not None:
+                    # the batched iterate diverged — don't carry it
+                    self._warm[0][lane] = 0.0
+                    self._warm[1][lane] = 0.0
+            else:
+                self.perf.shared.count("qp_iterations",
+                                       int(sol.solver_iterations))
+        if cfg.certify:
+            checked = np.flatnonzero(solved)
+        else:
+            checked = [0] if solved[0] and \
+                len(self.captured) < cfg.capture_problems else []
+        for lane in checked:
+            self._verify_lane(ops, int(lane), period, Qlin[lane],
+                              U_box[lane], X[lane], bool(exact[lane]))
         return U_new, diags
+
+    def _verify_lane(self, ops: dict, lane: int, period: int,
+                     q: np.ndarray, upper: np.ndarray, x: np.ndarray,
+                     exact: bool) -> None:
+        """KKT certificate and capture of one lane's box QP.
+
+        The box QP ``l ≤ A x ≤ u`` splits into the equality rows (the
+        leading ``n_eq``, where ``l = u``) and the ``≤`` rows.  An exact
+        solution (active set or polish) is judged at the exact
+        tolerance, an ADMM-finished one at 50×; multipliers are
+        recovered by the certificate itself.
+        """
+        # Imported lazily: repro.verify pulls in the policy layer for its
+        # fuzzer, so a module-level import would be circular.
+        from ..verify.certificates import check_kkt_qp
+        from ..verify.problems import QPProblem
+        cfg, n_eq, A = self.config, ops["n_eq"], ops["A_box"]
+        rows = dict(A_eq=A[:n_eq], b_eq=upper[:n_eq],
+                    A_ineq=A[n_eq:], b_ineq=upper[n_eq:])
+        if lane == 0 and len(self.captured) < cfg.capture_problems:
+            self.captured.append((
+                QPProblem(P=ops["P"], q=q.copy(), label=f"mpc-step-{period}",
+                          **{k: v.copy() for k, v in rows.items()}),
+                x.copy()))
+        if cfg.certify:
+            certificate = check_kkt_qp(
+                ops["P"], q, x, **rows,
+                tol=_CERTIFY_TOL if exact else 50.0 * _CERTIFY_TOL)
+            lane_perf = self.perf.lane(lane)
+            lane_perf.count("certificates_checked")
+            if not certificate.ok:
+                lane_perf.count("certificate_failures")
 
     # ------------------------------------------------------------------
     # lane fault isolation: fault scan, per-lane ladder, quarantine
@@ -597,6 +725,16 @@ class BatchCostMPCPolicy:
                 poisoned[s] = f"{type(exc).__name__}: {exc}"
         return poisoned
 
+    def _hold(self, lane: int, target: np.ndarray, lane_perf) -> tuple:
+        """The hold projection of one lane (the ladder's last rung)."""
+        u, shed = project_allocation(self.cluster, self._U_prev[lane],
+                                     target)
+        if shed > 0.0:
+            lane_perf.count("supervisor_shed_events")
+        return u, {"qp_status": "hold_projection", "qp_iterations": 0,
+                   "softened": False, "mpc_cost": float("nan"),
+                   "shed_requests": float(shed)}
+
     def _eject_lane(self, ops: dict, lane: int, period: int,
                     prices: np.ndarray, loads_seq: np.ndarray,
                     refs: np.ndarray, batched_row: np.ndarray | None,
@@ -618,11 +756,7 @@ class BatchCostMPCPolicy:
                 hook("lane_cold", lane, period)
             sol = self._fallback_solve(ops, lane, prices[lane],
                                        loads_seq[lane], refs[lane])
-            return np.maximum(sol.u, 0.0), {
-                "qp_status": str(sol.status),
-                "qp_iterations": int(sol.solver_iterations),
-                "softened": bool(sol.softened),
-                "mpc_cost": float(sol.cost)}
+            return np.maximum(sol.u, 0.0), self._exact_diag(sol)
 
         def rung_admm(_deadline):
             if batched_row is None or not np.all(np.isfinite(batched_row)):
@@ -642,20 +776,13 @@ class BatchCostMPCPolicy:
                 "qp_status": "reference_lp", "qp_iterations": 0,
                 "softened": False, "mpc_cost": float("nan")}
 
-        def rung_hold(_deadline):
-            u, shed = project_allocation(self.cluster,
-                                         self._U_prev[lane], target)
-            if shed > 0.0:
-                lane_perf.count("supervisor_shed_events")
-            return u, {"qp_status": "hold_projection",
-                       "qp_iterations": 0, "softened": False,
-                       "mpc_cost": float("nan"), "shed_rate": float(shed)}
-
         ladder = FallbackLadder(
             [Rung("cold", rung_cold),
              Rung("admm", rung_admm),
              Rung("reference", rung_reference),
-             Rung("hold", rung_hold, needs_solver=False)],
+             Rung("hold", lambda _deadline: self._hold(lane, target,
+                                                       lane_perf),
+                  needs_solver=False)],
             count=lane_perf.count)
         try:
             out = ladder.run(budget)
@@ -676,11 +803,11 @@ class BatchCostMPCPolicy:
     def _quarantine_solve(self, ops: dict, lane: int, prices: np.ndarray,
                           loads_seq: np.ndarray, refs: np.ndarray,
                           lane_perf):
-        """A quarantined lane's period: exact scalar solve, no ladder.
+        """A quarantined lane's period: exact solve, no ladder.
 
         Quarantine is the permanent demotion — the lane stays inside
         the shared tensors for shape stability, but its decision always
-        comes from the scalar active-set path (hold projection if even
+        comes from the exact active-set path (hold projection if even
         that fails).  The fault hook is deliberately not consulted:
         the lane is already off the shared solve path.
         """
@@ -689,20 +816,11 @@ class BatchCostMPCPolicy:
             sol = self._fallback_solve(ops, lane, prices[lane],
                                        loads_seq[lane], refs[lane])
             return np.maximum(sol.u, 0.0), {
-                "qp_status": str(sol.status),
-                "qp_iterations": int(sol.solver_iterations),
-                "softened": bool(sol.softened),
-                "mpc_cost": float(sol.cost),
-                "rung": "cold", "quarantined": True}
+                **self._exact_diag(sol), "rung": "cold", "quarantined": True}
         except (SolverError, CapacityError):
-            u, shed = project_allocation(self.cluster, self._U_prev[lane],
-                                         loads_seq[lane, 0])
-            if shed > 0.0:
-                lane_perf.count("supervisor_shed_events")
-            return u, {"qp_status": "hold_projection", "qp_iterations": 0,
-                       "softened": False, "mpc_cost": float("nan"),
-                       "rung": "hold", "quarantined": True,
-                       "shed_rate": float(shed)}
+            u, diag = self._hold(lane, loads_seq[lane, 0], lane_perf)
+            diag.update(rung="hold", quarantined=True)
+            return u, diag
 
     # ------------------------------------------------------------------
     def demand_response(self, prices: np.ndarray,
@@ -736,7 +854,8 @@ class BatchCostMPCPolicy:
     # ------------------------------------------------------------------
     def decide_batch(self, period: int, prices: np.ndarray,
                      loads: np.ndarray,
-                     predicted_loads: np.ndarray | None = None
+                     predicted_loads: np.ndarray | None = None,
+                     predicted_prices: np.ndarray | None = None
                      ) -> BatchAllocationDecision:
         """One receding-horizon step for all lanes.
 
@@ -751,11 +870,17 @@ class BatchCostMPCPolicy:
             engine applies telemetry gap-filling before this call).
         predicted_loads:
             Optional stacked forecasts ``(S, horizon, C)``.
+        predicted_prices:
+            Optional stacked price forecasts ``(S, horizon, N)``; step
+            ``s`` of the reference is solved against row ``s``.
         """
         cfg = self.config
         S = self.n_scenarios
         prices = np.asarray(prices, dtype=float).reshape(S, self._n)
         loads = np.asarray(loads, dtype=float).reshape(S, self._c)
+        if predicted_prices is not None:
+            predicted_prices = np.asarray(
+                predicted_prices, dtype=float).reshape(S, -1, self._n)
 
         # Fault scan first — before any state mutation — so an injected
         # crash models a process that never decided this period.
@@ -763,18 +888,19 @@ class BatchCostMPCPolicy:
         poisoned = self._scan_faults(period) if armed else {}
         budget = DeadlineBudget(cfg.deadline_seconds)
 
+        self._read_availability()
         self._integrate_pending(prices)
 
         if self._U_prev is None:
             if self.warm_start == "exact":
-                # Per-lane *scalar* LP, not the batched waterfill: the
-                # LP optimum is split-degenerate (any per-portal split
-                # with the same per-IDC totals is optimal) and the
-                # closed loop is split-sensitive (the ΔU penalty is
-                # anchored at the warm start), so the batch path must
-                # start from the exact simplex vertex the scalar policy
-                # starts from or the trajectories diverge.  Period 0
-                # only — every later step warm-starts from U_prev.
+                # Per-lane simplex, not the batched waterfill: the LP
+                # optimum is split-degenerate (any per-portal split with
+                # the same per-IDC totals is optimal) and the closed loop
+                # is split-sensitive (the ΔU penalty is anchored at the
+                # warm start), so every lane must start from the exact
+                # vertex a one-lane run starts from or the trajectories
+                # diverge.  Period 0 only — every later step warm-starts
+                # from U_prev.
                 self._U_prev = np.empty((S, self.cluster.n_allocations))
                 for s in range(S):
                     self._U_prev[s] = solve_optimal_allocation(
@@ -788,61 +914,16 @@ class BatchCostMPCPolicy:
         loads_seq = self._loads_sequence(loads, predicted_loads)
         with self.perf.shared.stage("reference"):
             power_refs = self._reference_powers_mw(
-                prices, loads_seq, uniform=predicted_loads is None)
+                prices, loads_seq, period, predicted_prices,
+                uniform=predicted_loads is None and predicted_prices is None)
             refs = integrate_rates_batch(self._X[:, 1:], power_refs, cfg.dt)
-        batched_ok = True
         with self.perf.shared.stage("mpc_solve"):
             if armed:
-                try:
-                    U_new, diags = self._solve(ops, prices, loads_seq,
-                                               refs)
-                except SolverError as exc:
-                    # the *shared* step failed — every lane ejects
-                    batched_ok = False
-                    self.perf.shared.count("batch_solve_failures")
-                    shared_err = f"{type(exc).__name__}: {exc}"
-                    U_new = self._U_prev.copy()
-                    diags = [{"qp_status": "batch_failed",
-                              "qp_iterations": 0, "softened": False,
-                              "mpc_cost": float("nan")}
-                             for _ in range(S)]
+                U_new, diags = self._armed_step(
+                    ops, period, prices, loads_seq, refs, poisoned, budget)
             else:
-                U_new, diags = self._solve(ops, prices, loads_seq, refs)
-
-        if armed:
-            eject: dict[int, str] = dict(poisoned)
-            if not batched_ok:
-                for s in range(S):
-                    eject.setdefault(s, shared_err)
-            for s in np.flatnonzero(self._health.quarantined):
-                eject.setdefault(int(s), "quarantined")
-            outcomes: dict[int, str] = {}
-            for lane in sorted(eject):
-                lane = int(lane)
-                lane_perf = self.perf.lane(lane)
-                if self._health.quarantined[lane]:
-                    u, diag = self._quarantine_solve(
-                        ops, lane, prices, loads_seq, refs, lane_perf)
-                else:
-                    batched_row = U_new[lane].copy() if batched_ok \
-                        else None
-                    u, diag, outcome = self._eject_lane(
-                        ops, lane, period, prices, loads_seq, refs,
-                        batched_row, budget, lane_perf)
-                    outcomes[lane] = outcome
-                    diag["fault"] = eject[lane]
-                U_new[lane] = u
-                diags[lane] = diag
-                if self._warm is not None and diag.get("rung") != "admm":
-                    # the committed decision diverged from the batched
-                    # iterate — don't carry that iterate forward
-                    self._warm[0][lane] = 0.0
-                    self._warm[1][lane] = 0.0
-            for s in range(S):
-                self._health.observe(s, outcomes.get(s, "clean"))
-            for s in self._health.touched:
-                self.perf.lane(s).update_counters(self._health.counters[s])
-                self.perf.note_lane_health(s, self._health.label(s))
+                U_new, diags = self._solve(ops, period, prices, loads_seq,
+                                           refs)
 
         lam_new = self._idc_workloads(U_new)
         servers = self._servers_for_loads(lam_new)
@@ -853,3 +934,69 @@ class BatchCostMPCPolicy:
         return BatchAllocationDecision(
             u=U_new, servers=servers, powers_mw=powers_mw,
             reference_powers_mw=power_refs[:, 0], solver_diagnostics=diags)
+
+    def _armed_step(self, ops: dict, period: int, prices: np.ndarray,
+                    loads_seq: np.ndarray, refs: np.ndarray,
+                    poisoned: dict[int, str], budget: DeadlineBudget
+                    ) -> tuple[np.ndarray, list]:
+        """The shared solve as the ladder's ``warm`` rung, then ejections.
+
+        The shared solve always runs (the deadline bounds the per-lane
+        rungs only).  If it fails, every lane ejects; otherwise the
+        poisoned and quarantined lanes do.  Each lane counts its own
+        ``warm`` outcome: served, or failed and ejected.
+        """
+        S = self.n_scenarios
+        shared = FallbackLadder(
+            [Rung("warm", lambda _deadline: self._solve(
+                ops, period, prices, loads_seq, refs))])
+        eject: dict[int, str] = dict(poisoned)
+        try:
+            U_new, diags = shared.run().value
+            batched_ok = True
+        except DegradedOperationError as exc:
+            # the *shared* step failed — every lane ejects
+            batched_ok = False
+            self.perf.shared.count("batch_solve_failures")
+            U_new = self._U_prev.copy()
+            diags = [{"qp_status": "batch_failed", "qp_iterations": 0,
+                      "softened": False, "mpc_cost": float("nan")}
+                     for _ in range(S)]
+            for s in range(S):
+                eject.setdefault(s, str(exc))
+        quarantined = self._health.quarantined
+        for s in range(S):
+            if quarantined[s]:
+                eject.setdefault(s, "quarantined")
+            elif s in eject:
+                self.perf.lane(s).count("ladder_failures_warm")
+            else:
+                self.perf.lane(s).count("ladder_rung_warm")
+                diags[s]["rung"] = "warm"
+        outcomes: dict[int, str] = {}
+        for lane in sorted(eject):
+            lane = int(lane)
+            lane_perf = self.perf.lane(lane)
+            if self._health.quarantined[lane]:
+                u, diag = self._quarantine_solve(
+                    ops, lane, prices, loads_seq, refs, lane_perf)
+            else:
+                batched_row = U_new[lane].copy() if batched_ok else None
+                u, diag, outcome = self._eject_lane(
+                    ops, lane, period, prices, loads_seq, refs,
+                    batched_row, budget, lane_perf)
+                outcomes[lane] = outcome
+                diag["fault"] = eject[lane]
+            U_new[lane] = u
+            diags[lane] = diag
+            if self._warm is not None and diag.get("rung") != "admm":
+                # the committed decision diverged from the batched
+                # iterate — don't carry that iterate forward
+                self._warm[0][lane] = 0.0
+                self._warm[1][lane] = 0.0
+        for s in range(S):
+            self._health.observe(s, outcomes.get(s, "clean"))
+        for s in self._health.touched:
+            self.perf.lane(s).update_counters(self._health.counters[s])
+            self.perf.note_lane_health(s, self._health.label(s))
+        return U_new, diags

@@ -6,10 +6,10 @@ Solves::
     subject to  l <= A @ x <= u
 
 using the operator-splitting iteration of Stellato et al. (OSQP, 2020).
-This is the alternative backend of the MPC controller (see
-``repro.core.controller``); the active-set solver is the default because
-it returns exact vertices, while ADMM scales better and is the solver
-the ablation benchmark compares against.
+This is the MPC controller's default backend (see
+``repro.core.batch_controller``): one shared factorization serves every
+lane, and its active-set polish lands on the exact vertex the active-set
+solver returns, which the ablation benchmark compares against.
 
 The two-sided constraint form is convenient: equality constraints are
 rows with ``l == u`` and one-sided inequalities use an infinite bound.

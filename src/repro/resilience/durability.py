@@ -74,8 +74,9 @@ __all__ = [
 #: snapshots no longer carry server counts or last prices.  Version 4:
 #: the policy snapshots no longer carry a reference memo.  Version 5:
 #: the pickled MPC core holds a batched-ADMM setup in place of the
-#: scalar ADMM's factorization cache.
-CHECKPOINT_VERSION = 5
+#: scalar ADMM's factorization cache.  Version 6: the one-lane MPC
+#: policy snapshots its batched lane instead of a pickled MPC core.
+CHECKPOINT_VERSION = 6
 
 #: Version stamp of the WAL record schema.
 WAL_VERSION = 1

@@ -59,20 +59,21 @@ class FleetHealth:
     recovery_periods:
         Consecutive clean periods required to leave RECOVERING.
     quarantine_after:
-        Consecutive ladder periods that trigger the permanent demotion.
+        Consecutive ladder periods that trigger the permanent demotion
+        (``None``: never quarantine).
     """
 
     def __init__(self, n_lanes: int, *, recovery_periods: int = 3,
-                 quarantine_after: int = 3) -> None:
+                 quarantine_after: int | None = 3) -> None:
         if n_lanes < 1:
             raise ValueError("n_lanes must be >= 1")
         if recovery_periods < 1:
             raise ValueError("recovery_periods must be >= 1")
-        if quarantine_after < 1:
+        if quarantine_after is not None and quarantine_after < 1:
             raise ValueError("quarantine_after must be >= 1")
         self.n_lanes = int(n_lanes)
         self.recovery_periods = int(recovery_periods)
-        self.quarantine_after = int(quarantine_after)
+        self.quarantine_after = quarantine_after
         self.states = [HealthState.NOMINAL] * self.n_lanes
         self.quarantined = np.zeros(self.n_lanes, dtype=bool)
         self._clean = np.zeros(self.n_lanes, dtype=int)
@@ -142,8 +143,8 @@ class FleetHealth:
             # NOMINAL stays NOMINAL; untouched lanes stay counter-free.
         if self.counters[lane] or outcome != "clean":
             self._count(lane, f"supervisor_state_{self.states[lane].value}")
-        if self._fail[lane] >= self.quarantine_after \
-                and not self.quarantined[lane]:
+        if self.quarantine_after is not None \
+                and self._fail[lane] >= self.quarantine_after:
             self.quarantined[lane] = True
             self._count(lane, "supervisor_quarantines")
 

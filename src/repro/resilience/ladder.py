@@ -6,9 +6,9 @@ budget, or faces a momentarily infeasible constraint set.  The ladder
 encodes the recovery policy as an ordered list of *rungs*, each strictly
 cheaper and strictly cruder than the one above:
 
-1. ``warm``       — warm-started active-set solve (the nominal path),
-2. ``cold``       — cold restart: drop all carried solver state,
-3. ``admm``       — ADMM, which always returns its best iterate,
+1. ``warm``       — the warm-started shared solve (the nominal path),
+2. ``cold``       — the lane's exact active-set solve, from scratch,
+3. ``admm``       — the lane's batched ADMM iterate,
 4. ``reference``  — bypass the MPC: apply the reference-LP allocation,
 5. ``hold``       — project the last-known-good allocation onto the
    current feasible set (availability + conservation) with

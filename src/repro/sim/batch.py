@@ -7,9 +7,9 @@ one period loop (:func:`repro.sim.engine.run_lanes`) as ``S`` lanes of
 RLS/AR prediction, the reference optimum, the MPC QP — across the group
 (one horizon build, one KKT factorization, vectorized ADMM iterates),
 so a 1000-scenario Monte Carlo costs roughly as much wall-clock as a
-handful of scalar runs.  This module supplies the group's lane set: the
-batched policy, the closed-form eq. 7 / eq. 14 plant step, the fleet
-fingerprint and the fleet WAL record.
+handful of one-lane runs.  This module supplies the group's lane set:
+the batched policy, the closed-form eq. 7 / eq. 14 plant step, the
+fleet fingerprint and the fleet WAL record.
 
 Lanes are partitioned:
 
@@ -18,13 +18,14 @@ Lanes are partitioned:
   ``dt``, period count) and carry at most *telemetry* faults, which
   only change what each controller sees.  Demand-coupled markets
   (γ > 0) batch too, each lane clearing against its own demand history
-  through :class:`repro.pricing.LaneMarketBatch`.  Groups of at least
-  two such lanes step together.
-* **Everything else** — plant-mutating faults (outages, actuation),
-  configs rejected by :func:`repro.core.batch_incompatibility`, or a
-  group of one — runs through the scalar
-  :func:`repro.sim.engine.run_simulation`, the reference semantics
-  (bit-exact against the golden traces).
+  through :class:`repro.pricing.LaneMarketBatch`.  Each signature
+  group, a lone lane included, steps together.  Every
+  :class:`repro.core.MPCPolicyConfig` runs batched.
+* **Plant-mutating faults** (outages, actuation; see
+  :func:`scenario_incompatibility`) need the object plant, so those
+  lanes run through :func:`repro.sim.engine.run_simulation` under
+  :class:`repro.core.CostMPCPolicy` — the same controller, one lane
+  wide.
 
 Either way the caller gets one :class:`~repro.sim.results.
 SimulationResult` per scenario, in input order, with per-lane
@@ -48,10 +49,6 @@ from .scenario import Scenario
 
 __all__ = ["run_batch", "batch_signature", "scenario_incompatibility"]
 
-#: Smallest signature group that steps batched: a group of one has
-#: nothing to vectorize and runs the scalar engine.
-_MIN_BATCH = 2
-
 #: Per-lane decision digests are logged only up to this batch width —
 #: beyond it each WAL record would carry S×64 hex chars per period and
 #: the whole-batch digest already proves bit-exactness.
@@ -61,9 +58,8 @@ _LANE_DIGEST_MAX = 64
 def scenario_incompatibility(scenario: Scenario) -> str | None:
     """Why ``scenario`` cannot ride the batched hot path (None = it can).
 
-    Config-level compatibility is :func:`repro.core.
-    batch_incompatibility`'s job; this checks the *scenario*: faults
-    that mutate the plant (changing per-lane constraint geometry).
+    Every config runs batched; this checks the *scenario*: faults that
+    mutate the plant (changing per-lane constraint geometry).
     Demand-coupled markets (γ > 0) are batch-compatible — each lane's
     feedback clears vectorized through
     :class:`repro.pricing.LaneMarketBatch`.
@@ -117,17 +113,17 @@ def run_batch(scenarios, config=None, *,
     ----------
     scenarios:
         The scenario fleet.  Lanes sharing a :func:`batch_signature`
-        (and passing the compatibility checks) step together as stacked
-        tensors; the rest run through the scalar engine.
+        step together as stacked tensors, a lone lane as a group of one;
+        lanes with plant-mutating faults
+        (:func:`scenario_incompatibility`) run one at a time through
+        :func:`repro.sim.engine.run_simulation`.
     config:
         Shared :class:`repro.core.MPCPolicyConfig` (default-constructed
         when omitted).  Its ``dt`` is overridden per lane/group by the
         scenario's ``dt``.  Its ``fallback_ladder`` and
-        ``deadline_seconds`` arm the batched groups' per-lane ladder
-        (see :class:`repro.core.BatchCostMPCPolicy`).  A config rejected
-        by :func:`repro.core.batch_incompatibility` (power schedules,
-        certification, QP capture) routes *every* lane through the
-        scalar engine.
+        ``deadline_seconds`` arm the per-lane ladder, its ``certify``
+        and ``capture_problems`` the per-lane certificates and lane 0's
+        QP capture (see :class:`repro.core.BatchCostMPCPolicy`).
     predict_loads, prediction_horizon:
         As in :func:`repro.sim.engine.run_simulation`; batched groups
         use the stacked :class:`repro.workload.BatchARWorkloadPredictor`
@@ -140,7 +136,7 @@ def run_batch(scenarios, config=None, *,
         ``result.perf`` only.
     warm_start:
         Period-0 warm start of batched groups — ``"exact"`` (per-lane
-        scalar reference LP; trajectory-equivalent to looped runs) or
+        simplex reference LP; trajectory-equivalent to looped runs) or
         ``"waterfill"`` (vectorized, for Monte-Carlo widths).  See
         :class:`repro.core.BatchCostMPCPolicy`.
     perf:
@@ -152,8 +148,9 @@ def run_batch(scenarios, config=None, *,
     solver_fault_hook:
         Optional fault-injection hook ``hook(stage, lane, period)`` of
         the batched groups' :class:`repro.core.BatchCostMPCPolicy`; it
-        switches their shared solve to lane isolation.  Scalar-fallback
-        lanes are unaffected (their scenarios never see the hook).
+        switches their shared solve to lane isolation.  Lanes routed to
+        :func:`~repro.sim.engine.run_simulation` are unaffected (their
+        scenarios never see the hook).
     checkpoint_every, wal_path, wal_fsync_every, wal_shards,
     resume_from, resume_strict:
         The durable control plane, as in
@@ -181,24 +178,18 @@ def run_batch(scenarios, config=None, *,
             f"fleet perf has {perf.n_lanes} lanes for "
             f"{len(scenarios)} scenarios")
 
-    from ..core import CostMPCPolicy, MPCPolicyConfig, batch_incompatibility
+    from ..core import CostMPCPolicy, MPCPolicyConfig
     base_cfg = config if config is not None else MPCPolicyConfig()
-    cfg_reason = batch_incompatibility(base_cfg)
 
     results: list[SimulationResult | None] = [None] * len(scenarios)
     groups: dict[tuple, list[int]] = {}
     scalar_lanes: list[tuple[int, str]] = []
     for i, sc in enumerate(scenarios):
-        reason = cfg_reason or scenario_incompatibility(sc)
+        reason = scenario_incompatibility(sc)
         if reason is not None:
             scalar_lanes.append((i, reason))
         else:
             groups.setdefault(batch_signature(sc), []).append(i)
-    for sig in list(groups):
-        if len(groups[sig]) < _MIN_BATCH:
-            for i in groups.pop(sig):
-                scalar_lanes.append(
-                    (i, f"batch group smaller than {_MIN_BATCH}"))
 
     journal = RunJournal(wal_path, resume_from=resume_from,
                          checkpoint_every=checkpoint_every,

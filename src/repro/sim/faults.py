@@ -28,7 +28,7 @@ routes commands through an :class:`ActuationChannel` that applies the
 active faults per IDC, tracks commanded-vs-applied counts, and feeds the
 applied truth back to the policy (``obs.prev_servers``) so its
 reconciliation step can compensate — see
-:meth:`repro.core.CostMPCPolicy._reconcile_actuation`.
+:meth:`repro.core.BatchCostMPCPolicy.reconcile_actuation`.
 """
 
 from __future__ import annotations

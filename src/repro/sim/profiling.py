@@ -59,10 +59,6 @@ class PerfStats:
         """Increment counter ``name`` by ``n``."""
         self.counters[name] = self.counters.get(name, 0) + int(n)
 
-    def set_counter(self, name: str, value: int) -> None:
-        """Overwrite counter ``name`` (for externally accumulated totals)."""
-        self.counters[name] = int(value)
-
     def update_counters(self, values: dict) -> None:
         """Overwrite several counters at once."""
         for name, value in values.items():
@@ -84,17 +80,6 @@ class PerfStats:
             "stage_calls": dict(self.stage_calls),
             "counters": dict(self.counters),
         }
-
-    def summary(self) -> str:
-        """One-line-per-stage human-readable report."""
-        lines = []
-        for name in sorted(self.stage_seconds):
-            calls = self.stage_calls.get(name, 0)
-            lines.append(f"{name}: {self.stage_seconds[name] * 1e3:.1f} ms"
-                         f" over {calls} calls")
-        for name in sorted(self.counters):
-            lines.append(f"{name} = {self.counters[name]}")
-        return "\n".join(lines)
 
 
 class BatchPerfStats:

@@ -394,9 +394,7 @@ def generate_batch_specs(seed: int, n_lanes: int, *,
     (per-lane plant channel)"`` — the batch chaos runner asserts that
     routing explicitly.
 
-    Each spec runs through :func:`build_scenario` as usual; the
-    ``"batch"`` marker makes the resulting config batch-compatible
-    (no per-step certificates, no QP capture).
+    Each spec runs through :func:`build_scenario` as usual.
     """
     if n_lanes < 1:
         raise ConfigurationError("need at least one lane")
@@ -404,7 +402,6 @@ def generate_batch_specs(seed: int, n_lanes: int, *,
     base["budget_fraction"] = None
     base["hard_budgets"] = False
     base["faults"] = []
-    base["batch"] = True
 
     rng = np.random.default_rng([int(seed), _BATCH_SEED_SALT])
     n_periods = int(base["n_periods"])
@@ -577,10 +574,8 @@ def build_scenario(spec: dict) -> tuple[Scenario, MPCPolicyConfig]:
         # Chaos injects solver failures on purpose: route every solve
         # through the fallback ladder under a (generous) deadline budget
         # instead of certifying optimality of solves meant to fail.
-        # Batch specs drop certificates/capture too — both are per-solve
-        # instrumentation the stacked hot path cannot express.
-        certify=not chaos and not spec.get("batch"),
-        capture_problems=0 if chaos or spec.get("batch") else 8,
+        certify=not chaos,
+        capture_problems=0 if chaos else 8,
         fallback_ladder=bool(chaos),
         deadline_seconds=10.0 if chaos else None,
     )
@@ -594,10 +589,12 @@ class _ChaosInjector:
     """Probabilistic solver-fault hook of both MPC policies.
 
     Installed as the ``solver_fault_hook`` (signature ``hook(stage,
-    lane, period)``) of :class:`~repro.core.CostMPCPolicy`, which calls
-    it as lane 0 before every QP backend call, or of the batched policy
-    that :func:`repro.sim.run_batch` builds.  Three behaviours, checked
-    in order:
+    lane, period)``) of :class:`~repro.core.CostMPCPolicy` (a one-lane
+    run is lane 0) or of the batched policy that
+    :func:`repro.sim.run_batch` builds; the policy calls it once per
+    lane and period before the shared solve, and again before each
+    solver rung of an ejected lane.  Three behaviours, checked in
+    order:
 
     1. **Crash** — at ``crash_at_period`` the first hook call raises
        :class:`~repro.resilience.SimulatedCrashError` (``crash=True``;
@@ -982,6 +979,12 @@ def run_batch_chaos_seed(seed: int, *, n_lanes: int = 6) -> Outcome:
             if k.startswith(("ladder_", "supervisor_", "quarantine_")):
                 counters[k] = counters.get(k, 0) + int(v)
     outcome.rung_counters = counters
+    for r in results:
+        lane_counters = r.perf.get("counters", {})
+        outcome.certificates_checked += int(
+            lane_counters.get("certificates_checked", 0))
+        outcome.certificate_failures += int(
+            lane_counters.get("certificate_failures", 0))
     group_counters = results[batch_lanes[0]].perf.get("counters", {})
     for k in ("batch_resumed_from_period", "batch_checkpoints_written",
               "batch_wal_tail_replayed", "batch_wal_tail_mismatches"):
@@ -993,6 +996,7 @@ def run_batch_chaos_seed(seed: int, *, n_lanes: int = 6) -> Outcome:
                   and outcome.healthy_lanes_bitexact
                   and routing_ok
                   and not outcome.nan_detected
+                  and outcome.certificate_failures == 0
                   and not outcome.crash_resume.get(
                       "wal_tail_mismatches", 0))
     return outcome

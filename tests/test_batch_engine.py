@@ -1,12 +1,12 @@
-"""Batched fleet engine vs the looped scalar engine.
+"""Batched fleet engine vs looped one-lane runs.
 
 The batched path (:func:`repro.sim.run_batch`) must be a pure
 performance transformation: every scenario's trajectory, billing,
 invariant verdicts and per-lane counters must match what ``S``
-independent scalar runs produce.  The S=1 case is the strongest form —
-a singleton fleet routes through the scalar engine itself, so the
-golden full-day trace replays bit-exact by construction, and the test
-pins that routing contract.
+independent one-lane runs produce.  The S=1 case is the strongest form —
+:class:`repro.core.CostMPCPolicy` is a one-lane
+:class:`repro.core.BatchCostMPCPolicy`, so a lone lane of ``run_batch``
+and a ``run_simulation`` run make the same decisions bit for bit.
 """
 
 from dataclasses import replace
@@ -49,26 +49,40 @@ def _looped(scenarios, cfg, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# S = 1: singleton fleets are the scalar engine, bit for bit
+# S = 1: a lone lane is the one-lane policy, bit for bit
 # ---------------------------------------------------------------------------
-def test_singleton_batch_replays_scalar_bit_exact():
-    cfg = MPCPolicyConfig(dt=30.0)
-    sc_batch = paper_scenario(dt=30.0, duration=600.0)
-    sc_scalar = paper_scenario(dt=30.0, duration=600.0)
+def _schedule_config():
+    # a day-ahead style power commitment drifting between two operating
+    # points; rows past the run repeat the last one
+    schedule = np.linspace([8.0e6, 2.0e6, 5.0e6], [6.0e6, 4.0e6, 4.0e6], 12)
+    return MPCPolicyConfig(dt=30.0, power_schedule_watts=schedule)
 
-    batch = run_batch([sc_batch], cfg)
+
+@pytest.mark.parametrize("cfg", [
+    MPCPolicyConfig(dt=30.0),
+    MPCPolicyConfig(dt=30.0, fallback_ladder=True,       # paper_day's flags
+                    budgets_watts=PAPER_BUDGETS_WATTS),
+    MPCPolicyConfig(dt=30.0, budgets_watts=PAPER_BUDGETS_WATTS,
+                    hard_budget_constraints=True),
+    _schedule_config(),
+], ids=["default", "paper_day", "hard", "schedule"])
+def test_lone_lane_matches_one_lane_policy(cfg):
+    sc_batch = price_step_scenario(dt=30.0, duration=600.0,
+                                   with_budgets=True)
+    sc_scalar = price_step_scenario(dt=30.0, duration=600.0,
+                                    with_budgets=True)
+
+    b = run_batch([sc_batch], cfg)[0]
     scalar = run_simulation(
         sc_scalar, CostMPCPolicy(sc_scalar.cluster, cfg))
 
-    b = batch[0]
-    assert b.perf["counters"]["batch_scalar_fallback"] == 1
-    assert "smaller than" in b.perf["batch_fallback_reason"]
+    assert b.policy_name == "mpc_batch"
+    assert "batch_fallback_reason" not in b.perf
     np.testing.assert_array_equal(b.servers, scalar.servers)
-    np.testing.assert_array_equal(b.powers_watts, scalar.powers_watts)
     np.testing.assert_array_equal(b.allocations, scalar.allocations)
-    np.testing.assert_array_equal(b.cost_usd, scalar.cost_usd)
-    np.testing.assert_array_equal(b.paper_cost, scalar.paper_cost)
-    assert b.total_cost_usd == scalar.total_cost_usd
+    np.testing.assert_allclose(b.cost_usd, scalar.cost_usd, rtol=1e-12)
+    assert b.total_cost_usd == pytest.approx(scalar.total_cost_usd,
+                                             rel=1e-12)
 
 
 def test_singleton_batch_replays_golden_day_fixture():
@@ -253,12 +267,33 @@ def test_demand_coupled_market_batches():
     assert scenario_incompatibility(sc) is None
 
 
-def test_incompatible_config_routes_everything_scalar():
+def test_every_config_runs_batched():
+    # certification, QP capture and power schedules ride the batched
+    # path: no lane falls off it, and every lane certifies its own QPs
     scens = monte_carlo_scenarios(3, seed=2, duration=300.0)
-    cfg = MPCPolicyConfig(dt=30.0, certify=True)
-    results = run_batch(scens, cfg)
-    for r in results:
-        assert r.perf["counters"].get("batch_scalar_fallback") == 1
+    schedule = np.full((10, 3), 5.0e6)
+    for cfg in (MPCPolicyConfig(dt=30.0, certify=True, capture_problems=4),
+                MPCPolicyConfig(dt=30.0, certify=True,
+                                backend="active_set"),
+                MPCPolicyConfig(dt=30.0, power_schedule_watts=schedule)):
+        perf = BatchPerfStats(len(scens))
+        results = run_batch(scens, cfg, perf=perf)
+        assert "batch_scalar_fallback" not in perf.rollup().counters
+        for r in results:
+            assert r.policy_name == "mpc_batch"
+            assert "batch_fallback_reason" not in r.perf
+            counters = r.perf["counters"]
+            if cfg.certify:
+                assert counters["certificates_checked"] == r.n_periods
+                assert counters.get("certificate_failures", 0) == 0
+    policy = BatchCostMPCPolicy(scens[0].cluster, MPCPolicyConfig(
+        dt=30.0, capture_problems=4), n_scenarios=2)
+    for k in range(6):
+        policy.decide_batch(k, np.tile(scens[0].prices_at(0.0), (2, 1)),
+                            np.tile(scens[0].cluster.portals.loads_at(k),
+                                    (2, 1)))
+    labels = [problem.label for problem, _x in policy.captured]
+    assert labels == [f"mpc-step-{k}" for k in range(4)]
 
 
 def test_batch_signature_separates_structures():
@@ -299,30 +334,42 @@ def test_batch_perf_stats_isolates_lanes():
 
 
 def test_batched_reference_matches_per_lane_scalar_reference():
-    # one batched waterfill call over every (lane, step) row against the
-    # scalar policy's reference for each lane, bit for bit; the 1.2x
-    # loads exceed the budget-capped capacity (the "lp" clamp fallback)
+    # one batched waterfill call over every (lane, step) row against a
+    # per-lane waterfill of that lane's horizon, bit for bit, with the
+    # observed and with forecast prices; the 1.2x loads exceed the
+    # budget-capped capacity (the "lp" clamp fallback)
     sc = paper_scenario(dt=30.0, duration=600.0)
+    wf = Waterfill(sc.cluster)
     rng = np.random.default_rng(8)
     S = 12
     prices = sc.prices_at(sc.start_time) * rng.uniform(0.5, 1.5, (S, 3))
+    forecast = prices[:, None] * rng.uniform(0.5, 1.5, (S, 4, 3))
     rates = np.array([p.rate for p in sc.cluster.portals.portals])
     for budgets, budget_mode in ((None, "lp"), (PAPER_BUDGETS_WATTS, "lp"),
                                  (PAPER_BUDGETS_WATTS, "clamp")):
         cfg = MPCPolicyConfig(dt=30.0, budgets_watts=budgets,
                               budget_mode=budget_mode)
         batch = BatchCostMPCPolicy(sc.cluster, cfg, n_scenarios=S)
-        scalar = CostMPCPolicy(sc.cluster, cfg)
+        steps = np.arange(cfg.horizon_pred)
+        capped = np.inf if budgets is None else budgets
         loads_seq = rates * rng.choice([0.9, 1.0, 1.2],
                                        size=(S, cfg.horizon_ctrl, 1))
-        for uniform in (False, True):
+        for uniform, predicted in ((False, None), (True, None),
+                                   (False, forecast)):
             if uniform:
                 loads_seq = np.repeat(loads_seq[:, :1], cfg.horizon_ctrl,
                                       axis=1)
-            out = batch._reference_powers_mw(prices, loads_seq, uniform)
+            out = batch._reference_powers_mw(prices, loads_seq, 0,
+                                             predicted, uniform)
             assert out.shape == (S, cfg.horizon_pred, 3)
             for s in range(S):
-                want = scalar._reference_powers_mw(prices[s], loads_seq[s])
+                totals = loads_seq[s, np.minimum(
+                    steps, cfg.horizon_ctrl - 1)].sum(axis=1)
+                rows = prices[s] if predicted is None else \
+                    predicted[s, np.minimum(steps, 3)]
+                want = wf.reference_powers_watts(
+                    rows, totals, np.broadcast_to(capped, (3,)).astype(
+                        float), budget_mode) / 1e6
                 np.testing.assert_array_equal(out[s], want)
 
 

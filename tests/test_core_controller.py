@@ -310,7 +310,7 @@ class TestSolverBackends:
             policy = CostMPCPolicy(sc.cluster, MPCPolicyConfig(
                 dt=30.0, horizon_ctrl=5, backend=backend))
             runs[backend] = run_simulation(sc, policy)
-            sizes[backend] = policy._mpc._horizon.Theta.shape[1]
+            sizes[backend] = policy._lane._ops["ndu"]
         assert sizes == {"active_set": 75, "admm": 75}
         a, b = runs["active_set"], runs["admm"]
         assert np.max(np.abs(a.powers_mw[-1] - b.powers_mw[-1])) < 0.05

@@ -513,6 +513,25 @@ class TestCrashResume:
         with pytest.raises(CheckpointError, match="version 4 not supported"):
             run_simulation(sc2, _mpc(sc2), resume_from=wal)
 
+    def test_version_5_checkpoint_refused_by_version(self, tmp_path):
+        """A version-5 checkpoint pickles the scalar MPC core.
+
+        The one-lane policy now snapshots its batched lane instead; the
+        envelope must refuse the old layout by its version stamp.
+        """
+        wal = str(tmp_path / "v5.wal")
+        sc = _short_scenario()
+        with pytest.raises(SimulatedCrashError):
+            run_simulation(sc, CrashInjector(_mpc(sc), 5), wal_path=wal,
+                           checkpoint_every=2)
+        ckpt = checkpoint_path_for(wal)
+        current = ControllerCheckpoint.load(ckpt)
+        ControllerCheckpoint(period=current.period, state=current.state,
+                             version=5).save(ckpt)
+        sc2 = _short_scenario()
+        with pytest.raises(CheckpointError, match="version 5 not supported"):
+            run_simulation(sc2, _mpc(sc2), resume_from=wal)
+
     def test_resume_with_faults_and_monitor(self, tmp_path):
         """Outage + actuation fault + monitor all survive the restart."""
         def faults(t0):
@@ -719,16 +738,19 @@ class TestResetAudit:
         """``reset_solver_state`` (the supervisor's retry hook) must be
         narrow: solver carry-over goes, plant-integration state stays."""
         _sc, policy, _u, _servers = self._warmed_policy()
-        x_before = policy._x.copy()
-        u_prev_before = policy._u_prev.copy()
-        pending_before = policy._pending
+        lane = policy._lane
+        x_before = lane._X.copy()
+        u_prev_before = lane._U_prev.copy()
+        pending_before = lane._pending
+        assert lane._warm is not None
         policy.reset_solver_state()
-        np.testing.assert_array_equal(policy._x, x_before)
-        np.testing.assert_array_equal(policy._u_prev, u_prev_before)
-        assert policy._pending is pending_before
+        assert lane._warm is None
+        np.testing.assert_array_equal(lane._X, x_before)
+        np.testing.assert_array_equal(lane._U_prev, u_prev_before)
+        assert lane._pending is pending_before
         # whereas a full reset() discards everything
         policy.reset()
-        assert policy._pending is None
+        assert lane._pending is None
 
     def test_restore_recovers_from_a_stray_full_reset(self):
         sc, policy, u_prev, servers_prev = self._warmed_policy()
@@ -757,15 +779,17 @@ class TestResetAudit:
         sc = _short_scenario()
         policy = _mpc(sc)
         fired = []
+        solve = policy._lane._solve
 
-        def hook(stage, lane, period):
-            # Fail the whole first attempt: the MPC's own ADMM fallback
-            # swallows a single solver fault, so both the solve and the
-            # fallback must die for the error to reach the supervisor.
+        def failing_solve(*args, **kwargs):
+            # Fail the whole first attempt of period 5.  (A fault hook
+            # would arm the ladder, which absorbs the fault; an unarmed
+            # policy raises it to the supervisor.)
             from repro.exceptions import ConvergenceError
-            if len(fired) < 2:
-                fired.append(stage)
+            if not fired:
+                fired.append(True)
                 raise ConvergenceError("forced failure for the retry path")
+            return solve(*args, **kwargs)
 
         class _ArmAtPeriod5:
             name = "arm"
@@ -775,7 +799,7 @@ class TestResetAudit:
 
             def decide(self, obs):
                 if obs.period == 5:
-                    policy.solver_fault_hook = hook
+                    policy._lane._solve = failing_solve
                 return self.sup.decide(obs)
 
             def reset(self):
@@ -789,7 +813,7 @@ class TestResetAudit:
 
         sup = PolicySupervisor(policy, sc.cluster)
         run = run_simulation(sc, _ArmAtPeriod5(sup))
-        assert fired, "fault hook never armed"
+        assert fired, "fault never armed"
         assert run.perf["counters"]["supervisor_retries"] >= 1
         # Same trajectory despite the retry: nothing carried was lost
         # (the retried period solves cold, so only the integer server

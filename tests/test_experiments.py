@@ -92,23 +92,16 @@ class TestFullDay:
             assert r["qos_violations"] == 0
 
     def test_mpc_caches_warm_start_and_ladder_engage(self, rows):
-        # With 24 hourly price changes over 288 periods the
-        # discretization/horizon caches hit for every period whose
-        # prices repeat, and the solver warm start carries every period
-        # after the first.
+        # The horizon operators are price-invariant, so one model build
+        # serves all 24 price hours, and the warm-started batched ADMM
+        # lands nearly every period on its first iteration without the
+        # exact straggler solve.
         perf = rows["mpc"]["perf"]["counters"]
         n_periods = perf["qp_solves"]
-        assert perf["model_cache_hits"] + perf["model_cache_misses"] \
-            == n_periods
-        assert perf["model_cache_misses"] <= 25  # one per price hour
-        assert perf["model_cache_hits"] >= n_periods - 25
-        assert perf["horizon_rebuilds"] <= 25
-        assert perf["constraint_cache_hits"] == n_periods - 1
-        assert perf["warm_start_hits"] == n_periods - 1
-        assert perf["warm_start_misses"] == 0
-        # warm-started active set needs only a few working-set
-        # changes per period
-        assert perf["qp_iterations"] < 5 * n_periods
+        assert n_periods == 288
+        assert perf["model_cache_hits"] + perf["model_cache_misses"] == 1
+        assert perf["qp_iterations"] < 2 * n_periods
+        assert perf.get("straggler_fallbacks", 0) == 0
         # The fallback ladder is armed; on a healthy day every period
         # resolves on the first (warm) rung with zero failures.
         assert perf["ladder_rung_warm"] == n_periods

@@ -396,6 +396,53 @@ class TestBatchedLadderConfig:
             np.testing.assert_array_equal(np.asarray(timed[i].cost_usd),
                                           np.asarray(base[i].cost_usd))
 
+    def test_shedding_lane_declares_shed_requests(self):
+        # Lane 0's portals jump past the whole fleet's capacity after
+        # period 0, and every solver rung fails: its ladder lands on the
+        # hold projection, which sheds the overflow.  The shed is
+        # declared under the key the invariant monitor reads, so the
+        # monitor excuses the routed gap (no conservation violation) and
+        # counts one shed period per overloaded period.  (The lanes
+        # track a power schedule: the reference LP has no solution for
+        # a load beyond the fleet's capacity.)
+        from dataclasses import replace
+
+        from repro.core.reference_opt import Waterfill
+        from repro.verify import InvariantMonitor
+        from repro.workload import PortalSet, PortalWorkload
+
+        # three overloaded periods: a fourth would quarantine the lane
+        scens = monte_carlo_scenarios(2, seed=3, dt=60.0, duration=240.0)
+        cluster = scens[0].cluster
+        rates = np.array([p.rate for p in cluster.portals.portals])
+        capacity = Waterfill(cluster).caps.sum()
+        surge = np.ones(scens[0].n_periods)
+        surge[1:] = 1.5 * capacity / rates.sum()
+        portals = PortalSet(portals=[
+            PortalWorkload(name=p.name, trace=p.rate * surge)
+            for p in cluster.portals.portals])
+        scens[0] = replace(scens[0], cluster=type(cluster)(
+            cluster.idcs, portals))
+
+        def always_fail(stage, lane, period):
+            if lane == 0 and period >= 1:
+                raise ConvergenceError(f"injected at {stage}")
+
+        monitors = [InvariantMonitor(), InvariantMonitor()]
+        cfg = MPCPolicyConfig(dt=60.0, power_schedule_watts=np.full(
+            (scens[0].n_periods, cluster.n_idcs), 5.0e6))
+        results = run_batch(scens, cfg, monitors=monitors,
+                            solver_fault_hook=always_fail)
+        overloaded = scens[0].n_periods - 1
+        assert results[0].perf["counters"]["ladder_rung_hold"] == overloaded
+        assert results[0].perf["counters"]["monitor_shed_periods"] \
+            == overloaded
+        assert not [v for v in monitors[0].violations
+                    if v.kind == "conservation"]
+        assert all(d["shed_requests"] > 0
+                   for d in results[0].diagnostics[1:])
+        assert monitors[1].n_violations == 0
+
 
 # ---------------------------------------------------------------------------
 # durable fleet control plane: kill at every period, resume bit-exact

@@ -498,8 +498,10 @@ class TestLadderInPolicy:
         seen = set()
 
         def always_fail(stage, lane, period):
+            # every QP solve fails; the reference LP rung is left alone
             seen.add((lane, period))
-            raise ConvergenceError(f"injected at {stage}")
+            if stage != "lane_reference":
+                raise ConvergenceError(f"injected at {stage}")
 
         policy.solver_fault_hook = always_fail
         run = run_simulation(sc, policy)
@@ -567,17 +569,16 @@ class TestSupervisedClosedLoop:
         sc2 = sc2.__class__(**{**sc2.__dict__, "faults": faults})
         policy = CostMPCPolicy(sc2.cluster, MPCPolicyConfig(
             dt=300.0, fallback_ladder=True, deadline_seconds=10.0))
-        # Simulated deadline blowouts (a ConvergenceError would be eaten
-        # by the MPC's internal ADMM fallback; deadline exhaustion is the
-        # fault class the ladder itself must handle).  Each QP attempt —
-        # warm, cold, admm — advances the call counter, so 30 and 31
-        # knock out two consecutive rungs of one period.
+        # Simulated deadline blowouts, the fault class the ladder itself
+        # must handle.  Each QP attempt — warm (the shared solve's
+        # ``batch_qp`` scan), cold, admm — advances the call counter, so
+        # 30 and 31 knock out two consecutive rungs of one period.
         fail_at = {5, 17, 30, 31}
 
         calls = {"n": -1}
 
         def flaky(stage, lane, period):
-            if stage == "solve":
+            if stage in ("batch_qp", "lane_cold", "lane_admm"):
                 calls["n"] += 1
                 if calls["n"] in fail_at:
                     raise DeadlineExceededError("injected blowout")

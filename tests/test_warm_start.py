@@ -224,26 +224,26 @@ def test_closed_loop_warm_equals_cold(backend, alloc_atol, cost_rel):
 
 
 def test_warm_counters_engage_in_closed_loop():
-    warm = _closed_loop("active_set", warm=True)
+    # The shifted ADMM iterate carries every period: each solve finishes
+    # at the first iteration, and never needs the exact straggler solve.
+    warm = _closed_loop("admm", warm=True)
     counters = warm.perf["counters"]
     n = counters["qp_solves"]
     assert n > 1
-    assert counters["warm_start_hits"] == n - 1
-    assert counters["warm_start_misses"] == 0
-    assert counters["constraint_cache_hits"] == n - 1
-    # The incremental KKT path must carry the warm run: the cached
-    # factorization makes refactorizations rare (ideally one for the
-    # whole day), far below the iteration count.
-    assert counters["kkt_refactorizations"] <= max(
-        1, counters["qp_iterations"] // 5)
+    assert counters["qp_iterations"] == n
+    assert counters.get("straggler_fallbacks", 0) == 0
 
-    cold = _closed_loop("active_set", warm=False)
-    assert cold.perf["counters"]["warm_start_hits"] == 0
+    cold = _closed_loop("admm", warm=False)
+    assert cold.perf["counters"]["qp_iterations"] \
+        >= counters["qp_iterations"]
 
 
 def test_cold_policy_config_disables_warm_start():
     sc = price_step_scenario(dt=30.0, duration=120.0)
     policy = CostMPCPolicy(
         sc.cluster, MPCPolicyConfig(dt=30.0, warm_start_solver=False))
-    run_simulation(sc, policy)  # _mpc is built lazily on first decide()
-    assert policy._mpc.warm_start is False
+    run_simulation(sc, policy)
+    assert policy._lane._warm is None   # no iterate carried between periods
+    warm = CostMPCPolicy(sc.cluster, MPCPolicyConfig(dt=30.0))
+    run_simulation(price_step_scenario(dt=30.0, duration=120.0), warm)
+    assert warm._lane._warm is not None
