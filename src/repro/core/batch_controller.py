@@ -130,8 +130,8 @@ class BatchCostMPCPolicy:
         A *representative* cluster: every batched scenario must share its
         structure (IDC count, portals, power coefficients, service
         rates, latency bounds, fleet sizes) — the batch engine groups
-        scenarios by exactly that signature.  Its *available* fleet is
-        re-read whenever it changes (:meth:`on_availability_change`).
+        scenarios by exactly that signature.  Each lane's *available*
+        fleet is an argument of :meth:`decide_batch`, not read from it.
     config:
         The shared controller tuning.
     n_scenarios:
@@ -207,13 +207,15 @@ class BatchCostMPCPolicy:
             np.atleast_2d(np.asarray(schedule, dtype=float))
         self._n, self._c = cluster.n_idcs, cluster.n_portals
         self._ops: dict | None = None
-        self._avail: tuple | None = None
-        self._read_availability()
-        wf = self._waterfill
-        self._b1, self._b0, self._mu = wf.b1, wf.b0, wf.mu
+        #: every lane's whole fleet, the availability when none is given
+        self._full = np.tile([idc.config.max_servers for idc in cluster.idcs],
+                             (self.n_scenarios, 1))
+        self._avail = None
         self.perf = perf if perf is not None \
             else BatchPerfStats(self.n_scenarios)
         self.reset()
+        wf = self._waterfill
+        self._b1, self._b0, self._mu = wf.b1, wf.b0, wf.mu
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
@@ -229,6 +231,7 @@ class BatchCostMPCPolicy:
         self._restored_rho_lanes: np.ndarray | None = None
         self._health = FleetHealth(S) if S > 1 else \
             FleetHealth(1, quarantine_after=None)
+        self._adopt_availability(None)
         #: lane 0's first ``config.capture_problems`` QPs, as
         #: (:class:`repro.verify.QPProblem`, solution ΔU) pairs.
         self.captured: list = []
@@ -237,30 +240,36 @@ class BatchCostMPCPolicy:
         """Drop the carried ADMM warm-start iterate of every lane."""
         self._warm = None
 
-    def on_availability_change(self) -> None:
-        """React to the fleet's availability changing under the policy.
+    def _adopt_availability(self, available) -> None:
+        """Run on each lane's available fleet ``(S, N)`` (default: whole).
 
-        Re-reads the available fleet — the waterfill reference, the
-        eq. 35 fleet caps and the capacity right-hand side ``φ`` — and
-        drops the ADMM warm iterate, which assumed the old constraint
-        geometry.  (Each :meth:`decide_batch` re-reads availability too,
-        so a policy restored mid-outage sees the fleet it runs on.)
+        A change rebuilds the waterfill, the eq. 35 caps and ``φ`` (one
+        shared row while the lanes agree); after period 0 the changed
+        lane drops its ADMM warm iterate, which assumed the old
+        constraint geometry, and counts an ``availability_resets``.
         """
-        self._read_availability()
-        self.reset_solver_state()
-        self.perf.shared.count("availability_resets")
-
-    def _read_availability(self) -> None:
-        """Rebuild what depends on the available fleet, if it changed."""
-        avail = tuple(idc.available_servers for idc in self.cluster.idcs)
-        if avail == self._avail:
+        avail = self._full if available is None else \
+            np.asarray(available).astype(int).reshape(self._full.shape)
+        if np.array_equal(avail, self._avail):
             return
-        self._avail = avail
-        wf = self._waterfill = Waterfill(self.cluster)
-        self._inv_d, self._fleet = wf.inv_d, wf.fleet
-        if self._ops is not None:
-            self._ops["phi"] = budgeted_capacity_rhs(self.cluster,
-                                                     self.config)
+        if self._U_prev is not None:
+            for lane in np.flatnonzero((avail != self._avail).any(axis=1)):
+                self.perf.lane(int(lane)).count("availability_resets")
+                if self._warm is not None:
+                    self._warm[0][lane] = 0.0
+                    self._warm[1][lane] = 0.0
+        self._avail = avail.copy()
+        rows = avail[0] if (avail == avail[0]).all() else avail
+        self._waterfill = Waterfill(self.cluster, rows)
+        self._phi = np.broadcast_to(
+            budgeted_capacity_rhs(self.cluster, self.config, rows),
+            avail.shape)
+
+    def _capacity_error(self, lane: int) -> CapacityError:
+        return CapacityError(
+            f"lane {lane}: offered workload exceeds the latency-bounded "
+            f"capacity of its available fleet by "
+            f"{float(self._shortfall[lane]):.1f} req/s")
 
     def reconcile_actuation(self, applied_servers: np.ndarray) -> None:
         """Adopt the server counts the plant *actually* ran last period.
@@ -275,10 +284,8 @@ class BatchCostMPCPolicy:
         if self._pending is None:
             return
         U, commanded = self._pending
-        applied = np.asarray(applied_servers).astype(int)
-        if applied.size != commanded.size:
-            return
-        applied = applied.reshape(commanded.shape)
+        applied = np.asarray(applied_servers).astype(int) \
+            .reshape(commanded.shape)
         if np.array_equal(applied, commanded):
             return
         self._pending = (U, applied.copy())
@@ -304,10 +311,12 @@ class BatchCostMPCPolicy:
         stateful on purpose (the tuned ``rho`` carries across control
         periods), so the scalar ``admm_rho`` is captured and re-applied on
         restore — without it a resumed run re-adapts from the default and
-        the iterates diverge.  The exact fallback controller is stateless
-        across calls and stays excluded.
+        the iterates diverge.  The lanes' last available fleets ride
+        along too.  The exact fallback controller is stateless across
+        calls and stays excluded.
         """
         return {
+            "avail": self._avail.copy(),
             "admm_rho": None if self._ops is None
             else float(self._ops["setup"].rho),
             "admm_rho_lanes": None if (
@@ -325,6 +334,8 @@ class BatchCostMPCPolicy:
 
     def restore(self, state: dict) -> None:
         """Restore a :meth:`snapshot`; the policy continues bit-exact."""
+        self._U_prev = None     # the saved fleets are adopted, not a change
+        self._adopt_availability(state["avail"])
         self._X = np.asarray(state["X"], dtype=float).copy()
         up = state["U_prev"]
         self._U_prev = None if up is None else np.asarray(up).copy()
@@ -381,9 +392,10 @@ class BatchCostMPCPolicy:
         the whole fleet and the resulting QoS violation is visible in
         the recorded latencies rather than hidden by an exception.
         """
-        m = np.ceil(lam / self._mu + self._inv_d / self._mu - 1e-9)
+        wf = self._waterfill
+        m = np.ceil(lam / self._mu + wf.inv_d / self._mu - 1e-9)
         m = np.maximum(m, 1.0)
-        return np.where(m > self._fleet, self._fleet, m).astype(int)
+        return np.where(m > wf.fleet, wf.fleet, m).astype(int)
 
     def _integrate_pending(self, prices: np.ndarray) -> None:
         """Advance every lane's [C̄, E] by the period that just elapsed."""
@@ -421,7 +433,6 @@ class BatchCostMPCPolicy:
         P = 0.5 * (P + P.T)
         Hc = conservation_matrix(self.cluster)
         Psi = capacity_matrix(self.cluster)
-        phi = budgeted_capacity_rhs(self.cluster, cfg)
         eq_blocks, in_blocks = [], []
         for i in range(cfg.horizon_ctrl):
             T = move_selector(nu, cfg.horizon_ctrl, i)
@@ -444,7 +455,7 @@ class BatchCostMPCPolicy:
         self._ops = {
             "horizon": H, "ny": ny, "nu": nu, "ndu": ndu,
             "q_diag": q_diag, "ThetaT_2Q": ThetaT_2Q, "P": P,
-            "Hc": Hc, "Psi": Psi, "phi": phi,
+            "Hc": Hc, "Psi": Psi,
             "A_box": A_box, "n_eq": A_eq_stack.shape[0],
             "n_in": A_in_stack.shape[0], "setup": setup,
         }
@@ -466,7 +477,8 @@ class BatchCostMPCPolicy:
         marks that every step shares the lane's measured loads and
         prices, collapsing the rows to one per lane.  A configured power
         schedule replaces the rows (row ``period + 1 + step``, the last
-        row repeating), still clamped at the budgets.
+        row repeating), still clamped at the budgets.  A row's load is
+        capped at its lane's capacity.
         """
         S = self.n_scenarios
         beta1 = self.config.horizon_pred
@@ -477,14 +489,19 @@ class BatchCostMPCPolicy:
             return np.broadcast_to(refs, (S, beta1, self._n))
         n_steps = 1 if uniform else beta1
         rows = np.minimum(np.arange(n_steps), loads_seq.shape[1] - 1)
-        totals = loads_seq[:, rows].sum(axis=2).reshape(-1)
+        wf = self._waterfill
+        if n_steps > 1 and wf.fleet.ndim == 2:
+            wf = Waterfill(self.cluster,
+                           np.repeat(self._avail, n_steps, axis=0))
+        totals = np.minimum(loads_seq[:, rows].sum(axis=2).reshape(-1),
+                            wf.caps.sum(axis=-1))
         if predicted_prices is None:
             prices = np.repeat(prices, n_steps, axis=0)
         else:
             prices = predicted_prices[
                 :, np.minimum(steps, predicted_prices.shape[1] - 1)]
             prices = prices.reshape(-1, self._n)
-        out = self._waterfill.reference_powers_watts(
+        out = wf.reference_powers_watts(
             prices, totals, self._budgets, self.config.budget_mode) / 1e6
         out = out.reshape(S, n_steps, self._n)
         if uniform:
@@ -513,10 +530,12 @@ class BatchCostMPCPolicy:
     def _fallback_solve(self, ops: dict, lane: int, prices_lane: np.ndarray,
                         loads_seq_lane: np.ndarray, ref_lane: np.ndarray):
         """Exact active-set solve of one lane's MPC step."""
+        if self._overloaded[lane]:
+            raise self._capacity_error(lane)
         cfg = self.config
         model = self.builder.discrete(prices_lane, cfg.dt)
         cs = InputConstraintSet(A_eq=ops["Hc"], b_eq=loads_seq_lane,
-                                A_ineq=ops["Psi"], b_ineq=ops["phi"],
+                                A_ineq=ops["Psi"], b_ineq=self._phi[lane],
                                 lower=0.0)
         if self._fallback is None:
             self._fallback = ModelPredictiveController(
@@ -554,10 +573,19 @@ class BatchCostMPCPolicy:
         Qlin = -(targets @ ops["ThetaT_2Q"].T)
         c0 = (targets ** 2 * ops["q_diag"]).sum(axis=1)
 
+        over = self._overloaded
+        if over.any():
+            # An overloaded lane has no feasible QP and is ejected to its
+            # ladder; scaled onto its capacity, its rows converge like
+            # any other lane's instead of running the iteration limit.
+            totals = loads_seq[over].sum(axis=2, keepdims=True)
+            cap = self._phi[over].sum(axis=1)
+            loads_seq = loads_seq.copy()
+            loads_seq[over] *= np.minimum(1.0, cap[:, None, None] / totals)
         HU = self._U_prev @ ops["Hc"].T                       # (S, C)
         lamU = self._idc_workloads(self._U_prev)              # (S, N)
         b_eq = (loads_seq - HU[:, None, :]).reshape(S, -1)
-        step_in = np.concatenate([ops["phi"] - lamU, self._U_prev], axis=1)
+        step_in = np.concatenate([self._phi - lamU, self._U_prev], axis=1)
         b_in = np.tile(step_in, (1, cfg.horizon_ctrl))
         U_box = np.concatenate([b_eq, b_in], axis=1)
         self.perf.shared.count("qp_solves")
@@ -618,8 +646,9 @@ class BatchCostMPCPolicy:
             U_new, diags = self._U_prev.copy(), [None] * S
             X, exact = np.empty((S, ndu)), np.ones(S, dtype=bool)
             solved = np.ones(S, dtype=bool)
-            exact_lanes = range(S)
-        for lane in exact_lanes:
+            exact_lanes = np.arange(S)
+        solved &= ~over
+        for lane in exact_lanes[~over[exact_lanes]]:
             lane = int(lane)
             sol = self._fallback_solve(ops, lane, prices[lane],
                                        loads_seq[lane], refs[lane])
@@ -728,7 +757,7 @@ class BatchCostMPCPolicy:
     def _hold(self, lane: int, target: np.ndarray, lane_perf) -> tuple:
         """The hold projection of one lane (the ladder's last rung)."""
         u, shed = project_allocation(self.cluster, self._U_prev[lane],
-                                     target)
+                                     target, self._avail[lane])
         if shed > 0.0:
             lane_perf.count("supervisor_shed_events")
         return u, {"qp_status": "hold_projection", "qp_iterations": 0,
@@ -759,6 +788,8 @@ class BatchCostMPCPolicy:
             return np.maximum(sol.u, 0.0), self._exact_diag(sol)
 
         def rung_admm(_deadline):
+            if self._overloaded[lane]:
+                raise self._capacity_error(lane)
             if batched_row is None or not np.all(np.isfinite(batched_row)):
                 raise ConvergenceError("no usable batched iterate")
             if hook is not None:
@@ -770,8 +801,9 @@ class BatchCostMPCPolicy:
         def rung_reference(_deadline):
             if hook is not None:
                 hook("lane_reference", lane, period)
-            alloc = solve_optimal_allocation(self.cluster, prices[lane],
-                                             target)
+            alloc = solve_optimal_allocation(
+                self.cluster, prices[lane], target,
+                available=self._avail[lane])
             return np.maximum(alloc.u, 0.0), {
                 "qp_status": "reference_lp", "qp_iterations": 0,
                 "softened": False, "mpc_cost": float("nan")}
@@ -847,7 +879,8 @@ class BatchCostMPCPolicy:
         or per-lane rows ``(S, N)``; ``loads`` is ``(S, C)``.  Returns
         ``(S, N)`` megawatts.
         """
-        totals = np.asarray(loads, dtype=float).sum(axis=1)
+        totals = np.minimum(np.asarray(loads, dtype=float).sum(axis=1),
+                            self._waterfill.caps.sum(axis=-1))
         return self._waterfill.reference_powers_watts(
             prices, totals, self._budgets, self.config.budget_mode) * 1e-6
 
@@ -855,7 +888,8 @@ class BatchCostMPCPolicy:
     def decide_batch(self, period: int, prices: np.ndarray,
                      loads: np.ndarray,
                      predicted_loads: np.ndarray | None = None,
-                     predicted_prices: np.ndarray | None = None
+                     predicted_prices: np.ndarray | None = None,
+                     available: np.ndarray | None = None
                      ) -> BatchAllocationDecision:
         """One receding-horizon step for all lanes.
 
@@ -873,6 +907,14 @@ class BatchCostMPCPolicy:
         predicted_prices:
             Optional stacked price forecasts ``(S, horizon, N)``; step
             ``s`` of the reference is solved against row ``s``.
+        available:
+            Each lane's available servers ``(S, N)`` (default: its whole
+            fleet), bounding its capacity rows, waterfill and eq. 35.
+
+        A lane whose load exceeds its fleet's latency-bounded capacity
+        raises a :class:`CapacityError` naming it — or, armed, is
+        ejected to its own ladder, whose hold rung sheds the excess and
+        declares it in ``shed_requests``.
         """
         cfg = self.config
         S = self.n_scenarios
@@ -888,26 +930,40 @@ class BatchCostMPCPolicy:
         poisoned = self._scan_faults(period) if armed else {}
         budget = DeadlineBudget(cfg.deadline_seconds)
 
-        self._read_availability()
+        self._adopt_availability(available)
         self._integrate_pending(prices)
 
+        self._shortfall = loads.sum(axis=1) \
+            - self._waterfill.caps.sum(axis=-1)
+        self._overloaded = over = self._shortfall > 1e-6
+        for lane in np.flatnonzero(over):
+            if not armed:
+                raise self._capacity_error(int(lane))
+            poisoned.setdefault(int(lane), str(self._capacity_error(lane)))
         if self._U_prev is None:
-            if self.warm_start == "exact":
-                # Per-lane simplex, not the batched waterfill: the LP
-                # optimum is split-degenerate (any per-portal split with
-                # the same per-IDC totals is optimal) and the closed loop
-                # is split-sensitive (the ΔU penalty is anchored at the
-                # warm start), so every lane must start from the exact
-                # vertex a one-lane run starts from or the trajectories
-                # diverge.  Period 0 only — every later step warm-starts
-                # from U_prev.
-                self._U_prev = np.empty((S, self.cluster.n_allocations))
-                for s in range(S):
-                    self._U_prev[s] = solve_optimal_allocation(
-                        self.cluster, prices[s], loads[s]).u
-            else:
-                self._U_prev = solve_optimal_allocation_batch(
-                    self.cluster, prices, loads).u
+            # Per-lane simplex in "exact" mode, not the batched
+            # waterfill: the LP optimum is split-degenerate (any
+            # per-portal split with the same per-IDC totals is optimal)
+            # and the closed loop is split-sensitive (the ΔU penalty is
+            # anchored at the warm start), so every lane must start from
+            # the exact vertex a one-lane run starts from or the
+            # trajectories diverge.  An overloaded lane has no LP optimum
+            # and starts from the hold projection.  Period 0 only —
+            # every later step warm-starts from U_prev.
+            avail = self._avail
+            U = self._U_prev = np.empty((S, self.cluster.n_allocations))
+            if self.warm_start == "waterfill":
+                U[~over] = solve_optimal_allocation_batch(
+                    self.cluster, prices[~over], loads[~over],
+                    avail[~over]).u
+            for s in range(S):
+                if over[s]:
+                    U[s] = project_allocation(self.cluster, np.zeros(
+                        U.shape[1]), loads[s], avail[s])[0]
+                elif self.warm_start == "exact":
+                    U[s] = solve_optimal_allocation(
+                        self.cluster, prices[s], loads[s],
+                        available=avail[s]).u
 
         with self.perf.shared.stage("model"):
             ops = self._shared_operators(prices[0])

@@ -37,7 +37,6 @@ from ..datacenter.cluster import IDCCluster
 from ..exceptions import CheckpointError, ConfigurationError, ModelError
 from ..sim.policy import AllocationDecision, PolicyObservation
 from ..sim.profiling import BatchPerfStats, PerfStats
-from .constraints import capacity_rhs
 from .peak_shaving import normalize_budgets
 # solve_optimal_allocation (the period-0 operating point) stays
 # importable from the controller's module, its Sec. IV home.
@@ -192,7 +191,7 @@ class CostMPCPolicy:
     """
 
     #: bumped when the snapshot layout changes incompatibly.
-    SNAPSHOT_VERSION = 2
+    SNAPSHOT_VERSION = 3
 
     def __init__(self, cluster: IDCCluster,
                  config: MPCPolicyConfig | None = None) -> None:
@@ -272,15 +271,6 @@ class CostMPCPolicy:
         self._lane.restore(state["lane"])
         self._lane.perf = copy.deepcopy(state["perf"])
 
-    def on_availability_change(self) -> None:
-        """React to the fleet's availability changing under the policy.
-
-        The engine calls this when an outage starts, deepens or clears:
-        the lane re-reads the available fleet and drops its warm start
-        (see :meth:`~repro.core.BatchCostMPCPolicy.on_availability_change`).
-        """
-        self._lane.on_availability_change()
-
     def perf_snapshot(self) -> dict:
         """Perf counters + stage timings accumulated since :meth:`reset`.
 
@@ -312,12 +302,14 @@ class CostMPCPolicy:
         """One receding-horizon step: references, MPC solve, server counts.
 
         Reconciles the pending integration with the servers the plant
-        applied, then runs the lane's batched step.  Returns the
-        allocation to apply now plus per-step diagnostics (QP status,
-        softening flag, the reference powers tracked).
+        applied, then runs the lane's batched step on the cluster's
+        available fleet.  Returns the allocation to apply now plus
+        per-step diagnostics (QP status, softening flag, the reference
+        powers tracked).
         """
         lane = self._lane
         lane.reconcile_actuation(np.asarray(obs.prev_servers)[None])
+        available = [[idc.available_servers for idc in self.cluster.idcs]]
         predicted_loads = predicted_prices = None
         if obs.predicted_loads is not None:
             predicted_loads = np.atleast_2d(
@@ -326,24 +318,27 @@ class CostMPCPolicy:
             predicted_prices = np.atleast_2d(
                 np.asarray(obs.predicted_prices, dtype=float))[None]
         return lane.decide_batch(obs.period, obs.prices, obs.loads,
-                                 predicted_loads, predicted_prices).lane(0)
+                                 predicted_loads, predicted_prices,
+                                 available=available).lane(0)
 
 
-def budgeted_capacity_rhs(cluster: IDCCluster,
-                          config: MPCPolicyConfig) -> np.ndarray:
+def budgeted_capacity_rhs(cluster: IDCCluster, config: MPCPolicyConfig,
+                          available: np.ndarray | None = None) -> np.ndarray:
     """The capacity rows' right-hand side ``φ`` with the hard budget rows.
 
-    With ``config.hard_budget_constraints`` each finite power budget
-    becomes a workload cap: the relaxed eq. 36 server count makes the
-    power affine in ``λ_j`` (:meth:`Waterfill.budget_caps`), so ``P_j ≤
+    ``φ`` is the waterfill's capacity at the ``available`` fleet (eq.
+    33; ``(N,)`` or one row per lane).  With
+    ``config.hard_budget_constraints`` each finite power budget becomes
+    a workload cap: the relaxed eq. 36 server count makes the power
+    affine in ``λ_j`` (:meth:`Waterfill.budget_caps`), so ``P_j ≤
     P^b_j`` becomes ``λ_j ≤ cap_j``, with one server's ``b0_j`` kept in
     reserve for the integer ceiling the plant applies.  Folding the cap
     into ``φ`` rather than appending a parallel inequality row keeps the
-    QP constraint matrix full rank.  Both MPC policies call this.
+    QP constraint matrix full rank.
     """
-    phi = capacity_rhs(cluster)
+    wf = Waterfill(cluster, available)
     if not config.hard_budget_constraints:
-        return phi
+        return wf.caps
     budgets = normalize_budgets(config.budgets_watts, cluster.n_idcs)
-    caps = Waterfill(cluster).budget_caps(budgets, margin_servers=1.0)
-    return np.minimum(phi, np.maximum(caps, 0.0))
+    caps = wf.budget_caps(budgets, margin_servers=1.0)
+    return np.minimum(wf.caps, np.maximum(caps, 0.0))

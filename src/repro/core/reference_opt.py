@@ -76,7 +76,8 @@ class OptimalAllocation:
 
 def solve_optimal_allocation(cluster: IDCCluster, prices: np.ndarray,
                              loads: np.ndarray,
-                             budgets_watts: np.ndarray | None = None
+                             budgets_watts: np.ndarray | None = None,
+                             available: np.ndarray | None = None
                              ) -> OptimalAllocation:
     """Solve the instantaneous cost-minimization LP.
 
@@ -92,6 +93,8 @@ def solve_optimal_allocation(cluster: IDCCluster, prices: np.ndarray,
     budgets_watts:
         Optional per-IDC peak-power budgets added as LP rows (entries of
         ``None``/``inf`` mean unconstrained).
+    available:
+        Optional per-IDC available servers (default: the cluster's).
 
     Raises
     ------
@@ -109,7 +112,7 @@ def solve_optimal_allocation(cluster: IDCCluster, prices: np.ndarray,
     if np.any(loads < 0):
         raise ModelError("portal workloads cannot be negative")
 
-    wf = Waterfill(cluster)
+    wf = Waterfill(cluster, available)
     b1, b0, mu, inv_d, fleet = wf.b1, wf.b0, wf.mu, wf.inv_d, wf.fleet
 
     nvar = n * c + n  # [U, m]
@@ -207,18 +210,20 @@ class Waterfill:
     The fleet's clearing bids, the MPC's reference powers and the LP
     chasers' draw need only ``λ`` — not the per-portal split — so this
     computes just that.  :func:`solve_optimal_allocation_batch` builds
-    on it, so the two agree bit for bit.  The coefficients, including
-    the *available* fleet, are read from ``cluster`` once.
+    on it, so the two agree bit for bit.  The *available* fleet is
+    ``available`` — ``(N,)`` for every row, or ``(R, N)`` per row — or
+    else the cluster's.
     """
 
-    def __init__(self, cluster: IDCCluster) -> None:
+    def __init__(self, cluster: IDCCluster,
+                 available: np.ndarray | None = None) -> None:
         idcs = cluster.idcs
         self.b1 = np.array([idc.config.power_model.b1 for idc in idcs])
         self.b0 = np.array([idc.config.power_model.b0 for idc in idcs])
         self.mu = np.array([idc.config.service_rate for idc in idcs])
         latency = np.array([idc.config.latency_bound for idc in idcs])
-        self.fleet = np.array([idc.available_servers for idc in idcs],
-                              dtype=float)
+        self.fleet = np.array([idc.available_servers for idc in idcs]
+                              if available is None else available, dtype=float)
         # An IDC with no available servers serves nothing, so it holds
         # no server at the latency bound: its 1/D_j and idle power are 0.
         live = self.fleet > 0
@@ -254,7 +259,9 @@ class Waterfill:
         left over once every IDC is at its cap."""
         remaining = np.asarray(totals, dtype=float)
         order = self.order(np.asarray(prices, dtype=float))
-        lam = np.zeros((remaining.shape[0], caps.size))
+        lam = np.zeros((remaining.shape[0], caps.shape[-1]))
+        if caps.ndim == 2:
+            caps = caps.T             # per-row caps, one row per IDC
         if order.ndim == 1:
             for j in order:
                 take = np.minimum(remaining, caps[j])
@@ -263,7 +270,8 @@ class Waterfill:
         else:
             rows = np.arange(lam.shape[0])
             for j in order.T:
-                take = np.minimum(remaining, caps[j])
+                take = np.minimum(remaining,
+                                  caps[j] if caps.ndim == 1 else caps[j, rows])
                 lam[rows, j] = take
                 remaining = remaining - take
         return lam, remaining
@@ -352,7 +360,8 @@ class BatchOptimalAllocation:
 
 
 def solve_optimal_allocation_batch(cluster: IDCCluster, prices: np.ndarray,
-                                   loads: np.ndarray
+                                   loads: np.ndarray,
+                                   available: np.ndarray | None = None
                                    ) -> BatchOptimalAllocation:
     """Vectorized reference optimum for ``S`` (prices, loads) scenarios.
 
@@ -366,6 +375,8 @@ def solve_optimal_allocation_batch(cluster: IDCCluster, prices: np.ndarray,
     the cost order.  A vertex LP solution may split differently among
     equal-cost routings; all such splits share the same ``λ_j`` totals
     and therefore the same powers, costs, and server counts.
+    ``available`` is each scenario's available fleet, ``(N,)`` or
+    ``(S, N)`` (default: the cluster's).
 
     Raises
     ------
@@ -383,7 +394,7 @@ def solve_optimal_allocation_batch(cluster: IDCCluster, prices: np.ndarray,
     if np.any(loads < 0):
         raise ModelError("portal workloads cannot be negative")
 
-    wf = Waterfill(cluster)
+    wf = Waterfill(cluster, available)
     lam = wf.workloads(prices, loads.sum(axis=1))
 
     # Per-portal split: portals in index order fill the cost order.

@@ -114,9 +114,6 @@ class IDCCluster:
         """Current per-IDC power draw."""
         return np.array([idc.power_watts() for idc in self.idcs])
 
-    def total_power_watts(self) -> float:
-        return float(self.powers_watts().sum())
-
     def server_counts(self) -> np.ndarray:
         return np.array([idc.servers_on for idc in self.idcs])
 

@@ -253,18 +253,19 @@ class LaneMarketBatch:
                 "raise nominal_power_mw, or increase damping")
 
     def snapshot(self) -> dict:
-        """Picklable copy of the mutable clearing state (for the fleet
-        checkpoint): the lagged demands plus the un-flushed log."""
+        """Picklable copy of the mutable clearing state (for the
+        engine's checkpoint): the lagged demands plus the un-flushed
+        log, stacked into one ``(periods, S, N)`` array."""
         return {"last_demand": self.last_demand.copy(),
-                "demand_log": [row.copy() for row in self._demand_log]}
+                "demand_log": np.array(self._demand_log).reshape(
+                    (-1,) + self.last_demand.shape)}
 
     def restore(self, state: dict) -> None:
         """Restore a :meth:`snapshot`; a later :meth:`flush` writes the
         exact same history a crash-free run would have."""
         self.last_demand = np.asarray(state["last_demand"],
                                       dtype=float).copy()
-        self._demand_log = [np.asarray(row, dtype=float).copy()
-                            for row in state["demand_log"]]
+        self._demand_log = list(np.array(state["demand_log"], dtype=float))
 
     def flush(self) -> None:
         """Write demand state/history back into the per-lane markets."""

@@ -76,7 +76,11 @@ __all__ = [
 #: the pickled MPC core holds a batched-ADMM setup in place of the
 #: scalar ADMM's factorization cache.  Version 6: the one-lane MPC
 #: policy snapshots its batched lane instead of a pickled MPC core.
-CHECKPOINT_VERSION = 6
+#: Version 7: every run checkpoints one plant (lane markets, last
+#: applied servers, actuation channel) beside its lane set, whose
+#: scalar snapshot no longer carries a market or an actuation channel,
+#: and the MPC lane snapshots carry their available fleets.
+CHECKPOINT_VERSION = 7
 
 #: Version stamp of the WAL record schema.
 WAL_VERSION = 1

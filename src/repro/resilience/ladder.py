@@ -136,8 +136,9 @@ class FallbackLadder:
             + "; ".join(f"{name} ({err})" for name, err in failures))
 
 
-def project_allocation(cluster, u_prev: np.ndarray,
-                       loads: np.ndarray) -> tuple[np.ndarray, float]:
+def project_allocation(cluster, u_prev: np.ndarray, loads: np.ndarray,
+                       available: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, float]:
     """Project an allocation onto the current feasible set, shedding last.
 
     The final ladder rung: given the last-known-good flat allocation
@@ -149,7 +150,8 @@ def project_allocation(cluster, u_prev: np.ndarray,
     largest-load first so big flows keep their shape); when the surviving
     fleet cannot serve a portal's full load, the overflow is *shed* and
     reported so the caller can surface it instead of fabricating
-    capacity.
+    capacity.  ``available`` gives each IDC's available servers
+    (default: the cluster's).
 
     Returns
     -------
@@ -161,8 +163,9 @@ def project_allocation(cluster, u_prev: np.ndarray,
     loads = np.asarray(loads, dtype=float).ravel()
     lam_prev = cluster.vector_to_matrix(
         np.maximum(np.asarray(u_prev, dtype=float).ravel(), 0.0))
-    remaining = np.array([idc.available_capacity for idc in cluster.idcs],
-                         dtype=float)
+    # imported here: the core package imports this module
+    from ..core.reference_opt import Waterfill
+    remaining = Waterfill(cluster, available).caps.copy()
     lam = np.zeros_like(lam_prev)
     shed = 0.0
     for i in np.argsort(-loads, kind="stable"):

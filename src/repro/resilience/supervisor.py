@@ -17,7 +17,9 @@ hard :class:`~repro.exceptions.TelemetryError`, or retries exhausted —
 the supervisor emits a *safe decision* instead of crashing the loop: the
 last-known-good allocation projected onto the currently available
 capacity (:func:`repro.resilience.ladder.project_allocation`), shedding
-load only when the surviving fleet physically cannot carry it.
+load only when the surviving fleet physically cannot carry it.  A
+policy whose own ladder ends on that projection (its ``hold`` rung)
+puts the supervisor in SAFE_MODE too.
 
 Per-state and per-event counters are exposed through
 :meth:`PolicySupervisor.perf_snapshot`, so they land in
@@ -201,6 +203,12 @@ class PolicySupervisor:
                     time.sleep(self.backoff_seconds * (2.0 ** attempt))
                 continue
             rung = decision.diagnostics.get("rung")
+            if rung == RUNG_ORDER[-1]:
+                # The policy's own ladder fell to its hold projection:
+                # every solver rung failed, SAFE_MODE by another road.
+                if decision.diagnostics.get("shed_requests", 0.0) > 0.0:
+                    self.counters["supervisor_shed_events"] += 1
+                return decision, "safe"
             degraded = retried or (rung is not None and rung != RUNG_ORDER[0])
             return decision, ("degraded" if degraded else "clean")
         raise AssertionError("unreachable")  # pragma: no cover

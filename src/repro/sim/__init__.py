@@ -1,6 +1,6 @@
 """Simulation engine, scenarios (Tables I–III), recording and results."""
 
-from .batch import batch_signature, run_batch, scenario_incompatibility
+from .batch import batch_signature, run_batch
 from .engine import run_simulation, simulate_policies
 from .fleet import (
     POLICY_KINDS,
@@ -16,7 +16,7 @@ from .faults import (
     PartialApply,
     PriceFeedDropout,
     SensorGap,
-    apply_faults,
+    outage_availability,
     split_faults,
     telemetry_visibility,
 )
@@ -43,7 +43,6 @@ __all__ = [
     "FleetResult",
     "POLICY_KINDS",
     "batch_signature",
-    "scenario_incompatibility",
     "PerfStats",
     "BatchPerfStats",
     "ActuationChannel",
@@ -53,7 +52,7 @@ __all__ = [
     "PartialApply",
     "PriceFeedDropout",
     "SensorGap",
-    "apply_faults",
+    "outage_availability",
     "split_faults",
     "telemetry_visibility",
     "Policy",

@@ -1,20 +1,27 @@
-"""Closed-loop simulation engine: one period loop over a lane axis.
+"""Closed-loop simulation engine: one period loop, one plant, a lane axis.
 
 :func:`run_lanes` is the controller's closed loop (Secs. III–IV),
 written once for ``S`` lanes stepped in lockstep.  Each control period
-runs: prices and loads → per-lane telemetry guard → prediction →
-decide → WAL record (before anything touches the plant) → plant →
-monitor → record and meter → demand report → ``step_hook`` →
-:meth:`~repro.resilience.RunJournal.end_period`.
+runs: prices, loads and available fleets → per-lane telemetry guard →
+prediction → decide → actuation → WAL record (before anything touches
+the plant) → plant and demand report → monitor → record and meter →
+``step_hook`` → :meth:`~repro.resilience.RunJournal.end_period`.
 
-A caller supplies only what differs between runs, as a *lane set*: the
-policy, the plant step, the fingerprint and the WAL decision record.
-:func:`run_simulation` is one lane (:class:`_ScalarLane`): any
-:class:`~repro.sim.policy.Policy` on the object plant, which outages
-and the actuation channel mutate.  :func:`repro.sim.run_batch` steps
-each signature group as ``S`` lanes of
-:class:`~repro.core.BatchCostMPCPolicy` on the closed-form eq. 7 /
-eq. 14 plant.
+The plant is one object for every run (``_LanePlant``): the paper's
+closed forms — eq. 7 workloads, eq. 14 power, the simplified latency —
+under the capacity rows of eqs. 2–3, over ``(S, N)`` arrays.  Each
+lane's available fleet comes from its outage windows
+(:func:`~repro.sim.faults.outage_availability`), its commands pass the
+one lane-vectorized :class:`~repro.sim.faults.ActuationChannel`, its
+prices come from its trace tables and its demand report goes through
+:class:`~repro.pricing.LaneMarketBatch`.  The plant mutates no cluster
+object, so lanes may share one.
+
+A caller supplies only the policy, as a *lane set*: its decisions, the
+fingerprint and the WAL decision record.  :func:`run_simulation` is one
+lane (:class:`_ScalarLane`) of any :class:`~repro.sim.policy.Policy`;
+:func:`repro.sim.run_batch` steps each signature group as ``S`` lanes of
+:class:`~repro.core.BatchCostMPCPolicy`.
 
 The loop is synchronous and deterministic — all stochasticity lives in
 the scenario inputs — which is what lets a killed run resume from its
@@ -27,13 +34,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..datacenter.queueing import simplified_latency_batch
-from ..exceptions import CheckpointError, ModelError
+from ..exceptions import CheckpointError, ConfigurationError, ModelError
+from ..pricing import LaneMarketBatch
 from ..resilience.durability import RunJournal, array_digest
 from ..resilience.telemetry import TelemetryGuard
 from ..workload.predictor import ARWorkloadPredictor, BatchARWorkloadPredictor
 from .faults import (
     ActuationChannel,
-    apply_faults,
+    outage_availability,
     split_faults,
     telemetry_visibility,
 )
@@ -77,19 +85,145 @@ class _LoadPredictor:
             .reshape(S, C, horizon).transpose(0, 2, 1)
 
 
+class _LanePlant:
+    """The paper's plant for ``S`` lanes stepped in lockstep.
+
+    The lanes' scenarios share the plant coefficients, ``dt`` and the
+    period count.  The plant owns each lane's price and load tables,
+    outage windows, market and last applied server counts, and the
+    actuation channel; lanes without outages or actuation faults pay
+    for neither.
+    """
+
+    def __init__(self, scens: list[Scenario]) -> None:
+        rep = scens[0]
+        S, T, cluster = len(scens), rep.n_periods, rep.cluster
+        n, c = cluster.n_idcs, cluster.n_portals
+        self.scenarios = scens
+        self.dt = dt = float(rep.dt)
+        idcs = cluster.idcs
+        self._b1 = np.array([idc.config.power_model.b1 for idc in idcs])
+        self._b0 = np.array([idc.config.power_model.b0 for idc in idcs])
+        self._mu = np.array([idc.config.service_rate for idc in idcs])
+        #: every lane's whole fleet ``(S, N)``
+        self.fleet = np.array([[idc.config.max_servers
+                                for idc in sc.cluster.idcs] for sc in scens])
+
+        # Each lane's *base* price trajectory is a trace-table lookup —
+        # vectorized over periods up front instead of S·N·T calls in the
+        # loop.  Demand feedback (γ > 0 lanes), when present, is a
+        # per-period (S, N) clearing step on top.
+        self._start_times = np.array([float(sc.start_time) for sc in scens])
+        period_times = np.arange(T) * dt
+        self._prices = np.empty((T, S, n))
+        for s, sc in enumerate(scens):
+            hours = np.floor((sc.start_time + period_times) / 3600.0) \
+                .astype(int)
+            for j, region in enumerate(sc.cluster.regions):
+                trace = sc.market.regions[region].trace
+                self._prices[:, s, j] = trace.hourly[hours % trace.n_hours]
+        self._loads = np.empty((T, S, c))
+        for s, sc in enumerate(scens):
+            portals = sc.cluster.portals.portals
+            if all(p.trace is None and p.rate_fn is None for p in portals):
+                self._loads[:, s, :] = [p.rate for p in portals]
+            else:
+                for k in range(T):
+                    self._loads[k, s] = sc.cluster.portals.loads_at(k)
+
+        #: each lane's faults, by family
+        self.faults = faults = [split_faults(sc.faults or []) for sc in scens]
+        self._outage_lanes = [s for s, f in enumerate(faults) if f.outages]
+        self._outages = ([scens[s].cluster for s in self._outage_lanes],
+                         [faults[s].outages for s in self._outage_lanes])
+        #: lanes whose commands can be dropped, delayed or partly applied
+        self.has_actuation = np.array([bool(f.actuation_faults)
+                                       for f in faults])
+        self.actuation = None
+        #: the server counts each fleet ran last period, ``(S, N)``
+        self.servers = np.array([[idc.initial_servers
+                                  for idc in sc.cluster.idcs]
+                                 for sc in scens])
+        if self.has_actuation.any():
+            self.actuation = ActuationChannel(
+                [sc.cluster for sc in scens],
+                [f.actuation_faults for f in faults])
+            self.actuation.reset(self.servers)
+        self.markets = LaneMarketBatch(
+            (sc.market, sc.cluster.regions) for sc in scens)
+        self._coupled = self.markets.any_coupled
+
+    def snapshot(self) -> dict:
+        return {"markets": self.markets.snapshot(), "servers": self.servers,
+                "actuation": self.actuation and self.actuation.snapshot()}
+
+    def restore(self, state: dict) -> None:
+        self.markets.restore(state["markets"])
+        self.servers = np.asarray(state["servers"]).copy()
+        if self.actuation is not None:
+            self.actuation.restore(state["actuation"])
+
+    def observe(self, k: int):
+        """``(t, prices, loads, available)`` of period ``k``, lane-stacked.
+
+        γ > 0 lanes clear against their own lagged demand, as a scalar
+        :class:`~repro.pricing.RealTimeMarket` would; γ = 0 lanes pass
+        the trace row through bit-identically.
+        """
+        t = self._start_times + k * self.dt
+        prices = self._prices[k]
+        if self._coupled:
+            prices = self.markets.effective_prices(prices)
+        available = self.fleet
+        if self._outage_lanes:
+            available = self.fleet.copy()
+            available[self._outage_lanes] = outage_availability(
+                *self._outages, t[self._outage_lanes])
+        return t, prices, self._loads[k], available
+
+    def step(self, u: np.ndarray, applied: np.ndarray,
+             available: np.ndarray):
+        """One period of the plant: ``(workloads, powers, latencies)``.
+
+        ``u`` is every lane's allocation ``(S, N·C)``, ``applied`` its
+        running servers ``(S, N)``.  An allocation entry below ``-1e-9``
+        raises :class:`~repro.exceptions.ModelError` (smaller ones are
+        rounding and count as 0), a server count outside ``[0,
+        available]`` raises :class:`~repro.exceptions.ConfigurationError`.
+        The drawn power is reported to each lane's market — divided, not
+        multiplied by 1e-6, for bit parity with a scalar market's report.
+        """
+        if np.any(u < -1e-9):
+            raise ModelError("allocations must be nonnegative")
+        bad = (applied < 0) | (applied > available)
+        if bad.any():
+            s, j = np.argwhere(bad)[0]
+            raise ConfigurationError(
+                f"lane {s}: server count {applied[s, j]} outside "
+                f"[0, {available[s, j]}] (available) for IDC "
+                f"{self.scenarios[s].cluster.idc_names[j]}")
+        S, n = applied.shape
+        lam = np.maximum(u, 0.0).reshape(S, n, -1).sum(axis=2)
+        servers = applied.astype(float)
+        powers = self._b1 * lam + self._b0 * servers             # watts
+        self.servers = applied
+        self.markets.record_demand(powers / 1e6)
+        return lam, powers, simplified_latency_batch(lam, servers, self._mu)
+
+
 def run_lanes(lanes, journal: RunJournal, *, predict_loads: bool = False,
               prediction_horizon: int = 3, monitors=None, step_hook=None,
               resume_force: bool = False) -> list[SimulationResult]:
-    """Step a lane set through its scenarios; one result per lane.
+    """Step a lane set through its scenarios on one plant; one result per lane.
 
     ``lanes`` carries ``scenarios`` (all sharing ``dt`` and the period
     count), ``policy_name`` and ``fingerprint``, and implements
-    ``reset()``, ``observe(k)``, ``decide(...)``, ``actuate(...)``,
-    ``wal_record(...)``, ``step(...)``, ``report_demand(powers)``,
-    ``snapshot()``/``restore(state)`` and ``finish(durable_counters,
-    lane_counters)``.  ``monitors`` aligns with the scenarios (entries
-    may be ``None``); ``step_hook`` sees lane 0 and is meant for one-lane
-    runs.  The period stages are listed in the module docstring.
+    ``reset()``, ``decide(k, t, prices, loads, predicted, available,
+    servers)``, ``wal_record(...)``, ``snapshot()``/``restore(state)``
+    and ``finish(durable_counters, lane_counters)``.  ``monitors``
+    aligns with the scenarios (entries may be ``None``); ``step_hook``
+    sees lane 0 and is meant for one-lane runs.  The period stages are
+    listed in the module docstring.
     """
     scens = lanes.scenarios
     S, rep = len(scens), scens[0]
@@ -100,14 +234,12 @@ def run_lanes(lanes, journal: RunJournal, *, predict_loads: bool = False,
         sc.market.reset()
         for idc in sc.cluster.idcs:
             idc.reset()
+    plant = _LanePlant(scens)
     lanes.reset()
 
     record = LaneRecord(S, T, n, c, rep.dt)
-    guards = {}
-    for s, sc in enumerate(scens):
-        groups = split_faults(sc.faults or [])
-        if groups.price_faults or groups.sensor_faults:
-            guards[s] = TelemetryGuard(n, c)
+    guards = {s: TelemetryGuard(n, c) for s, f in enumerate(plant.faults)
+              if f.price_faults or f.sensor_faults}
     predictor = _LoadPredictor(S, c) if predict_loads else None
     monitors = [None] * S if monitors is None else list(monitors)
     for sc, mon in zip(scens, monitors):
@@ -119,6 +251,7 @@ def run_lanes(lanes, journal: RunJournal, *, predict_loads: bool = False,
     if checkpoint is not None:
         state = checkpoint.state
         lanes.restore(state["lanes"])
+        plant.restore(state["plant"])
         record, guards = state["record"], state["guards"]
         predictor = state["predictor"]
         for mon, snap in zip(monitors, state["monitors"]):
@@ -130,8 +263,8 @@ def run_lanes(lanes, journal: RunJournal, *, predict_loads: bool = False,
     def checkpoint_state() -> dict:
         return {
             # picklable loop-owned state rides whole
-            "lanes": lanes.snapshot(), "record": record, "guards": guards,
-            "predictor": predictor,
+            "lanes": lanes.snapshot(), "plant": plant.snapshot(),
+            "record": record, "guards": guards, "predictor": predictor,
             "monitors": [mon.snapshot() if mon is not None
                          and hasattr(mon, "snapshot") else None
                          for mon in monitors],
@@ -139,7 +272,7 @@ def run_lanes(lanes, journal: RunJournal, *, predict_loads: bool = False,
 
     try:
         for k in range(journal.start_period, T):
-            t, prices, loads = lanes.observe(k)
+            t, prices, loads, available = plant.observe(k)
 
             # What each lane's controller *sees* — identical to the
             # truth unless that lane has telemetry faults this period.
@@ -154,8 +287,10 @@ def run_lanes(lanes, journal: RunJournal, *, predict_loads: bool = False,
 
             predicted = (None if predictor is None
                          else predictor(obs_loads, prediction_horizon))
-            decision = lanes.decide(k, t, obs_prices, obs_loads, predicted)
-            applied = lanes.actuate(decision, t)
+            decision = lanes.decide(k, t, obs_prices, obs_loads, predicted,
+                                    available, plant.servers)
+            applied = decision.servers if plant.actuation is None \
+                else plant.actuation.apply(decision.servers, t, available)
 
             # Write-ahead: the decision reaches stable storage before it
             # reaches the plant, so after a crash the log is an upper
@@ -165,7 +300,8 @@ def run_lanes(lanes, journal: RunJournal, *, predict_loads: bool = False,
                 journal.log(lanes.wal_record(k, t, obs_prices, obs_loads,
                                              decision, applied))
 
-            workloads, powers, latencies = lanes.step(decision, applied)
+            workloads, powers, latencies = plant.step(decision.u, applied,
+                                                      available)
             for s, mon in enumerate(monitors):
                 if mon is None:
                     continue
@@ -177,20 +313,20 @@ def run_lanes(lanes, journal: RunJournal, *, predict_loads: bool = False,
                     prices=prices[s], decision=decision.lane(s),
                     workloads=workloads[s], powers_watts=powers[s],
                     servers=decision.servers[s], latencies=latencies[s],
-                    applied_servers=(applied[s] if lanes.has_actuation
-                                     else None))
+                    applied_servers=(applied[s] if plant.has_actuation[s]
+                                     else None),
+                    available_servers=available[s])
             record.record(k, times=t, powers_watts=powers, servers=applied,
                           workloads=workloads, latencies=latencies,
                           prices=prices, loads=loads,
                           allocations=decision.u,
                           diagnostics=decision.diagnostics)
-            lanes.report_demand(powers)
 
             action = None
             if step_hook is not None:
                 diag = decision.lane(0).diagnostics
                 action = step_hook({
-                    "period": k, "time_seconds": t[0],
+                    "period": k, "time_seconds": float(t[0]),
                     "prices": prices[0], "loads": loads[0],
                     "powers_watts": powers[0],
                     "servers": applied[0],
@@ -210,6 +346,9 @@ def run_lanes(lanes, journal: RunJournal, *, predict_loads: bool = False,
     for s, mon in enumerate(monitors):
         if mon is not None:
             extras[s].append(mon.counters())
+    plant.markets.flush()       # the demand history, back to each market
+    for s in np.flatnonzero(plant.has_actuation):
+        extras[s].append(plant.actuation.lane_counters(s))
     return record.results(lanes.policy_name, scens,
                           lanes.finish(durable_counters, extras))
 
@@ -231,12 +370,13 @@ class _OneLaneDecision:
 
 
 class _ScalarLane:
-    """One scalar policy on the object plant: :func:`run_simulation`'s lane.
+    """One scalar policy: :func:`run_simulation`'s lane set.
 
     Lifts ``Policy.decide`` to the lane axis, keeps the previous
-    allocation and applied servers the policy observes, owns the price
-    forecaster, and steps the :class:`~repro.datacenter.IDCCluster`
-    that outages and the actuation channel mutate.
+    allocation the policy observes and owns the price forecaster.  Under
+    outages it tells its own cluster the available fleet, for the
+    policies that read it there, and fires the policy's
+    ``on_availability_change`` when that fleet changes.
     """
 
     def __init__(self, scenario: Scenario, policy: Policy,
@@ -246,11 +386,8 @@ class _ScalarLane:
         self.policy_name = policy.name
         self.price_forecaster = price_forecaster
         self.horizon = prediction_horizon
-        self.actuation = None
-        if scenario.faults and split_faults(scenario.faults).actuation_faults:
-            self.actuation = ActuationChannel(scenario.cluster,
-                                              scenario.faults)
-        self.has_actuation = self.actuation is not None
+        self.outages = bool(scenario.faults
+                            and split_faults(scenario.faults).outages)
         self.fingerprint = {
             "scenario": str(scenario.name),
             "dt": float(scenario.dt),
@@ -262,33 +399,23 @@ class _ScalarLane:
 
     def reset(self) -> None:
         self.policy.reset()
-        cluster = self.scenarios[0].cluster
-        self.u_prev = np.zeros(cluster.n_allocations)
-        self.servers_prev = cluster.server_counts()
+        self.u_prev = np.zeros(self.scenarios[0].cluster.n_allocations)
         self.avail_prev = None
-        if self.actuation is not None:
-            self.actuation.reset(self.servers_prev)
 
     def snapshot(self) -> dict:
         # a checkpoint pickles its state as soon as it is built, so
         # nothing here needs a copy
         policy = self.policy
         return {
-            "u_prev": self.u_prev, "servers_prev": self.servers_prev,
-            "avail_prev": self.avail_prev,
-            "market": self.scenarios[0].market,
+            "u_prev": self.u_prev, "avail_prev": self.avail_prev,
             "policy": (policy.snapshot()
                        if hasattr(policy, "snapshot") else None),
             "price_forecaster": self.price_forecaster,
-            "actuation": (None if self.actuation is None
-                          else self.actuation.snapshot()),
         }
 
     def restore(self, state: dict) -> None:
         policy = self.policy
-        self.u_prev, self.servers_prev = state["u_prev"], state["servers_prev"]
-        self.avail_prev = state["avail_prev"]
-        self.scenarios[0].market = state["market"]
+        self.u_prev, self.avail_prev = state["u_prev"], state["avail_prev"]
         if state["policy"] is not None:
             restore = getattr(policy, "restore", None)
             if restore is None:
@@ -304,28 +431,19 @@ class _ScalarLane:
         # interrupted run
         if state["price_forecaster"] is not None:
             self.price_forecaster = state["price_forecaster"]
-        if self.actuation is not None:
-            self.actuation.restore(state["actuation"])
 
-    def observe(self, k: int):
-        scenario = self.scenarios[0]
-        cluster = scenario.cluster
-        t = scenario.start_time + k * scenario.dt
-        if scenario.faults:
-            apply_faults(cluster, scenario.faults, t)
-            avail_now = tuple(idc.available_servers for idc in cluster.idcs)
-            if self.avail_prev is not None and avail_now != self.avail_prev:
-                # Constraint geometry changed under the policy's feet;
-                # let it drop carried solver state (stale warm starts,
-                # cached working sets) before the next solve.
-                hook = getattr(self.policy, "on_availability_change", None)
-                if hook is not None:
-                    hook()
-            self.avail_prev = avail_now
-        loads = cluster.portals.loads_at(k)
-        return [t], scenario.prices_at(t)[None], loads[None]
-
-    def decide(self, k, t, obs_prices, obs_loads, predicted):
+    def decide(self, k, t, obs_prices, obs_loads, predicted, available,
+               servers):
+        if self.outages:
+            avail = tuple(int(m) for m in available[0])
+            for idc, count in zip(self.scenarios[0].cluster.idcs, avail):
+                idc.set_availability(count)
+            # constraint geometry changed under the policy's feet: let it
+            # drop carried solver state before the next solve
+            hook = getattr(self.policy, "on_availability_change", None)
+            if hook is not None and self.avail_prev not in (None, avail):
+                hook()
+            self.avail_prev = avail
         predicted_prices = None
         if self.price_forecaster is not None:
             hour = t[0] / 3600.0
@@ -336,28 +454,21 @@ class _ScalarLane:
         decision = self.policy.decide(PolicyObservation(
             period=k, time_seconds=t[0], loads=obs_loads[0],
             prices=obs_prices[0], prev_u=self.u_prev.copy(),
-            prev_servers=self.servers_prev.copy(),
+            prev_servers=servers[0].copy(),
             predicted_loads=None if predicted is None else predicted[0],
             predicted_prices=predicted_prices))
         if not isinstance(decision, AllocationDecision):
             raise ModelError(
                 f"policy {self.policy.name!r} returned "
                 f"{type(decision).__name__}, expected AllocationDecision")
-        return _OneLaneDecision(decision)
-
-    def actuate(self, decision: _OneLaneDecision, t) -> np.ndarray:
-        if self.actuation is None:
-            return decision.servers
-        cluster = self.scenarios[0].cluster
-        available = np.array([idc.available_servers for idc in cluster.idcs],
-                             dtype=int)
-        return self.actuation.apply(decision.servers[0], t[0],
-                                    available)[None]
+        lane = _OneLaneDecision(decision)
+        self.u_prev = lane.u[0]
+        return lane
 
     def wal_record(self, k, t, obs_prices, obs_loads, decision, applied):
         raw = decision.decision
         record = {
-            "type": "decision", "period": k, "time_seconds": t[0],
+            "type": "decision", "period": k, "time_seconds": float(t[0]),
             "obs_sha256": array_digest(obs_loads[0], obs_prices[0]),
             "decision_sha256": array_digest(decision.u[0],
                                             decision.servers[0], applied[0]),
@@ -371,34 +482,11 @@ class _ScalarLane:
                 record[key] = str(diag[key])
         return record
 
-    def step(self, decision: _OneLaneDecision, applied: np.ndarray):
-        cluster = self.scenarios[0].cluster
-        for idc, m in zip(cluster.idcs, applied[0]):
-            idc.set_servers(int(m))
-        raw = decision.decision
-        workloads = cluster.apply_allocation(raw.u)
-        powers = cluster.powers_watts()
-        rates = np.array([idc.config.service_rate for idc in cluster.idcs])
-        latencies = simplified_latency_batch(
-            np.asarray(workloads, dtype=float),
-            np.asarray(applied[0], dtype=float), rates)
-        if self.actuation is not None and isinstance(raw.diagnostics, dict) \
-                and not np.array_equal(applied, decision.servers):
-            raw.diagnostics["applied_servers"] = applied[0].tolist()
-        self.u_prev = decision.u[0]
-        self.servers_prev = applied[0]
-        return workloads[None], powers[None], latencies[None]
-
-    def report_demand(self, powers: np.ndarray) -> None:
-        self.scenarios[0].market.record_demand(powers[0] / 1e6)
-
     def finish(self, durable_counters: dict, lane_counters) -> list[dict]:
         policy = self.policy
         perf = policy.perf_snapshot() if hasattr(policy, "perf_snapshot") \
             else {}
         extras = list(lane_counters[0])
-        if self.actuation is not None:
-            extras.append(self.actuation.counters)
         if durable_counters:
             extras.append(durable_counters)
         for counters in extras:
@@ -443,10 +531,10 @@ def run_simulation(scenario: Scenario, policy: Policy,
     checkpoint_every:
         Write a :class:`repro.resilience.ControllerCheckpoint` of every
         stateful component (policy via its ``snapshot()``, predictors,
-        telemetry guard, price forecaster, monitor, actuation channel,
-        record, market) next to the WAL after every this-many completed
-        periods, so a resumed run continues bit-exact.  Requires
-        ``wal_path``.
+        telemetry guard, price forecaster, monitor, the plant's
+        actuation channel and market, record) next to the WAL after
+        every this-many completed periods, so a resumed run continues
+        bit-exact.  Requires ``wal_path``.
     wal_path:
         Write-ahead decision log (JSONL): each period's observation and
         decision digests are appended *before* the decision touches the

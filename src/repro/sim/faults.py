@@ -2,11 +2,14 @@
 
 Real IDC fleets lose capacity — rack failures, cooling events, rolling
 maintenance.  A :class:`FleetOutage` marks a fraction of one IDC's
-servers unavailable over a time window; the engine applies the active
-outages at the start of every control period, and every capacity-aware
-component (reference LP, MPC constraints, baselines, the sleep loop)
-already reads ``IDC.available_servers``, so policies react by
-reallocating to the surviving sites.
+servers unavailable over a time window.  Availability is data: the
+engine's plant turns each lane's outage windows into its ``(S, N)``
+available servers every period (:func:`outage_availability`) and hands
+them to the actuation channel, the plant's server check, the monitors
+and the policy, whose capacity rows, waterfill caps and eq. 35 cap
+follow them — so policies react by reallocating to the surviving sites.
+No cluster object is mutated on the way (only a scalar run's own
+cluster is told, for the policies that read it).
 
 Telemetry faults model the *information* layer failing while the plant
 keeps running: a :class:`PriceFeedDropout` blinds the controller to one
@@ -23,11 +26,11 @@ A :class:`CommandDrop` loses the command entirely (the fleet holds its
 previous counts), an :class:`ActuationLag` delivers it whole but several
 periods late (server provisioning is not instantaneous — boots, drains,
 health checks), and a :class:`PartialApply` lands only a fraction of the
-ordered *change* (stragglers that refuse to drain or boot).  The engine
-routes commands through an :class:`ActuationChannel` that applies the
-active faults per IDC, tracks commanded-vs-applied counts, and feeds the
-applied truth back to the policy (``obs.prev_servers``) so its
-reconciliation step can compensate — see
+ordered *change* (stragglers that refuse to drain or boot).  The plant
+routes every lane's commands through one lane-vectorized
+:class:`ActuationChannel` that applies the active faults per (lane,
+IDC), tracks commanded-vs-applied counts, and feeds the applied truth
+back to the policy so its reconciliation step can compensate — see
 :meth:`repro.core.BatchCostMPCPolicy.reconcile_actuation`.
 """
 
@@ -44,16 +47,24 @@ from ..exceptions import ConfigurationError
 
 __all__ = ["ActuationChannel", "ActuationLag", "CommandDrop",
            "FleetOutage", "PartialApply", "PriceFeedDropout", "SensorGap",
-           "apply_faults", "split_faults", "telemetry_visibility"]
+           "outage_availability", "split_faults", "telemetry_visibility"]
 
 
-def _check_window(start_seconds: float, end_seconds: float) -> None:
-    if end_seconds <= start_seconds:
-        raise ConfigurationError("fault must end after it starts")
+class _Window:
+    """A fault active over ``[start_seconds, end_seconds)``, absolute
+    simulation times (the clock of ``Scenario.start_time``)."""
+
+    def __post_init__(self) -> None:
+        if self.end_seconds <= self.start_seconds:
+            raise ConfigurationError("fault must end after it starts")
+
+    def active_at(self, t_seconds: float) -> bool:
+        """Whether the fault's window covers simulation time ``t_seconds``."""
+        return self.start_seconds <= t_seconds < self.end_seconds
 
 
 @dataclass(frozen=True)
-class FleetOutage:
+class FleetOutage(_Window):
     """A capacity-loss event at one IDC.
 
     Attributes
@@ -74,18 +85,14 @@ class FleetOutage:
     available_fraction: float
 
     def __post_init__(self) -> None:
-        _check_window(self.start_seconds, self.end_seconds)
+        super().__post_init__()
         if not 0.0 <= self.available_fraction <= 1.0:
             raise ConfigurationError(
                 "available_fraction must be in [0, 1]")
 
-    def active_at(self, t_seconds: float) -> bool:
-        """Whether the outage window covers simulation time ``t_seconds``."""
-        return self.start_seconds <= t_seconds < self.end_seconds
-
 
 @dataclass(frozen=True)
-class PriceFeedDropout:
+class PriceFeedDropout(_Window):
     """An RTP price feed going dark for one IDC's market region.
 
     While active, the engine masks that IDC's price entry from the
@@ -98,16 +105,9 @@ class PriceFeedDropout:
     start_seconds: float
     end_seconds: float
 
-    def __post_init__(self) -> None:
-        _check_window(self.start_seconds, self.end_seconds)
-
-    def active_at(self, t_seconds: float) -> bool:
-        """Whether the dropout window covers simulation time ``t_seconds``."""
-        return self.start_seconds <= t_seconds < self.end_seconds
-
 
 @dataclass(frozen=True)
-class SensorGap:
+class SensorGap(_Window):
     """A front portal's workload sensor going silent.
 
     While active, the engine masks that portal's load measurement from
@@ -122,17 +122,13 @@ class SensorGap:
     end_seconds: float
 
     def __post_init__(self) -> None:
-        _check_window(self.start_seconds, self.end_seconds)
+        super().__post_init__()
         if self.portal_index < 0:
             raise ConfigurationError("portal_index must be >= 0")
 
-    def active_at(self, t_seconds: float) -> bool:
-        """Whether the gap window covers simulation time ``t_seconds``."""
-        return self.start_seconds <= t_seconds < self.end_seconds
-
 
 @dataclass(frozen=True)
-class CommandDrop:
+class CommandDrop(_Window):
     """An eq.-35 server command lost on the way to one IDC.
 
     While active, every server command for the IDC is dropped and the
@@ -144,16 +140,9 @@ class CommandDrop:
     start_seconds: float
     end_seconds: float
 
-    def __post_init__(self) -> None:
-        _check_window(self.start_seconds, self.end_seconds)
-
-    def active_at(self, t_seconds: float) -> bool:
-        """Whether the drop window covers simulation time ``t_seconds``."""
-        return self.start_seconds <= t_seconds < self.end_seconds
-
 
 @dataclass(frozen=True)
-class ActuationLag:
+class ActuationLag(_Window):
     """Server commands reaching one IDC ``delay_periods`` periods late.
 
     Models the real latency of provisioning: booting a server or
@@ -169,17 +158,13 @@ class ActuationLag:
     delay_periods: int = 1
 
     def __post_init__(self) -> None:
-        _check_window(self.start_seconds, self.end_seconds)
+        super().__post_init__()
         if self.delay_periods < 1:
             raise ConfigurationError("delay_periods must be >= 1")
 
-    def active_at(self, t_seconds: float) -> bool:
-        """Whether the lag window covers simulation time ``t_seconds``."""
-        return self.start_seconds <= t_seconds < self.end_seconds
-
 
 @dataclass(frozen=True)
-class PartialApply:
+class PartialApply(_Window):
     """Only a fraction of the ordered server *change* lands at one IDC.
 
     With fraction ``f``, an order to move from ``m_prev`` to ``m_cmd``
@@ -195,14 +180,10 @@ class PartialApply:
     fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        _check_window(self.start_seconds, self.end_seconds)
+        super().__post_init__()
         if not 0.0 <= self.fraction < 1.0:
             raise ConfigurationError(
                 "fraction must be in [0, 1) — 1.0 is a healthy actuator")
-
-    def active_at(self, t_seconds: float) -> bool:
-        """Whether the window covers simulation time ``t_seconds``."""
-        return self.start_seconds <= t_seconds < self.end_seconds
 
 
 class SplitFaults(NamedTuple):
@@ -238,29 +219,36 @@ def split_faults(faults: list) -> SplitFaults:
     return SplitFaults(outages, price_faults, sensor_faults, actuation)
 
 
-def apply_faults(cluster: IDCCluster, faults: list,
-                 t_seconds: float) -> None:
-    """Set every IDC's availability according to the active outages.
+def outage_availability(clusters, lane_faults, t_seconds) -> np.ndarray:
+    """Each lane's available servers at its time, shape ``(S, N)``.
 
+    Lane ``s`` reads its :class:`FleetOutage` windows from
+    ``lane_faults[s]`` at ``t_seconds[s]`` against ``clusters[s]``.
     Overlapping outages on the same IDC compose by taking the *minimum*
-    surviving fraction.  IDCs with no active outage are fully restored.
-    Telemetry faults in the list are ignored here (they affect what the
-    policy *sees*, not the plant); unknown fault types raise
+    surviving fraction; an IDC with no active outage keeps its whole
+    fleet.  Telemetry and actuation faults in the lists are ignored here
+    (they do not change the fleet); an outage naming an unknown IDC, or
+    an object of unknown fault type, raises
     :class:`ConfigurationError`.
     """
-    outages = split_faults(faults).outages
-    by_name = {idc.config.name: idc for idc in cluster.idcs}
-    for fault in outages:
-        if fault.idc_name not in by_name:
-            raise ConfigurationError(
-                f"outage references unknown IDC {fault.idc_name!r}")
-    fractions = {name: 1.0 for name in by_name}
-    for fault in outages:
-        if fault.active_at(t_seconds):
-            fractions[fault.idc_name] = min(fractions[fault.idc_name],
-                                            fault.available_fraction)
-    for name, idc in by_name.items():
-        idc.set_availability(int(fractions[name] * idc.config.max_servers))
+    t_seconds = np.broadcast_to(np.asarray(t_seconds, dtype=float),
+                                (len(clusters),))
+    out = np.empty((len(clusters), clusters[0].n_idcs), dtype=int)
+    for s, (cluster, faults, t) in enumerate(
+            zip(clusters, lane_faults, t_seconds)):
+        fractions = dict.fromkeys(cluster.idc_names, 1.0)
+        outages = split_faults(faults or []).outages
+        for fault in outages:
+            if fault.idc_name not in fractions:
+                raise ConfigurationError(
+                    f"outage references unknown IDC {fault.idc_name!r}")
+        for fault in outages:
+            if fault.active_at(t):
+                fractions[fault.idc_name] = min(fractions[fault.idc_name],
+                                                fault.available_fraction)
+        out[s] = [int(fractions[idc.config.name] * idc.config.max_servers)
+                  for idc in cluster.idcs]
+    return out
 
 
 def telemetry_visibility(cluster: IDCCluster, faults: list,
@@ -292,110 +280,111 @@ def telemetry_visibility(cluster: IDCCluster, faults: list,
 
 
 class ActuationChannel:
-    """The command path between controller and fleet, faults included.
+    """The command path between the controllers and their fleets.
 
-    The engine routes every eq.-35 server command through
-    :meth:`apply`, which returns the counts the fleet *actually* runs
-    after the active actuation faults.  Per IDC, faults compose in
-    severity order — an active :class:`CommandDrop` wins over an
-    :class:`ActuationLag`, which wins over a :class:`PartialApply` — and
-    the result is always clamped into ``[0, available]`` (a lagged or
-    held command can name servers an outage has since taken away; the
-    plant can only run what exists).
+    One channel serves ``S`` lanes: :meth:`apply` takes the ``(S, N)``
+    eq.-35 server commands and returns the counts each lane's fleet
+    *actually* runs after that lane's active actuation faults.  Per
+    (lane, IDC), faults compose in severity order — an active
+    :class:`CommandDrop` wins over an :class:`ActuationLag`, which wins
+    over a :class:`PartialApply`, and the first listed of overlapping
+    faults of one kind wins — and the result is always clamped into
+    ``[0, available]`` (a lagged or held command can name servers an
+    outage has since taken away; the plant can only run what exists).
 
     The channel is deterministic state (previous applied counts plus a
-    bounded per-IDC command history for the lag model), so it
-    checkpoints with :meth:`snapshot`/:meth:`restore` like every other
-    stateful component.
+    bounded command history for the lag model), so it checkpoints with
+    :meth:`snapshot`/:meth:`restore` like every other stateful
+    component.  Its counters are per lane (:meth:`lane_counters`).
     """
 
-    def __init__(self, cluster: IDCCluster, faults: list) -> None:
-        acts = split_faults(faults).actuation_faults
-        names = set(cluster.idc_names)
-        for fault in acts:
-            if fault.idc_name not in names:
-                raise ConfigurationError(
-                    f"actuation fault references unknown IDC "
-                    f"{fault.idc_name!r}")
-        self._index = {name: j for j, name in enumerate(cluster.idc_names)}
-        self.n_idcs = cluster.n_idcs
-        self._drops = [f for f in acts if isinstance(f, CommandDrop)]
-        self._lags = [f for f in acts if isinstance(f, ActuationLag)]
-        self._partials = [f for f in acts if isinstance(f, PartialApply)]
-        self._max_delay = max((f.delay_periods for f in self._lags),
-                              default=0)
-        self.reset(np.zeros(self.n_idcs, dtype=int))
+    #: severity of each actuation fault kind (0: none)
+    _KINDS = {PartialApply: 1, ActuationLag: 2, CommandDrop: 3}
+
+    def __init__(self, clusters, lane_faults) -> None:
+        self.n_lanes, self.n_idcs = len(clusters), clusters[0].n_idcs
+        windows = []
+        for s, (cluster, faults) in enumerate(zip(clusters, lane_faults)):
+            index = {name: j for j, name in enumerate(cluster.idc_names)}
+            for fault in split_faults(faults or []).actuation_faults:
+                if fault.idc_name not in index:
+                    raise ConfigurationError(
+                        f"actuation fault references unknown IDC "
+                        f"{fault.idc_name!r}")
+                windows.append((s, index[fault.idc_name], fault))
+        # applied in order, later writes winning: by severity, and the
+        # first listed fault of a kind last
+        self._windows = sorted(windows[::-1],
+                               key=lambda w: self._KINDS[type(w[2])])
+        self._max_delay = max((getattr(f, "delay_periods", 0)
+                               for _s, _j, f in windows), default=0)
+        self.reset(np.zeros((self.n_lanes, self.n_idcs), dtype=int))
 
     def reset(self, servers_running: np.ndarray) -> None:
-        """Start a run with the fleet at ``servers_running`` counts."""
-        start = np.asarray(servers_running).astype(int).ravel()
+        """Start a run with the fleets at ``servers_running`` ``(S, N)``."""
+        start = np.asarray(servers_running).astype(int).reshape(
+            self.n_lanes, self.n_idcs)
         self._applied_prev = start.copy()
         # History of issued commands, oldest first; pre-filled with the
         # starting counts so an immediately active lag has a command to
         # deliver.
         self._history = deque([start.copy()], maxlen=self._max_delay + 1)
-        self.counters: dict[str, int] = {
-            "actuation_commands": 0,
-            "actuation_dropped_commands": 0,
-            "actuation_lagged_commands": 0,
-            "actuation_partial_commands": 0,
-            "actuation_clamped_commands": 0,
-            "actuation_faulted_periods": 0,
-        }
+        self.counters = {name: np.zeros(self.n_lanes, dtype=int) for name in (
+            "actuation_commands", "actuation_dropped_commands",
+            "actuation_lagged_commands", "actuation_partial_commands",
+            "actuation_clamped_commands", "actuation_faulted_periods")}
 
-    def apply(self, commanded: np.ndarray, t_seconds: float,
+    def apply(self, commanded: np.ndarray, t_seconds,
               available: np.ndarray) -> np.ndarray:
-        """Applied server counts for one period's command.
+        """Applied server counts ``(S, N)`` for one period's commands.
 
-        Pure function of the channel state, the command and the active
-        fault windows — no randomness, so a resumed run replays the
-        identical actuation trace.
+        ``t_seconds`` is each lane's clock ``(S,)`` and ``available``
+        its available fleet ``(S, N)``.  A pure function of the channel
+        state, the commands and the active fault windows — no
+        randomness, so a resumed run replays the identical actuation
+        trace.
         """
-        commanded = np.asarray(commanded).astype(int).ravel()
-        available = np.asarray(available).astype(int).ravel()
-        self._history.append(commanded.copy())
+        shape = (self.n_lanes, self.n_idcs)
+        commanded = np.asarray(commanded).astype(int).reshape(shape)
+        t = np.broadcast_to(np.asarray(t_seconds, dtype=float),
+                            (self.n_lanes,))
+        history, prev = self._history, self._applied_prev
+        history.append(commanded.copy())
         applied = commanded.copy()
-        self.counters["actuation_commands"] += self.n_idcs
-        faulted = False
-        for name, j in self._index.items():
-            if any(f.idc_name == name and f.active_at(t_seconds)
-                   for f in self._drops):
-                applied[j] = self._applied_prev[j]
-                self.counters["actuation_dropped_commands"] += 1
-                faulted = True
+        kind = np.zeros(shape, dtype=int)
+        for s, j, f in self._windows:
+            if not f.active_at(t[s]):
                 continue
-            lag = next((f for f in self._lags
-                        if f.idc_name == name and f.active_at(t_seconds)),
-                       None)
-            if lag is not None:
-                idx = max(len(self._history) - 1 - lag.delay_periods, 0)
-                applied[j] = int(self._history[idx][j])
-                self.counters["actuation_lagged_commands"] += 1
-                faulted = True
-                continue
-            partial = next(
-                (f for f in self._partials
-                 if f.idc_name == name and f.active_at(t_seconds)), None)
-            if partial is not None:
-                delta = commanded[j] - self._applied_prev[j]
-                landed = int(np.trunc(partial.fraction * delta))
-                applied[j] = int(self._applied_prev[j] + landed)
-                self.counters["actuation_partial_commands"] += 1
-                faulted = True
-        clamped = np.clip(applied, 0, available)
-        self.counters["actuation_clamped_commands"] += \
-            int(np.sum(clamped != applied))
-        if faulted:
-            self.counters["actuation_faulted_periods"] += 1
+            if isinstance(f, PartialApply):
+                delta = commanded[s, j] - prev[s, j]
+                applied[s, j] = prev[s, j] + int(np.trunc(f.fraction * delta))
+            elif isinstance(f, ActuationLag):
+                idx = max(len(history) - 1 - f.delay_periods, 0)
+                applied[s, j] = history[idx][s, j]
+            else:
+                applied[s, j] = prev[s, j]
+            kind[s, j] = self._KINDS[type(f)]
+        clamped = np.clip(applied, 0, np.reshape(available, shape))
+        c = self.counters
+        c["actuation_commands"] += self.n_idcs
+        c["actuation_partial_commands"] += (kind == 1).sum(axis=1)
+        c["actuation_lagged_commands"] += (kind == 2).sum(axis=1)
+        c["actuation_dropped_commands"] += (kind == 3).sum(axis=1)
+        c["actuation_clamped_commands"] += (clamped != applied).sum(axis=1)
+        c["actuation_faulted_periods"] += (kind > 0).any(axis=1)
         self._applied_prev = clamped.copy()
         return clamped
+
+    def lane_counters(self, lane: int) -> dict[str, int]:
+        """Lane ``lane``'s counters as a plain dict."""
+        return {name: int(v[lane]) for name, v in self.counters.items()}
 
     def snapshot(self) -> dict:
         """Picklable copy of the channel state (for checkpoints)."""
         return {
             "applied_prev": self._applied_prev.copy(),
             "history": [h.copy() for h in self._history],
-            "counters": dict(self.counters),
+            "counters": {k: v.copy() for k, v in self.counters.items()},
         }
 
     def restore(self, state: dict) -> None:
@@ -405,4 +394,5 @@ class ActuationChannel:
         self._history = deque(
             [np.asarray(h).astype(int).copy() for h in state["history"]],
             maxlen=self._max_delay + 1)
-        self.counters = dict(state["counters"])
+        self.counters = {k: np.asarray(v).copy()
+                         for k, v in state["counters"].items()}

@@ -108,17 +108,10 @@ class BatchPerfStats:
         self.n_lanes = int(n_lanes)
         #: batch-level stage timings (model/reference/qp across all lanes).
         self.shared = PerfStats()
-        #: scalar-fallback routing reasons, ``reason -> lane count``.
-        self.fallback_reasons: dict[str, int] = {}
         #: last reported health label per *touched* lane (lanes that
         #: never left the clean path carry no entry and count NOMINAL).
         self.lane_health: dict[int, str] = {}
         self._lanes = [PerfStats() for _ in range(self.n_lanes)]
-
-    def note_fallback(self, reason: str) -> None:
-        """Record one lane falling off the batched path, by reason."""
-        self.fallback_reasons[reason] = \
-            self.fallback_reasons.get(reason, 0) + 1
 
     def note_lane_health(self, index: int, label: str) -> None:
         """Record lane ``index``'s current health label (overwrites)."""
@@ -150,25 +143,13 @@ class BatchPerfStats:
         return out
 
     def rollup(self) -> PerfStats:
-        """Whole-batch aggregate: shared stages + summed lane counters.
-
-        Scalar-fallback routing is surfaced here too: the total under
-        ``batch_scalar_fallback`` plus one ``fallback_reason[...]``
-        counter per distinct reason — a fleet run's dashboard line for
-        "how many lanes fell off the batched path, and why" (the
-        per-lane reason string itself lives on each scalar lane's
-        ``perf["batch_fallback_reason"]``).
-        """
+        """Whole-batch aggregate: shared stages + summed lane counters,
+        plus the per-lane health breakdown."""
         total = PerfStats()
         total.merge(self.shared)
         for lane in self._lanes:
             for k, v in lane.counters.items():
                 total.counters[k] = total.counters.get(k, 0) + v
-        if self.fallback_reasons:
-            total.counters["batch_scalar_fallback"] = \
-                sum(self.fallback_reasons.values())
-            for reason, count in sorted(self.fallback_reasons.items()):
-                total.counters[f"fallback_reason[{reason}]"] = count
         if self.lane_health:
             # per-lane health breakdown: touched lanes by their last
             # reported label, every untouched lane implicitly nominal.

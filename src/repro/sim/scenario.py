@@ -66,8 +66,8 @@ class Scenario:
         Optional per-IDC peak budgets (used by budget-aware policies and
         the violation metrics; ``None`` = unconstrained).
     faults:
-        Optional list of :class:`repro.sim.faults.FleetOutage` events the
-        engine applies each period.
+        Optional list of :mod:`repro.sim.faults` events (outages,
+        telemetry and actuation faults) the engine's plant applies.
     name:
         Label used in reports.
     """

@@ -364,7 +364,7 @@ def generate_batch_specs(seed: int, n_lanes: int, *,
     from ``seed`` via :func:`generate_spec` and strips its budgets and
     outages: :func:`build_scenario` sizes budgets from each lane's own
     loads and prices, while :func:`repro.sim.run_batch` runs every lane
-    under one config, and outages route a lane to the scalar engine.
+    under one config, and the fleet's faults are drawn per lane below.
     It then emits ``n_lanes`` variations that scale
     every region's hourly prices and every portal's workload trace by
     lane-specific factors, capacity-guarded like the base generator.
@@ -387,12 +387,9 @@ def generate_batch_specs(seed: int, n_lanes: int, *,
 
     With ``actuation_faults=True`` every fifth lane carries a
     standalone actuation-fault window (command drop / lag / partial
-    apply).  Actuation faults mutate the per-lane plant channel, so
-    these lanes are *deliberately* batch-incompatible:
-    :func:`repro.sim.scenario_incompatibility` must route them to the
-    scalar engine with ``batch_fallback_reason`` = ``"actuation faults
-    (per-lane plant channel)"`` — the batch chaos runner asserts that
-    routing explicitly.
+    apply).  They pass that lane's commands through the plant's
+    actuation channel and ride the group like every other lane — the
+    batch chaos runner asserts that every lane ran batched.
 
     Each spec runs through :func:`build_scenario` as usual.
     """
@@ -459,20 +456,45 @@ def generate_batch_specs(seed: int, n_lanes: int, *,
 # ---------------------------------------------------------------------------
 # Scenario construction
 # ---------------------------------------------------------------------------
-def _actuation_fault(f: dict, start_time: float, dt: float):
-    """One actuation fault (drop / lag / partial) from its spec entry."""
-    kind = f.get("kind", "drop")
-    a = start_time + f["start_period"] * dt
-    b = start_time + f["end_period"] * dt
-    if kind == "drop":
-        return CommandDrop(f["idc"], a, b)
-    if kind == "lag":
-        return ActuationLag(f["idc"], a, b,
-                            delay_periods=int(f.get("delay_periods", 1)))
-    if kind == "partial":
-        return PartialApply(f["idc"], a, b,
-                            fraction=float(f.get("fraction", 0.5)))
-    raise ConfigurationError(f"unknown actuation fault kind {kind!r}")
+def _spec_faults(spec: dict, start_time: float, dt: float) -> list:
+    """The fault objects of a spec, in spec order.
+
+    Outages (``faults``), then the standalone telemetry (``telemetry``)
+    and actuation (``actuation``) faults of fleet specs, then the
+    ``chaos`` block's telemetry and actuation faults.  Every fault rides
+    the plant the same way: telemetry changes only what the lane's
+    controller sees, an outage its available fleet, an actuation fault
+    its applied server counts.
+    """
+    def window(f: dict) -> tuple[float, float]:
+        return (start_time + f["start_period"] * dt,
+                start_time + f["end_period"] * dt)
+
+    def actuation(f: dict):
+        kind = f.get("kind", "drop")
+        if kind == "drop":
+            return CommandDrop(f["idc"], *window(f))
+        if kind == "lag":
+            return ActuationLag(f["idc"], *window(f),
+                                delay_periods=int(f.get("delay_periods", 1)))
+        if kind == "partial":
+            return PartialApply(f["idc"], *window(f),
+                                fraction=float(f.get("fraction", 0.5)))
+        raise ConfigurationError(f"unknown actuation fault kind {kind!r}")
+
+    def telemetry(block: dict) -> list:
+        return ([PriceFeedDropout(f["idc"], *window(f))
+                 for f in block.get("price_dropouts", [])]
+                + [SensorGap(int(f["portal"]), *window(f))
+                   for f in block.get("sensor_gaps", [])])
+
+    chaos = spec.get("chaos") or {}
+    return ([FleetOutage(f["idc"], *window(f), f["available_fraction"])
+             for f in spec.get("faults", [])]
+            + telemetry(spec.get("telemetry") or {})
+            + [actuation(f) for f in spec.get("actuation") or []]
+            + telemetry(chaos)
+            + [actuation(f) for f in chaos.get("actuation_faults", [])])
 
 
 def build_scenario(spec: dict) -> tuple[Scenario, MPCPolicyConfig]:
@@ -515,47 +537,8 @@ def build_scenario(spec: dict) -> tuple[Scenario, MPCPolicyConfig]:
         budgets = (np.maximum(alloc.powers_watts_relaxed, PAPER_IDLE_WATTS)
                    * float(spec["budget_fraction"]))
 
-    faults = [
-        FleetOutage(
-            idc_name=f["idc"],
-            start_seconds=start_time + f["start_period"] * dt,
-            end_seconds=start_time + f["end_period"] * dt,
-            available_fraction=f["available_fraction"])
-        for f in spec.get("faults", [])
-    ]
-    telem = spec.get("telemetry")
-    if telem:
-        # Standalone telemetry faults (fleet specs): they change only
-        # what the lane's controller sees, so the lane stays batched.
-        for f in telem.get("price_dropouts", []):
-            faults.append(PriceFeedDropout(
-                idc_name=f["idc"],
-                start_seconds=start_time + f["start_period"] * dt,
-                end_seconds=start_time + f["end_period"] * dt))
-        for f in telem.get("sensor_gaps", []):
-            faults.append(SensorGap(
-                portal_index=int(f["portal"]),
-                start_seconds=start_time + f["start_period"] * dt,
-                end_seconds=start_time + f["end_period"] * dt))
-    for f in spec.get("actuation") or []:
-        # Standalone actuation faults (fleet specs): the lane stays a
-        # plain scalar run — scenario_incompatibility routes it off the
-        # batched path, which the batch chaos runner asserts.
-        faults.append(_actuation_fault(f, start_time, dt))
+    faults = _spec_faults(spec, start_time, dt)
     chaos = spec.get("chaos")
-    if chaos:
-        for f in chaos.get("price_dropouts", []):
-            faults.append(PriceFeedDropout(
-                idc_name=f["idc"],
-                start_seconds=start_time + f["start_period"] * dt,
-                end_seconds=start_time + f["end_period"] * dt))
-        for f in chaos.get("sensor_gaps", []):
-            faults.append(SensorGap(
-                portal_index=int(f["portal"]),
-                start_seconds=start_time + f["start_period"] * dt,
-                end_seconds=start_time + f["end_period"] * dt))
-        for f in chaos.get("actuation_faults", []):
-            faults.append(_actuation_fault(f, start_time, dt))
 
     scenario = Scenario(
         cluster=cluster, market=market, dt=dt,
@@ -824,15 +807,11 @@ def run_spec(spec: dict, *, oracle_samples: int = 2,
 #: scenario stream and the chaos injector stream.
 _BATCH_CHAOS_SALT = 0xF1EE7
 
-#: The fixed routing reason asserted for actuation-fault lanes.
-_ACTUATION_REASON = "actuation faults (per-lane plant channel)"
-
-
 def generate_batch_chaos_spec(seed: int, n_lanes: int = 6) -> dict:
     """Deterministic batch chaos drill spec from one integer seed.
 
     Wraps :func:`generate_batch_specs` (with actuation-fault lanes
-    included, so the scalar routing path is always represented) in a
+    included, so the plant's actuation channel is always exercised) in a
     fleet-level ``"chaos"`` block: background solver-fault and
     deadline-exhaustion rates, an optional deterministic *hot lane*
     driven toward quarantine, a mandatory mid-run crash, and the
@@ -843,10 +822,9 @@ def generate_batch_chaos_spec(seed: int, n_lanes: int = 6) -> dict:
     specs = generate_batch_specs(int(seed), int(n_lanes),
                                  actuation_faults=True)
     n_periods = int(specs[0]["n_periods"])
-    n_batch = sum(1 for sp in specs if not sp.get("actuation"))
     rng = np.random.default_rng([int(seed), _BATCH_CHAOS_SALT])
     quiet = max(2, n_periods - _CHAOS_RECOVERY_MARGIN)
-    hot_lane = (int(rng.integers(0, n_batch))
+    hot_lane = (int(rng.integers(0, len(specs)))
                 if rng.random() < 0.6 else None)
     chaos = {
         "solver_fault_rate": float(np.round(rng.uniform(0.05, 0.25), 3)),
@@ -874,20 +852,22 @@ def run_batch_chaos_seed(seed: int, *, n_lanes: int = 6) -> Outcome:
     ``run_batch`` call, whose replayed periods are digest-verified
     against the WAL.  The seed passes only if
 
-    * every batched lane ends NOMINAL or cleanly quarantined,
-    * every lane the injector never touched — including the scalar
-      actuation-fault lanes — is *bit-identical* to the baseline
-      (allocations and cost),
-    * actuation-fault lanes were routed off the batched path with
-      exactly the expected ``batch_fallback_reason``,
+    * every lane — the actuation-fault lanes included — ran batched
+      (``mpc_batch``) in one group,
+    * every lane ends NOMINAL or cleanly quarantined,
+    * every lane the injector never touched is *bit-identical* to the
+      baseline (allocations and cost),
     * the resume replay produced zero WAL digest mismatches, and
     * no result array contains NaN.
+
+    The injector's ``lane`` is the scenario index: the group holds
+    every lane.
     """
     import os
     import shutil
     import tempfile
 
-    from ..sim.batch import run_batch, scenario_incompatibility
+    from ..sim.batch import run_batch
 
     full = generate_batch_chaos_spec(int(seed), n_lanes=int(n_lanes))
     chaos = full["chaos"]
@@ -898,9 +878,6 @@ def run_batch_chaos_seed(seed: int, *, n_lanes: int = 6) -> Outcome:
     built = [build_scenario(sp) for sp in specs]
     scens = [b[0] for b in built]
     config = built[0][1]
-    reasons = [scenario_incompatibility(sc) for sc in scens]
-    batch_lanes = [i for i, r in enumerate(reasons) if r is None]
-    group_index = {i: j for j, i in enumerate(batch_lanes)}
 
     tmpdir = tempfile.mkdtemp(prefix="repro-batch-chaos-")
     wal = os.path.join(tmpdir, "fleet.wal")
@@ -941,11 +918,10 @@ def run_batch_chaos_seed(seed: int, *, n_lanes: int = 6) -> Outcome:
     if chaos.get("hot_lane") is not None:
         faulted.add(int(chaos["hot_lane"]))
 
-    outcome.lane_states = [
-        results[i].perf.get("health_state", "nominal")
-        for i in batch_lanes]
+    outcome.lane_states = [r.perf.get("health_state", "nominal")
+                           for r in results]
     outcome.quarantined_lanes = [
-        i for i, state in zip(batch_lanes, outcome.lane_states)
+        i for i, state in enumerate(outcome.lane_states)
         if state == "quarantined"]
     outcome.recovered = all(state in ("nominal", "quarantined")
                             for state in outcome.lane_states)
@@ -953,15 +929,11 @@ def run_batch_chaos_seed(seed: int, *, n_lanes: int = 6) -> Outcome:
                   if s not in ("nominal", "quarantined")})
     outcome.final_state = ",".join(bad) if bad else "nominal"
 
-    routing_ok = all(
-        results[i].perf.get("batch_fallback_reason") == _ACTUATION_REASON
-        for i, sp in enumerate(specs) if sp.get("actuation"))
+    routing_ok = all(r.policy_name == "mpc_batch" for r in results)
     if not routing_ok:
-        outcome.error = ("actuation-fault lane not routed scalar with "
-                         f"reason {_ACTUATION_REASON!r}")
+        outcome.error = "a lane did not run batched"
 
-    healthy = [i for i in range(len(scens))
-               if i not in group_index or group_index[i] not in faulted]
+    healthy = [i for i in range(len(scens)) if i not in faulted]
     outcome.healthy_lanes_bitexact = all(
         np.array_equal(results[i].allocations, baseline[i].allocations)
         and np.array_equal(np.asarray(results[i].cost_usd),
@@ -974,8 +946,8 @@ def run_batch_chaos_seed(seed: int, *, n_lanes: int = 6) -> Outcome:
         for arr in (r.allocations, r.powers_watts, r.cost_usd))
 
     counters: dict[str, int] = {}
-    for i in batch_lanes:
-        for k, v in results[i].perf.get("counters", {}).items():
+    for r in results:
+        for k, v in r.perf.get("counters", {}).items():
             if k.startswith(("ladder_", "supervisor_", "quarantine_")):
                 counters[k] = counters.get(k, 0) + int(v)
     outcome.rung_counters = counters
@@ -985,7 +957,7 @@ def run_batch_chaos_seed(seed: int, *, n_lanes: int = 6) -> Outcome:
             lane_counters.get("certificates_checked", 0))
         outcome.certificate_failures += int(
             lane_counters.get("certificate_failures", 0))
-    group_counters = results[batch_lanes[0]].perf.get("counters", {})
+    group_counters = results[0].perf.get("counters", {})
     for k in ("batch_resumed_from_period", "batch_checkpoints_written",
               "batch_wal_tail_replayed", "batch_wal_tail_mismatches"):
         if k in group_counters:

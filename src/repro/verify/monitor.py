@@ -258,7 +258,8 @@ class InvariantMonitor:
                 loads: np.ndarray, prices: np.ndarray, decision,
                 workloads: np.ndarray, powers_watts: np.ndarray,
                 servers: np.ndarray, latencies: np.ndarray,
-                applied_servers: np.ndarray | None = None) -> None:
+                applied_servers: np.ndarray | None = None,
+                available_servers: np.ndarray | None = None) -> None:
         """Check every invariant for one applied control period.
 
         ``decision`` is the policy's raw :class:`AllocationDecision` —
@@ -271,7 +272,8 @@ class InvariantMonitor:
         registered as a disturbance for the budget-grace clock (the
         tracking loop must re-converge around the plant's true state),
         and the gap totals surface as ``monitor_actuation_gap_*``
-        counters.
+        counters.  ``available_servers`` (default: the whole fleet)
+        bounds the applied counts; its changes count as disturbances.
         """
         if self._cluster is None:
             raise RuntimeError("begin_run() must be called before observe()")
@@ -366,8 +368,8 @@ class InvariantMonitor:
                          f"{raw_servers[j]!r}", magnitude=float(frac[j]))
 
         # 4. commanded/applied reconciliation (actuation layer) ------------
-        available = np.array([idc.available_servers
-                              for idc in self._cluster.idcs], dtype=float)
+        available = self._max_servers if available_servers is None \
+            else np.asarray(available_servers, dtype=float).ravel()
         actuation_gap = 0
         if applied_servers is not None:
             self._check()

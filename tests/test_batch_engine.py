@@ -32,7 +32,6 @@ from repro.sim import (
     price_step_scenario,
     run_batch,
     run_simulation,
-    scenario_incompatibility,
 )
 from repro.sim.profiling import BatchPerfStats
 from repro.verify import InvariantMonitor
@@ -77,7 +76,6 @@ def test_lone_lane_matches_one_lane_policy(cfg):
         sc_scalar, CostMPCPolicy(sc_scalar.cluster, cfg))
 
     assert b.policy_name == "mpc_batch"
-    assert "batch_fallback_reason" not in b.perf
     np.testing.assert_array_equal(b.servers, scalar.servers)
     np.testing.assert_array_equal(b.allocations, scalar.allocations)
     np.testing.assert_allclose(b.cost_usd, scalar.cost_usd, rtol=1e-12)
@@ -143,7 +141,6 @@ def test_shaving_figures_run_batched(budget_mode, flags):
     scalar = run_simulation(sc, CostMPCPolicy(sc.cluster, cfg))
     for b in batch:
         assert b.policy_name == "mpc_batch"
-        assert "batch_fallback_reason" not in b.perf
         assert b.total_cost_usd == pytest.approx(scalar.total_cost_usd,
                                                  rel=1e-9)
         np.testing.assert_allclose(b.cost_usd, scalar.cost_usd, rtol=1e-9)
@@ -158,7 +155,6 @@ def _assert_batch_matches_looped(cfg, n_scenarios):
 
     for b, l in zip(batch, looped):
         assert b.policy_name == "mpc_batch"
-        assert "batch_fallback_reason" not in b.perf
         np.testing.assert_array_equal(b.times, l.times)
         np.testing.assert_array_equal(b.prices, l.prices)
         np.testing.assert_array_equal(b.loads, l.loads)
@@ -240,31 +236,63 @@ def test_batch_with_load_prediction_matches_looped():
         assert b.total_cost_usd == pytest.approx(l.total_cost_usd, rel=1e-4)
 
 
-# ---------------------------------------------------------------------------
-# Routing: what batches, what falls back
-# ---------------------------------------------------------------------------
-def test_outage_scenarios_fall_back_to_scalar():
-    scens = monte_carlo_scenarios(3, seed=1, duration=600.0)
-    sc = scens[0]
-    scens[0] = replace(sc, faults=[FleetOutage(
+def _with_outage(sc, fraction=0.5):
+    return replace(sc, faults=[FleetOutage(
         idc_name=sc.cluster.idc_names[0],
         start_seconds=sc.start_time + 60.0,
         end_seconds=sc.start_time + 240.0,
-        available_fraction=0.5)])
-    assert "outage" in scenario_incompatibility(scens[0])
+        available_fraction=fraction)])
+
+
+def test_outage_and_actuation_lanes_match_looped():
+    # one outage lane and one actuation lane inside a batched group
+    # follow their looped one-lane runs like any other lane
+    specs = generate_batch_specs(7, 6, actuation_faults=True)
+    assert [bool(sp.get("actuation")) for sp in specs] == \
+        [False] * 4 + [True, False]
+
+    def build():
+        scens = [build_scenario(sp)[0] for sp in specs]
+        scens[1] = _with_outage(scens[1], 0.4)
+        return scens
+
+    cfg = build_scenario(specs[0])[1]
+    batch = run_batch(build(), cfg, warm_start="exact")
+    looped = _looped(build(), cfg)
+    for b, lp in zip(batch, looped):
+        assert b.policy_name == "mpc_batch"
+        assert b.total_cost_usd == pytest.approx(lp.total_cost_usd, rel=1e-4)
+    for name in ("actuation_commands", "actuation_faulted_periods"):
+        assert batch[4].perf["counters"][name] \
+            == looped[4].perf["counters"][name] > 0
+    assert batch[1].perf["counters"]["availability_resets"] \
+        == looped[1].perf["counters"]["availability_resets"] == 2
+    for b in batch[2:4]:
+        assert "actuation_commands" not in b.perf["counters"]
+        assert "availability_resets" not in b.perf["counters"]
+
+
+# ---------------------------------------------------------------------------
+# Routing: every scenario batches
+# ---------------------------------------------------------------------------
+def test_outage_scenarios_batch():
+    scens = monte_carlo_scenarios(3, seed=1, duration=600.0)
+    scens[0] = _with_outage(scens[0])
     results = run_batch(scens, MPCPolicyConfig(dt=30.0))
-    assert results[0].perf["counters"].get("batch_scalar_fallback") == 1
-    assert "outage" in results[0].perf["batch_fallback_reason"]
-    for r in results[1:]:
-        assert "batch_fallback_reason" not in r.perf
+    for r in results:
         assert r.policy_name == "mpc_batch"
+        assert r.perf["batch_n_scenarios"] == 3
+    # periods 2..7 run on half of the first IDC's fleet
+    fleet = scens[0].cluster.idcs[0].config.max_servers
+    assert results[0].servers[2:8, 0].max() <= fleet // 2
+    assert results[0].perf["counters"]["availability_resets"] == 2
 
 
 def test_demand_coupled_market_batches():
-    # γ > 0 lanes ride the hot path since the LaneMarketBatch clearing
-    # landed; only plant-mutating faults still force the scalar engine.
+    # γ > 0 lanes ride the hot path, each clearing against its own
+    # demand through LaneMarketBatch
     sc = paper_scenario(dt=30.0, duration=300.0, demand_sensitivity=0.5)
-    assert scenario_incompatibility(sc) is None
+    assert run_batch([sc])[0].policy_name == "mpc_batch"
 
 
 def test_every_config_runs_batched():
@@ -276,12 +304,9 @@ def test_every_config_runs_batched():
                 MPCPolicyConfig(dt=30.0, certify=True,
                                 backend="active_set"),
                 MPCPolicyConfig(dt=30.0, power_schedule_watts=schedule)):
-        perf = BatchPerfStats(len(scens))
-        results = run_batch(scens, cfg, perf=perf)
-        assert "batch_scalar_fallback" not in perf.rollup().counters
+        results = run_batch(scens, cfg)
         for r in results:
             assert r.policy_name == "mpc_batch"
-            assert "batch_fallback_reason" not in r.perf
             counters = r.perf["counters"]
             if cfg.certify:
                 assert counters["certificates_checked"] == r.n_periods

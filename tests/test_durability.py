@@ -308,43 +308,50 @@ class TestComponentSnapshots:
     def test_actuation_channel_round_trip(self):
         cluster = paper_cluster()
         faults = [ActuationLag("michigan", 0.0, 1e6, delay_periods=2)]
-        chan = ActuationChannel(cluster, faults)
-        avail = np.array([idc.available_servers for idc in cluster.idcs])
-        chan.reset(np.array([100, 100, 100]))
-        chan.apply(np.array([200, 200, 200]), 0.0, avail)
+        chan = ActuationChannel([cluster], [faults])
+        avail = np.array([[idc.available_servers for idc in cluster.idcs]])
+        chan.reset(np.array([[100, 100, 100]]))
+        chan.apply(np.array([[200, 200, 200]]), [0.0], avail)
         snap = chan.snapshot()
-        a1 = chan.apply(np.array([300, 300, 300]), 60.0, avail)
-        fresh = ActuationChannel(cluster, faults)
-        fresh.reset(np.zeros(3, dtype=int))
+        a1 = chan.apply(np.array([[300, 300, 300]]), [60.0], avail)
+        fresh = ActuationChannel([cluster], [faults])
+        fresh.reset(np.zeros((1, 3), dtype=int))
         fresh.restore(snap)
-        a2 = fresh.apply(np.array([300, 300, 300]), 60.0, avail)
+        a2 = fresh.apply(np.array([[300, 300, 300]]), [60.0], avail)
         np.testing.assert_array_equal(a1, a2)
+        assert fresh.lane_counters(0) == chan.lane_counters(0)
 
 
 # ---------------------------------------------------------------------------
 # Actuation fault semantics
 # ---------------------------------------------------------------------------
 class TestActuationChannel:
+    """One lane of the lane-vectorized channel (``S = 1``)."""
+
+    @staticmethod
+    def _apply(chan, commanded, t, avail):
+        return chan.apply(np.array([commanded]), [t], np.array([avail]))[0]
+
     def _channel(self, faults):
         cluster = paper_cluster()
-        chan = ActuationChannel(cluster, faults)
-        chan.reset(np.array([1000, 1000, 1000]))
+        chan = ActuationChannel([cluster], [faults])
+        chan.reset(np.array([[1000, 1000, 1000]]))
         avail = np.array([idc.available_servers for idc in cluster.idcs])
         return chan, avail
 
     def test_drop_holds_previous_applied(self):
         chan, avail = self._channel([CommandDrop("michigan", 0.0, 100.0)])
-        applied = chan.apply(np.array([2000, 2000, 2000]), 50.0, avail)
+        applied = self._apply(chan, [2000, 2000, 2000], 50.0, avail)
         np.testing.assert_array_equal(applied, [1000, 2000, 2000])
         # window over: command goes through again
-        applied = chan.apply(np.array([2000, 2000, 2000]), 150.0, avail)
+        applied = self._apply(chan, [2000, 2000, 2000], 150.0, avail)
         np.testing.assert_array_equal(applied, [2000, 2000, 2000])
 
     def test_lag_delivers_old_command(self):
         chan, avail = self._channel(
             [ActuationLag("michigan", 0.0, 1e6, delay_periods=2)])
         cmds = [1100, 1200, 1300, 1400]
-        seen = [chan.apply(np.array([c, c, c]), 60.0 * i, avail)[0]
+        seen = [self._apply(chan, [c, c, c], 60.0 * i, avail)[0]
                 for i, c in enumerate(cmds)]
         # Two-period lag: the first deliveries fall back to the reset
         # state, then the t-2 command lands.
@@ -353,26 +360,44 @@ class TestActuationChannel:
     def test_partial_apply_truncates_toward_zero(self):
         chan, avail = self._channel(
             [PartialApply("michigan", 0.0, 1e6, fraction=0.5)])
-        applied = chan.apply(np.array([1001, 1001, 1001]), 0.0, avail)
+        applied = self._apply(chan, [1001, 1001, 1001], 0.0, avail)
         # delta +1 · 0.5 truncates to 0: the actuator stalls
         assert applied[0] == 1000
-        applied = chan.apply(np.array([2000, 2000, 2000]), 60.0, avail)
+        applied = self._apply(chan, [2000, 2000, 2000], 60.0, avail)
         assert applied[0] == 1500
 
     def test_applied_clamped_to_availability(self):
         cluster = paper_cluster()
-        chan = ActuationChannel(cluster,
-                                [CommandDrop("michigan", 0.0, 100.0)])
-        chan.reset(np.array([5000, 0, 0]))
-        avail = np.array([100, 30000, 20000])
-        applied = chan.apply(np.array([50, 0, 0]), 50.0, avail)
+        chan = ActuationChannel([cluster],
+                                [[CommandDrop("michigan", 0.0, 100.0)]])
+        chan.reset(np.array([[5000, 0, 0]]))
+        applied = self._apply(chan, [50, 0, 0], 50.0, [100, 30000, 20000])
         assert applied[0] == 100  # held 5000 clamped to what survives
-        assert chan.counters["actuation_clamped_commands"] == 1
+        assert chan.lane_counters(0)["actuation_clamped_commands"] == 1
+
+    def test_drop_wins_over_lag_and_partial_per_lane(self):
+        # precedence drop > lag > partial on one IDC, and lanes keep
+        # their own windows and counters
+        cluster = paper_cluster()
+        stacked = [CommandDrop("michigan", 0.0, 100.0),
+                   ActuationLag("michigan", 0.0, 100.0),
+                   PartialApply("michigan", 0.0, 100.0, fraction=0.5)]
+        chan = ActuationChannel(
+            [cluster, cluster],
+            [stacked, [PartialApply("michigan", 0.0, 100.0, 0.5)]])
+        chan.reset(np.full((2, 3), 1000))
+        applied = chan.apply(np.full((2, 3), 2000), [50.0, 50.0],
+                             np.full((2, 3), 30000))
+        np.testing.assert_array_equal(applied, [[1000, 2000, 2000],
+                                                [1500, 2000, 2000]])
+        assert chan.lane_counters(0)["actuation_dropped_commands"] == 1
+        assert chan.lane_counters(0)["actuation_partial_commands"] == 0
+        assert chan.lane_counters(1)["actuation_partial_commands"] == 1
 
     def test_unknown_idc_rejected(self):
         with pytest.raises(ConfigurationError):
-            ActuationChannel(paper_cluster(),
-                             [CommandDrop("mars", 0.0, 1.0)])
+            ActuationChannel([paper_cluster()],
+                             [[CommandDrop("mars", 0.0, 1.0)]])
 
     def test_fault_validation(self):
         with pytest.raises(ConfigurationError):
@@ -530,6 +555,26 @@ class TestCrashResume:
                              version=5).save(ckpt)
         sc2 = _short_scenario()
         with pytest.raises(CheckpointError, match="version 5 not supported"):
+            run_simulation(sc2, _mpc(sc2), resume_from=wal)
+
+    def test_version_6_checkpoint_refused_by_version(self, tmp_path):
+        """A version-6 checkpoint keeps the market and the actuation
+        channel in the scalar lane's snapshot.
+
+        Both now belong to the engine's one plant; the envelope must
+        refuse the old layout by its version stamp.
+        """
+        wal = str(tmp_path / "v6.wal")
+        sc = _short_scenario()
+        with pytest.raises(SimulatedCrashError):
+            run_simulation(sc, CrashInjector(_mpc(sc), 5), wal_path=wal,
+                           checkpoint_every=2)
+        ckpt = checkpoint_path_for(wal)
+        current = ControllerCheckpoint.load(ckpt)
+        ControllerCheckpoint(period=current.period, state=current.state,
+                             version=6).save(ckpt)
+        sc2 = _short_scenario()
+        with pytest.raises(CheckpointError, match="version 6 not supported"):
             run_simulation(sc2, _mpc(sc2), resume_from=wal)
 
     def test_resume_with_faults_and_monitor(self, tmp_path):

@@ -4,7 +4,8 @@ The golden full-day trace (``test_golden_trace.py``) pins one fault-free
 MPC day.  This module pins, bit for bit, the scalar engine under load
 prediction, a price forecaster, telemetry faults, actuation faults and
 a fleet outage, plus a ``run_batch`` fleet that splits into two
-signature groups and one scalar-fallback lane.  Each run is reduced to
+signature groups, one of which carries a telemetry-faulted lane and an
+outage lane.  Each run is reduced to
 the SHA-256 of its ``cost_usd``, ``servers`` and ``allocations`` arrays;
 the expected digests live in ``tests/fixtures/engine_digests.json``.
 
@@ -110,7 +111,7 @@ def _fleet_outage():
     return [run_simulation(sc, _mpc(sc))]
 
 
-def _batch_two_groups_and_fallback():
+def _batch_two_groups_with_outage():
     fast = monte_carlo_scenarios(3, seed=1, dt=30.0, duration=600.0)
     t0 = fast[1].start_time
     fast[1] = replace(fast[1], faults=[
@@ -131,7 +132,7 @@ RUNS = {
     "telemetry_faults": _telemetry_faults,
     "actuation_faults": _actuation_faults,
     "fleet_outage": _fleet_outage,
-    "batch_two_groups_and_fallback": _batch_two_groups_and_fallback,
+    "batch_two_groups_with_outage": _batch_two_groups_with_outage,
 }
 
 
@@ -150,12 +151,14 @@ def test_run_matches_pinned_digests(name, pinned):
 
 
 def test_batch_fixture_covers_both_paths(pinned):
-    """The batch run must really mix batched groups and a fallback."""
-    results = _batch_two_groups_and_fallback()
-    fallback = [r.perf.get("batch_fallback_reason") for r in results]
-    assert fallback[:5] == [None] * 5
-    assert "outage" in fallback[5]
-    assert len(pinned["batch_two_groups_and_fallback"]) == 6
+    """The batch run must really mix two groups; the outage lane rides
+    the dt = 30 s group."""
+    results = _batch_two_groups_with_outage()
+    assert [r.policy_name for r in results] == ["mpc_batch"] * 6
+    assert [r.perf["batch_n_scenarios"] for r in results] == \
+        [4, 4, 4, 2, 2, 4]
+    assert results[5].perf["counters"]["availability_resets"] == 2
+    assert len(pinned["batch_two_groups_with_outage"]) == 6
 
 
 if __name__ == "__main__" and "--write" in sys.argv:

@@ -330,23 +330,23 @@ class TestMarketStabilityParity:
 
 
 # ---------------------------------------------------------------------------
-# actuation-fault lanes route scalar with an explicit reason
+# actuation-fault lanes ride the group through the plant's channel
 # ---------------------------------------------------------------------------
 class TestActuationRouting:
-    def test_actuation_lane_routes_scalar_with_reason(self):
+    def test_actuation_lanes_batch(self):
         specs = generate_batch_specs(7, 6, actuation_faults=True)
         assert any(sp.get("actuation") for sp in specs)
         built = [build_scenario(sp) for sp in specs]
         results = run_batch([b[0] for b in built], built[0][1])
         for sp, res in zip(specs, results):
-            reason = res.perf.get("batch_fallback_reason")
-            if sp.get("actuation"):
-                assert reason == \
-                    "actuation faults (per-lane plant channel)"
-            else:
-                assert reason is None
-                # batched lanes carry the shared-solve counters
-                assert res.perf["counters"].get("batch_qp_solves", 0) >= 1
+            counters = res.perf["counters"]
+            assert res.policy_name == "mpc_batch"
+            assert res.perf["batch_n_scenarios"] == len(specs)
+            # every lane carries the shared-solve counters, only the
+            # actuation lanes the channel's
+            assert counters.get("batch_qp_solves", 0) >= 1
+            assert ("actuation_commands" in counters) \
+                == bool(sp.get("actuation"))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +362,7 @@ class TestBatchedLadderConfig:
                           MPCPolicyConfig(dt=30.0, fallback_ladder=True,
                                           deadline_seconds=10.0))
         for p, a in zip(plain, armed):
-            assert "batch_fallback_reason" not in a.perf
+            assert a.policy_name == "mpc_batch"
             np.testing.assert_array_equal(a.allocations, p.allocations)
             np.testing.assert_array_equal(np.asarray(a.cost_usd),
                                           np.asarray(p.cost_usd))
@@ -444,15 +444,102 @@ class TestBatchedLadderConfig:
         assert monitors[1].n_violations == 0
 
 
+    def test_overloaded_lanes_shed_without_touching_the_group(self):
+        # Lane 1's portals offer 1.5x the fleet's capacity from period 1
+        # on, and lane 3 loses most of its fleet for three periods: with
+        # no power schedule, each is ejected to its own ladder, whose
+        # hold projection sheds the excess and declares it.  Every other
+        # lane is bit-identical to the same-width group in which those
+        # two lanes' loads are servable.
+        from dataclasses import replace
+
+        from repro.core.reference_opt import Waterfill
+        from repro.sim import FleetOutage
+        from repro.verify import InvariantMonitor
+        from repro.workload import PortalSet, PortalWorkload
+
+        S = 5
+
+        def fleet(overloaded):
+            scens = monte_carlo_scenarios(S, seed=3, dt=60.0,
+                                          duration=360.0)
+            if not overloaded:
+                return scens
+            cluster = scens[1].cluster
+            rates = np.array([p.rate for p in cluster.portals.portals])
+            surge = np.ones(scens[1].n_periods)
+            surge[1:] = 1.5 * Waterfill(cluster).caps.sum() / rates.sum()
+            scens[1] = replace(scens[1], cluster=type(cluster)(
+                cluster.idcs, PortalSet(portals=[
+                    PortalWorkload(name=p.name, trace=p.rate * surge)
+                    for p in cluster.portals.portals])))
+            t0 = scens[3].start_time
+            scens[3] = replace(scens[3], faults=[
+                FleetOutage(name, t0 + 120.0, t0 + 300.0, 0.2)
+                for name in scens[3].cluster.idc_names])
+            return scens
+
+        cfg = MPCPolicyConfig(dt=60.0)
+        base = run_batch(fleet(False), cfg, solver_fault_hook=_noop_hook)
+        monitors = [InvariantMonitor() for _ in range(S)]
+        res = run_batch(fleet(True), cfg, monitors=monitors,
+                        solver_fault_hook=_noop_hook)
+        for lane, periods in ((1, range(1, 6)), (3, range(2, 5))):
+            counters = res[lane].perf["counters"]
+            assert counters["monitor_shed_periods"] == len(periods)
+            assert [k for k, d in enumerate(res[lane].diagnostics)
+                    if d.get("shed_requests", 0.0) > 0] == list(periods)
+            assert not [v for v in monitors[lane].violations
+                        if v.kind == "conservation"]
+        for lane in (0, 2, 4):
+            np.testing.assert_array_equal(res[lane].allocations,
+                                          base[lane].allocations)
+            np.testing.assert_array_equal(np.asarray(res[lane].cost_usd),
+                                          np.asarray(base[lane].cost_usd))
+            assert monitors[lane].n_violations == 0
+
+    def test_unarmed_overload_names_the_lane(self):
+        from repro.exceptions import CapacityError
+        from repro.sim import FleetOutage
+
+        scens = monte_carlo_scenarios(3, seed=3, duration=300.0)
+        t0 = scens[2].start_time
+        scens[2] = scens[2].__class__(**{**scens[2].__dict__, "faults": [
+            FleetOutage(name, t0 + 60.0, t0 + 120.0, 0.1)
+            for name in scens[2].cluster.idc_names]})
+        with pytest.raises(CapacityError, match="lane 2"):
+            run_batch(scens, MPCPolicyConfig(dt=30.0))
+
+
 # ---------------------------------------------------------------------------
 # durable fleet control plane: kill at every period, resume bit-exact
 # ---------------------------------------------------------------------------
+def _durable_fleet(S):
+    """``S`` Monte-Carlo lanes plus one outage and one actuation lane."""
+    from dataclasses import replace
+
+    from repro.sim import CommandDrop, FleetOutage, PartialApply
+
+    scens = monte_carlo_scenarios(S + 2, seed=3, duration=300.0)
+    t0 = scens[0].start_time
+    names = scens[0].cluster.idc_names
+    scens[S] = replace(scens[S], faults=[
+        FleetOutage(names[0], t0 + 90.0, t0 + 210.0, 0.5)])
+    scens[S + 1] = replace(scens[S + 1], faults=[
+        CommandDrop(names[1], t0 + 60.0, t0 + 150.0),
+        PartialApply(names[2], t0 + 120.0, t0 + 240.0, fraction=0.5)])
+    return scens
+
+
 class TestDurableBatchResume:
     def test_kill_at_every_period_resumes_bit_exact_s16(self, tmp_path):
         S, T = 16, 10
         cfg = MPCPolicyConfig(dt=30.0)
-        base = run_batch(monte_carlo_scenarios(S, seed=3, duration=300.0),
-                         cfg, solver_fault_hook=_noop_hook)
+        base = run_batch(_durable_fleet(S), cfg,
+                         solver_fault_hook=_noop_hook)
+        assert base[S].perf["counters"]["availability_resets"] == 2
+        assert base[S + 1].perf["counters"][
+            "actuation_faulted_periods"] > 0
         base_u = [r.allocations.copy() for r in base]
         base_cost = [np.asarray(r.cost_usd).copy() for r in base]
 
@@ -464,15 +551,13 @@ class TestDurableBatchResume:
                     raise SimulatedCrashError(f"crash@{_c}")
 
             with pytest.raises(SimulatedCrashError):
-                run_batch(monte_carlo_scenarios(S, seed=3, duration=300.0),
-                          cfg, checkpoint_every=3, wal_path=wal,
-                          wal_shards=2, solver_fault_hook=hook)
-            res = run_batch(monte_carlo_scenarios(S, seed=3,
-                                                  duration=300.0),
-                            cfg, checkpoint_every=3, wal_path=wal,
-                            wal_shards=2, resume_from=wal,
+                run_batch(_durable_fleet(S), cfg, checkpoint_every=3,
+                          wal_path=wal, wal_shards=2,
+                          solver_fault_hook=hook)
+            res = run_batch(_durable_fleet(S), cfg, checkpoint_every=3,
+                            wal_path=wal, wal_shards=2, resume_from=wal,
                             solver_fault_hook=_noop_hook)
-            for i in range(S):
+            for i in range(S + 2):
                 np.testing.assert_array_equal(res[i].allocations,
                                               base_u[i])
                 np.testing.assert_array_equal(

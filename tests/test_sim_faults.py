@@ -10,7 +10,7 @@ from repro.sim import (
     FleetOutage,
     PriceFeedDropout,
     SensorGap,
-    apply_faults,
+    outage_availability,
     paper_cluster,
     paper_scenario,
     run_simulation,
@@ -79,12 +79,16 @@ class TestFleetOutage:
         with pytest.raises(ConfigurationError):
             FleetOutage("x", 0.0, 1.0, 1.5)
 
-    def test_apply_faults_sets_and_restores(self):
+    @staticmethod
+    def _available(cluster, faults, t):
+        return outage_availability([cluster], [faults], t)[0]
+
+    def test_availability_sets_and_restores(self):
         cluster = paper_cluster()
         faults = [FleetOutage("michigan", 100.0, 200.0, 0.25)]
-        apply_faults(cluster, faults, 150.0)
-        assert cluster.idcs[0].available_servers == 7500
-        apply_faults(cluster, faults, 250.0)
+        assert self._available(cluster, faults, 150.0)[0] == 7500
+        assert self._available(cluster, faults, 250.0)[0] == 30000
+        # data, not a mutation: the cluster keeps its whole fleet
         assert cluster.idcs[0].available_servers == 30000
 
     def test_overlapping_outages_take_minimum(self):
@@ -93,18 +97,17 @@ class TestFleetOutage:
             FleetOutage("michigan", 0.0, 100.0, 0.5),
             FleetOutage("michigan", 50.0, 150.0, 0.2),
         ]
-        apply_faults(cluster, faults, 75.0)
-        assert cluster.idcs[0].available_servers == 6000
+        assert self._available(cluster, faults, 75.0)[0] == 6000
 
     def test_unknown_idc(self):
         cluster = paper_cluster()
         with pytest.raises(ConfigurationError):
-            apply_faults(cluster, [FleetOutage("mars", 0, 1, 0.5)], 0.5)
+            self._available(cluster, [FleetOutage("mars", 0, 1, 0.5)], 0.5)
 
     def test_unknown_fault_type_rejected(self):
         cluster = paper_cluster()
         with pytest.raises(ConfigurationError):
-            apply_faults(cluster, ["not a fault"], 0.0)
+            self._available(cluster, ["not a fault"], 0.0)
 
     def test_adjacent_windows_compose_without_gap_or_overlap(self):
         # Two back-to-back outages: the boundary instant belongs to the
@@ -115,19 +118,23 @@ class TestFleetOutage:
             FleetOutage("michigan", 0.0, 100.0, 0.5),
             FleetOutage("michigan", 100.0, 200.0, 0.25),
         ]
-        apply_faults(cluster, faults, 99.9)
-        assert cluster.idcs[0].available_servers == 15000
-        apply_faults(cluster, faults, 100.0)
-        assert cluster.idcs[0].available_servers == 7500
-        apply_faults(cluster, faults, 200.0)
-        assert cluster.idcs[0].available_servers == 30000
+        assert self._available(cluster, faults, 99.9)[0] == 15000
+        assert self._available(cluster, faults, 100.0)[0] == 7500
+        assert self._available(cluster, faults, 200.0)[0] == 30000
 
     def test_total_outage_fraction_zero(self):
         cluster = paper_cluster()
-        apply_faults(cluster, [FleetOutage("michigan", 0.0, 10.0, 0.0)],
-                     5.0)
-        assert cluster.idcs[0].available_servers == 0
-        assert cluster.idcs[0].servers_on == 0
+        assert self._available(
+            cluster, [FleetOutage("michigan", 0.0, 10.0, 0.0)], 5.0)[0] == 0
+
+    def test_each_lane_reads_its_own_windows_and_clock(self):
+        clusters = [paper_cluster(), paper_cluster()]
+        faults = [[FleetOutage("wisconsin", 0.0, 100.0, 0.5)],
+                  [FleetOutage("michigan", 50.0, 150.0, 0.1)]]
+        avail = outage_availability(clusters, faults, [60.0, 40.0])
+        full = [idc.config.max_servers for idc in clusters[0].idcs]
+        np.testing.assert_array_equal(
+            avail, [[full[0], full[1], full[2] // 2], full])
 
 
 class TestTelemetryFaults:
