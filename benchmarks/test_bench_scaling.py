@@ -300,7 +300,7 @@ DURABILITY_FLEET_PERIODS = 48    # dt = 300 s -> a 4-hour market window
 DURABILITY_MAX_OVERHEAD = 2.0    # acceptance: durable <= 2x plain
 
 
-def test_bench_fleet_durability(tmp_path):
+def test_bench_fleet_durability(tmp_path, record_property):
     cfg = MPCPolicyConfig(dt=30.0)
 
     # --- Monte-Carlo batch: plain vs sharded WAL + periodic checkpoint ---
@@ -348,6 +348,11 @@ def test_bench_fleet_durability(tmp_path):
                                   res_durable.agg_demand_mw)
     assert res_plain.total_cost_usd == res_durable.total_cost_usd
     fleet_overhead = t_fleet_durable / t_fleet_plain
+    record_property("batch_durable_ratio", round(batch_overhead, 3))
+    record_property("fleet_durable_ratio", round(fleet_overhead, 3))
+    print(f"\ndurable/plain: batch {batch_overhead:.2f}x "
+          f"({t_durable:.2f}/{t_plain:.2f} s), fleet {fleet_overhead:.2f}x "
+          f"({t_fleet_durable:.2f}/{t_fleet_plain:.2f} s)")
 
     # acceptance: the durable control plane costs at most 2x wall clock
     assert batch_overhead <= DURABILITY_MAX_OVERHEAD, batch_overhead

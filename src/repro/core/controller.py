@@ -25,7 +25,6 @@ here is its one-lane view.  This module holds the tuning both share
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Literal, get_args
@@ -255,7 +254,7 @@ class CostMPCPolicy:
         """
         return {"version": self.SNAPSHOT_VERSION,
                 "lane": self._lane.snapshot(),
-                "perf": copy.deepcopy(self._lane.perf)}
+                "perf": self._lane.perf.copy()}
 
     def restore(self, state: dict) -> None:
         """Restore a :meth:`snapshot`; the snapshot stays reusable.
@@ -269,7 +268,7 @@ class CostMPCPolicy:
                 f"policy snapshot version {state.get('version')!r} not "
                 f"supported (expected {self.SNAPSHOT_VERSION})")
         self._lane.restore(state["lane"])
-        self._lane.perf = copy.deepcopy(state["perf"])
+        self._lane.perf = state["perf"].copy()
 
     def perf_snapshot(self) -> dict:
         """Perf counters + stage timings accumulated since :meth:`reset`.

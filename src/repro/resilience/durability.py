@@ -38,6 +38,7 @@ payload is any picklable dict.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -79,8 +80,11 @@ __all__ = [
 #: Version 7: every run checkpoints one plant (lane markets, last
 #: applied servers, actuation channel) beside its lane set, whose
 #: scalar snapshot no longer carries a market or an actuation channel,
-#: and the MPC lane snapshots carry their available fleets.
-CHECKPOINT_VERSION = 7
+#: and the MPC lane snapshots carry their available fleets.  Version 8:
+#: the record goes as its filled prefix plus its diagnostics pickled
+#: once per period (:meth:`repro.sim.recorder.LaneRecord.snapshot`), and
+#: the supervisor's state history as run-length pairs.
+CHECKPOINT_VERSION = 8
 
 #: Version stamp of the WAL record schema.
 WAL_VERSION = 1
@@ -103,15 +107,27 @@ def array_digest(*arrays) -> str:
 
     The digest is a function of the exact binary contents, so two runs
     produce the same digest iff their arrays are bit-identical — the
-    property WAL tail replay verifies.
+    property WAL tail replay verifies.  The bytes are hashed in place
+    (no copy of a contiguous array) and the encoded dtype/shape prefix
+    is memoized.
     """
     h = hashlib.sha256()
     for arr in arrays:
-        a = np.ascontiguousarray(np.asarray(arr))
-        h.update(str(a.dtype).encode())
-        h.update(str(a.shape).encode())
-        h.update(a.tobytes())
+        a = np.ascontiguousarray(arr)
+        if a.dtype.fields is None:
+            h.update(_digest_prefix(a.dtype, a.shape))
+        else:   # equal structured dtypes may print differently
+            h.update(str(a.dtype).encode() + str(a.shape).encode())
+        try:
+            h.update(memoryview(a))
+        except ValueError:      # dtypes without a buffer (datetimes)
+            h.update(a.tobytes())
     return h.hexdigest()
+
+
+@functools.lru_cache(maxsize=256)
+def _digest_prefix(dtype, shape: tuple) -> bytes:
+    return str(dtype).encode() + str(shape).encode()
 
 
 def checkpoint_path_for(wal_path: str) -> str:

@@ -105,7 +105,8 @@ class PolicySupervisor:
         """Reset the wrapped policy and all supervisor state."""
         self.policy.reset()
         self.state = HealthState.NOMINAL
-        self.state_history: list[HealthState] = []
+        # the per-period health states, run-length encoded: [state, count]
+        self._history_runs: list[list] = []
         self._clean_streak = 0
         self._last_good_u: np.ndarray | None = None
         self.counters: dict[str, int] = {
@@ -117,6 +118,12 @@ class PolicySupervisor:
             "supervisor_recoveries": 0,
             "supervisor_shed_events": 0,
         })
+
+    @property
+    def state_history(self) -> list[HealthState]:
+        """The health state after every period decided so far."""
+        return [state for state, count in self._history_runs
+                for _ in range(count)]
 
     def on_availability_change(self) -> None:
         """Forward availability changes to the wrapped policy."""
@@ -130,14 +137,17 @@ class PolicySupervisor:
         The health machine, clean-streak counter, last-known-good
         allocation and all counters round-trip, so a restored supervisor
         continues its state history bit-exact — including the recovery
-        window position.  The wrapped policy contributes its own
-        snapshot when it supports one.
+        window position.  The state history goes as ``(state, count)``
+        runs, so the snapshot grows with the transitions, not the
+        periods.  The wrapped policy contributes its own snapshot when it
+        supports one.
         """
         inner = getattr(self.policy, "snapshot", None)
         return {
             "policy": None if inner is None else inner(),
             "state": self.state.value,
-            "state_history": [s.value for s in self.state_history],
+            "state_history": [(state.value, count)
+                              for state, count in self._history_runs],
             "clean_streak": int(self._clean_streak),
             "last_good_u": (None if self._last_good_u is None
                             else self._last_good_u.copy()),
@@ -149,8 +159,8 @@ class PolicySupervisor:
         if state["policy"] is not None:
             self.policy.restore(state["policy"])
         self.state = HealthState(state["state"])
-        self.state_history = [HealthState(s)
-                              for s in state["state_history"]]
+        self._history_runs = [[HealthState(s), int(count)]
+                              for s, count in state["state_history"]]
         self._clean_streak = int(state["clean_streak"])
         self._last_good_u = (None if state["last_good_u"] is None
                              else np.asarray(state["last_good_u"],
@@ -173,7 +183,11 @@ class PolicySupervisor:
         decision, outcome = self._attempt(obs)
         self._transition(outcome)
         decision.diagnostics["health_state"] = self.state.value
-        self.state_history.append(self.state)
+        runs = self._history_runs
+        if runs and runs[-1][0] is self.state:
+            runs[-1][1] += 1
+        else:
+            runs.append([self.state, 1])
         self.counters[f"supervisor_state_{self.state.value}"] += 1
         if np.all(np.isfinite(decision.u)):
             self._last_good_u = np.asarray(decision.u, dtype=float).copy()

@@ -88,12 +88,12 @@ class TelemetryHub:
     """Bounded fan-out buffer of per-period telemetry records.
 
     A ring of the last ``maxlen`` records, each stamped with a
-    monotonically increasing ``seq``.  Streaming readers poll
-    :meth:`read_since` with their next sequence number; publishing never
-    blocks on slow readers (the ring drops the oldest records instead —
-    the *durable* record of every decision is the WAL, which the
-    ``/decisions`` endpoint reads, so nothing is ever lost, only
-    late)."""
+    monotonically increasing ``seq`` and stored once as its JSONL line.
+    Streaming readers poll :meth:`read_since` with their next sequence
+    number; publishing never blocks on slow readers (the ring drops the
+    oldest records instead — the *durable* record of every decision is
+    the WAL, which the ``/decisions`` endpoint reads, so nothing is ever
+    lost, only late)."""
 
     def __init__(self, maxlen: int = 4096) -> None:
         self._records: collections.deque = collections.deque(maxlen=maxlen)
@@ -106,9 +106,8 @@ class TelemetryHub:
         with self._cond:
             seq = self._next_seq
             self._next_seq += 1
-            record = dict(record)
-            record["seq"] = seq
-            self._records.append(record)
+            line = json.dumps({**record, "seq": seq}).encode() + b"\n"
+            self._records.append((seq, line))
             self._cond.notify_all()
             return seq
 
@@ -124,8 +123,9 @@ class TelemetryHub:
         return self._closed
 
     def read_since(self, seq: int, timeout: float | None = None
-                   ) -> tuple[list[dict], bool]:
-        """Records with ``seq >= seq``; blocks up to ``timeout`` for new.
+                   ) -> tuple[list[tuple[int, bytes]], bool]:
+        """``(seq, line)`` records from ``seq`` on; blocks up to
+        ``timeout`` for new ones.
 
         Returns ``(records, closed)``.  An empty list with
         ``closed=True`` tells a follower to stop; empty with
@@ -135,7 +135,7 @@ class TelemetryHub:
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while True:
-                out = [r for r in self._records if r["seq"] >= seq]
+                out = [r for r in self._records if r[0] >= seq]
                 if out or self._closed:
                     return out, self._closed
                 remaining = (None if deadline is None
@@ -143,6 +143,66 @@ class TelemetryHub:
                 if remaining is not None and remaining <= 0:
                     return [], False
                 self._cond.wait(remaining)
+
+
+class _DecisionCursor:
+    """The ``/decisions`` view of one run's WAL, read incrementally.
+
+    Keeps each shard's byte offset and the latest record per period, and
+    parses only the complete lines appended since the last call, by the
+    rules of :func:`~repro.resilience.read_wal` (which stays the reader
+    for resume): a corrupt line is dropped while it is a shard's last
+    complete line and raises :class:`~repro.exceptions.CheckpointError`
+    once another follows it.  A shard shorter than its offset means the
+    log started over, and the cursor does too.
+    """
+
+    def __init__(self, wal_path: str, n_shards: int) -> None:
+        from ..resilience.durability import wal_shard_paths
+        self._paths = wal_shard_paths(wal_path, n_shards)
+        self._lock = threading.Lock()
+        self._offsets = [0] * n_shards
+        self._by_period: dict[int, dict] = {}
+
+    def read(self, start: int) -> list[dict]:
+        """Every period's latest decision record from ``start`` on."""
+        with self._lock:
+            sizes = [_file_size(p) for p in self._paths]
+            if any(size < offset
+                   for size, offset in zip(sizes, self._offsets)):
+                self._offsets = [0] * len(self._paths)
+                self._by_period = {}
+            for i, (path, size) in enumerate(zip(self._paths, sizes)):
+                if size > self._offsets[i]:
+                    self._advance(i, path)
+            by_period = self._by_period
+            return [by_period[k] for k in sorted(by_period) if k >= start]
+
+    def _advance(self, i: int, path: str) -> None:
+        from ..exceptions import CheckpointError
+        with open(path, "rb") as fh:
+            fh.seek(self._offsets[i])
+            data = fh.read()
+        lines = data[:data.rfind(b"\n") + 1].split(b"\n")[:-1]
+        for j, line in enumerate(lines):
+            if line.strip():
+                try:
+                    rec = json.loads(line)
+                except ValueError:
+                    if j == len(lines) - 1:     # a torn tail, for now
+                        return
+                    raise CheckpointError(f"{path}: corrupt WAL record "
+                                          f"at byte {self._offsets[i]}")
+                if rec.get("type") == "decision":
+                    self._by_period[int(rec["period"])] = rec
+            self._offsets[i] += len(line) + 1
+
+
+def _file_size(path: str) -> int:
+    try:
+        return os.stat(path).st_size
+    except FileNotFoundError:
+        return 0
 
 
 class ManagedRun:
@@ -166,8 +226,13 @@ class ManagedRun:
         self.resume_from: str | None = None   # WAL path to resume from
         self.submitted_at = time.time()
         self.finished_at: float | None = None
+        # the live controller, dropped by release_controller()
         self.supervisor = None      # scalar runs: the health machine
         self.fleet_perf = None      # fleet runs: BatchPerfStats
+        #: what /perf reports of the controller once it is released
+        self.final_counters: dict = {}
+        #: the live run's /decisions cursor
+        self.wal_cursor: _DecisionCursor | None = None
         self._drain = threading.Event()
         self._checkpoint = threading.Event()
 
@@ -211,6 +276,45 @@ class ManagedRun:
     def active(self) -> bool:
         """True while the control thread is (or is about to be) alive."""
         return self.state in ACTIVE_STATES
+
+    def controller_counters(self) -> dict:
+        """The controller's counters for ``/perf``: live, or as released.
+
+        ``supervisor`` (scalar runs) and ``rollup`` (fleet runs).
+        """
+        # read once: the control thread may release them meanwhile
+        supervisor, fleet_perf = self.supervisor, self.fleet_perf
+        if supervisor is None and fleet_perf is None:
+            return dict(self.final_counters)
+        out: dict = {}
+        if supervisor is not None:
+            out["supervisor"] = dict(supervisor.counters)
+        if fleet_perf is not None:
+            try:
+                out["rollup"] = _json_safe_counters(
+                    fleet_perf.rollup().as_dict().get("counters", {}))
+            except RuntimeError:  # rollup raced a mutating control step
+                out["rollup"] = None
+        return out
+
+    def decision_cursor(self) -> _DecisionCursor:
+        """The live run's WAL cursor; a finished run's WAL, read whole."""
+        cursor = self.wal_cursor
+        if cursor is None:
+            cursor = _DecisionCursor(
+                self.wal_path,
+                self.spec.wal_shards if self.spec.kind == "fleet" else 1)
+        return cursor
+
+    def release_controller(self) -> None:
+        """Keep the controller's counters, drop the controller.
+
+        A finished run keeps its status, summary, WAL and telemetry
+        lines, not the objects that ran it, nor the parsed records of
+        its ``/decisions`` cursor.
+        """
+        self.final_counters = self.controller_counters()
+        self.supervisor = self.fleet_perf = self.wal_cursor = None
 
     # -- reporting -----------------------------------------------------
     def status(self) -> dict:
@@ -370,6 +474,7 @@ class ServiceRuntime:
 
     # -- the control thread --------------------------------------------
     def _execute(self, run: ManagedRun) -> None:
+        run.wal_cursor = run.decision_cursor()
         try:
             run.state = RunState.RUNNING
             run.persist()
@@ -382,6 +487,7 @@ class ServiceRuntime:
             run.state = RunState.FAILED
         finally:
             run.finished_at = time.time()
+            run.release_controller()
             run.hub.close()
             try:
                 run.persist()
@@ -535,36 +641,23 @@ class ServiceRuntime:
         Latest-append-wins per period (a resumed run re-logs its
         verified tail), so the stream a client reads after any number
         of crash/restart cycles contains every period exactly once.
+        While the run is live, each call parses only what was appended
+        since the last.
         """
-        from ..resilience.durability import read_wal
-        run = self.get(run_id)
-        if not os.path.exists(run.wal_path):  # shard 0 is the base path
-            return []
-        n_shards = run.spec.wal_shards if run.spec.kind == "fleet" else 1
-        by_period: dict[int, dict] = {}
-        for rec in read_wal(run.wal_path, n_shards):
-            if rec.get("type") == "decision":
-                by_period[int(rec["period"])] = rec
-        return [by_period[k] for k in sorted(by_period) if k >= start]
+        return self.get(run_id).decision_cursor().read(start)
 
     def perf(self, run_id: str) -> dict:
         """Live (or final) perf counters: ladder rungs, rollups, WAL."""
         run = self.get(run_id)
         if run.summary is not None:
-            return {"state": run.state.value,
-                    "counters": run.summary.get("counters", {})}
-        out: dict = {"state": run.state.value,
-                     "periods_done": int(run.periods_done),
-                     "health_state": run.health_state,
-                     "rung": run.last_rung}
-        if run.supervisor is not None:
-            out["supervisor"] = dict(run.supervisor.counters)
-        if run.fleet_perf is not None:
-            try:
-                out["rollup"] = _json_safe_counters(
-                    run.fleet_perf.rollup().as_dict().get("counters", {}))
-            except RuntimeError:  # rollup raced a mutating control step
-                out["rollup"] = None
+            out = {"state": run.state.value,
+                   "counters": run.summary.get("counters", {})}
+        else:
+            out = {"state": run.state.value,
+                   "periods_done": int(run.periods_done),
+                   "health_state": run.health_state,
+                   "rung": run.last_rung}
+        out.update(run.controller_counters())
         return out
 
     # -- service health -------------------------------------------------

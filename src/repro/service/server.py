@@ -307,10 +307,9 @@ class _Handler(BaseHTTPRequestHandler):
             while not budget.expired:
                 timeout = min(0.25, max(0.0, budget.remaining()))
                 records, closed = run.hub.read_since(seq, timeout=timeout)
-                for record in records:
-                    seq = record["seq"] + 1
-                    self._write_chunk(
-                        json.dumps(record).encode() + b"\n")
+                for record_seq, line in records:
+                    self._write_chunk(line)
+                    seq = record_seq + 1
                 if closed and not records:
                     break
             final = dict(run.status())

@@ -252,7 +252,8 @@ def run_lanes(lanes, journal: RunJournal, *, predict_loads: bool = False,
         state = checkpoint.state
         lanes.restore(state["lanes"])
         plant.restore(state["plant"])
-        record, guards = state["record"], state["guards"]
+        record = LaneRecord.from_snapshot(state["record"])
+        guards = state["guards"]
         predictor = state["predictor"]
         for mon, snap in zip(monitors, state["monitors"]):
             if mon is not None and snap is not None \
@@ -262,9 +263,11 @@ def run_lanes(lanes, journal: RunJournal, *, predict_loads: bool = False,
 
     def checkpoint_state() -> dict:
         return {
-            # picklable loop-owned state rides whole
+            # the record goes as what it has filled; the rest of the
+            # loop-owned state is small and rides whole
             "lanes": lanes.snapshot(), "plant": plant.snapshot(),
-            "record": record, "guards": guards, "predictor": predictor,
+            "record": record.snapshot(), "guards": guards,
+            "predictor": predictor,
             "monitors": [mon.snapshot() if mon is not None
                          and hasattr(mon, "snapshot") else None
                          for mon in monitors],

@@ -73,6 +73,11 @@ class PerfStats:
         for k, v in other.counters.items():
             self.counters[k] = self.counters.get(k, 0) + v
 
+    def copy(self) -> "PerfStats":
+        """An independent copy (the dicts hold only numbers)."""
+        return PerfStats(dict(self.stage_seconds), dict(self.stage_calls),
+                         dict(self.counters))
+
     def as_dict(self) -> dict:
         """Plain-dict snapshot (stable keys, safe to serialize)."""
         return {
@@ -112,6 +117,14 @@ class BatchPerfStats:
         #: never left the clean path carry no entry and count NOMINAL).
         self.lane_health: dict[int, str] = {}
         self._lanes = [PerfStats() for _ in range(self.n_lanes)]
+
+    def copy(self) -> "BatchPerfStats":
+        """An independent copy, built from the flat dicts."""
+        out = BatchPerfStats(self.n_lanes)
+        out.shared = self.shared.copy()
+        out.lane_health = dict(self.lane_health)
+        out._lanes = [lane.copy() for lane in self._lanes]
+        return out
 
     def note_lane_health(self, index: int, label: str) -> None:
         """Record lane ``index``'s current health label (overwrites)."""

@@ -70,6 +70,28 @@ class TestArrayDigest:
         assert array_digest(a) != array_digest(a.astype(np.float32))
         assert array_digest(a) != array_digest(a.reshape(2, 3))
 
+    def test_pinned_digests(self):
+        """The digests are part of the WAL format: a log written by any
+        version must verify against these values."""
+        cases = {
+            "63bec2f22a4173b713906cda12fec4cdd6ab5d196c9caf3948d5607c228a4c86":
+                np.array([0.5, -1.25, 3.0e6]),
+            "f63f303a46d30407186b1220310b8eb03f3926a39ef335ebcb1663531f814b02":
+                np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int64),
+            "2bb2ca087f3ac126666d212504688abeb074ba8f33bd6f794d9061b8b65bca42":
+                np.array([True, False, True]),
+            "8835e5b69692bed780c5d02f3a86f4c72ba06179aabd47680181ad7e56237b3d":
+                np.float64(2.5),
+            "e6e09ef728a8c1dc913ab6e3d6af50b8fede44260ddefbc2969efcd3e894f91a":
+                np.zeros((0, 3)),
+            "117eb14084a554014705249e97107f37e4f3d24ac5130c2a261004a2c2a25372":
+                np.arange(12.0).reshape(3, 4)[:, ::2],
+        }
+        for digest, arr in cases.items():
+            assert array_digest(arr) == digest
+        assert array_digest(np.arange(3, dtype=np.int64), [1.0, 2.0]) == (
+            "af25b904b2a744b72c5c36abea1e3521f7d549e5f96736c39712270d1e0b1002")
+
     def test_chains_multiple_arrays(self):
         a, b = np.ones(3), np.zeros(3)
         assert array_digest(a, b) != array_digest(b, a)
@@ -293,6 +315,43 @@ class TestComponentSnapshots:
         assert fresh.state == sup.state
         assert fresh.counters == sup.counters
         assert fresh.state_history == sup.state_history
+
+    def test_supervisor_snapshot_grows_with_transitions(self):
+        """288 periods with one degraded episode snapshot as 4 runs."""
+        from repro.sim import AllocationDecision
+
+        class Stub:
+            name = "stub"
+
+            def reset(self):
+                pass
+
+            def decide(self, obs):
+                rung = "cold" if obs.period == 100 else "warm"
+                return AllocationDecision(
+                    u=np.asarray(obs.prev_u, dtype=float),
+                    servers=np.asarray(obs.prev_servers),
+                    diagnostics={"rung": rung})
+
+        cluster = paper_cluster()
+        sup = PolicySupervisor(Stub(), cluster)
+        obs = dict(time_seconds=0.0, loads=np.ones(cluster.n_portals),
+                   prices=np.ones(cluster.n_idcs),
+                   prev_u=np.zeros(cluster.n_allocations),
+                   prev_servers=np.zeros(cluster.n_idcs, dtype=int))
+        for k in range(288):
+            sup.decide(PolicyObservation(period=k, **obs))
+        snap = sup.snapshot()
+        assert snap["state_history"] == [
+            ("nominal", 100), ("degraded", 1), ("recovering", 2),
+            ("nominal", 185)]
+        fresh = PolicySupervisor(Stub(), cluster)
+        fresh.restore(snap)
+        assert len(fresh.state_history) == 288
+        assert fresh.state_history == sup.state_history
+        sup.decide(PolicyObservation(period=288, **obs))
+        fresh.decide(PolicyObservation(period=288, **obs))
+        assert fresh.snapshot()["state_history"][-1] == ("nominal", 186)
 
     def test_monitor_round_trip(self):
         sc = _short_scenario()
@@ -576,6 +635,50 @@ class TestCrashResume:
         sc2 = _short_scenario()
         with pytest.raises(CheckpointError, match="version 6 not supported"):
             run_simulation(sc2, _mpc(sc2), resume_from=wal)
+
+    def test_version_7_checkpoint_refused_by_version(self, tmp_path):
+        """A version-7 checkpoint pickles the whole zero-filled record.
+
+        The record now goes as its filled prefix plus a diagnostics
+        stream; the envelope must refuse the old layout by its version
+        stamp.
+        """
+        wal = str(tmp_path / "v7.wal")
+        sc = _short_scenario()
+        with pytest.raises(SimulatedCrashError):
+            run_simulation(sc, CrashInjector(_mpc(sc), 5), wal_path=wal,
+                           checkpoint_every=2)
+        ckpt = checkpoint_path_for(wal)
+        current = ControllerCheckpoint.load(ckpt)
+        ControllerCheckpoint(period=current.period, state=current.state,
+                             version=7).save(ckpt)
+        sc2 = _short_scenario()
+        with pytest.raises(CheckpointError, match="version 7 not supported"):
+            run_simulation(sc2, _mpc(sc2), resume_from=wal)
+
+    def test_checkpoint_carries_the_filled_record_prefix(self, tmp_path):
+        """A crash at period 5 leaves the period-4 checkpoint, whose
+        record series hold 4 columns, not the run's T; the resumed run
+        still reproduces every diagnostic."""
+        baseline = run_simulation(_short_scenario(), _mpc(_short_scenario()))
+        wal = str(tmp_path / "prefix.wal")
+        sc = _short_scenario()
+        with pytest.raises(SimulatedCrashError):
+            run_simulation(sc, CrashInjector(_mpc(sc), 5), wal_path=wal,
+                           checkpoint_every=2)
+        ckpt = ControllerCheckpoint.load(checkpoint_path_for(wal))
+        assert ckpt.period == 4
+        record = ckpt.state["record"]
+        assert record["n_periods"] == 4
+        for name, prefix in record["series"].items():
+            assert prefix.shape[:2] == (1, 4), name
+        sc2 = _short_scenario()
+        resumed = run_simulation(sc2, _mpc(sc2), resume_from=wal)
+        assert len(resumed.diagnostics) == sc2.n_periods
+        for got, want in zip(resumed.diagnostics, baseline.diagnostics):
+            assert got.keys() == want.keys()
+            for key in want:
+                np.testing.assert_array_equal(got[key], want[key])
 
     def test_resume_with_faults_and_monitor(self, tmp_path):
         """Outage + actuation fault + monitor all survive the restart."""

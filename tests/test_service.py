@@ -24,6 +24,8 @@ from repro.service import (
     ServiceConfig,
     ServiceDaemon,
     ServiceError,
+    ServiceRuntime,
+    TelemetryHub,
     spec_from_dict,
 )
 from repro.service.protocol import build_scalar_run
@@ -175,6 +177,230 @@ class TestEndpoints:
         assert records[-1]["type"] == "end"
         telemetry = [r for r in records if r.get("type") == "telemetry"]
         assert [r["period"] for r in telemetry] == list(range(6))
+
+
+# ---------------------------------------------------------------------------
+# /decisions: an incremental cursor over the WAL; a finished run's /perf
+# ---------------------------------------------------------------------------
+def _wal_decisions(wal_path, n_shards=1):
+    """The ``read_wal``-based answer ``/decisions`` must give."""
+    from repro.resilience import read_wal
+    if not os.path.exists(wal_path):
+        return []
+    by_period = {}
+    for rec in read_wal(wal_path, n_shards):
+        if rec.get("type") == "decision":
+            by_period[int(rec["period"])] = rec
+    return [by_period[k] for k in sorted(by_period)]
+
+
+def _finish(runtime, payload):
+    runtime.submit(payload)
+    run = runtime.get(payload["run_id"])
+    run.thread.join(120)
+    assert not run.thread.is_alive()
+    return run
+
+
+class TestDecisionsCursor:
+    def test_live_run_matches_the_wal(self, tmp_path):
+        runtime = ServiceRuntime(str(tmp_path))
+        runtime.submit(_spec(_DAY, "live"))
+        run = runtime.get("live")
+        polls = 0
+        while run.active:
+            got = runtime.decisions("live")
+            # the WAL read after the cursor holds at least as much
+            assert got == _wal_decisions(run.wal_path)[:len(got)]
+            polls += 1
+            time.sleep(0.005)
+        run.thread.join()
+        assert polls > 1
+        want = _wal_decisions(run.wal_path)
+        assert len(want) == 288
+        assert runtime.decisions("live") == want
+        assert runtime.decisions("live", start=200) == want[200:]
+
+    def test_resumed_run_matches_the_wal(self, tmp_path):
+        """A resume record and a re-logged tail: latest append wins."""
+        from repro.core import CostMPCPolicy, MPCPolicyConfig
+        from repro.resilience import CrashInjector, SimulatedCrashError
+        from repro.service.runtime import _DecisionCursor
+        from repro.sim import paper_scenario, run_simulation
+
+        def run(crash_at=None, **kwargs):
+            sc = paper_scenario(dt=60.0, duration=600.0, start_hour=12.0)
+            policy = CostMPCPolicy(sc.cluster, MPCPolicyConfig(dt=sc.dt))
+            if crash_at is not None:
+                policy = CrashInjector(policy, crash_at)
+            return run_simulation(sc, policy, **kwargs)
+
+        wal = str(tmp_path / "wal.jsonl")
+        with pytest.raises(SimulatedCrashError):
+            run(5, wal_path=wal, checkpoint_every=2)
+        cursor = _DecisionCursor(wal, 1)
+        assert [d["period"] for d in cursor.read(0)] == list(range(5))
+        assert run(resume_from=wal).perf["counters"]["wal_tail_replayed"] == 1
+        want = _wal_decisions(wal)
+        assert [d["period"] for d in want] == list(range(10))
+        assert cursor.read(0) == want
+        assert cursor.read(7) == want[7:]
+
+    def test_torn_and_corrupt_lines_read_as_read_wal_does(self, tmp_path):
+        from repro.exceptions import CheckpointError
+        from repro.resilience import WriteAheadLog, read_wal
+        from repro.service.runtime import _DecisionCursor
+        wal = str(tmp_path / "wal.jsonl")
+        with WriteAheadLog(wal) as log:
+            log.append({"type": "begin", "fingerprint": {}})
+            for k in range(3):
+                log.append({"type": "decision", "period": k})
+        cursor = _DecisionCursor(wal, 1)
+
+        def append(data):
+            with open(wal, "ab") as fh:
+                fh.write(data)
+
+        append(b'{"type": "decision", "peri')       # torn mid-record
+        assert cursor.read(0) == _wal_decisions(wal)
+        assert len(cursor.read(0)) == 3
+        append(b'od": 3}\n')                        # the write completes
+        assert cursor.read(0) == _wal_decisions(wal)
+        assert len(cursor.read(0)) == 4
+        append(b'{"type": "decision", "period": 4, "torn\n')
+        assert cursor.read(0) == _wal_decisions(wal)
+        append(b'{"type": "decision", "period": 5}\n')
+        with pytest.raises(CheckpointError, match="corrupt"):
+            read_wal(wal)
+        with pytest.raises(CheckpointError, match="corrupt"):
+            cursor.read(0)
+
+    def test_a_log_started_over_resets_the_cursor(self, tmp_path):
+        from repro.resilience import WriteAheadLog
+        from repro.service.runtime import _DecisionCursor
+        wal = str(tmp_path / "wal.jsonl")
+
+        def write(periods):
+            with WriteAheadLog(wal) as log:
+                log.append({"type": "begin", "fingerprint": {}})
+                for k in periods:
+                    log.append({"type": "decision", "period": k, "x": 1})
+
+        write(range(6))
+        cursor = _DecisionCursor(wal, 1)
+        assert len(cursor.read(0)) == 6
+        write(range(2))
+        assert cursor.read(0) == _wal_decisions(wal)
+        assert len(cursor.read(0)) == 2
+
+    def test_sharded_fleet_run_matches_the_wal(self, tmp_path):
+        runtime = ServiceRuntime(str(tmp_path))
+        run = _finish(runtime, _spec(_FLEET, "f4", wal_shards=4))
+        assert run.state.value == "completed"
+        want = _wal_decisions(run.wal_path, 4)
+        assert [d["period"] for d in want] == list(range(6))
+        assert runtime.decisions("f4") == want
+
+    def test_reads_only_what_was_appended(self, tmp_path, monkeypatch):
+        from repro.resilience import WriteAheadLog
+        from repro.service.runtime import _DecisionCursor
+        wal = str(tmp_path / "wal.jsonl")
+        log = WriteAheadLog(wal)
+        log.append({"type": "begin", "fingerprint": {}})
+        for k in range(4):
+            log.append({"type": "decision", "period": k})
+        cursor = _DecisionCursor(wal, 1)
+        assert cursor.read(0) == _wal_decisions(wal)
+        parsed = []
+        real_loads = json.loads
+        monkeypatch.setattr(json, "loads",
+                            lambda *a, **k: parsed.append(1)
+                            or real_loads(*a, **k))
+        assert len(cursor.read(0)) == 4
+        assert parsed == []
+        log.append({"type": "decision", "period": 4})
+        log.close()
+        assert [d["period"] for d in cursor.read(3)] == [3, 4]
+        assert len(parsed) == 1
+
+
+    def test_concurrent_readers_see_one_consistent_log(self, tmp_path):
+        """HTTP worker threads share a run's cursor while the control
+        thread appends: no reader may lose or repeat a record."""
+        import sys
+        import threading
+        from repro.resilience import WriteAheadLog
+        from repro.service.runtime import _DecisionCursor
+        wal = str(tmp_path / "wal.jsonl")
+        log = WriteAheadLog(wal)
+        log.append({"type": "begin", "fingerprint": {}})
+        cursor = _DecisionCursor(wal, 1)
+        errors = []
+
+        def reader():
+            try:
+                for _ in range(200):
+                    periods = [d["period"] for d in cursor.read(0)]
+                    assert periods == list(range(len(periods)))
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for k in range(300):
+                log.append({"type": "decision", "period": k})
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            log.close()
+        assert errors == []
+        assert [d["period"] for d in cursor.read(0)] == list(range(300))
+
+
+class TestFinishedRun:
+    def test_perf_keeps_the_supervisor_counters(self, tmp_path):
+        runtime = ServiceRuntime(str(tmp_path))
+        run = _finish(runtime, _spec(_SHORT, "done"))
+        assert run.state.value == "completed"
+        assert run.supervisor is None and run.wal_cursor is None
+        assert runtime.decisions("done") == _wal_decisions(run.wal_path)
+        perf = runtime.perf("done")
+        assert perf["counters"]["wal_records"] >= 6
+        states = {k: v for k, v in perf["supervisor"].items()
+                  if k.startswith("supervisor_state_")}
+        assert sum(states.values()) == 6
+
+    def test_failed_run_keeps_the_supervisor_counters(self, tmp_path,
+                                                      monkeypatch):
+        import repro.sim
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("solver on fire")
+
+        monkeypatch.setattr(repro.sim, "run_simulation", fail)
+        runtime = ServiceRuntime(str(tmp_path))
+        run = _finish(runtime, _spec(_SHORT, "bad"))
+        assert run.state.value == "failed"
+        assert run.supervisor is None
+        assert runtime.perf("bad")["supervisor"]["supervisor_retries"] == 0
+
+    def test_telemetry_is_kept_as_its_lines(self):
+        hub = TelemetryHub(maxlen=3)
+        for k in range(5):
+            hub.publish({"type": "telemetry", "period": k})
+        records, closed = hub.read_since(3, timeout=0)
+        assert not closed
+        assert records == [
+            (3, b'{"type": "telemetry", "period": 3, "seq": 3}\n'),
+            (4, b'{"type": "telemetry", "period": 4, "seq": 4}\n')]
+        assert [seq for seq, _ in hub.read_since(0, timeout=0)[0]] \
+            == [2, 3, 4]
 
 
 # ---------------------------------------------------------------------------

@@ -226,7 +226,7 @@ class TestLaneRecord:
         assert res.total_cost_usd == float(rec.meter.cost_usd[1].sum())
 
     def test_pickle_round_trip_continues_bit_exact(self):
-        """Checkpoints carry the record whole; a resumed one carries on."""
+        """A record pickled whole carries on bit-exact once unpickled."""
         import pickle
         rec, powers, prices = self._record()
         partial = LaneRecord(3, 4, 2, 2, 60.0)
@@ -240,6 +240,31 @@ class TestLaneRecord:
         np.testing.assert_array_equal(resumed.series["powers_watts"],
                                       rec.series["powers_watts"])
         assert resumed.diagnostics == rec.diagnostics
+
+    def test_snapshot_round_trip_continues_bit_exact(self):
+        """A checkpoint carries the filled prefix and pickles each
+        period's diagnostics once; a restored record carries on."""
+        import pickle
+        rec, powers, prices = self._record()
+        partial = LaneRecord(3, 4, 2, 2, 60.0)
+        _record_periods(partial, powers[:, :1], prices[:, :1])
+        first = partial.snapshot()
+        _record_periods(partial, powers[:, :3], prices[:, :3], start=1)
+        snap = pickle.loads(pickle.dumps(partial.snapshot()))
+        assert snap["diagnostics"].startswith(first["diagnostics"])
+        assert snap["series"]["powers_watts"].shape == (3, 3, 2)
+        resumed = LaneRecord.from_snapshot(snap)
+        assert resumed.n_periods == 3
+        _record_periods(resumed, powers, prices, start=3)
+        np.testing.assert_array_equal(resumed.meter.cost_usd,
+                                      rec.meter.cost_usd)
+        np.testing.assert_array_equal(resumed.meter.paper_cost,
+                                      rec.meter.paper_cost)
+        for name, series in rec.series.items():
+            np.testing.assert_array_equal(resumed.series[name], series)
+        assert resumed.diagnostics == rec.diagnostics
+        again = LaneRecord.from_snapshot(resumed.snapshot())
+        assert again.diagnostics == rec.diagnostics
 
     def test_meter_rejects_misshaped_and_negative_input(self):
         rec, _, _ = self._record()
