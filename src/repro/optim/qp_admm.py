@@ -189,6 +189,9 @@ class BatchADMMSetup:
     iteration), so the tuned penalty carries over to the next control
     period instead of being re-learned every solve.  The single-problem
     :func:`solve_qp_admm` re-arms it to the caller's ``rho`` instead.
+    It also memoises the polish's active-set factors
+    (``active_factors``); those are derived from ``(P, A)`` alone, so a
+    memo hit changes no result.
     """
 
     def __init__(self, P, A, n_eq: int = 0, rho: float = 0.1,
@@ -243,6 +246,10 @@ class BatchADMMSetup:
         self.rho_lanes: np.ndarray | None = None
         self._lane_kinv_cache: dict[float, np.ndarray] = {}
         self._polish_ops = None
+        # (rows, chol) of the polish's active sets by packed set; derived
+        # from the rho-free Schur complement, so it lives as long as the
+        # setup and is never checkpointed
+        self.active_factors: dict[bytes, tuple] = {}
         self._set_rho(float(rho))
 
     def _set_rho(self, rho: float) -> None:
@@ -384,16 +391,18 @@ def solve_qp_admm_batch(P, Q, A, L, U, rho: float = 0.1,
 
     Lanes finish by an **active-set polish** (OSQP's "polish"):
     primal-dual active-set rounds on the active rows guessed from the
-    lane's ``(z, y)``, accepted only if the polished point passes the
-    same unscaled stopping test with correctly signed multipliers.  A
-    lane gets at most two attempts per solve: at the iteration-1 check
-    every lane that has not met the stop tries at once (a warm start
-    from the previous period mostly names the optimal active set
-    already), and a lane refused there tries once more when its
-    residuals first come within ``1e-2·(1 + scale)`` of the stop.  An
-    accepted lane is an exact vertex (``BatchQPResult.polished``); a
-    refused one carries on by ADMM from its untouched iterate.  The
-    ``lane_isolated`` mode never polishes.
+    lane's ``(z, y)``, solved on the set alone through the setup's
+    memoised active-set factors (a set with dependent rows keeps a
+    pivoted independent subset), accepted only if the polished point
+    passes the same unscaled stopping test with correctly signed
+    multipliers.  A lane gets at most two attempts per solve: at the
+    iteration-1 check every lane that has not met the stop tries at
+    once (a warm start from the previous period mostly names the
+    optimal active set already), and a lane refused there tries once
+    more when its residuals first come within ``1e-2·(1 + scale)`` of
+    the stop.  An accepted lane is an exact vertex
+    (``BatchQPResult.polished``); a refused one carries on by ADMM from
+    its untouched iterate.  The ``lane_isolated`` mode never polishes.
 
     Parameters
     ----------
@@ -545,7 +554,7 @@ def solve_qp_admm_batch(P, Q, A, L, U, rho: float = 0.1,
                 for lo in range(0, cand.size, _POLISH_CHUNK):
                     ch = cand[lo:lo + _POLISH_CHUNK]
                     ok, xp, zp, yp = _polish_lanes(
-                        setup, x[ch], z[ch], y[ch], qs[ch], q_u[ch], qn[ch],
+                        setup, z[ch], y[ch], qs[ch], q_u[ch], qn[ch],
                         ls[ch], us[ch], eps_abs, eps_rel)
                     acc = ch[ok]
                     x[acc], z[acc], y[acc] = xp[ok], zp[ok], yp[ok]
@@ -601,6 +610,9 @@ _POLISH_CHUNK = 128
 #: Smallest Cholesky pivot, relative to its row's diagonal, of an
 #: active set the polish treats as linearly independent.
 _DEPENDENT_PIVOT = 1e-10
+#: Active-set factors a setup keeps (:func:`_solve_active`); the memo is
+#: emptied when it reaches this many sets.
+_ACTIVE_MEMO_CAP = 128
 
 
 def _unscaled_residuals(setup: BatchADMMSetup, x, z, y, q_u, qn):
@@ -632,106 +644,148 @@ def _unscaled_residuals(setup: BatchADMMSetup, x, z, y, q_u, qn):
     return r_prim, r_dual, prim_scale, dual_scale
 
 
-def _polish_lanes(setup: BatchADMMSetup, x, z, y, qs, q_u, qn, ls, us,
+def _polish_lanes(setup: BatchADMMSetup, z, y, qs, q_u, qn, ls, us,
                   eps_abs: float, eps_rel: float):
     """Active-set polish of ``k`` lanes (OSQP's "polish" step).
 
     Works in Ruiz-scaled coordinates as a primal-dual active-set
-    (semismooth Newton) iteration started at the lane's ADMM iterate.
-    The first active set is read off the ADMM ``(z, y)``: equality rows
-    always, a one-sided row when its dual outweighs its slack.  Each
-    round takes the Newton step onto the equality-constrained QP of the
-    active rows, solved through the Schur complement
-    ``M_act y = A_act(x + d) − b_act`` with ``d = −P⁻¹(Px + q)``
-    (:func:`_solve_active`), then re-reads the active set from the
-    step's multipliers and violations; a lane whose set stops moving
-    leaves the rounds.  The caller hands lanes over in chunks of
-    ``_POLISH_CHUNK``, which bounds every work array here to
-    ``(chunk, m)``.  A lane is accepted only if the polished
-    ``(x, clip(Ax), y)`` passes the ADMM loop's own unscaled stopping
-    test and its multipliers carry the right sign to the same tolerance.
-    Returns ``(ok, x, z, y)``; rows of rejected lanes are meaningless.
+    (semismooth Newton) iteration.  The first active set is read off
+    the lane's ADMM ``(z, y)``: equality rows always, a one-sided row
+    when its dual outweighs its slack.  The equality-constrained QP of
+    an active set ``a`` has the solution ``x = x_u − P⁻¹A_aᵀy_a`` with
+    the unconstrained minimizer ``x_u = −P⁻¹q``, so each round works on
+    the set alone: with ``w = A x_u`` (once per lane) it solves the
+    Schur complement ``M_aa y_a = w_a − b_a`` (:func:`_solve_active`),
+    reads ``A x = w − M y`` and re-reads the active set from the
+    multipliers and violations; a lane whose set stops moving leaves
+    the rounds.  ``x`` itself is formed once, after the last round.
+    The caller hands lanes over in chunks of ``_POLISH_CHUNK``, which
+    bounds every work array here to ``(chunk, m)``.  A lane is accepted
+    only if the polished ``(x, clip(Ax), y)`` passes the ADMM loop's own
+    unscaled stopping test and its multipliers carry the right sign to
+    the same tolerance.  Returns ``(ok, x, z, y)``; rows of rejected
+    lanes are meaningless.
     """
     pinv, a_pinv, M = setup.polish_operators()
     k, m = z.shape
     eq = ls == us
     upper = eq | (us - z < y)
     lower = ~upper & (z - ls < -y)
-    X = x.copy()
-    Yp = np.zeros((k, m))
-    sol_up, sol_dn = upper.copy(), lower.copy()   # sets behind Yp
-    todo = np.arange(k)
+    x_u = -(qs @ pinv)
+    w = x_u @ setup.A_sT
+    Yp = np.empty((k, m))
+    # the rounds run on compacted copies of the lanes whose set still
+    # moves; ``idx`` maps them back to the chunk, whose ``upper`` and
+    # ``lower`` keep the sets behind ``Yp``
+    idx = np.arange(k)
+    up, dn, wt, ut, lt, et = upper, lower, w, us, ls, eq
     with np.errstate(all="ignore"):
         for _ in range(_POLISH_ROUNDS):
-            up, dn = upper[todo], lower[todo]
-            act = up | dn
-            xt = X[todo]
-            d = -((xt @ setup.P_s + qs[todo]) @ pinv)
-            w = (xt + d) @ setup.A_sT
-            rhs = np.where(act, w - np.where(up, us[todo], ls[todo]), 0.0)
-            yk = _solve_active(M, act, rhs)
-            xt = xt + (d - yk @ a_pinv)
-            X[todo], Yp[todo] = xt, yk
-            sol_up[todo], sol_dn[todo] = up, dn
-            ax = xt @ setup.A_sT
+            # inactive rows of rhs are never read
+            yk = _solve_active(M, up | dn, wt - np.where(up, ut, lt),
+                               setup.active_factors)
+            Yp[idx] = yk
+            upper[idx], lower[idx] = up, dn
+            ax = wt - yk @ M
             # PDAS: a row is active when its multiplier or its violation
             # points outside the bound.  A weakly active row (zero
             # multiplier on its bound) keeps its status, or rounding
             # would toggle it every round.
             tol = _PDAS_TOL * (1.0 + np.abs(ax))
-            s_up = yk + (ax - us[todo])
-            s_dn = yk + (ax - ls[todo])
-            new_up = eq[todo] | np.where(up, s_up > -tol, s_up > tol)
+            s_up = yk + (ax - ut)
+            s_dn = yk + (ax - lt)
+            new_up = et | np.where(up, s_up > -tol, s_up > tol)
             new_dn = ~new_up & np.where(dn, s_dn < tol, s_dn < -tol)
             moved = np.any(new_up != up, axis=1) | \
                 np.any(new_dn != dn, axis=1)
-            upper[todo], lower[todo] = new_up, new_dn
-            todo = todo[moved]
-            if not todo.size:
+            if not moved.any():
                 break
+            idx = idx[moved]
+            up, dn = new_up[moved], new_dn[moved]
+            wt, ut, lt, et = wt[moved], ut[moved], lt[moved], et[moved]
+        X = x_u - Yp @ a_pinv
         Z = np.clip(X @ setup.A_sT, ls, us)
         r_prim, r_dual, prim_scale, dual_scale = _unscaled_residuals(
             setup, X, Z, Yp, q_u, qn)
         # multiplier signs (inactive rows are exactly 0): y ≥ 0 on
         # upper-active one-sided rows, y ≤ 0 on lower-active ones
         y_u = Yp * (setup.E / setup.c)
-        wrong = np.where(sol_up & ~eq, -y_u, np.where(sol_dn, y_u, 0.0))
+        wrong = np.where(upper & ~eq, -y_u, np.where(lower, y_u, 0.0))
         tol_d = eps_abs + eps_rel * dual_scale
         ok = (r_prim <= eps_abs + eps_rel * prim_scale) & \
             (r_dual <= tol_d) & (np.max(wrong, axis=1) <= tol_d)
     return ok, X, Z, Yp
 
 
-def _solve_active(M, act, rhs):
+def _solve_active(M, act, rhs, memo: dict):
     """Solve ``M[a, a] y[a] = rhs[a]`` for each lane's active rows ``a``.
 
-    Lanes of one fleet mostly share their active set, so each distinct
-    set is Cholesky-factored once and back-solved for all of its lanes
-    together.  A set whose rows are (nearly) linearly dependent — a
-    Cholesky pivot below ``_DEPENDENT_PIVOT`` of its row's own diagonal,
-    e.g. a duplicated constraint — has no unique multipliers; its lanes
-    get NaN and are left to ADMM.  Inactive rows get ``y = 0``.
+    Lanes of one fleet mostly share their active set, so lanes are
+    grouped by set and each set's factor is back-solved for all of its
+    lanes together.  The factor of a set is ``(rows, chol)`` from
+    :func:`_active_factor`; ``memo`` (the setup's
+    ``active_factors``) keeps it across rounds, chunks and solves,
+    keyed by the packed set, and is emptied when it reaches
+    ``_ACTIVE_MEMO_CAP`` sets.  A hit returns the factor a miss would
+    compute, so the memo changes no result.  Rows outside ``rows`` —
+    inactive ones and the dropped rows of a dependent set — get
+    ``y = 0``.
     """
-    from scipy.linalg.lapack import dpotrf, dpotrs
-    keys = np.packbits(act, axis=1)
-    _, inv, counts = np.unique(
-        keys.view(np.dtype((np.void, keys.shape[1]))).ravel(),
-        return_inverse=True, return_counts=True)
-    order = np.argsort(inv, kind="stable")
+    from scipy.linalg.lapack import dpotrs
+    packed = np.packbits(act, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    groups: dict[bytes, list] = {}
+    for lane, key in enumerate(keys.tolist()):
+        groups.setdefault(key, []).append(lane)
     y = np.zeros(rhs.shape)
-    for lanes in np.split(order, np.cumsum(counts)[:-1]):
-        rows = np.flatnonzero(act[lanes[0]])
+    for key, lanes in groups.items():
+        factor = memo.get(key)
+        if factor is None:
+            factor = _active_factor(M, np.flatnonzero(act[lanes[0]]))
+            if len(memo) >= _ACTIVE_MEMO_CAP:
+                memo.clear()
+            memo[key] = factor
+        rows, chol = factor
         if not rows.size:
             continue
-        block = M[rows[:, None], rows]
-        chol, info = dpotrf(block)
-        if info != 0 or np.min(np.diag(chol) ** 2
-                               / np.diag(block)) <= _DEPENDENT_PIVOT:
-            y[lanes] = np.nan
-            continue
-        sol, _ = dpotrs(chol, rhs[lanes[:, None], rows].T)
+        lanes = np.asarray(lanes)
+        sol, _ = dpotrs(chol, rhs.take(lanes, 0).take(rows, 1).T)
         y[lanes[:, None], rows] = sol.T
     return y
+
+
+def _active_factor(M, rows):
+    """``(rows, chol)`` with ``chol`` the upper Cholesky of ``M[rows, rows]``.
+
+    A set whose rows are (nearly) linearly dependent — a Cholesky pivot
+    below ``_DEPENDENT_PIVOT`` of its row's own diagonal, e.g. a
+    duplicated constraint or a conservation row and a capacity row
+    pinning the same input — has no unique multipliers.  Its
+    unit-diagonal-scaled block then goes through LAPACK's pivoted
+    Cholesky ``dpstrf``, which stops at the first pivot below the same
+    threshold; the rank-``r`` leading pivot rows are kept (their block
+    is exactly factored by the leading ``r × r`` triangle) and the rest
+    dropped.
+    """
+    from scipy.linalg.lapack import dpotrf, dpstrf
+    if not rows.size:
+        return rows, None
+    block = M[rows[:, None], rows]
+    diag = np.diag(block)
+    chol, info = dpotrf(block)
+    with np.errstate(all="ignore"):
+        if info == 0 and np.min(np.diag(chol) ** 2 / diag) > _DEPENDENT_PIVOT:
+            return rows, chol
+        root = np.sqrt(np.maximum(diag, 0.0))
+        inv = np.where(root > 0.0, 1.0 / root, 0.0)
+    fac, piv, rank, _ = dpstrf(inv[:, None] * block * inv[None, :],
+                               tol=_DEPENDENT_PIVOT)
+    if not rank:
+        return rows[:0], None
+    keep = piv[:rank] - 1
+    # M_kk = D B_kk D with D = diag(root_k) and B_kk = UᵀU: the factor
+    # of M_kk is U D
+    return rows[keep], np.triu(fac[:rank, :rank]) * root[keep][None, :]
 
 
 def _solve_batch_isolated(P, setup: BatchADMMSetup, Q, Qs, Ls, Us,

@@ -83,8 +83,10 @@ __all__ = [
 #: and the MPC lane snapshots carry their available fleets.  Version 8:
 #: the record goes as its filled prefix plus its diagnostics pickled
 #: once per period (:meth:`repro.sim.recorder.LaneRecord.snapshot`), and
-#: the supervisor's state history as run-length pairs.
-CHECKPOINT_VERSION = 8
+#: the supervisor's state history as run-length pairs.  Version 9: a
+#: batched lane set checkpoints its per-lane perf counters beside its
+#: policy.
+CHECKPOINT_VERSION = 9
 
 #: Version stamp of the WAL record schema.
 WAL_VERSION = 1
@@ -247,7 +249,10 @@ class WriteAheadLog:
     ----------
     path:
         Log file (shard 0).  Created (truncated) unless ``append=True``,
-        which a resumed run uses to keep the original prefix.
+        which a resumed run uses to keep the original prefix.  Appending
+        first cuts each shard back to just after its last newline: a
+        torn final line (a crash mid-record) would otherwise run into
+        the first new record and corrupt the log mid-file.
     n_shards:
         Number of shard files (:func:`wal_shard_paths`).  A ``begin``
         record is replicated into every shard, so each shard is
@@ -272,8 +277,11 @@ class WriteAheadLog:
             raise CheckpointError("fsync_every must be >= 1")
         self.path = str(path)
         self.fsync_every = int(fsync_every)
-        self._files = [open(p, "ab" if append else "wb")
-                       for p in wal_shard_paths(self.path, n_shards)]
+        paths = wal_shard_paths(self.path, n_shards)
+        if append:
+            for p in paths:
+                _cut_torn_tail(p)
+        self._files = [open(p, "ab" if append else "wb") for p in paths]
         self._pending = [0] * len(self._files)
         self.counters = {"wal_records": 0, "wal_fsyncs": 0, "wal_bytes": 0}
 
@@ -318,6 +326,20 @@ class WriteAheadLog:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _cut_torn_tail(path: str) -> None:
+    """Truncate ``path`` to just after its last ``\\n`` (if it exists)."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except FileNotFoundError:
+        return
+    end = raw.rfind(b"\n") + 1
+    if end < len(raw):
+        with open(path, "r+b") as fh:
+            fh.truncate(end)
+            os.fsync(fh.fileno())
 
 
 def _read_shard(path: str) -> list[dict]:

@@ -219,10 +219,14 @@ class _BatchGroup:
         self.policy.reset()
 
     def snapshot(self) -> dict:
-        return self.policy.snapshot()
+        # the per-lane counters ride along, so a resumed run reports the
+        # whole run's counts as a resumed scalar run does; the
+        # checkpoint pickles them at once, so no copy is needed
+        return {"policy": self.policy.snapshot(), "perf": self.perf}
 
     def restore(self, state: dict) -> None:
-        self.policy.restore(state)
+        self.policy.restore(state["policy"])
+        self.perf = self.policy.perf = state["perf"].copy()
 
     def decide(self, k, t, obs_prices, obs_loads, predicted, available,
                servers):

@@ -10,9 +10,10 @@ stopping test.  Pinned here:
 * a warm start that already names the optimal active set is polished
   at iteration 1, and a lane refused there gets its near-optimum
   attempt later;
-* the grouped multiplier solve matches per-lane solves;
-* a degenerate active set (duplicated rows) is rejected quietly and the
-  lane finishes by ADMM;
+* the grouped multiplier solve matches per-lane solves, and a
+  dependent set solves its independent rows and gives 0 on the rest;
+* the memoised active-set factors change no result and stay bounded;
+* a degenerate active set (duplicated rows) is polished exactly;
 * the lane-isolated mode never polishes, and its outputs do not depend
   on whether the polish is available;
 * a Hessian that is not positive definite switches the polish off;
@@ -96,11 +97,11 @@ def test_lane_refused_at_iteration_one_is_polished_near_optimum(monkeypatch):
     real = qp_admm._polish_lanes
     attempts = []
 
-    def refuse_first_call(setup, x, *args):
-        ok, xp, zp, yp = real(setup, x, *args)
+    def refuse_first_call(setup, z, *args):
+        ok, xp, zp, yp = real(setup, z, *args)
         if not attempts:
             ok = np.zeros_like(ok)
-        attempts.append(x.shape[0])
+        attempts.append(z.shape[0])
         return ok, xp, zp, yp
 
     monkeypatch.setattr(qp_admm, "_polish_lanes", refuse_first_call)
@@ -132,12 +133,18 @@ def test_grouped_active_solve_matches_per_lane_solves():
     act[1, [1, 4]] = True         # distinct sets
     act[2, [0, 1, 2, 3, 4]] = True
     act[5, [4, 5]] = True
-    act[6, [2, 5, 6]] = True      # dependent pair: no unique multipliers
+    act[6, [2, 5, 6]] = True      # dependent pair: one row is dropped
     # lane 8: empty set
     rhs = rng.standard_normal((9, m))
-    y = qp_admm._solve_active(M, act, rhs)
-    assert np.isnan(y[6]).all()
+    y = qp_admm._solve_active(M, act, rhs, {})
     assert not y[8].any()
+    # lane 6 gets the multipliers of the independent subset {2, 5} or
+    # {2, 6}; the dropped row and the inactive rows are 0
+    assert np.count_nonzero(y[6]) == 2 and y[6, 2] != 0.0
+    kept = [2, 5] if y[6, 5] != 0.0 else [2, 6]
+    expect = np.zeros(m)
+    expect[kept] = np.linalg.solve(M[np.ix_(kept, kept)], rhs[6, kept])
+    np.testing.assert_allclose(y[6], expect, rtol=1e-10, atol=1e-12)
     for lane in (0, 1, 2, 3, 4, 5, 7):
         a = np.flatnonzero(act[lane])
         expect = np.zeros(m)
@@ -146,21 +153,81 @@ def test_grouped_active_solve_matches_per_lane_solves():
                                    atol=1e-12)
 
 
-def test_duplicated_rows_finish_by_admm():
+def test_memoised_factors_change_no_result():
+    rng = np.random.default_rng(4)
+    m = 9
+    B = rng.standard_normal((m, m + 2))
+    M = B @ B.T
+    act = rng.random((40, m)) < 0.5
+    act[::3] = act[0]                 # a set shared by many lanes
+    rhs = rng.standard_normal((40, m))
+    memo: dict = {}
+    cold = qp_admm._solve_active(M, act, rhs, memo)
+    assert memo                       # the first call filled the memo
+    warm = qp_admm._solve_active(M, act, rhs, memo)
+    np.testing.assert_array_equal(warm, cold)
+    np.testing.assert_array_equal(qp_admm._solve_active(M, act, rhs, {}),
+                                  cold)
+
+
+def test_memo_never_exceeds_its_cap():
+    rng = np.random.default_rng(6)
+    m = 12
+    B = rng.standard_normal((m, m + 2))
+    M = B @ B.T
+    cap = qp_admm._ACTIVE_MEMO_CAP
+    memo: dict = {}
+    sizes = []
+    for lo in range(0, 3 * cap, 50):
+        codes = np.arange(lo, lo + 50)        # 50 distinct sets a call
+        act = (codes[:, None] >> np.arange(m)) & 1 == 1
+        qp_admm._solve_active(M, act, rng.standard_normal((50, m)), memo)
+        sizes.append(len(memo))
+    assert max(sizes) <= cap
+    assert len(set(sizes)) > 1
+
+
+def test_pivoted_dependent_set_solves_kept_rows_exactly():
+    rng = np.random.default_rng(8)
+    n, m = 6, 5
+    A = rng.standard_normal((m, n))
+    A[3] = A[0] + 2.0 * A[1]          # row 3 depends on rows 0 and 1
+    A[4] = -A[2]                      # row 4 is row 2 reversed
+    M = A @ A.T
+    rows, chol = qp_admm._active_factor(M, np.arange(m))
+    assert rows.size == 3
+    np.testing.assert_allclose(chol.T @ chol, M[np.ix_(rows, rows)],
+                               rtol=1e-12, atol=1e-12)
+    act = np.ones((1, m), dtype=bool)
+    rhs = rng.standard_normal((1, m))
+    y = qp_admm._solve_active(M, act, rhs, {})[0]
+    dropped = np.setdiff1d(np.arange(m), rows)
+    assert not y[dropped].any()
+    np.testing.assert_allclose(M[np.ix_(rows, rows)] @ y[rows], rhs[0, rows],
+                               rtol=1e-10, atol=1e-12)
+
+
+def test_duplicated_rows_are_polished_exactly():
     P, Q, A, L, U, A_eq, loads, A_in, b_in = _mpc_batch(S=8)
     n_eq = A_eq.shape[0]
     # every equality row twice: the active set always holds a dependent
-    # pair, so its Schur complement is singular
+    # pair, which the pivoted factor reduces to one row of each
     A2 = np.vstack([A_eq, A_eq, A_in])
     L2 = np.hstack([L[:, :n_eq], L])
     U2 = np.hstack([U[:, :n_eq], U])
     res = solve_qp_admm_batch(P, Q, A2, L2, U2,
                               setup=prepare_batch_admm(P, A2, n_eq=2 * n_eq))
     assert res.converged.all()
-    assert not res.polished.any()
+    assert res.polished.all()
     for s in range(Q.shape[0]):
+        # the de-duplicated rows carry the pair's summed multiplier
+        dual_eq = res.Y[s, :n_eq] + res.Y[s, n_eq:2 * n_eq]
+        cert = check_kkt_qp(P, Q[s], res.X[s], A_eq, loads[s], A_in, b_in,
+                            dual_eq=dual_eq, dual_ineq=res.Y[s, 2 * n_eq:],
+                            tol=1e-9)
+        assert cert.ok, (s, cert)
         ref = solve_qp(P, Q[s], A_eq, loads[s], A_in, b_in)
-        np.testing.assert_allclose(res.X[s], ref.x, rtol=1e-3, atol=1e-4)
+        np.testing.assert_allclose(res.X[s], ref.x, rtol=1e-8, atol=1e-8)
 
 
 def test_lane_isolated_never_polishes():

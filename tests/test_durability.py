@@ -185,6 +185,16 @@ class TestWriteAheadLog:
             wal.append({"period": 1})
         assert [r["period"] for r in read_wal(path)] == [0, 1]
 
+    def test_append_cuts_a_torn_tail(self, tmp_path):
+        path = str(tmp_path / "a.wal")
+        with WriteAheadLog(path) as wal:
+            wal.append({"type": "decision", "period": 0})
+        with open(path, "ab") as fh:
+            fh.write(b'{"type": "decision", "per')  # crash mid-record
+        with WriteAheadLog(path, append=True) as wal:
+            wal.append({"type": "decision", "period": 1})
+        assert [r["period"] for r in read_wal(path)] == [0, 1]
+
     def test_invalid_cadence_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):
             WriteAheadLog(str(tmp_path / "a.wal"), fsync_every=0)
@@ -655,6 +665,51 @@ class TestCrashResume:
         sc2 = _short_scenario()
         with pytest.raises(CheckpointError, match="version 7 not supported"):
             run_simulation(sc2, _mpc(sc2), resume_from=wal)
+
+    def test_version_8_checkpoint_refused_by_version(self, tmp_path):
+        """A version-8 batched checkpoint carries no lane perf counters.
+
+        The envelope must refuse the old layout by its version stamp.
+        """
+        wal = str(tmp_path / "v8.wal")
+        sc = _short_scenario()
+        with pytest.raises(SimulatedCrashError):
+            run_simulation(sc, CrashInjector(_mpc(sc), 5), wal_path=wal,
+                           checkpoint_every=2)
+        ckpt = checkpoint_path_for(wal)
+        current = ControllerCheckpoint.load(ckpt)
+        ControllerCheckpoint(period=current.period, state=current.state,
+                             version=8).save(ckpt)
+        sc2 = _short_scenario()
+        with pytest.raises(CheckpointError, match="version 8 not supported"):
+            run_simulation(sc2, _mpc(sc2), resume_from=wal)
+
+    def test_resume_after_a_torn_wal_tail_leaves_a_readable_log(
+            self, tmp_path):
+        """A WAL cut mid-record resumes into a log that reads whole.
+
+        The resumed run appends after cutting the torn line, so the log
+        reads back and serves a second resume.
+        """
+        wal = str(tmp_path / "torn.wal")
+        sc = _short_scenario()
+        assert sc.n_periods == 10
+        baseline = run_simulation(_short_scenario(),
+                                  _mpc(_short_scenario()))
+        with pytest.raises(SimulatedCrashError):
+            run_simulation(sc, CrashInjector(_mpc(sc), 5), wal_path=wal,
+                           checkpoint_every=2)
+        with open(wal, "r+b") as fh:
+            fh.truncate(fh.seek(0, 2) - 40)
+        for _ in range(2):
+            sc2 = _short_scenario()
+            resumed = run_simulation(sc2, _mpc(sc2), resume_from=wal)
+            records = read_wal(wal)
+            assert records[0]["type"] == "begin"
+            assert {r["period"] for r in records[1:]} == set(range(10))
+            assert resumed.perf["counters"]["wal_tail_mismatches"] == 0
+            np.testing.assert_array_equal(resumed.cost_usd,
+                                          baseline.cost_usd)
 
     def test_checkpoint_carries_the_filled_record_prefix(self, tmp_path):
         """A crash at period 5 leaves the period-4 checkpoint, whose

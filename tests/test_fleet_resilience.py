@@ -61,10 +61,13 @@ def _noop_hook(stage, lane, period):
 # lane-isolated batched ADMM: bitwise decoupling at the solver level
 # ---------------------------------------------------------------------------
 class TestLaneIsolatedSolver:
-    def _problem(self, S=6, n=12, m=20, seed=0):
+    def _problem(self, S=6, n=12, m=20, seed=0, rank=None):
         rng = np.random.default_rng(seed)
         M = rng.standard_normal((n, n))
-        P = M @ M.T + 0.1 * np.eye(n)
+        if rank is None:
+            P = M @ M.T + 0.1 * np.eye(n)
+        else:
+            P = M[:, :rank] @ M[:, :rank].T
         A = rng.standard_normal((m, n))
         Q = rng.standard_normal((S, n)) * 100.0
         L = -np.abs(rng.standard_normal((S, m))) * 10.0
@@ -92,14 +95,17 @@ class TestLaneIsolatedSolver:
         # The compacted shared-rho hot loop leaks convergence timing
         # across lanes — that is exactly why the armed path must switch
         # modes.  Pin the contrast so a future "optimization" of the
-        # isolated path back onto the shared one fails loudly.
-        P, A, Q, L, U = self._problem()
+        # isolated path back onto the shared one fails loudly.  A
+        # rank-deficient Hessian switches the polish off, so the lanes
+        # converge by ADMM at different iterations.
+        P, A, Q, L, U = self._problem(rank=8)
         Q2 = Q.copy()
         Q2[2] *= 3.0
         res = solve_qp_admm_batch(P, Q, A, L, U,
                                   setup=prepare_batch_admm(P, A))
         pert = solve_qp_admm_batch(P, Q2, A, L, U,
                                    setup=prepare_batch_admm(P, A))
+        assert (res.iterations > 1).all() and not res.polished.any()
         same = [np.array_equal(res.X[i], pert.X[i])
                 for i in range(Q.shape[0]) if i != 2]
         assert not all(same)
@@ -564,6 +570,32 @@ class TestDurableBatchResume:
                     np.asarray(res[i].cost_usd), base_cost[i])
             counters = res[0].perf["counters"]
             assert counters.get("batch_wal_tail_mismatches", 0) == 0
+
+    def test_resumed_run_reports_the_whole_runs_counters(self, tmp_path):
+        # the checkpoint carries the group's per-lane perf counters, so
+        # a resumed run counts every period as an uninterrupted one does
+        cfg = MPCPolicyConfig(dt=30.0)
+        wal = str(tmp_path / "mc.wal")
+
+        def scens():
+            return monte_carlo_scenarios(3, seed=3, duration=600.0)
+
+        def hook(stage, lane, period):
+            if stage == "batch_qp" and period == 13 and lane == 0:
+                raise SimulatedCrashError("crash@13")
+
+        base = run_batch(scens(), cfg, solver_fault_hook=_noop_hook)
+        with pytest.raises(SimulatedCrashError):
+            run_batch(scens(), cfg, checkpoint_every=4, wal_path=wal,
+                      solver_fault_hook=hook)
+        res = run_batch(scens(), cfg, checkpoint_every=4, wal_path=wal,
+                        resume_from=wal, solver_fault_hook=_noop_hook)
+        counters = res[0].perf["counters"]
+        assert counters["batch_resumed_from_period"] == 12
+        assert counters["batch_qp_solves"] == 20
+        assert counters["ladder_rung_warm"] == 20
+        for key in ("batch_qp_solves", "ladder_rung_warm"):
+            assert counters[key] == base[0].perf["counters"][key]
 
     def test_resume_requires_matching_arming(self, tmp_path):
         # The WAL fingerprint records whether the run was armed (the

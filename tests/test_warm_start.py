@@ -120,14 +120,18 @@ class TestADMMWarmStart:
         assert mpc._admm_setup(P, A[:5], n_eq=1) is not setup
 
     def test_reused_setup_gives_the_same_solve(self):
-        # every row twice: the polish refuses the dependent active set,
-        # so ADMM iterates and adapts the setup's penalty
+        # a rank-deficient Hessian switches the polish off, so ADMM
+        # iterates and adapts the setup's penalty (q stays in the range
+        # of P, so the QP is bounded)
         P, q, A_in, b_in = _small_qp()
+        B = np.linalg.cholesky(P)[:, :-4]
+        P, q = B @ B.T, B @ q[:-4]
         A, low, high = boxed_constraints(P.shape[0], None, None,
-                                         np.vstack([A_in, A_in]),
-                                         np.concatenate([b_in, b_in]))
+                                         A_in, b_in)
         fresh = solve_qp_admm(P, q, A, low, high)
+        assert fresh.success and fresh.iterations > 1
         setup = prepare_batch_admm(P, A, rho=1.0)
+        assert setup.polish_operators() is None
         for scale in (100.0, 1e-3):
             solve_qp_admm(P, scale * q, A, low, high, setup=setup)
             assert setup.rho != 1.0
