@@ -91,15 +91,21 @@ class BatchAllocationDecision:
         Model power draw of the commanded operating point, ``(S, N)``.
     reference_powers_mw:
         First-step reference power targets, ``(S, N)``.
-    solver_diagnostics:
-        Per-lane diagnostics of the QP solve (and any lane fallback).
+    qp_converged, qp_iterations, mpc_cost:
+        The shared QP solve's per-lane outcome, ``(S,)`` each.
+    lane_diagnostics:
+        The diagnostics of the lanes an exact solve or the ladder
+        decided, by lane; they replace those lanes' array entries.
     """
 
     u: np.ndarray
     servers: np.ndarray
     powers_mw: np.ndarray
     reference_powers_mw: np.ndarray
-    solver_diagnostics: list
+    qp_converged: np.ndarray
+    qp_iterations: np.ndarray
+    mpc_cost: np.ndarray
+    lane_diagnostics: dict
 
     @cached_property
     def diagnostics(self) -> list:
@@ -110,15 +116,27 @@ class BatchAllocationDecision:
         """
         refs = self.reference_powers_mw.copy()
         powers = self.powers_mw.copy()
+        solver = _diagnostic_dicts(self.qp_converged, self.qp_iterations,
+                                   self.mpc_cost, self.lane_diagnostics)
         return [{"reference_powers_mw": ref, "powers_mw": pw, **diag}
-                for ref, pw, diag in zip(refs, powers,
-                                         self.solver_diagnostics)]
+                for ref, pw, diag in zip(refs, powers, solver)]
 
     def lane(self, index: int) -> AllocationDecision:
         """The scalar-engine view of one lane's decision."""
         return AllocationDecision(u=self.u[index],
                                   servers=self.servers[index],
                                   diagnostics=self.diagnostics[index])
+
+
+def _diagnostic_dicts(converged, iterations, cost, lanes: dict) -> list:
+    """One diagnostics dict per lane of a shared solve's outcome arrays;
+    a lane in ``lanes`` gets its own dict instead."""
+    return [lanes[s] if s in lanes else
+            {"qp_status": "optimal" if ok else "straggler",
+             "qp_iterations": it, "softened": False, "mpc_cost": c}
+            for s, (ok, it, c) in enumerate(zip(converged.tolist(),
+                                                iterations.tolist(),
+                                                cost.tolist()))]
 
 
 class BatchCostMPCPolicy:
@@ -558,12 +576,14 @@ class BatchCostMPCPolicy:
 
     def _solve(self, ops: dict, period: int, prices: np.ndarray,
                loads_seq: np.ndarray, refs: np.ndarray
-               ) -> tuple[np.ndarray, list]:
+               ) -> tuple[np.ndarray, tuple]:
         """One stacked QP step; returns (new allocations, diagnostics).
 
         With the ``"admm"`` backend every lane runs the shared batched
         solve and its stragglers the exact one; with ``"active_set"``
-        every lane runs the exact one.
+        every lane runs the exact one.  The diagnostics are the
+        ``(qp_converged, qp_iterations, mpc_cost, lane_diagnostics)`` of
+        :class:`BatchAllocationDecision`.
         """
         cfg = self.config
         S, nu, ndu = self.n_scenarios, ops["nu"], ops["ndu"]
@@ -590,6 +610,7 @@ class BatchCostMPCPolicy:
         U_box = np.concatenate([b_eq, b_in], axis=1)
         self.perf.shared.count("qp_solves")
 
+        lane_diags: dict[int, dict] = {}
         if cfg.backend == "admm":
             L = np.concatenate(
                 [b_eq, np.full((S, b_in.shape[1]), -np.inf)], axis=1)
@@ -630,20 +651,14 @@ class BatchCostMPCPolicy:
             scale = np.divide(target, sums, out=np.ones_like(sums),
                               where=sums > 0)
             U_new = (split * scale[:, None, :]).reshape(S, nu)
-            diags = [
-                {"qp_status": "optimal" if ok else "straggler",
-                 "qp_iterations": iters,
-                 "softened": False,
-                 "mpc_cost": cost}
-                for ok, iters, cost in zip(res.converged.tolist(),
-                                           res.iterations.tolist(),
-                                           (res.fun + c0).tolist())
-            ]
+            outcome = (res.converged, res.iterations, res.fun + c0)
             X, exact = res.X, res.polished.copy()
             solved = res.converged.copy()
             exact_lanes = np.flatnonzero(~res.converged)
         else:
-            U_new, diags = self._U_prev.copy(), [None] * S
+            U_new = self._U_prev.copy()
+            outcome = (np.zeros(S, dtype=bool), np.zeros(S, dtype=int),
+                       np.full(S, np.nan))
             X, exact = np.empty((S, ndu)), np.ones(S, dtype=bool)
             solved = np.ones(S, dtype=bool)
             exact_lanes = np.arange(S)
@@ -653,11 +668,11 @@ class BatchCostMPCPolicy:
             sol = self._fallback_solve(ops, lane, prices[lane],
                                        loads_seq[lane], refs[lane])
             U_new[lane] = np.maximum(sol.u, 0.0)
-            diags[lane] = self._exact_diag(sol)
+            diag = lane_diags[lane] = self._exact_diag(sol)
             X[lane], exact[lane] = sol.du_sequence.ravel(), True
             solved[lane] = not sol.softened
             if cfg.backend == "admm":
-                diags[lane]["straggler_fallback"] = True
+                diag["straggler_fallback"] = True
                 self.perf.lane(lane).count("straggler_fallbacks")
                 if self._warm is not None:
                     # the batched iterate diverged — don't carry it
@@ -674,7 +689,7 @@ class BatchCostMPCPolicy:
         for lane in checked:
             self._verify_lane(ops, int(lane), period, Qlin[lane],
                               U_box[lane], X[lane], bool(exact[lane]))
-        return U_new, diags
+        return U_new, (*outcome, lane_diags)
 
     def _verify_lane(self, ops: dict, lane: int, period: int,
                      q: np.ndarray, upper: np.ndarray, x: np.ndarray,
@@ -716,7 +731,7 @@ class BatchCostMPCPolicy:
         """Whether the per-lane resilience path is active at all."""
         return (self.lane_isolated or self.config.fallback_ladder
                 or self.config.deadline_seconds is not None
-                or bool(self._health.touched))
+                or self._health.any_touched)
 
     @property
     def lane_isolated(self) -> bool:
@@ -987,14 +1002,17 @@ class BatchCostMPCPolicy:
         self._pending = (U_new.copy(), servers.copy())
 
         powers_mw = self._powers_mw(lam_new, servers)
+        converged, iterations, cost, lane_diags = diags
         return BatchAllocationDecision(
             u=U_new, servers=servers, powers_mw=powers_mw,
-            reference_powers_mw=power_refs[:, 0], solver_diagnostics=diags)
+            reference_powers_mw=power_refs[:, 0], qp_converged=converged,
+            qp_iterations=iterations, mpc_cost=cost,
+            lane_diagnostics=lane_diags)
 
     def _armed_step(self, ops: dict, period: int, prices: np.ndarray,
                     loads_seq: np.ndarray, refs: np.ndarray,
                     poisoned: dict[int, str], budget: DeadlineBudget
-                    ) -> tuple[np.ndarray, list]:
+                    ) -> tuple[np.ndarray, tuple]:
         """The shared solve as the ladder's ``warm`` rung, then ejections.
 
         The shared solve always runs (the deadline bounds the per-lane
@@ -1008,7 +1026,8 @@ class BatchCostMPCPolicy:
                 ops, period, prices, loads_seq, refs))])
         eject: dict[int, str] = dict(poisoned)
         try:
-            U_new, diags = shared.run().value
+            U_new, shared_diags = shared.run().value
+            diags = _diagnostic_dicts(*shared_diags)
             batched_ok = True
         except DegradedOperationError as exc:
             # the *shared* step failed — every lane ejects
@@ -1055,4 +1074,5 @@ class BatchCostMPCPolicy:
         for s in self._health.touched:
             self.perf.lane(s).update_counters(self._health.counters[s])
             self.perf.note_lane_health(s, self._health.label(s))
-        return U_new, diags
+        return U_new, (np.zeros(S, dtype=bool), np.zeros(S, dtype=int),
+                       np.full(S, np.nan), dict(enumerate(diags)))

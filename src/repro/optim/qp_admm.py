@@ -392,15 +392,18 @@ def solve_qp_admm_batch(P, Q, A, L, U, rho: float = 0.1,
     Lanes finish by an **active-set polish** (OSQP's "polish"):
     primal-dual active-set rounds on the active rows guessed from the
     lane's ``(z, y)``, solved on the set alone through the setup's
-    memoised active-set factors (a set with dependent rows keeps a
-    pivoted independent subset), accepted only if the polished point
+    memoised active-set factors, accepted only if the polished point
     passes the same unscaled stopping test with correctly signed
-    multipliers.  A lane gets at most two attempts per solve: at the
-    iteration-1 check every lane that has not met the stop tries at
+    multipliers.  A set with dependent rows keeps its equality rows and
+    an independent subset of its ``≤`` rows, and each lane drops rows
+    that its kept rows' solution satisfies (:func:`_solve_active`).  At
+    the iteration-1 check every lane that has not met the stop tries at
     once (a warm start from the previous period mostly names the
-    optimal active set already), and a lane refused there tries once
-    more when its residuals first come within ``1e-2·(1 + scale)`` of
-    the stop.  An accepted lane is an exact vertex
+    optimal active set already).  A lane refused there tries again each
+    time its residuals reach a further decade inside the trigger band:
+    within ``1e-2·(1 + scale)``, then ``1e-3·(1 + scale)``, and so on
+    down to the stop — at most ``1 + log10(1e-2 / eps)`` attempts in
+    all.  An accepted lane is an exact vertex
     (``BatchQPResult.polished``); a refused one carries on by ADMM from
     its untouched iterate.  The ``lane_isolated`` mode never polishes.
 
@@ -485,7 +488,7 @@ def solve_qp_admm_batch(P, Q, A, L, U, rho: float = 0.1,
     iters = np.full(S, max_iter, dtype=int)
     converged = np.zeros(S, dtype=bool)
     polished = np.zeros(S, dtype=bool)
-    tried = np.zeros(S, dtype=bool)
+    tried = np.full(S, -1.0)        # the last band decade tried in
     polish = setup.polish_operators() is not None
     q_norm = np.max(np.abs(Q), axis=1) if n else np.zeros(S)
 
@@ -539,18 +542,22 @@ def solve_qp_admm_batch(P, Q, A, L, U, rho: float = 0.1,
                 (r_dual <= eps_abs + eps_rel * dual_scale)
             out_of_time = expired()
             if polish and not out_of_time:
+                # the decade of the trigger band the lane's residuals are
+                # in: 0 just inside ``_POLISH_TRIGGER``, one more for
+                # every further tenth, negative outside
+                with np.errstate(divide="ignore"):
+                    decade = np.floor(np.log10(_POLISH_TRIGGER / np.maximum(
+                        r_prim / (1.0 + prim_scale),
+                        r_dual / (1.0 + dual_scale))))
                 if it == 1:
                     # a warm start mostly names the optimal active set
                     # already: every unfinished lane tries it at once
                     cand = np.flatnonzero(~done)
                 else:
-                    # lanes that first come within a loose distance of
-                    # the optimum get one more attempt per solve
-                    near = ~done & ~tried[idx] & \
-                        (r_prim <= _POLISH_TRIGGER * (1.0 + prim_scale)) & \
-                        (r_dual <= _POLISH_TRIGGER * (1.0 + dual_scale))
-                    cand = np.flatnonzero(near)
-                    tried[idx[cand]] = True
+                    # a refused lane tries again each time its residuals
+                    # reach a decade of the band it has not tried in
+                    cand = np.flatnonzero(~done & (decade > tried[idx]))
+                tried[idx[cand]] = np.maximum(decade[cand], -1.0)
                 for lo in range(0, cand.size, _POLISH_CHUNK):
                     ch = cand[lo:lo + _POLISH_CHUNK]
                     ok, xp, zp, yp = _polish_lanes(
@@ -594,9 +601,10 @@ def solve_qp_admm_batch(P, Q, A, L, U, rho: float = 0.1,
                          deadline_exceeded=bool(out_of_time and idx.size))
 
 
-#: Polish trigger: a lane whose unscaled residuals first fall within
-#: this share of ``1 + scale`` is close enough for its ``(z, y)`` to
-#: name the optimal active set.
+#: Polish trigger: a lane whose unscaled residuals fall within this
+#: share of ``1 + scale`` is close enough for its ``(z, y)`` to name the
+#: optimal active set; a refused lane tries again at every further
+#: decade inside it.
 _POLISH_TRIGGER = 1e-2
 #: Primal-dual active-set rounds per polish attempt.
 _POLISH_ROUNDS = 6
@@ -655,10 +663,11 @@ def _polish_lanes(setup: BatchADMMSetup, z, y, qs, q_u, qn, ls, us,
     an active set ``a`` has the solution ``x = x_u − P⁻¹A_aᵀy_a`` with
     the unconstrained minimizer ``x_u = −P⁻¹q``, so each round works on
     the set alone: with ``w = A x_u`` (once per lane) it solves the
-    Schur complement ``M_aa y_a = w_a − b_a`` (:func:`_solve_active`),
-    reads ``A x = w − M y`` and re-reads the active set from the
-    multipliers and violations; a lane whose set stops moving leaves
-    the rounds.  ``x`` itself is formed once, after the last round.
+    Schur complement ``M_aa y_a = w_a − b_a`` (:func:`_solve_active`,
+    which also picks a dependent set's dropped rows per lane from the
+    rows' sides), reads ``A x = w − M y`` and re-reads the active set
+    from the multipliers and violations; a lane whose set stops moving
+    leaves the rounds.  ``x`` itself is formed once, after the last round.
     The caller hands lanes over in chunks of ``_POLISH_CHUNK``, which
     bounds every work array here to ``(chunk, m)``.  A lane is accepted
     only if the polished ``(x, clip(Ax), y)`` passes the ADMM loop's own
@@ -683,7 +692,9 @@ def _polish_lanes(setup: BatchADMMSetup, z, y, qs, q_u, qn, ls, us,
         for _ in range(_POLISH_ROUNDS):
             # inactive rows of rhs are never read
             yk = _solve_active(M, up | dn, wt - np.where(up, ut, lt),
-                               setup.active_factors)
+                               setup.active_factors,
+                               np.where(dn, -1.0, np.where(et, 0.0, 1.0)),
+                               setup.n_eq)
             Yp[idx] = yk
             upper[idx], lower[idx] = up, dn
             ax = wt - yk @ M
@@ -717,19 +728,27 @@ def _polish_lanes(setup: BatchADMMSetup, z, y, qs, q_u, qn, ls, us,
     return ok, X, Z, Yp
 
 
-def _solve_active(M, act, rhs, memo: dict):
+def _solve_active(M, act, rhs, memo: dict, side=None, n_eq: int = 0):
     """Solve ``M[a, a] y[a] = rhs[a]`` for each lane's active rows ``a``.
 
     Lanes of one fleet mostly share their active set, so lanes are
     grouped by set and each set's factor is back-solved for all of its
-    lanes together.  The factor of a set is ``(rows, chol)`` from
-    :func:`_active_factor`; ``memo`` (the setup's
+    lanes together.  The factor of a set is ``(rows, chol, dropped,
+    coef)`` from :func:`_set_factor`; ``memo`` (the setup's
     ``active_factors``) keeps it across rounds, chunks and solves,
     keyed by the packed set, and is emptied when it reaches
     ``_ACTIVE_MEMO_CAP`` sets.  A hit returns the factor a miss would
-    compute, so the memo changes no result.  Rows outside ``rows`` —
-    inactive ones and the dropped rows of a dependent set — get
+    compute, so the memo changes no result.  Rows outside the solved
+    rows — inactive ones and the dropped rows of a dependent set — get
     ``y = 0``.
+
+    ``side`` (``(k, m)``: ``+1`` on ``≤`` rows active at their upper
+    bound, ``−1`` at their lower bound, ``0`` on equality rows) lets a
+    lane of a dependent set choose its own dropped rows: when the kept
+    rows' solution violates a dropped row's bound, :func:`_swap_dropped`
+    exchanges it for a kept row the solution then satisfies, and the
+    lane is solved on that set instead.  ``n_eq`` is the count of
+    leading equality rows, which a set keeps first.
     """
     from scipy.linalg.lapack import dpotrs
     packed = np.packbits(act, axis=1)
@@ -738,36 +757,128 @@ def _solve_active(M, act, rhs, memo: dict):
     for lane, key in enumerate(keys.tolist()):
         groups.setdefault(key, []).append(lane)
     y = np.zeros(rhs.shape)
+    swapped: list[tuple[int, np.ndarray]] = []
     for key, lanes in groups.items():
         factor = memo.get(key)
         if factor is None:
-            factor = _active_factor(M, np.flatnonzero(act[lanes[0]]))
+            factor = _set_factor(M, np.flatnonzero(act[lanes[0]]), n_eq)
             if len(memo) >= _ACTIVE_MEMO_CAP:
                 memo.clear()
             memo[key] = factor
-        rows, chol = factor
+        rows, chol, dropped, coef = factor
         if not rows.size:
             continue
         lanes = np.asarray(lanes)
-        sol, _ = dpotrs(chol, rhs.take(lanes, 0).take(rows, 1).T)
+        sub = rhs.take(lanes, 0)
+        if side is not None and coef is not None:
+            # the dropped rows' ``A x − b`` at the kept rows' solution
+            rhs_d = sub.take(dropped, 1)
+            gap = rhs_d - sub.take(rows, 1) @ coef
+            bad = np.any(side.take(lanes, 0).take(dropped, 1) * gap
+                         > _PDAS_TOL * (1.0 + np.abs(rhs_d)), axis=1)
+            stay = np.ones(lanes.size, dtype=bool)
+            for i in np.flatnonzero(bad):
+                kept = _swap_dropped(M, rows, dropped, coef, sub[i],
+                                     side[lanes[i]])
+                if kept is not None:
+                    swapped.append((int(lanes[i]), kept))
+                    stay[i] = False
+            lanes, sub = lanes[stay], sub[stay]
+            if not lanes.size:
+                continue
+        sol, _ = dpotrs(chol, sub.take(rows, 1).T)
         y[lanes[:, None], rows] = sol.T
+    if swapped:
+        lanes = np.array([lane for lane, _ in swapped])
+        sets = np.zeros((lanes.size, act.shape[1]), dtype=bool)
+        for j, (_, kept) in enumerate(swapped):
+            sets[j, kept] = True
+        y[lanes] = _solve_active(M, sets, rhs[lanes], memo, n_eq=n_eq)
     return y
 
 
-def _active_factor(M, rows):
+def _set_factor(M, rows, n_eq: int):
+    """Memo entry ``(kept, chol, dropped, coef)`` of the active set ``rows``.
+
+    ``(kept, chol)`` is :func:`_active_factor`'s; ``dropped`` are the
+    set's rows outside ``kept`` and ``coef = M_kk⁻¹ M_kd`` their
+    coefficients on the kept rows (row ``d`` of ``A`` is ``coefᵀ`` times
+    the kept rows), empty for an independent set.
+    """
+    from scipy.linalg.lapack import dpotrs
+    kept, chol = _active_factor(M, rows, n_eq)
+    if kept.size == rows.size:
+        return kept, chol, kept[:0], None
+    dropped = np.setdiff1d(rows, kept)
+    coef = None
+    if kept.size:
+        coef, _ = dpotrs(chol, M[kept[:, None], dropped])
+    return kept, chol, dropped, coef
+
+
+def _swap_dropped(M, rows, dropped, coef, rhs, side):
+    """Kept rows of one lane whose solution satisfies every dropped row.
+
+    Row ``d`` of a dependent set is ``A_d = Σ_k T_kd A_k`` over the kept
+    rows, so at their solution it reads ``A_d x − b_d = g_d`` with
+    ``g_d = rhs_d − T_dᵀ rhs_k`` (``rhs = w − b``).  A dropped row with
+    a violated bound (``side_d·g_d > 0``) is swapped in for a kept
+    one-sided row ``k`` with ``side_k·T_kd·g_d > 0``: the null vector
+    ``v = e_d − T_d`` of the set has ``ρ = vᵀb = −g_d``, and dropping
+    ``k`` leaves it at ``b_k − ρ/v_k``, inside its bound.  The largest
+    row-scaled ``|T_kd|`` is taken, a simplex basis exchange updates
+    ``T``, and the swaps repeat until no dropped row is violated (at
+    most the set's size times).  A feasible QP always has such a row
+    for one null vector.  Returns the new kept rows, or ``None`` when
+    the first violated row has no candidate (the lane keeps the
+    default set).
+    """
+    root = np.sqrt(np.diag(M))
+    kept, drop, T = rows.copy(), dropped.copy(), coef.copy()
+    rhs_k, rhs_d = rhs[kept], rhs[drop]
+    changed = False
+    for _ in range(rows.size + dropped.size):
+        gap = rhs_d - rhs_k @ T
+        viol = side[drop] * gap
+        q = int(np.argmax(viol))
+        if viol[q] <= _PDAS_TOL * (1.0 + abs(rhs_d[q])):
+            break
+        col = T[:, q].copy()
+        score = np.where(side[kept] * col * gap[q] > 0.0,
+                         np.abs(col) * root[kept], 0.0)
+        p = int(np.argmax(score))
+        if score[p] <= np.sqrt(_DEPENDENT_PIVOT) * root[drop[q]]:
+            break
+        piv = col[p]
+        row = T[p] / piv
+        T -= np.outer(col, row)
+        T[p] = row
+        T[:, q] = -col / piv
+        T[p, q] = 1.0 / piv
+        kept[p], drop[q] = drop[q], kept[p]
+        rhs_k[p], rhs_d[q] = rhs_d[q], rhs_k[p]
+        changed = True
+    return kept if changed else None
+
+
+def _active_factor(M, rows, n_eq: int = 0):
     """``(rows, chol)`` with ``chol`` the upper Cholesky of ``M[rows, rows]``.
 
     A set whose rows are (nearly) linearly dependent — a Cholesky pivot
     below ``_DEPENDENT_PIVOT`` of its row's own diagonal, e.g. a
-    duplicated constraint or a conservation row and a capacity row
-    pinning the same input — has no unique multipliers.  Its
-    unit-diagonal-scaled block then goes through LAPACK's pivoted
-    Cholesky ``dpstrf``, which stops at the first pivot below the same
-    threshold; the rank-``r`` leading pivot rows are kept (their block
-    is exactly factored by the leading ``r × r`` triangle) and the rest
-    dropped.
+    duplicated constraint or capacity rows that sum to the conservation
+    rows — has no unique multipliers, and an independent subset is
+    kept.  The equality rows (``rows < n_eq``) come first: all of them
+    are kept unless they are dependent among themselves, when LAPACK's
+    pivoted Cholesky ``dpstrf`` of their unit-diagonal-scaled block
+    keeps a rank-revealing subset.  The ``≤`` rows are then pivoted on
+    their Schur complement with respect to the kept equality rows, and
+    the leading pivots down to the same threshold are kept.  So a
+    conservation row is never dropped for a ``≤`` row that depends on
+    it; which ``≤`` rows a lane drops is then its own choice
+    (:func:`_swap_dropped`).
     """
-    from scipy.linalg.lapack import dpotrf, dpstrf
+    from scipy.linalg.lapack import dpotrf, dtrtrs
     if not rows.size:
         return rows, None
     block = M[rows[:, None], rows]
@@ -778,14 +889,39 @@ def _active_factor(M, rows):
             return rows, chol
         root = np.sqrt(np.maximum(diag, 0.0))
         inv = np.where(root > 0.0, 1.0 / root, 0.0)
-    fac, piv, rank, _ = dpstrf(inv[:, None] * block * inv[None, :],
-                               tol=_DEPENDENT_PIVOT)
-    if not rank:
+    B = inv[:, None] * block * inv[None, :]
+    ne = int(np.count_nonzero(rows < n_eq))
+    keep = _pivoted(B[:ne, :ne])
+    ineq = np.arange(ne, rows.size)
+    S = B[ne:, ne:]
+    if keep.size:
+        # S − Wᵀ W with RᵀW = B_ei, R the kept equality rows' factor
+        R, _ = dpotrf(B[keep[:, None], keep])
+        W, _ = dtrtrs(R, B[keep[:, None], ineq], trans=1)
+        S = S - W.T @ W
+    keep = np.concatenate([keep, ineq[_pivoted(S)]])
+    if not keep.size:
         return rows[:0], None
-    keep = piv[:rank] - 1
-    # M_kk = D B_kk D with D = diag(root_k) and B_kk = UᵀU: the factor
-    # of M_kk is U D
-    return rows[keep], np.triu(fac[:rank, :rank]) * root[keep][None, :]
+    kept = rows[keep]
+    # in pivot order the factor's pivots are those the rank test passed
+    chol, _ = dpotrf(M[kept[:, None], kept])
+    return kept, chol
+
+
+def _pivoted(B):
+    """Indices of the rank-revealing leading pivots of ``B``, a block
+    (or Schur complement) of a unit-diagonal matrix: all of them in
+    order when plain Cholesky passes the ``_DEPENDENT_PIVOT`` test, else
+    ``dpstrf``'s pivots down to it."""
+    from scipy.linalg.lapack import dpotrf, dpstrf
+    if not B.shape[0] or np.max(np.diag(B)) <= _DEPENDENT_PIVOT:
+        # dpstrf takes its first pivot whatever its size
+        return np.zeros(0, dtype=int)
+    chol, info = dpotrf(B)
+    if info == 0 and np.min(np.diag(chol)) ** 2 > _DEPENDENT_PIVOT:
+        return np.arange(B.shape[0])
+    _fac, piv, rank, _ = dpstrf(B, tol=_DEPENDENT_PIVOT)
+    return piv[:rank] - 1
 
 
 def _solve_batch_isolated(P, setup: BatchADMMSetup, Q, Qs, Ls, Us,

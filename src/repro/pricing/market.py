@@ -175,11 +175,12 @@ class LaneMarketBatch:
     one numpy expression per period instead of ``S · N`` Python calls.
 
     Construction snapshots each lane's (γ, P̄, floor, last-demand) state
-    in *its cluster's region order*; :meth:`flush` writes the
-    accumulated demand history back into the per-lane
-    :class:`RealTimeMarket` objects so post-run inspection
-    (``market.demand_history``, a later scalar resume) sees exactly
-    what a looped run would have left behind.
+    in *its cluster's region order*; :meth:`flush` writes a run's
+    demand history back into the per-lane :class:`RealTimeMarket`
+    objects so post-run inspection (``market.demand_history``, a later
+    scalar resume) sees exactly what a looped run would have left
+    behind.  The batch keeps no history of its own: the run's record
+    already holds every period's drawn power, which :meth:`flush` reads.
     """
 
     def __init__(self, lanes) -> None:
@@ -205,7 +206,6 @@ class LaneMarketBatch:
         self.last_demand = np.array([
             [m._last_demand[r] for r in regions]
             for m, regions in zip(self._markets, self._regions)])
-        self._demand_log: list[np.ndarray] = []
 
     @property
     def any_coupled(self) -> bool:
@@ -228,7 +228,6 @@ class LaneMarketBatch:
     def record_demand(self, demands_mw: np.ndarray) -> None:
         """Report every lane's drawn power (MW), shape ``(S, N)``."""
         self.last_demand = np.asarray(demands_mw, dtype=float).copy()
-        self._demand_log.append(self.last_demand)
 
     def stability_bound(self, base_price, demand_slope) -> float:
         """Worst-(lane, region) contraction modulus, like
@@ -254,30 +253,30 @@ class LaneMarketBatch:
 
     def snapshot(self) -> dict:
         """Picklable copy of the mutable clearing state (for the
-        engine's checkpoint): the lagged demands plus the un-flushed
-        log, stacked into one ``(periods, S, N)`` array."""
-        return {"last_demand": self.last_demand.copy(),
-                "demand_log": np.array(self._demand_log).reshape(
-                    (-1,) + self.last_demand.shape)}
+        engine's checkpoint): the lagged demands."""
+        return {"last_demand": self.last_demand.copy()}
 
     def restore(self, state: dict) -> None:
-        """Restore a :meth:`snapshot`; a later :meth:`flush` writes the
-        exact same history a crash-free run would have."""
+        """Restore a :meth:`snapshot`."""
         self.last_demand = np.asarray(state["last_demand"],
                                       dtype=float).copy()
-        self._demand_log = list(np.array(state["demand_log"], dtype=float))
 
-    def flush(self) -> None:
-        """Write demand state/history back into the per-lane markets."""
+    def flush(self, powers_watts: np.ndarray) -> None:
+        """Write demand state and history back into the per-lane markets.
+
+        ``powers_watts`` is the ``(S, periods, N)`` power every lane drew
+        since its market was reset, in watts; each period is reported as
+        ``powers_watts / 1e6``, the division :meth:`record_demand`'s
+        caller makes, so the history is bit-identical to what the
+        reports were.
+        """
+        demands = np.asarray(powers_watts, dtype=float) / 1e6
         for s, (market, regions) in enumerate(
                 zip(self._markets, self._regions)):
             for j, region in enumerate(regions):
                 market._last_demand[region] = float(self.last_demand[s, j])
             market._history.extend(
-                {region: float(row[s, j])
-                 for j, region in enumerate(regions)}
-                for row in self._demand_log)
-        self._demand_log = []
+                dict(zip(regions, row)) for row in demands[s].tolist())
 
 
 def clearing_contraction(gamma, base_price, nominal_mw, demand_slope) -> float:

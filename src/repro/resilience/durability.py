@@ -7,7 +7,8 @@ supervisor's health machine — and all of it lives in process memory.
 This module makes that state durable:
 
 * :class:`ControllerCheckpoint` — a versioned, checksummed envelope
-  (JSON header + pickled payload, written atomically via temp + rename)
+  (JSON header + pickled payload with its arrays out of band, written
+  atomically via temp + rename)
   holding one :func:`snapshot` of every stateful component the engine
   carries.  A corrupted or foreign checkpoint raises
   :class:`~repro.exceptions.CheckpointError` instead of restoring
@@ -85,8 +86,10 @@ __all__ = [
 #: once per period (:meth:`repro.sim.recorder.LaneRecord.snapshot`), and
 #: the supervisor's state history as run-length pairs.  Version 9: a
 #: batched lane set checkpoints its per-lane perf counters beside its
-#: policy.
-CHECKPOINT_VERSION = 9
+#: policy.  Version 10: the plant's lane markets carry only their last
+#: demands (the demand history is read from the record at the end), and
+#: the payload's contiguous arrays follow its pickle out of band.
+CHECKPOINT_VERSION = 10
 
 #: Version stamp of the WAL record schema.
 WAL_VERSION = 1
@@ -158,23 +161,37 @@ class ControllerCheckpoint:
         """Write atomically (temp file + rename); returns bytes written.
 
         Layout: ``magic | header_len (u32 LE) | header JSON | payload``
-        where the header carries the version, the period and the SHA-256
-        of the pickled payload.  A crash mid-write leaves either the old
-        checkpoint or a stray temp file — never a torn checkpoint.
+        where the header carries the version, the period, the SHA-256
+        of the payload, its length and the lengths of its out-of-band
+        ``buffers``.  The payload is the state's pickle (protocol 5)
+        followed by the raw bytes of its contiguous arrays, which are
+        written from their own memory instead of being copied into one
+        pickle first, so a save allocates only the small in-band pickle.
+        A crash mid-write leaves either the old checkpoint or a stray
+        temp file — never a torn checkpoint.
         """
-        payload = pickle.dumps(self.state, protocol=pickle.HIGHEST_PROTOCOL)
+        buffers: list = []
+        pickled = pickle.dumps(self.state, protocol=pickle.HIGHEST_PROTOCOL,
+                               buffer_callback=buffers.append)
+        parts = [memoryview(pickled)] + [buf.raw() for buf in buffers]
+        digest = hashlib.sha256()
+        for part in parts:
+            digest.update(part)
         header = json.dumps({
             "version": int(self.version),
             "period": int(self.period),
-            "sha256": hashlib.sha256(payload).hexdigest(),
-            "payload_bytes": len(payload),
+            "sha256": digest.hexdigest(),
+            "payload_bytes": sum(part.nbytes for part in parts),
+            "buffers": [part.nbytes for part in parts[1:]],
         }).encode()
-        blob = _MAGIC + struct.pack("<I", len(header)) + header + payload
+        prefix = _MAGIC + struct.pack("<I", len(header)) + header
         directory = os.path.dirname(os.path.abspath(path)) or "."
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".ckpt.tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
+                fh.write(prefix)
+                for part in parts:
+                    fh.write(part)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -182,7 +199,7 @@ class ControllerCheckpoint:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-        return len(blob)
+        return len(prefix) + sum(part.nbytes for part in parts)
 
     @classmethod
     def load(cls, path: str) -> "ControllerCheckpoint":
@@ -194,7 +211,10 @@ class ControllerCheckpoint:
         """
         try:
             with open(path, "rb") as fh:
-                blob = fh.read()
+                # writable, so the restored arrays (views of their
+                # out-of-band bytes) are too
+                blob = bytearray(os.fstat(fh.fileno()).st_size)
+                del blob[fh.readinto(blob):]
         except OSError as exc:
             raise CheckpointError(f"cannot read checkpoint {path}: {exc}")
         if len(blob) < len(_MAGIC) + 4 or not blob.startswith(_MAGIC):
@@ -210,10 +230,10 @@ class ControllerCheckpoint:
             raise CheckpointError(
                 f"{path}: checkpoint version {header.get('version')!r} "
                 f"not supported (expected {CHECKPOINT_VERSION})")
-        payload = blob[start + header_len:]
-        if len(payload) != header.get("payload_bytes"):
+        payload = memoryview(blob)[start + header_len:]
+        if payload.nbytes != header.get("payload_bytes"):
             raise CheckpointError(
-                f"{path}: truncated payload ({len(payload)} of "
+                f"{path}: truncated payload ({payload.nbytes} of "
                 f"{header.get('payload_bytes')} bytes)")
         digest = hashlib.sha256(payload).hexdigest()
         if digest != header.get("sha256"):
@@ -221,7 +241,11 @@ class ControllerCheckpoint:
                 f"{path}: payload checksum mismatch — the checkpoint is "
                 "corrupt")
         try:
-            state = pickle.loads(payload)
+            # the pickle, then its out-of-band buffers in order
+            ends = np.cumsum([0] + header["buffers"]) + (
+                payload.nbytes - sum(header["buffers"]))
+            state = pickle.loads(payload[:ends[0]], buffers=[
+                payload[a:b] for a, b in zip(ends[:-1], ends[1:])])
         except Exception as exc:  # pickle raises many unrelated types
             raise CheckpointError(f"{path}: cannot unpickle payload: {exc}")
         return cls(period=int(header["period"]), state=state)

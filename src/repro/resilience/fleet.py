@@ -100,6 +100,11 @@ class FleetHealth:
         return [s for s in range(self.n_lanes)
                 if self.counters[s] or self.quarantined[s]]
 
+    @property
+    def any_touched(self) -> bool:
+        """Whether :attr:`touched` is non-empty, without building it."""
+        return any(self.counters) or bool(self.quarantined.any())
+
     def all_recovered(self) -> bool:
         """Every lane NOMINAL or cleanly quarantined."""
         return all(self.quarantined[s]

@@ -349,7 +349,8 @@ def run_lanes(lanes, journal: RunJournal, *, predict_loads: bool = False,
     for s, mon in enumerate(monitors):
         if mon is not None:
             extras[s].append(mon.counters())
-    plant.markets.flush()       # the demand history, back to each market
+    # the demand history, back to each market
+    plant.markets.flush(record.series["powers_watts"][:, :record.n_periods])
     for s in np.flatnonzero(plant.has_actuation):
         extras[s].append(plant.actuation.lane_counters(s))
     return record.results(lanes.policy_name, scens,

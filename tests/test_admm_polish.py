@@ -8,18 +8,26 @@ stopping test.  Pinned here:
 * polished lanes are exact — they pass the KKT certificate at 1e-9 and
   agree with the scalar active-set solver to 1e-8;
 * a warm start that already names the optimal active set is polished
-  at iteration 1, and a lane refused there gets its near-optimum
-  attempt later;
+  at iteration 1, and a lane refused there tries again once per decade
+  its residuals fall inside the trigger band;
 * the grouped multiplier solve matches per-lane solves, and a
   dependent set solves its independent rows and gives 0 on the rest;
+* a dependent set keeps its independent equality rows, and a lane
+  whose dropped ``≤`` row the kept rows' solution would violate drops
+  another row instead, so the polish accepts it;
 * the memoised active-set factors change no result and stay bounded;
-* a degenerate active set (duplicated rows) is polished exactly;
+* a degenerate active set (duplicated rows) is polished exactly, and so
+  is a captured fleet QP whose set holds capacity rows that sum to the
+  conservation rows (``tests/seeds/qp_dependent_conservation.json``);
 * the lane-isolated mode never polishes, and its outputs do not depend
   on whether the polish is available;
 * a Hessian that is not positive definite switches the polish off;
 * an expired deadline stops the solve before the polish, and lanes that
   met the stopping test at that check still count as converged.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 
@@ -108,7 +116,10 @@ def test_lane_refused_at_iteration_one_is_polished_near_optimum(monkeypatch):
     res = solve_qp_admm_batch(P, Q, A, L, U,
                               setup=prepare_batch_admm(P, A, n_eq=n_eq))
     assert attempts[0] == Q.shape[0]        # every lane tried at iteration 1
-    assert sum(attempts) <= 2 * Q.shape[0]  # at most two attempts a lane
+    # then at most one attempt per decade of the trigger band above the
+    # stopping tolerance (1e-6 by default)
+    decades = int(np.ceil(np.log10(qp_admm._POLISH_TRIGGER / 1e-6)))
+    assert sum(attempts) <= (1 + decades) * Q.shape[0]
     assert res.converged.all()
     assert res.polished.all()
     assert (res.iterations > 1).all()
@@ -205,6 +216,99 @@ def test_pivoted_dependent_set_solves_kept_rows_exactly():
     assert not y[dropped].any()
     np.testing.assert_allclose(M[np.ix_(rows, rows)] @ y[rows], rhs[0, rows],
                                rtol=1e-10, atol=1e-12)
+
+
+def test_dependent_set_keeps_independent_equality_rows():
+    # rows 0 and 1 are equalities, row 2 a ``≤`` row in their span that
+    # is less correlated with row 0 than row 1 is: pivoting by size
+    # alone takes row 2 second and drops equality row 1
+    A = np.array([[1.0, 0.0, 0.0],
+                  [1.0, 0.3, 0.0],
+                  [1.0, 1.0, 0.0]])
+    M = A @ A.T
+    rows, chol = qp_admm._active_factor(M, np.arange(3), n_eq=2)
+    np.testing.assert_array_equal(np.sort(rows), [0, 1])
+    np.testing.assert_allclose(chol.T @ chol, M[np.ix_(rows, rows)],
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_dependent_row_with_a_contradicting_bound_is_swapped_out():
+    # x1 + x2 + x3 = b0 (conservation), x1 ≤ b1, -x2 ≤ 0, -x3 ≤ 0: the
+    # three ``≤`` rows sum to the conservation row, and with b1 > b0 not
+    # all four can hold.  The default drop is row 3, which the kept
+    # rows' solution violates; its lane drops row 1 instead.
+    A = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0],
+                  [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
+    M = A @ A.T
+    b = np.array([1.0, 2.0, 0.0, 0.0])
+    w = A @ np.array([3.0, -2.0, -1.0])
+    act = np.ones((1, 4), dtype=bool)
+    rhs = (w - b)[None]
+    side = np.array([[0.0, 1.0, 1.0, 1.0]])
+    slack = w - M @ qp_admm._solve_active(M, act, rhs, {})[0] - b
+    assert slack.max() > 0.5                # the default drop: violated
+    y = qp_admm._solve_active(M, act, rhs, {}, side, n_eq=1)[0]
+    slack = w - M @ y - b
+    assert y[1] == 0.0 and slack[1] < -0.5  # row 1 dropped, inside
+    np.testing.assert_allclose(slack[[0, 2, 3]], 0.0, atol=1e-12)
+
+
+def test_contradicting_dependent_set_is_polished_at_iteration_one():
+    rng = np.random.default_rng(3)
+    S = 6
+    A_eq = np.array([[1.0, 1.0, 1.0]])
+    A_in = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
+    A = np.vstack([A_eq, A_in])
+    P = np.diag([1.0, 2.0, 1.5])
+    Q = np.column_stack([-(3.0 + rng.random(S)), 2.0 + rng.random(S),
+                         1.0 + rng.random(S)])
+    load = 1.0 + rng.random(S)
+    cap = load + 1.0 + rng.random(S)          # capacity above the load
+    b_in = np.column_stack([cap, np.zeros((S, 2))])
+    L = np.column_stack([load, np.full((S, 3), -np.inf)])
+    U = np.column_stack([load, b_in])
+    # the warm start names every row active: the capacity row and both
+    # zero rows, which the conservation row contradicts
+    X0 = np.column_stack([cap, np.zeros((S, 2))])
+    Y0 = np.tile([0.0, 1.0, 1.0, 1.0], (S, 1))
+    res = solve_qp_admm_batch(P, Q, A, L, U, X0=X0, Y0=Y0,
+                              setup=prepare_batch_admm(P, A, n_eq=1))
+    assert res.polished.all()
+    np.testing.assert_array_equal(res.iterations, 1)
+    for s in range(S):
+        cert = check_kkt_qp(P, Q[s], res.X[s], A_eq, load[s:s + 1], A_in,
+                            b_in[s], dual_eq=res.Y[s, :1],
+                            dual_ineq=res.Y[s, 1:], tol=1e-9)
+        assert cert.ok, (s, cert)
+        ref = solve_qp(P, Q[s], A_eq, load[s:s + 1], A_in, b_in[s])
+        np.testing.assert_allclose(res.X[s], ref.x, rtol=1e-8, atol=1e-8)
+
+
+def test_fleet_dependent_conservation_seed_is_polished_exactly():
+    # a fleet_1000 (seed 0) lane whose warm start reads a set in which
+    # capacity rows sum to conservation rows; pivoting by size alone
+    # dropped a conservation row and left the lane to ADMM
+    seed = Path(__file__).parent / "seeds" / "qp_dependent_conservation.json"
+    data = json.loads(seed.read_text())
+    P, q = np.array(data["P"]), np.array(data["q"])
+    A_eq, b_eq = np.array(data["A_eq"]), np.array(data["b_eq"])
+    A_in, b_in = np.array(data["A_ineq"]), np.array(data["b_ineq"])
+    warm = data["warm_start"]
+    A, lo, hi = qp_admm.boxed_constraints(P.shape[0], A_eq, b_eq, A_in,
+                                          b_in)
+    setup = prepare_batch_admm(P, A, n_eq=b_eq.size, rho=warm["rho"])
+    res = solve_qp_admm_batch(P, q[None], A, lo, hi,
+                              X0=np.array(warm["x0"])[None],
+                              Y0=np.array(warm["y0"])[None], setup=setup,
+                              eps_abs=warm["eps"], eps_rel=warm["eps"])
+    assert res.polished[0] and res.iterations[0] == 1
+    n_eq = b_eq.size
+    cert = check_kkt_qp(P, q, res.X[0], A_eq, b_eq, A_in, b_in,
+                        dual_eq=res.Y[0, :n_eq], dual_ineq=res.Y[0, n_eq:],
+                        tol=1e-9)
+    assert cert.ok, cert
+    ref = solve_qp(P, q, A_eq, b_eq, A_in, b_in)
+    assert abs(res.fun[0] - ref.fun) <= 1e-9 * abs(ref.fun)
 
 
 def test_duplicated_rows_are_polished_exactly():

@@ -107,6 +107,29 @@ class TestCheckpointEnvelope:
         np.testing.assert_array_equal(loaded.state["x"], state["x"])
         assert loaded.state["nested"] == state["nested"]
 
+    def test_arrays_go_out_of_band_and_come_back_writable(self, tmp_path):
+        """Contiguous arrays are written after the pickle, not in it,
+        and restore as writable arrays equal to the saved ones."""
+        path = str(tmp_path / "c.ckpt")
+        big = np.arange(4096.0)
+        state = {"c": big, "f": np.asfortranarray(np.ones((3, 4))),
+                 "strided": big[::3], "scalar": np.float64(2.5),
+                 "empty": np.zeros((0, 3)), "ints": np.arange(7),
+                 "objects": np.array([{"k": 1}, None], dtype=object)}
+        written = ControllerCheckpoint(period=3, state=state).save(path)
+        blob = open(path, "rb").read()
+        assert written == len(blob)
+        header = json.loads(blob[12:12 + int.from_bytes(blob[8:12],
+                                                        "little")])
+        assert big.nbytes in header["buffers"]
+        loaded = ControllerCheckpoint.load(path).state
+        for key, value in state.items():
+            np.testing.assert_array_equal(loaded[key], value)
+            assert np.asarray(loaded[key]).dtype == np.asarray(value).dtype
+        assert loaded["f"].flags.f_contiguous
+        loaded["c"][0] = -1.0               # a writable view of the file
+        loaded["f"][0, 0] = -1.0
+
     def test_corrupt_payload_rejected(self, tmp_path):
         path = str(tmp_path / "c.ckpt")
         ControllerCheckpoint(period=1, state={"x": 1}).save(path)
@@ -683,6 +706,42 @@ class TestCrashResume:
         sc2 = _short_scenario()
         with pytest.raises(CheckpointError, match="version 8 not supported"):
             run_simulation(sc2, _mpc(sc2), resume_from=wal)
+
+    def test_version_9_checkpoint_refused_by_version(self, tmp_path):
+        """A version-9 checkpoint's lane markets carry a demand log.
+
+        The envelope must refuse the old layout by its version stamp.
+        """
+        wal = str(tmp_path / "v9.wal")
+        sc = _short_scenario()
+        with pytest.raises(SimulatedCrashError):
+            run_simulation(sc, CrashInjector(_mpc(sc), 5), wal_path=wal,
+                           checkpoint_every=2)
+        ckpt = checkpoint_path_for(wal)
+        current = ControllerCheckpoint.load(ckpt)
+        ControllerCheckpoint(period=current.period, state=current.state,
+                             version=9).save(ckpt)
+        sc2 = _short_scenario()
+        with pytest.raises(CheckpointError, match="version 9 not supported"):
+            run_simulation(sc2, _mpc(sc2), resume_from=wal)
+
+    def test_resumed_run_leaves_the_same_demand_history(self, tmp_path):
+        """The market's demand history after a resume is the crash-free
+        run's, bit for bit, though the checkpoint carries no demand log:
+        the history is read from the record's drawn powers."""
+        baseline_sc = _short_scenario()
+        run_simulation(baseline_sc, _mpc(baseline_sc))
+        wal = str(tmp_path / "history.wal")
+        sc = _short_scenario()
+        with pytest.raises(SimulatedCrashError):
+            run_simulation(sc, CrashInjector(_mpc(sc), 5), wal_path=wal,
+                           checkpoint_every=2)
+        state = ControllerCheckpoint.load(checkpoint_path_for(wal)).state
+        assert set(state["plant"]["markets"]) == {"last_demand"}
+        sc2 = _short_scenario()
+        run_simulation(sc2, _mpc(sc2), resume_from=wal)
+        assert len(sc2.market.demand_history) == sc2.n_periods
+        assert sc2.market.demand_history == baseline_sc.market.demand_history
 
     def test_resume_after_a_torn_wal_tail_leaves_a_readable_log(
             self, tmp_path):

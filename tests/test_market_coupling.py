@@ -133,8 +133,11 @@ def test_lane_market_batch_matches_scalar_prices_bitwise():
     batch = LaneMarketBatch((m, regions) for m in markets)
     rng = np.random.default_rng(0)
     t = 6.5 * 3600.0
+    drawn = []
     for _ in range(5):
-        demands = rng.uniform(0.0, 12.0, size=(3, 3))
+        watts = rng.uniform(0.0, 12e6, size=(3, 3))
+        drawn.append(watts)
+        demands = watts / 1e6
         batch.record_demand(demands)
         for m, row in zip(markets, demands):
             m.record_demand(row)
@@ -143,9 +146,11 @@ def test_lane_market_batch_matches_scalar_prices_bitwise():
         vec = batch.effective_prices(base)
         scalar = np.array([m.prices_at(t) for m in markets])
         assert np.array_equal(vec, scalar)
-    batch.flush()
-    for m_idx, m in enumerate(markets):
+    scalar_history = [m.demand_history for m in markets]
+    batch.flush(np.stack(drawn, axis=1))
+    for m, before in zip(markets, scalar_history):
         assert len(m.demand_history) == 10  # 5 scalar + 5 flushed
+        assert m.demand_history[5:] == before   # the same reports, bitwise
 
 
 def test_lane_market_batch_rejects_empty_and_ragged():
