@@ -729,7 +729,8 @@ class BatchCostMPCPolicy:
     @property
     def _armed(self) -> bool:
         """Whether the per-lane resilience path is active at all."""
-        return (self.lane_isolated or self.config.fallback_ladder
+        return (self.solver_fault_hook is not None
+                or self.config.fallback_ladder
                 or self.config.deadline_seconds is not None
                 or self._health.any_touched)
 
@@ -737,16 +738,18 @@ class BatchCostMPCPolicy:
     def lane_isolated(self) -> bool:
         """Whether the shared solve runs in lane-decoupled mode.
 
-        Keyed off the fault hook alone, the chaos seam: a configured
-        ladder or deadline keeps the polished shared solve.  Not keyed
-        off the health state either: bit-exact lane isolation only
-        holds if every period — including the fault-free ones before
-        the first injection — ran the decoupled iteration.  The
-        guarantee is therefore relative to an equally hooked, fault-free
-        baseline (e.g. a hook that never fires); the unhooked path keeps
-        the cheaper compacted shared-rho loop.
+        Keyed off the fault hook, the chaos seam, in a batch of two or
+        more lanes: a configured ladder or deadline keeps the polished
+        shared solve, and so does a lone lane, which has no other lane
+        to be isolated from.  Not keyed off the health state either:
+        bit-exact lane isolation only holds if every period — including
+        the fault-free ones before the first injection — ran the
+        decoupled iteration.  The guarantee is therefore relative to an
+        equally hooked, fault-free baseline (e.g. a hook that never
+        fires); the unhooked path keeps the cheaper compacted shared-rho
+        loop.
         """
-        return self.solver_fault_hook is not None
+        return self.solver_fault_hook is not None and self.n_scenarios > 1
 
     def _scan_faults(self, period: int) -> dict[int, str]:
         """Fire the fault hook once per live lane; collect poisonings.

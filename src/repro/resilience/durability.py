@@ -7,12 +7,14 @@ supervisor's health machine — and all of it lives in process memory.
 This module makes that state durable:
 
 * :class:`ControllerCheckpoint` — a versioned, checksummed envelope
-  (JSON header + pickled payload with its arrays out of band, written
-  atomically via temp + rename)
-  holding one :func:`snapshot` of every stateful component the engine
-  carries.  A corrupted or foreign checkpoint raises
+  (JSON header + pickled payload with its arrays out of band) holding
+  one :func:`snapshot` of every stateful component the engine carries.
+  A checkpoint file is a frame log: one *base* envelope (written
+  atomically via temp + rename) followed by *delta* envelopes appended
+  in place, each holding only what changed since the frame before.  A
+  corrupted or foreign checkpoint raises
   :class:`~repro.exceptions.CheckpointError` instead of restoring
-  garbage.
+  garbage; a torn final delta is dropped.
 * :class:`WriteAheadLog` — a JSONL decision log with a configurable
   fsync cadence, optionally striped across shard files.  The engine
   appends one record per control period *before* actuating the
@@ -34,7 +36,9 @@ This module makes that state durable:
 
 Each period loop (not this module) decides *what* goes into a
 checkpoint; the format here is deliberately component-agnostic: a
-payload is any picklable dict.
+payload is any picklable dict.  A delta's entries replace the base's,
+except an entry with a ``fold(entry, parts)`` method, whose parts
+extend the base's entry (the lane record's chunks append its periods).
 """
 
 from __future__ import annotations
@@ -89,12 +93,20 @@ __all__ = [
 #: policy.  Version 10: the plant's lane markets carry only their last
 #: demands (the demand history is read from the record at the end), and
 #: the payload's contiguous arrays follow its pickle out of band.
-CHECKPOINT_VERSION = 10
+#: Version 11: the checkpoint file is a frame log — a base envelope, then
+#: delta envelopes carrying the loop's state and the record's periods
+#: since the frame before — and every header names its ``kind``.
+CHECKPOINT_VERSION = 11
 
 #: Version stamp of the WAL record schema.
 WAL_VERSION = 1
 
 _MAGIC = b"RPRCKPT1"
+
+#: A checkpoint log is rewritten as one base once its deltas hold more
+#: than this many times the base's bytes, which bounds both the file and
+#: the work of loading it to a small multiple of one base.
+_COMPACT_RATIO = 4
 
 
 class SimulatedCrashError(Exception):
@@ -145,30 +157,39 @@ def checkpoint_path_for(wal_path: str) -> str:
 # ---------------------------------------------------------------------------
 @dataclass
 class ControllerCheckpoint:
-    """One versioned, checksummed snapshot of the control plane.
+    """One versioned, checksummed frame of the control plane's state.
 
     ``state`` is an opaque picklable dict assembled by the engine (one
     entry per stateful component); ``period`` is the next period to
     execute after restoring — everything *before* it is already folded
-    into the snapshot.
+    into the snapshot.  ``kind`` is ``"base"`` for a whole snapshot,
+    which starts a checkpoint file, or ``"delta"`` for a frame appended
+    to one; :meth:`load` folds a file's frames into one checkpoint.
     """
 
     period: int
     state: dict
     version: int = CHECKPOINT_VERSION
+    kind: str = "base"
 
-    def save(self, path: str) -> int:
-        """Write atomically (temp file + rename); returns bytes written.
+    def save(self, target) -> int:
+        """Write this frame; returns bytes written.
 
         Layout: ``magic | header_len (u32 LE) | header JSON | payload``
-        where the header carries the version, the period, the SHA-256
-        of the payload, its length and the lengths of its out-of-band
-        ``buffers``.  The payload is the state's pickle (protocol 5)
-        followed by the raw bytes of its contiguous arrays, which are
-        written from their own memory instead of being copied into one
-        pickle first, so a save allocates only the small in-band pickle.
-        A crash mid-write leaves either the old checkpoint or a stray
-        temp file — never a torn checkpoint.
+        where the header carries the version, the kind, the period, the
+        SHA-256 of the payload, its length and the lengths of its
+        out-of-band ``buffers``.  The payload is the state's pickle
+        (protocol 5) followed by the raw bytes of its contiguous arrays,
+        which are written from their own memory instead of being copied
+        into one pickle first, so a save allocates only the small
+        in-band pickle.
+
+        A base replaces the file at path ``target`` atomically (temp
+        file + fsync + rename): a crash mid-write leaves either the old
+        file or a stray temp file, never a torn base.  A delta is
+        appended to ``target``, a binary handle open on the checkpoint
+        file for appending, and fsynced: a crash mid-append leaves a
+        torn final delta, which :meth:`load` drops.
         """
         buffers: list = []
         pickled = pickle.dumps(self.state, protocol=pickle.HIGHEST_PROTOCOL,
@@ -179,35 +200,43 @@ class ControllerCheckpoint:
             digest.update(part)
         header = json.dumps({
             "version": int(self.version),
+            "kind": self.kind,
             "period": int(self.period),
             "sha256": digest.hexdigest(),
             "payload_bytes": sum(part.nbytes for part in parts),
             "buffers": [part.nbytes for part in parts[1:]],
         }).encode()
-        prefix = _MAGIC + struct.pack("<I", len(header)) + header
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".ckpt.tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(prefix)
-                for part in parts:
-                    fh.write(part)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        return len(prefix) + sum(part.nbytes for part in parts)
+        parts.insert(0, memoryview(
+            _MAGIC + struct.pack("<I", len(header)) + header))
+        if self.kind == "delta":
+            _write_synced(target, parts)
+        else:
+            directory = os.path.dirname(os.path.abspath(target)) or "."
+            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".ckpt.tmp")
+            try:
+                with os.fdopen(fd, "wb") as fh:
+                    _write_synced(fh, parts)
+                os.replace(tmp, target)
+            except BaseException:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+                raise
+        return sum(part.nbytes for part in parts)
 
     @classmethod
     def load(cls, path: str) -> "ControllerCheckpoint":
-        """Read and validate a checkpoint; raises :class:`CheckpointError`.
+        """Read, validate and fold a checkpoint file's frames.
 
-        Every failure mode — missing file, wrong magic, unsupported
-        version, truncated payload, checksum mismatch — raises rather
-        than returning a partially trusted snapshot.
+        The base must be whole: every failure mode — missing file, wrong
+        magic, unsupported version, truncated payload, checksum mismatch
+        — raises :class:`CheckpointError` rather than returning a
+        partially trusted snapshot.  Each delta after it folds into the
+        state: its entries replace the base's, and an entry with a
+        ``fold`` method extends the base's entry.  A bad *final* delta —
+        cut short, or failing its checksum — is what a crash mid-append
+        leaves: it is dropped, the checkpoint is the frame before it and
+        the WAL replay verifies the periods after.  A bad delta with
+        bytes after it is corruption and raises.
         """
         try:
             with open(path, "rb") as fh:
@@ -217,38 +246,115 @@ class ControllerCheckpoint:
                 del blob[fh.readinto(blob):]
         except OSError as exc:
             raise CheckpointError(f"cannot read checkpoint {path}: {exc}")
-        if len(blob) < len(_MAGIC) + 4 or not blob.startswith(_MAGIC):
+        header, payload, end = _read_frame(blob, 0, path)
+        if header.get("kind") != "base":
             raise CheckpointError(
-                f"{path} is not a controller checkpoint (bad magic)")
-        (header_len,) = struct.unpack_from("<I", blob, len(_MAGIC))
-        start = len(_MAGIC) + 4
+                f"{path}: the log starts with a {header.get('kind')!r} "
+                "frame, not a base")
+        period, base, deltas = header["period"], _unpickle(
+            header, payload, path), []
+        while end < len(blob):
+            try:
+                header, payload, next_end = _read_frame(blob, end, path)
+                if header.get("kind") != "delta":
+                    raise CheckpointError(
+                        f"{path}: a {header.get('kind')!r} frame at byte "
+                        f"{end}, not a delta")
+            except CheckpointError:
+                if _frame_end(blob, end) < len(blob):
+                    raise       # a frame follows it: corrupt, not torn
+                break           # the torn final delta
+            if header["period"] <= period:
+                raise CheckpointError(
+                    f"{path}: delta for period {header['period']} after "
+                    f"period {period}")
+            period, end = header["period"], next_end
+            deltas.append(_unpickle(header, payload, path))
         try:
-            header = json.loads(blob[start:start + header_len])
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise CheckpointError(f"{path}: unreadable header: {exc}")
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"{path}: checkpoint version {header.get('version')!r} "
-                f"not supported (expected {CHECKPOINT_VERSION})")
-        payload = memoryview(blob)[start + header_len:]
-        if payload.nbytes != header.get("payload_bytes"):
-            raise CheckpointError(
-                f"{path}: truncated payload ({payload.nbytes} of "
-                f"{header.get('payload_bytes')} bytes)")
-        digest = hashlib.sha256(payload).hexdigest()
-        if digest != header.get("sha256"):
-            raise CheckpointError(
-                f"{path}: payload checksum mismatch — the checkpoint is "
-                "corrupt")
-        try:
-            # the pickle, then its out-of-band buffers in order
-            ends = np.cumsum([0] + header["buffers"]) + (
-                payload.nbytes - sum(header["buffers"]))
-            state = pickle.loads(payload[:ends[0]], buffers=[
-                payload[a:b] for a, b in zip(ends[:-1], ends[1:])])
-        except Exception as exc:  # pickle raises many unrelated types
-            raise CheckpointError(f"{path}: cannot unpickle payload: {exc}")
-        return cls(period=int(header["period"]), state=state)
+            state = _fold(base, deltas)
+        except Exception as exc:  # a fold method's own error types
+            raise CheckpointError(f"{path}: cannot fold the deltas: {exc}")
+        return cls(period=int(period), state=state)
+
+
+def _write_synced(fh, parts) -> None:
+    for part in parts:
+        fh.write(part)
+    fh.flush()
+    os.fsync(fh.fileno())
+
+
+def _read_frame(blob: bytearray, offset: int, path: str) -> tuple:
+    """Validate the frame at ``offset``: ``(header, payload, end)``."""
+    start = offset + len(_MAGIC) + 4
+    if len(blob) < start or blob[offset:offset + len(_MAGIC)] != _MAGIC:
+        raise CheckpointError(
+            f"{path} is not a controller checkpoint (bad magic)")
+    (header_len,) = struct.unpack_from("<I", blob, offset + len(_MAGIC))
+    try:
+        header = json.loads(blob[start:start + header_len])
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise CheckpointError(f"{path}: unreadable header: {exc}")
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: unreadable header: {header!r}")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{path}: checkpoint version {header.get('version')!r} "
+            f"not supported (expected {CHECKPOINT_VERSION})")
+    size = header.get("payload_bytes")
+    payload = memoryview(blob)[start + header_len:]
+    if not isinstance(size, int) or payload.nbytes < size:
+        raise CheckpointError(
+            f"{path}: truncated payload ({payload.nbytes} of {size} bytes)")
+    payload = payload[:size]
+    if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
+        raise CheckpointError(
+            f"{path}: payload checksum mismatch — the checkpoint is "
+            "corrupt")
+    return header, payload, start + header_len + size
+
+
+def _frame_end(blob: bytearray, offset: int) -> int:
+    """Where the frame at ``offset`` says it ends (past a cut-short end)."""
+    start = offset + len(_MAGIC) + 4
+    if len(blob) < start:
+        return start
+    (header_len,) = struct.unpack_from("<I", blob, offset + len(_MAGIC))
+    try:
+        size = json.loads(blob[start:start + header_len])["payload_bytes"]
+        return start + header_len + int(size)
+    except (ValueError, UnicodeDecodeError, LookupError, TypeError):
+        return start + header_len   # an unreadable header ends here
+
+
+def _unpickle(header: dict, payload: memoryview, path: str) -> dict:
+    try:
+        # the pickle, then its out-of-band buffers in order
+        ends = np.cumsum([0] + header["buffers"]) + (
+            payload.nbytes - sum(header["buffers"]))
+        return pickle.loads(payload[:ends[0]], buffers=[
+            payload[a:b] for a, b in zip(ends[:-1], ends[1:])])
+    except Exception as exc:  # pickle raises many unrelated types
+        raise CheckpointError(f"{path}: cannot unpickle payload: {exc}")
+
+
+def _fold(base: dict, deltas: list[dict]) -> dict:
+    """The state a base and its deltas add up to.
+
+    A delta's entry replaces the base's; an entry with a
+    ``fold(entry, parts)`` method is collected, and its parts, in
+    order, extend the base's entry in one call.
+    """
+    state, parts = dict(base), {}
+    for delta in deltas:
+        for key, value in delta.items():
+            if hasattr(value, "fold"):
+                parts.setdefault(key, []).append(value)
+            else:
+                state[key] = value
+    for key, chunks in parts.items():
+        state[key] = chunks[0].fold(state[key], chunks)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -487,12 +593,14 @@ class RunJournal:
             counters = journal.close()
 
     A loop keeps only what is its own: the fingerprint, the checkpoint
-    ``state`` dict and restoring from it, and its decision record.  The
+    ``state`` dicts (whole, or the delta since the last checkpoint) and
+    restoring from the folded one, and its decision record.  The
     journal does the rest: the ``checkpoint_every`` / ``wal_path``
     check, the orphaned-checkpoint refusal, loading and verifying the
     resume state, the WAL's ``begin`` or ``resume`` record, the tail
-    check of every re-executed period, the checkpoint cadence and the
-    ``step_hook`` actions.  Without a WAL only the hook's stop is live.
+    check of every re-executed period, the checkpoint cadence, the
+    choice of base or delta frame and the ``step_hook`` actions.
+    Without a WAL only the hook's stop is live.
 
     Raises :class:`~repro.exceptions.ConfigurationError` for
     ``checkpoint_every`` below 1 or without a WAL to sit next to.
@@ -524,6 +632,9 @@ class RunJournal:
         self.counters = {"checkpoints_written": 0, "wal_tail_replayed": 0,
                          "wal_tail_mismatches": 0}
         self._tail: dict[int, dict] = {}
+        # the checkpoint log, open for appending once its base is written
+        self._frames = None
+        self._base_bytes = self._delta_bytes = 0
 
     @property
     def durable(self) -> bool:
@@ -625,25 +736,48 @@ class RunJournal:
         ``"checkpoint"`` checkpoints now, anything else checkpoints and
         stops (a drain, resumable with ``resume_from``).  Otherwise a
         checkpoint is due every ``checkpoint_every`` periods, never after
-        the last.  ``state()`` builds the loop's checkpoint dict and is
-        called only when one is written.  The WAL is flushed first when
-        it holds buffered records: a checkpoint must never cover a
-        decision the log has not made durable.
+        the last.  ``state(base)`` builds the loop's checkpoint dict and
+        is called only when one is written: the whole state when
+        ``base``, else the delta since the frame before.  The WAL is
+        flushed first when it holds buffered records: a checkpoint must
+        never cover a decision the log has not made durable.
         """
         if self.wal is not None and (
                 action or self.checkpoint_every is not None
                 and next_period % self.checkpoint_every == 0
                 and next_period < n_periods):
             self.wal.sync()
-            ControllerCheckpoint(
-                period=next_period,
-                state={"fingerprint": self.fingerprint, **state()},
-            ).save(checkpoint_path_for(self.wal_path))
+            self._checkpoint(next_period, state)
             self.counters["checkpoints_written"] += 1
         if action and action != "checkpoint":
             self.counters["stopped_at_period"] = next_period
             return True
         return False
+
+    def _checkpoint(self, period: int, state) -> None:
+        """Start the checkpoint log with a base, or append it a delta.
+
+        The run's first checkpoint is a base: a resumed run's restored
+        state starts its own frames (its record pickles its diagnostics
+        afresh).  So is the first once the log's deltas outweigh its base
+        ``_COMPACT_RATIO`` times, which rewrites the log as one base.
+        """
+        path = checkpoint_path_for(self.wal_path)
+        if self._frames is None \
+                or self._delta_bytes > _COMPACT_RATIO * self._base_bytes:
+            if self._frames is not None:
+                self._frames.close()
+                self._frames = None
+            self._base_bytes = ControllerCheckpoint(
+                period=period,
+                state={"fingerprint": self.fingerprint, **state(True)},
+            ).save(path)
+            self._delta_bytes = 0
+            self._frames = open(path, "ab")
+        else:
+            self._delta_bytes += ControllerCheckpoint(
+                period=period, state=state(False), kind="delta",
+            ).save(self._frames)
 
     def close(self) -> dict:
         """Close the WAL; the counters the run reports.
@@ -652,6 +786,9 @@ class RunJournal:
         ``resumed_from_period`` and ``stopped_at_period`` — empty for a
         run with neither a WAL nor a stop.
         """
+        if self._frames is not None:
+            self._frames.close()
+            self._frames = None
         if self.wal is None:
             return (dict(self.counters)
                     if "stopped_at_period" in self.counters else {})

@@ -245,7 +245,7 @@ class _BatchGroup:
             "obs_sha256": array_digest(obs_prices, obs_loads),
             "decision_sha256": array_digest(*arrays),
         }
-        if self.policy.lane_isolated:
+        if self.policy.solver_fault_hook is not None:
             record["health"] = self.policy.lane_health()
         if len(self.scenarios) <= _LANE_DIGEST_MAX:
             record["lane_sha256"] = [array_digest(*lane)

@@ -261,12 +261,14 @@ def run_lanes(lanes, journal: RunJournal, *, predict_loads: bool = False,
                 mon.restore(snap)
     journal.open()
 
-    def checkpoint_state() -> dict:
+    def checkpoint_state(base: bool) -> dict:
         return {
-            # the record goes as what it has filled; the rest of the
-            # loop-owned state is small and rides whole
+            # the record goes as what it has filled, or in a delta as
+            # what it filled since the frame before; the rest of the
+            # loop-owned state is small and rides whole in every frame
             "lanes": lanes.snapshot(), "plant": plant.snapshot(),
-            "record": record.snapshot(), "guards": guards,
+            "record": record.snapshot() if base else record.chunk(),
+            "guards": guards,
             "predictor": predictor,
             "monitors": [mon.snapshot() if mon is not None
                          and hasattr(mon, "snapshot") else None
@@ -536,8 +538,9 @@ def run_simulation(scenario: Scenario, policy: Policy,
         Write a :class:`repro.resilience.ControllerCheckpoint` of every
         stateful component (policy via its ``snapshot()``, predictors,
         telemetry guard, price forecaster, monitor, the plant's
-        actuation channel and market, record) next to the WAL after
-        every this-many completed periods, so a resumed run continues
+        actuation channel and market, record) to the checkpoint log
+        next to the WAL after every this-many completed periods — a
+        base, then deltas appended to it — so a resumed run continues
         bit-exact.  Requires ``wal_path``.
     wal_path:
         Write-ahead decision log (JSONL): each period's observation and

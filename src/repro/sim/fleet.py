@@ -563,7 +563,7 @@ class SharedMarketFleet:
                 action = step_hook(rec) if step_hook is not None else None
                 if journal.end_period(
                         self._k, T, action,
-                        lambda: {"fleet": self.snapshot()}):
+                        lambda base: {"fleet": self.snapshot()}):
                     break
         finally:
             self.perf.shared.update_counters(journal.close())

@@ -6,24 +6,60 @@ workloads, latencies, prices, portal loads, allocations, per-period
 policy diagnostics and the :class:`~repro.datacenter.EnergyMeter`
 integrals.  A scalar run is one lane.
 
-A checkpoint carries :meth:`LaneRecord.snapshot`, whose cost does not
-grow with the periods recorded: the series go as their filled prefix,
-the diagnostics as a pickle stream to which each checkpoint appends
-only the periods recorded since the last one.
+A checkpoint log starts with :meth:`LaneRecord.snapshot` — the series'
+filled prefix and the diagnostics as one pickle stream, so its size
+grows with the periods recorded — and goes on with :meth:`LaneRecord.chunk`
+per delta: the periods recorded since the frame before, whose size does
+not grow.  :meth:`RecordChunk.fold` adds a snapshot and its chunks up to
+one snapshot of the whole.
 """
 
 from __future__ import annotations
 
 import io
 import pickle
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..datacenter.power import EnergyMeter
-from ..exceptions import ModelError
+from ..exceptions import CheckpointError, ModelError
 from .results import SimulationResult
 
-__all__ = ["LaneRecord"]
+__all__ = ["LaneRecord", "RecordChunk"]
+
+
+@dataclass
+class RecordChunk:
+    """The periods ``[start, stop)`` a record gained since its last frame.
+
+    ``series`` holds each series' columns ``[:, start:stop]``,
+    ``diagnostics`` the pickle stream's bytes written since the last
+    frame, and ``meter`` the meter's running integrals (a fixed size).
+    """
+
+    start: int
+    stop: int
+    series: dict
+    diagnostics: bytes
+    meter: EnergyMeter
+
+    @staticmethod
+    def fold(snapshot: dict, chunks: list["RecordChunk"]) -> dict:
+        """``snapshot`` extended by ``chunks`` in order, as one snapshot."""
+        k = snapshot["n_periods"]
+        for chunk in chunks:
+            if chunk.start != k:
+                raise CheckpointError(
+                    f"record chunk starts at period {chunk.start}, "
+                    f"not {k}")
+            k = chunk.stop
+        return {**snapshot, "n_periods": k, "meter": chunks[-1].meter,
+                "series": {name: np.concatenate(
+                    [prefix] + [c.series[name] for c in chunks], axis=1)
+                    for name, prefix in snapshot["series"].items()},
+                "diagnostics": b"".join([snapshot["diagnostics"]] + [
+                    c.diagnostics for c in chunks])}
 
 
 class LaneRecord:
@@ -48,11 +84,14 @@ class LaneRecord:
         self.dt = dt
         #: periods recorded so far
         self.n_periods = 0
-        # the diagnostics' pickle stream, written by snapshot() only: one
-        # pickler, so its memo spans the chunks as one pickle's would
+        # the diagnostics' pickle stream, written by snapshot() and
+        # chunk() only: one pickler, so its memo spans the chunks as one
+        # pickle's would
         self._diag_stream = io.BytesIO()
         self._pickler = None
         self._pickled = 0           # periods in the stream
+        # the periods and stream bytes the last frame carried up to
+        self._framed = (0, 0)
 
     def record(self, k: int, diagnostics, **series) -> None:
         """Store period ``k`` for every lane and meter its cost.
@@ -67,15 +106,8 @@ class LaneRecord:
         self.meter.record(series["powers_watts"], series["prices"], self.dt)
         self.n_periods = k + 1
 
-    def snapshot(self) -> dict:
-        """The periods recorded so far, for a checkpoint.
-
-        The series go as their filled prefix ``[:, :n_periods]``, which
-        the checkpoint pickles at once.  The diagnostics go as one pickle
-        stream of per-interval chunks: each period's dicts are pickled
-        once, by the first snapshot after they were recorded, so a run
-        that never checkpoints never pays for it.
-        """
+    def _pickle_diagnostics(self) -> int:
+        """Pickle the periods not yet in the stream; the stream's size."""
         k = self.n_periods
         if self._pickler is None:
             self._pickler = pickle.Pickler(self._diag_stream,
@@ -84,10 +116,43 @@ class LaneRecord:
             self._pickler.dump([lane[self._pickled:k]
                                 for lane in self.diagnostics])
             self._pickled = k
+        return self._diag_stream.tell()
+
+    def snapshot(self) -> dict:
+        """The periods recorded so far, for a checkpoint's base frame.
+
+        The series go as their filled prefix ``[:, :n_periods]``, which
+        the checkpoint pickles at once.  The diagnostics go as one pickle
+        stream of per-interval chunks: each period's dicts are pickled
+        once, by the first snapshot or chunk after they were recorded, so
+        a run that never checkpoints never pays for it.
+        """
+        k = self.n_periods
+        self._framed = (k, self._pickle_diagnostics())
         return {"dims": self._dims, "dt": self.dt, "n_periods": k,
                 "meter": self.meter,
                 "series": {name: v[:, :k] for name, v in self.series.items()},
                 "diagnostics": self._diag_stream.getvalue()}
+
+    def chunk(self) -> RecordChunk:
+        """The periods recorded since the last snapshot or chunk.
+
+        Its size does not grow with the periods already recorded, so a
+        checkpoint's delta frame costs the same late in a day as early.
+        A restored record starts a fresh pickle stream, whose first frame
+        must be a :meth:`snapshot`.
+        """
+        if self._framed is None:
+            raise ModelError("a restored record's first frame is a "
+                             "snapshot(), not a chunk()")
+        (start, offset), k = self._framed, self.n_periods
+        end = self._pickle_diagnostics()
+        self._diag_stream.seek(offset)
+        diagnostics = self._diag_stream.read()     # leaves it at the end
+        self._framed = (k, end)
+        return RecordChunk(
+            start, k, {name: v[:, start:k] for name, v in self.series.items()},
+            diagnostics, self.meter)
 
     @classmethod
     def from_snapshot(cls, state: dict) -> "LaneRecord":
@@ -97,6 +162,7 @@ class LaneRecord:
         for name, prefix in state["series"].items():
             record.series[name][:, :k] = prefix
         record.meter = state["meter"]
+        record._framed = None       # its stream restarts from period 0
         stream = io.BytesIO(state["diagnostics"])
         unpickler = pickle.Unpickler(stream)
         while stream.tell() < len(state["diagnostics"]):

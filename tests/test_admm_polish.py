@@ -387,3 +387,47 @@ def test_deadline_stops_before_the_polish():
         np.testing.assert_allclose(res.X[:4], first.X[:4], rtol=1e-6,
                                    atol=1e-6)
         assert np.isfinite(res.X).all()
+
+
+def test_hooked_one_lane_policy_polishes_its_solves(monkeypatch):
+    """A fault hook decouples a batch's lanes from each other; a lone
+    lane has no other lane, so its solves stay the unhooked solves —
+    ended by the exact polish unless converged at iteration one — and
+    pass the KKT certificate at 1e-9."""
+    from repro.core import CostMPCPolicy, MPCPolicyConfig
+    from repro.core import batch_controller
+    from repro.sim import paper_scenario, run_simulation
+
+    solve = batch_controller.solve_qp_admm_batch
+
+    def solves_of(hook):
+        solves = []
+
+        def recording_solve(P, Q, A, L, U, **kwargs):
+            res = solve(P, Q, A, L, U, **kwargs)
+            solves.append((P, Q, A, L, U, kwargs["lane_isolated"], res))
+            return res
+
+        monkeypatch.setattr(batch_controller, "solve_qp_admm_batch",
+                            recording_solve)
+        sc = paper_scenario(dt=300.0, duration=7200.0, start_hour=6.0)
+        policy = CostMPCPolicy(sc.cluster, MPCPolicyConfig(dt=sc.dt))
+        policy.solver_fault_hook = hook
+        run_simulation(sc, policy)
+        assert len(solves) == sc.n_periods
+        return solves
+
+    plain = solves_of(None)
+    hooked = solves_of(lambda stage, lane, period: None)
+    assert sum(bool(res.polished[0]) for *_, res in hooked) > 0
+    for (P, Q, A, L, U, isolated, res), (*_, ref) in zip(hooked, plain):
+        assert not isolated
+        assert res.converged.all()
+        assert res.polished[0] or res.iterations[0] == 1
+        np.testing.assert_array_equal(res.polished, ref.polished)
+        np.testing.assert_array_equal(res.X, ref.X)
+        n_eq = int(np.isfinite(L[0]).sum())
+        cert = check_kkt_qp(P, Q[0], res.X[0], A[:n_eq], L[0, :n_eq],
+                            A[n_eq:], U[0, n_eq:], dual_eq=res.Y[0, :n_eq],
+                            dual_ineq=res.Y[0, n_eq:], tol=1e-9)
+        assert cert.ok, cert

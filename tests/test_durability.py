@@ -725,6 +725,25 @@ class TestCrashResume:
         with pytest.raises(CheckpointError, match="version 9 not supported"):
             run_simulation(sc2, _mpc(sc2), resume_from=wal)
 
+    def test_version_10_checkpoint_refused_by_version(self, tmp_path):
+        """A version-10 checkpoint file holds one whole envelope and no
+        frame kinds.
+
+        The envelope must refuse the old layout by its version stamp.
+        """
+        wal = str(tmp_path / "v10.wal")
+        sc = _short_scenario()
+        with pytest.raises(SimulatedCrashError):
+            run_simulation(sc, CrashInjector(_mpc(sc), 5), wal_path=wal,
+                           checkpoint_every=2)
+        ckpt = checkpoint_path_for(wal)
+        current = ControllerCheckpoint.load(ckpt)
+        ControllerCheckpoint(period=current.period, state=current.state,
+                             version=10).save(ckpt)
+        sc2 = _short_scenario()
+        with pytest.raises(CheckpointError, match="version 10 not supported"):
+            run_simulation(sc2, _mpc(sc2), resume_from=wal)
+
     def test_resumed_run_leaves_the_same_demand_history(self, tmp_path):
         """The market's demand history after a resume is the crash-free
         run's, bit for bit, though the checkpoint carries no demand log:
@@ -885,6 +904,193 @@ class TestCrashResume:
         run_simulation(sc, _mpc(sc), wal_path=wal, wal_fsync_every=4,
                        checkpoint_every=2)
         assert seen == [2, 4, 6, 8]
+
+
+# ---------------------------------------------------------------------------
+# The checkpoint frame log: a base, then appended deltas
+# ---------------------------------------------------------------------------
+def _frame_spans(path):
+    """``(start, end, header)`` of each whole frame in a checkpoint log."""
+    blob = open(path, "rb").read()
+    spans, offset = [], 0
+    while offset < len(blob):
+        n = int.from_bytes(blob[offset + 8:offset + 12], "little")
+        header = json.loads(blob[offset + 12:offset + 12 + n])
+        end = offset + 12 + n + header["payload_bytes"]
+        spans.append((offset, end, header))
+        offset = end
+    return spans
+
+
+def _recording_saves(monkeypatch):
+    """Every checkpoint frame written, as ``(period, kind, bytes)``."""
+    saves = []
+    save = ControllerCheckpoint.save
+
+    def recording_save(self, path):
+        written = save(self, path)
+        saves.append((self.period, getattr(self, "kind", "base"), written))
+        return written
+
+    monkeypatch.setattr(ControllerCheckpoint, "save", recording_save)
+    return saves
+
+
+class TestCheckpointLog:
+    def _crashed(self, tmp_path, crash_at=6, name="log"):
+        """A run checkpointing every period, killed at ``crash_at``."""
+        wal = str(tmp_path / f"{name}.wal")
+        sc = _short_scenario()
+        with pytest.raises(SimulatedCrashError):
+            run_simulation(sc, CrashInjector(_mpc(sc), crash_at),
+                           wal_path=wal, checkpoint_every=1)
+        return wal
+
+    def _resume(self, wal):
+        sc = _short_scenario()
+        return run_simulation(sc, _mpc(sc), resume_from=wal)
+
+    def test_delta_frames_do_not_grow_with_the_day(self, monkeypatch,
+                                                   tmp_path):
+        """On the durable paper day (the service's spec: a checkpoint
+        every period) a late frame costs what an early one does, and
+        the log folds back into the whole record."""
+        from repro.service.protocol import build_scalar_run, spec_from_dict
+        saves = _recording_saves(monkeypatch)
+        scenario, policy, _ = build_scalar_run(spec_from_dict({
+            "kind": "scalar", "run_id": "day",
+            "scenario": {"name": "paper", "dt": 300.0,
+                         "duration": 86400.0, "start_hour": 0.0,
+                         "budgets": True},
+            "policy": {"name": "mpc"}}))
+        wal = str(tmp_path / "day.wal")
+        result = run_simulation(scenario, policy, wal_path=wal,
+                                checkpoint_every=1)
+        assert [p for p, _, _ in saves] == list(range(1, 288))
+        frames = {p: (kind, n) for p, kind, n in saves}
+        assert frames[10][0] == frames[250][0] == "delta"
+        assert frames[250][1] <= 1.25 * frames[10][1]
+        assert saves[0][1] == "base"
+        spans = _frame_spans(checkpoint_path_for(wal))
+        assert spans[0][2]["kind"] == "base"
+        assert all(h["kind"] == "delta" for _, _, h in spans[1:])
+        last_base = max(p for p, kind, _ in saves if kind == "base")
+        assert [h["period"] for _, _, h in spans] == list(
+            range(last_base, 288))
+        record = ControllerCheckpoint.load(
+            checkpoint_path_for(wal)).state["record"]
+        assert record["n_periods"] == 287
+        np.testing.assert_array_equal(record["series"]["powers_watts"][0],
+                                      result.powers_watts[:287])
+        np.testing.assert_array_equal(record["series"]["allocations"][0],
+                                      result.allocations[:287])
+
+    @pytest.mark.parametrize("keep", ["one_byte", "mid_header",
+                                      "mid_payload", "all_but_one"])
+    def test_torn_last_delta_resumes_from_the_frame_before(self, tmp_path,
+                                                           keep):
+        """A crash mid-append leaves a prefix of the last delta: the
+        load drops it, and the resume from the frame before replays
+        the periods after it bit-exact against the WAL."""
+        baseline = run_simulation(_short_scenario(),
+                                  _mpc(_short_scenario()))
+        wal = self._crashed(tmp_path)
+        ckpt = checkpoint_path_for(wal)
+        spans = _frame_spans(ckpt)
+        assert len(spans) >= 3 and spans[-1][2]["kind"] == "delta"
+        start, end, header = spans[-1]
+        header_len = int.from_bytes(open(ckpt, "rb").read()[start + 8:
+                                                           start + 12],
+                                    "little")
+        cut = {"one_byte": start + 1,
+               "mid_header": start + 12 + header_len // 2,
+               "mid_payload": (start + 12 + header_len + end) // 2,
+               "all_but_one": end - 1}[keep]
+        with open(ckpt, "r+b") as fh:
+            fh.truncate(cut)
+        previous = spans[-2][2]["period"]
+        assert ControllerCheckpoint.load(ckpt).period == previous
+        resumed = self._resume(wal)
+        counters = resumed.perf["counters"]
+        assert counters["resumed_from_period"] == previous
+        assert counters["wal_tail_replayed"] == 6 - previous
+        assert counters["wal_tail_mismatches"] == 0
+        np.testing.assert_array_equal(resumed.servers, baseline.servers)
+        np.testing.assert_array_equal(resumed.allocations,
+                                      baseline.allocations)
+        np.testing.assert_array_equal(resumed.cost_usd, baseline.cost_usd)
+
+    def test_corrupt_final_delta_is_dropped(self, tmp_path):
+        wal = self._crashed(tmp_path)
+        ckpt = checkpoint_path_for(wal)
+        spans = _frame_spans(ckpt)
+        blob = bytearray(open(ckpt, "rb").read())
+        blob[spans[-1][1] - 1] ^= 0xFF
+        open(ckpt, "wb").write(bytes(blob))
+        assert ControllerCheckpoint.load(ckpt).period \
+            == spans[-2][2]["period"]
+
+    def test_flipped_byte_in_a_middle_delta_raises(self, tmp_path):
+        """Only the final frame can be torn by a crash: a bad delta with
+        a whole frame after it is corruption."""
+        wal = self._crashed(tmp_path)
+        ckpt = checkpoint_path_for(wal)
+        spans = _frame_spans(ckpt)
+        assert len(spans) >= 3
+        start, end, _ = spans[-2]
+        blob = bytearray(open(ckpt, "rb").read())
+        blob[end - 5] ^= 0xFF                   # in the payload
+        open(ckpt, "wb").write(bytes(blob))
+        with pytest.raises(CheckpointError, match="checksum"):
+            ControllerCheckpoint.load(ckpt)
+        with pytest.raises(CheckpointError, match="checksum"):
+            self._resume(wal)
+
+    def test_resumed_run_starts_with_a_base_and_resumes_again(
+            self, monkeypatch, tmp_path):
+        """A restored record pickles its diagnostics afresh, so the
+        resumed run's first checkpoint rewrites the log as a base; a
+        second crash and resume off that log is bit-exact too."""
+        baseline = run_simulation(_short_scenario(),
+                                  _mpc(_short_scenario()))
+        wal = self._crashed(tmp_path, crash_at=5)
+        saves = _recording_saves(monkeypatch)
+        sc = _short_scenario()
+        with pytest.raises(SimulatedCrashError):
+            run_simulation(sc, CrashInjector(_mpc(sc), 8), resume_from=wal,
+                           checkpoint_every=1)
+        assert [(p, kind) for p, kind, _ in saves] == [
+            (6, "base"), (7, "delta"), (8, "delta")]
+        assert [h["period"] for _, _, h in
+                _frame_spans(checkpoint_path_for(wal))] == [6, 7, 8]
+        resumed = self._resume(wal)
+        counters = resumed.perf["counters"]
+        assert counters["resumed_from_period"] == 8
+        assert counters["wal_tail_mismatches"] == 0
+        np.testing.assert_array_equal(resumed.servers, baseline.servers)
+        np.testing.assert_array_equal(resumed.cost_usd, baseline.cost_usd)
+        assert len(resumed.diagnostics) == len(baseline.diagnostics)
+
+    def test_log_is_compacted_into_one_base(self, monkeypatch, tmp_path):
+        """Once the deltas outweigh the base, the next checkpoint
+        rewrites the log as one base: the file stays a bounded multiple
+        of one base, and it still loads."""
+        saves = _recording_saves(monkeypatch)
+        wal = str(tmp_path / "compact.wal")
+        sc = paper_scenario(dt=300.0, duration=6 * 3600.0, start_hour=6.0)
+        result = run_simulation(sc, _mpc(sc), wal_path=wal,
+                                checkpoint_every=1)
+        kinds = [kind for _, kind, _ in saves]
+        assert kinds[0] == "base" and kinds.count("base") >= 2
+        assert kinds.count("delta") > kinds.count("base")
+        spans = _frame_spans(checkpoint_path_for(wal))
+        base_bytes = spans[0][1]
+        assert spans[-1][1] - base_bytes <= 5 * base_bytes
+        ckpt = ControllerCheckpoint.load(checkpoint_path_for(wal))
+        assert ckpt.period == sc.n_periods - 1
+        np.testing.assert_array_equal(
+            ckpt.state["record"]["series"]["servers"][0],
+            result.servers[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import OptimalInstantaneousPolicy, UniformPolicy
-from repro.exceptions import ConfigurationError, ModelError
+from repro.exceptions import CheckpointError, ConfigurationError, ModelError
 from repro.pricing import TABLE_III_PRICES
 from repro.sim import (
     PAPER_BUDGETS_WATTS,
@@ -14,7 +14,7 @@ from repro.sim import (
     run_simulation,
     simulate_policies,
 )
-from repro.sim.recorder import LaneRecord
+from repro.sim.recorder import LaneRecord, RecordChunk
 
 
 class TestScenario:
@@ -265,6 +265,45 @@ class TestLaneRecord:
         assert resumed.diagnostics == rec.diagnostics
         again = LaneRecord.from_snapshot(resumed.snapshot())
         assert again.diagnostics == rec.diagnostics
+
+    def test_snapshot_and_chunks_fold_to_one_snapshot(self):
+        """A checkpoint log's base plus its deltas equals one snapshot of
+        the whole, and so does a restored record's new base and deltas."""
+        import pickle
+        rec, powers, prices = self._record()
+        partial = LaneRecord(3, 4, 2, 2, 60.0)
+        _record_periods(partial, powers[:, :1], prices[:, :1])
+        base = partial.snapshot()
+        chunks = []
+        for k in (2, 2, 3):     # an empty chunk folds too
+            _record_periods(partial, powers[:, :k], prices[:, :k],
+                            start=partial.n_periods)
+            chunks.append(pickle.loads(pickle.dumps(partial.chunk())))
+        assert [(c.start, c.stop) for c in chunks] == [(1, 2), (2, 2),
+                                                       (2, 3)]
+        folded = RecordChunk.fold(pickle.loads(pickle.dumps(base)), chunks)
+        whole = partial.snapshot()
+        assert folded["n_periods"] == whole["n_periods"] == 3
+        assert folded["diagnostics"] == whole["diagnostics"]
+        for name, series in whole["series"].items():
+            np.testing.assert_array_equal(folded["series"][name], series)
+        np.testing.assert_array_equal(folded["meter"].cost_usd,
+                                      whole["meter"].cost_usd)
+
+        resumed = LaneRecord.from_snapshot(folded)
+        with pytest.raises(ModelError, match="snapshot"):
+            resumed.chunk()
+        base = resumed.snapshot()
+        _record_periods(resumed, powers, prices, start=3)
+        again = LaneRecord.from_snapshot(
+            RecordChunk.fold(base, [resumed.chunk()]))
+        assert again.diagnostics == rec.diagnostics
+        for name, series in rec.series.items():
+            np.testing.assert_array_equal(again.series[name], series)
+        np.testing.assert_array_equal(again.meter.paper_cost,
+                                      rec.meter.paper_cost)
+        with pytest.raises(CheckpointError, match="starts at period"):
+            RecordChunk.fold(base, chunks)
 
     def test_meter_rejects_misshaped_and_negative_input(self):
         rec, _, _ = self._record()
